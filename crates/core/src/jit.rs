@@ -25,18 +25,24 @@
 //!    the scheduling kernel (OpenCL only permits local declarations at
 //!    kernel scope), passing pointers down.
 //!
+//! Each scheduling kernel's [`DequeueContract`] — the dequeue site, the
+//! descriptor parameter and its slots, and the original kernel — is
+//! recorded on the output module, which is what lets the interpreter run
+//! the persistent workers of a launch the original kernel admits in a
+//! fixed round-robin ticket order across host threads.
+//!
 //! The pass is validated by differential interpretation: original and
 //! transformed modules must produce byte-identical buffers (see the tests
 //! here and the property tests in `tests/`).
 
 use crate::chunk::{chunk_for, Mode};
 use crate::vrange::{SLOT_DIMS, SLOT_NEXT, SLOT_TOTAL};
-use kernel_ir::analysis::static_insn_count;
+use kernel_ir::analysis::{reachable_helpers, static_insn_count};
 use kernel_ir::builder::FunctionBuilder;
 use kernel_ir::error::IrError;
 use kernel_ir::ir::{
-    AtomicOp, BinOp, CmpOp, ConstVal, Function, FunctionKind, Inst, Module, Op, Param, Terminator,
-    ValueId, WiBuiltin,
+    AtomicOp, BinOp, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Inst, Module, Op,
+    Param, Terminator, ValueId, WiBuiltin,
 };
 use kernel_ir::types::{AddressSpace, Type};
 use std::collections::{BTreeMap, BTreeSet};
@@ -131,6 +137,10 @@ pub fn transform_module(module: &Module, mode: Mode) -> Result<TransformedProgra
 
                 // Steps 4-5 + 6b: scheduling kernel.
                 let sched = build_scheduling_kernel(func, &compute.name, &hoisted, chunk);
+                out.dequeue.insert(
+                    func.name.clone(),
+                    dequeue_contract(module, func, &sched, chunk),
+                );
 
                 infos.push(TransformInfo {
                     kernel: func.name.clone(),
@@ -518,6 +528,43 @@ fn hoist_local_allocas(func: &mut Function) -> Vec<HoistedLocal> {
         });
     }
     found.into_iter().map(|(_, _, _, h)| h).collect()
+}
+
+/// The contract of `sched`, the scheduling kernel built for `original`:
+/// its one atomic is the dequeue, `rt` is its last parameter.
+fn dequeue_contract(
+    module: &Module,
+    original: &Function,
+    sched: &Function,
+    chunk: u32,
+) -> DequeueContract {
+    let (block, inst) = sched
+        .iter_blocks()
+        .find_map(|(b, block)| {
+            block
+                .insts
+                .iter()
+                .position(|i| matches!(i.op, Op::AtomicRmw { .. }))
+                .map(|i| (b, i))
+        })
+        .expect("the scheduling kernel dequeues");
+    let mut kept = Module::new();
+    kept.insert_function(original.clone());
+    for name in reachable_helpers(original, module) {
+        if let Some(helper) = module.function(&name) {
+            kept.insert_function(helper.clone());
+        }
+    }
+    DequeueContract {
+        block,
+        inst,
+        descriptor: sched.params.len() - 1,
+        next_slot: SLOT_NEXT,
+        total_slot: SLOT_TOTAL,
+        dims_slot: SLOT_DIMS,
+        chunk,
+        original: kept,
+    }
 }
 
 /// Steps 4 + 5: build the scheduling kernel (paper fig. 8b's `dyn_sched`).

@@ -19,6 +19,7 @@ use crate::policy::{
     plan_with_arrivals_and_faults, AccelOsPolicy, FaultSchedule, PlanCtx, SchedulingPolicy,
 };
 use crate::scheduler::{ExecRequest, LaunchDecision};
+use crate::vrange::DESCRIPTOR_LEN;
 use clrt::{Arg, Buffer, ClError, Context, Event, Kernel, Platform, Program};
 use gpu_sim::{
     FaultEvent, FaultKind, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd, SimReport,
@@ -210,6 +211,10 @@ pub struct ProxyCl {
     retry: RetryPolicy,
     profile: Option<ProfileStore>,
     last_report: Option<SimReport>,
+    /// The Virtual NDRange descriptor buffer, allocated on the first launch
+    /// and rewritten before every later one (device memory cannot be
+    /// freed, so a buffer per launch would grow without bound).
+    descriptor: Option<Buffer>,
 }
 
 impl ProxyCl {
@@ -236,6 +241,7 @@ impl ProxyCl {
             retry: RetryPolicy::default(),
             profile: None,
             last_report: None,
+            descriptor: None,
         }
     }
 
@@ -667,7 +673,9 @@ impl ProxyCl {
         decision: &LaunchDecision,
     ) -> Result<DynStats, ClError> {
         // Copy the Virtual NDRange descriptor to accelerator memory.
-        let rt_buf: Buffer = self.ctx.create_buffer(8 * decision.descriptor.len());
+        let rt_buf = *self
+            .descriptor
+            .get_or_insert_with(|| self.ctx.create_buffer(8 * DESCRIPTOR_LEN));
         self.ctx.write_i64(rt_buf, &decision.descriptor)?;
 
         let mut kernel = pending.kernel.clone();
@@ -1111,6 +1119,87 @@ mod tests {
             events[1].end >= clean_end,
             "losing a CU cannot speed the run up"
         );
+    }
+
+    #[test]
+    fn repeated_enqueues_allocate_only_application_buffers() {
+        let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+        let program = os.build_program(SRC).unwrap();
+        let before = os.context_mut().allocated_bytes();
+        let mut kernel = program.create_kernel("scale").unwrap();
+        let buf = os.context_mut().create_buffer(64 * 4);
+        os.context_mut().write_f32(buf, &[1.0; 64]).unwrap();
+        kernel.set_arg(0, Arg::Buffer(buf)).unwrap();
+        kernel
+            .set_arg(1, Arg::Scalar(kernel_ir::Value::F32(2.0)))
+            .unwrap();
+        for _ in 0..50 {
+            os.enqueue(&program, &kernel, NdRange::new_1d(64, 8))
+                .unwrap();
+        }
+        assert_eq!(
+            os.context_mut().read_f32(buf).unwrap(),
+            vec![2f32.powi(50); 64]
+        );
+        // The application's buffer plus the runtime's one descriptor,
+        // however many launches ran.
+        assert_eq!(
+            os.context_mut().allocated_bytes(),
+            before + 64 * 4 + 8 * DESCRIPTOR_LEN
+        );
+    }
+
+    /// A kernel storing `<open × depth> v <close × depth>` to `o[0]`.
+    fn nested_kernel(depth: usize, open: &str, close: &str) -> String {
+        format!(
+            "kernel void k(global int* o) {{ int v = 3; o[0] = {}v{}; }}",
+            open.repeat(depth),
+            close.repeat(depth)
+        )
+    }
+
+    #[test]
+    fn deeply_nested_tenant_source_is_a_build_failure() {
+        let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+        for src in [
+            nested_kernel(10_000, "(", ")"),
+            nested_kernel(10_000, "- ", ""),
+            nested_kernel(10_000, "v + ", ""),
+            format!(
+                "kernel void k(global int* o) {{ {} o[0] = 1; }}",
+                "if (o[0] == 0) ".repeat(10_000)
+            ),
+        ] {
+            match os.build_program(&src) {
+                Err(ClError::BuildFailure(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+                other => panic!("expected a build failure, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn nesting_depth_200_still_builds_and_runs() {
+        for (src, want) in [
+            (nested_kernel(200, "(", ")"), 3),
+            (nested_kernel(200, "- ", ""), 3),
+            (nested_kernel(200, "1 + ", ""), 203),
+            (
+                format!(
+                    "kernel void k(global int* o) {{ {} o[0] = 7; }}",
+                    "if (o[0] == 0) ".repeat(200)
+                ),
+                7,
+            ),
+        ] {
+            let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+            let program = os.build_program(&src).unwrap();
+            let mut kernel = program.create_kernel("k").unwrap();
+            let buf = os.context_mut().create_buffer(4);
+            kernel.set_arg(0, Arg::Buffer(buf)).unwrap();
+            os.enqueue(&program, &kernel, NdRange::new_1d(1, 1))
+                .unwrap();
+            assert_eq!(os.context_mut().read_i32(buf).unwrap(), vec![want]);
+        }
     }
 
     #[test]

@@ -290,11 +290,14 @@ pub struct FunctionFacts {
 pub struct ModuleFacts {
     functions: BTreeMap<String, FunctionFacts>,
     races: BTreeMap<String, crate::races::KernelRaceReport>,
+    dequeue: BTreeSet<String>,
 }
 
 impl ModuleFacts {
     /// Analyze every function (structural facts) and every kernel (race &
-    /// divergence report) of `module`.
+    /// divergence report) of `module`. A kernel whose dequeue contract
+    /// holds is reported through its original kernel (see
+    /// [`crate::races::gate_report`]).
     pub fn compute(module: &Module) -> Self {
         let mut functions = BTreeMap::new();
         for func in &module.functions {
@@ -308,10 +311,20 @@ impl ModuleFacts {
             );
         }
         let mut races = BTreeMap::new();
-        for report in crate::races::analyze_module(module) {
-            races.insert(report.kernel.clone(), report);
+        let mut dequeue = BTreeSet::new();
+        for name in module.kernel_names() {
+            if let Some((report, contract)) = crate::races::gate_report(module, name) {
+                if contract.is_some() {
+                    dequeue.insert(name.to_string());
+                }
+                races.insert(name.to_string(), report);
+            }
         }
-        ModuleFacts { functions, races }
+        ModuleFacts {
+            functions,
+            races,
+            dequeue,
+        }
     }
 
     /// Structural facts for `name`, if the function exists.
@@ -339,6 +352,12 @@ impl ModuleFacts {
     /// Cached race report for kernel `name`.
     pub fn race_report(&self, name: &str) -> Option<&crate::races::KernelRaceReport> {
         self.races.get(name)
+    }
+
+    /// Whether kernel `name` has a dequeue contract that holds, so its
+    /// cached race report is the original kernel's.
+    pub fn has_dequeue_contract(&self, name: &str) -> bool {
+        self.dequeue.contains(name)
     }
 
     /// All cached race reports, keyed by kernel name.

@@ -59,9 +59,10 @@
 use crate::error::InterpError;
 use crate::interp::{
     apply_atomic, bounds, decode_value, default_interp_threads, encode_value, eval_bin, eval_cast,
-    eval_cmp, eval_un, interp_size, run_groups_seq_sched, run_groups_static_sched,
+    eval_cmp, eval_un, flat_index, interp_size, run_groups_seq_sched, run_groups_static_sched,
     run_groups_stealing_sched, Arena, ArgValue, DeviceMemory, DynStats, GlobalMem, Interpreter,
-    LaunchSetup, NdRange, ParSchedule, PtrVal, RegsPool, Value, WiCtx, WiStatus,
+    LaunchSetup, NdRange, ParSchedule, PtrVal, RegsPool, TicketCursor, Tickets, Value, WiCtx,
+    WiStatus,
 };
 use crate::ir::{AtomicOp, BinOp, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin};
 use crate::types::{AddressSpace, Type};
@@ -168,12 +169,15 @@ pub(crate) enum BcInsn {
         builtin: WiBuiltin,
         dim: u8,
     },
-    /// Atomic read-modify-write; `dst` = previous value.
+    /// Atomic read-modify-write; `dst` = previous value, or with `ticket`
+    /// (the dequeue site of an admitted scheduling-kernel launch) the
+    /// worker's next round-robin ticket.
     AtomicRmw {
         op: AtomicOp,
         dst: u32,
         ptr: u32,
         value: u32,
+        ticket: bool,
     },
     /// Atomic compare-and-swap; `dst` = previous value.
     AtomicCmpXchg {
@@ -381,6 +385,10 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> Result<BcModule
                         dst,
                         ptr: ptr.0,
                         value: value.0,
+                        ticket: is_entry
+                            && setup
+                                .tickets
+                                .is_some_and(|t| (t.block.index(), t.inst) == (bid, ip)),
                     },
                     Op::AtomicCmpXchg {
                         ptr,
@@ -836,11 +844,13 @@ fn run_bc_group(
     step_limit: u64,
     ndrange: NdRange,
     local_bytes: usize,
+    tickets: Option<&Tickets>,
     group_id: [usize; 3],
     scratch: &mut BcScratch,
     stats: &mut DynStats,
 ) -> Result<u64, InterpError> {
     let BcScratch { local, items, pool } = scratch;
+    let mut cursor = tickets.map(|t| t.worker(flat_index(ndrange.num_groups(), group_id)));
     local.clear();
     local.resize(local_bytes, 0);
     let wg_size = ndrange.wg_size();
@@ -908,6 +918,7 @@ fn run_bc_group(
                 item,
                 stats,
                 &mut wg_insns,
+                cursor.as_mut(),
             )?;
         }
         let done = items.iter().filter(|i| i.status == WiStatus::Done).count();
@@ -939,6 +950,7 @@ fn run_bc_item(
     item: &mut BcItem,
     stats: &mut DynStats,
     wg_insns: &mut u64,
+    mut tickets: Option<&mut TicketCursor>,
 ) -> Result<(), InterpError> {
     loop {
         let pc = match item.frames.last_mut() {
@@ -1138,6 +1150,7 @@ fn run_bc_item(
                 dst,
                 ptr,
                 value,
+                ticket,
             } => {
                 *wg_insns += 1;
                 stats.atomic_ops += 1;
@@ -1189,6 +1202,10 @@ fn run_bc_item(
                         bytes[..4].copy_from_slice(&new.to_le_bytes());
                         Value::I32(old)
                     }
+                };
+                let old = match tickets.as_deref_mut() {
+                    Some(cursor) if *ticket => cursor.take(),
+                    _ => old,
                 };
                 bc_set(item, *dst, old);
             }
@@ -1369,10 +1386,12 @@ pub(crate) fn disassemble(prog: &BcProgram) -> String {
                     dst,
                     ptr,
                     value,
+                    ticket,
                 } => format!(
-                    "{} = {} {}, {}",
+                    "{} = {}{} {}, {}",
                     fmt_reg(*dst),
                     op.mnemonic(),
+                    if *ticket { ".ticket" } else { "" },
                     fmt_reg(*ptr),
                     fmt_reg(*value)
                 ),
@@ -1493,7 +1512,11 @@ impl<'m> Interpreter<'m> {
         if self.tier == ExecTier::TreeWalk {
             return self.run_kernel_parallel_sched(mem, kernel, ndrange, args, threads, schedule);
         }
-        let setup = self.plan(mem, kernel, ndrange, args)?;
+        let mut setup = self.plan(mem, kernel, ndrange, args)?;
+        let total = ndrange.total_groups();
+        let threads = threads.min(total).max(1);
+        let (eligible, tickets) = self.admit(mem, kernel, ndrange, args, threads);
+        setup.tickets = tickets;
         let prog = match lower(self.module, &setup) {
             Ok(mut bc) => {
                 if self.tier == ExecTier::BytecodeOpt {
@@ -1508,8 +1531,6 @@ impl<'m> Interpreter<'m> {
                     .run_kernel_parallel_sched(mem, kernel, ndrange, args, threads, schedule);
             }
         };
-        let total = ndrange.total_groups();
-        let threads = threads.min(total).max(1);
         let step_limit = self.config.step_limit;
         let local_bytes = setup.local_bytes;
         let gmem = GlobalMem::new(mem);
@@ -1520,12 +1541,13 @@ impl<'m> Interpreter<'m> {
                 step_limit,
                 ndrange,
                 local_bytes,
+                setup.tickets.as_ref(),
                 gid,
                 scratch,
                 stats,
             )
         };
-        if threads <= 1 || !self.parallel_eligible(kernel, ndrange, args) {
+        if threads <= 1 || !eligible {
             run_groups_seq_sched(ndrange, run)
         } else {
             match schedule {

@@ -16,8 +16,8 @@
 
 use crate::error::InterpError;
 use crate::ir::{
-    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, Function, FunctionKind, Module, Op, Terminator,
-    UnOp, ValueId, WiBuiltin,
+    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Module, Op,
+    Terminator, UnOp, ValueId, WiBuiltin,
 };
 use crate::types::{AddressSpace, Type};
 
@@ -345,6 +345,15 @@ pub enum ArgValue {
 pub struct DynStats {
     /// Executed (non-terminator) instructions per work group, indexed by flat
     /// group id.
+    ///
+    /// For a persistent-worker scheduling kernel a work group is a
+    /// *worker*, and its count covers every virtual group it dequeued, so
+    /// the split depends on which worker took which ticket. Launches the
+    /// gate admits under a [`crate::ir::DequeueContract`] take tickets in
+    /// the fixed round-robin order, so the split is the same at every
+    /// thread count; elsewhere it follows the order the atomic dequeues
+    /// happened in (sequentially: worker 0 takes every virtual group).
+    /// The four totals below do not depend on the order.
     pub insns_per_wg: Vec<u64>,
     /// Total executed instructions.
     pub total_insns: u64,
@@ -784,13 +793,100 @@ struct WgScratch {
 }
 
 /// Everything `run_kernel` resolves before the group loop: entry function,
-/// argument plan, static local-memory layout.
+/// argument plan, static local-memory layout, and the dequeue order of an
+/// admitted scheduling-kernel launch.
 pub(crate) struct LaunchSetup<'m> {
     pub(crate) func_idx: usize,
     pub(crate) func: &'m Function,
     pub(crate) arg_plan: Vec<ArgPlan>,
     pub(crate) static_local: Vec<(BlockId, usize, usize)>,
     pub(crate) local_bytes: usize,
+    pub(crate) tickets: Option<Tickets>,
+}
+
+/// The round-robin dequeue order of a launch admitted under a
+/// [`crate::ir::DequeueContract`]: worker `w`'s `j`-th execution of the
+/// dequeue site returns `base + (j·workers + w)·chunk` instead of the
+/// counter's old value. The `atomic_add` itself still executes, so the
+/// counter ends where any schedule leaves it.
+///
+/// Why this is a legal schedule: a worker exits at its first ticket
+/// `≥ total`, so with `n` successful tickets the order hands out exactly
+/// `0 … n+W−1` (in `chunk` units past `base`), one failing ticket per
+/// worker, as real dequeues do; it is the schedule in which all workers'
+/// `j`-th dequeues land before any `j+1`-th.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Tickets {
+    pub(crate) block: BlockId,
+    pub(crate) inst: usize,
+    base: i64,
+    chunk: i64,
+    workers: i64,
+}
+
+impl Tickets {
+    /// Worker `flat`'s cursor into the order.
+    pub(crate) fn worker(&self, flat: usize) -> TicketCursor {
+        TicketCursor {
+            next: self
+                .base
+                .wrapping_add((flat as i64).wrapping_mul(self.chunk)),
+            stride: self.workers.wrapping_mul(self.chunk),
+        }
+    }
+}
+
+/// One worker's next ticket in the round-robin order.
+pub(crate) struct TicketCursor {
+    next: i64,
+    stride: i64,
+}
+
+impl TicketCursor {
+    pub(crate) fn take(&mut self) -> Value {
+        let t = self.next;
+        self.next = self.next.wrapping_add(self.stride);
+        Value::I64(t)
+    }
+}
+
+/// Scalar arguments by parameter index, as the race analysis reads them.
+fn launch_scalars(args: &[ArgValue]) -> Vec<Option<i64>> {
+    args.iter()
+        .map(|a| match a {
+            ArgValue::Scalar(Value::I32(x)) => Some(*x as i64),
+            ArgValue::Scalar(Value::I64(x)) => Some(*x),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The launch check of a kernel's own report against `ndrange`.
+fn eligible_for(
+    report: &crate::races::KernelRaceReport,
+    ndrange: NdRange,
+    args: &[ArgValue],
+) -> bool {
+    report.eligible_for_launch(&crate::races::LaunchEnv {
+        local: ndrange.local,
+        groups: ndrange.num_groups(),
+        work_dim: ndrange.work_dim as u32,
+        args: &launch_scalars(args),
+        distinct_buffers: distinct_buffers(args),
+    })
+}
+
+/// Whether the launch's buffer arguments are pairwise distinct.
+fn distinct_buffers(args: &[ArgValue]) -> bool {
+    let mut buffers: Vec<BufferId> = args
+        .iter()
+        .filter_map(|a| match a {
+            ArgValue::Buffer(b) => Some(*b),
+            _ => None,
+        })
+        .collect();
+    buffers.sort_unstable();
+    buffers.windows(2).all(|w| w[0] != w[1])
 }
 
 /// The kernel interpreter.
@@ -942,6 +1038,14 @@ impl<'m> Interpreter<'m> {
     /// failing group — groups after the failing one may already have
     /// executed.
     ///
+    /// A persistent-worker scheduling kernel whose
+    /// [`crate::ir::DequeueContract`] admits the launch (see
+    /// [`parallel_eligible_in`](Self::parallel_eligible_in)) takes its
+    /// dequeue tickets in the fixed round-robin order at every thread
+    /// count, one thread included: memory and the four `DynStats` totals
+    /// match `run_kernel`'s dequeue loop, while `insns_per_wg` splits the
+    /// work among workers by that order instead of the atomic counter's.
+    ///
     /// # Errors
     ///
     /// Same conditions as [`run_kernel`](Self::run_kernel).
@@ -976,10 +1080,12 @@ impl<'m> Interpreter<'m> {
         threads: usize,
         schedule: ParSchedule,
     ) -> Result<DynStats, InterpError> {
-        let setup = self.plan(mem, kernel, ndrange, args)?;
+        let mut setup = self.plan(mem, kernel, ndrange, args)?;
         let total = ndrange.total_groups();
         let threads = threads.min(total).max(1);
-        if threads <= 1 || !self.parallel_eligible(kernel, ndrange, args) {
+        let (eligible, tickets) = self.admit(mem, kernel, ndrange, args, threads);
+        setup.tickets = tickets;
+        if threads <= 1 || !eligible {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
         match schedule {
@@ -1014,60 +1120,146 @@ impl<'m> Interpreter<'m> {
     /// may still run in parallel for specific launches — see
     /// [`parallel_eligible`](Self::parallel_eligible).
     pub fn can_parallelize(&self, kernel: &str) -> bool {
+        self.with_gate(kernel, |report, _| report.eligible_static())
+            .unwrap_or(false)
+    }
+
+    /// Launch-aware parallel-eligibility. Validates the static verdict's
+    /// residual assumptions (unit dimensions, scalar-dependent strides,
+    /// buffer distinctness) against the concrete `ndrange` and `args`,
+    /// rescuing kernels whose disjointness could only be decided per
+    /// launch: the gate [`run_kernel_parallel_sched`](Self::run_kernel_parallel_sched)
+    /// uses.
+    ///
+    /// For a scheduling kernel under a [`crate::ir::DequeueContract`] the
+    /// gate checks the original kernel against the *virtual* range, whose
+    /// group counts live in the descriptor buffer; without device memory
+    /// this answers whether the launch is admitted for every virtual range
+    /// of the hardware range's dimensionality (see
+    /// [`crate::races::KernelRaceReport::eligible_for_any_groups`]), so it
+    /// may say no to a launch the entry points admit;
+    /// [`parallel_eligible_in`](Self::parallel_eligible_in) gives their
+    /// exact answer.
+    pub fn parallel_eligible(&self, kernel: &str, ndrange: NdRange, args: &[ArgValue]) -> bool {
+        self.with_gate(kernel, |report, contract| match contract {
+            Some(_) => {
+                report.eligible_for_any_groups(ndrange.work_dim as u32, distinct_buffers(args))
+            }
+            None => eligible_for(report, ndrange, args),
+        })
+        .unwrap_or(false)
+    }
+
+    /// The gate exactly as the sharding entry points apply it, reading a
+    /// scheduling kernel's virtual range from its descriptor in `mem`:
+    /// whether the launch's work groups may run on several threads (the
+    /// round-robin dequeue order comes with it). Equal to
+    /// [`parallel_eligible`](Self::parallel_eligible) for kernels without a
+    /// [`crate::ir::DequeueContract`].
+    pub fn parallel_eligible_in(
+        &self,
+        mem: &DeviceMemory,
+        kernel: &str,
+        ndrange: NdRange,
+        args: &[ArgValue],
+    ) -> bool {
+        self.admit(mem, kernel, ndrange, args, 2).0
+    }
+
+    /// Apply `f` to the report gating `kernel` and its holding dequeue
+    /// contract (see [`crate::races::gate_report`]), from the facts cache
+    /// when there is one. `None` for unknown kernels.
+    fn with_gate<T>(
+        &self,
+        kernel: &str,
+        f: impl FnOnce(&crate::races::KernelRaceReport, Option<&'m DequeueContract>) -> T,
+    ) -> Option<T> {
         match self.facts {
-            Some(f) => f
-                .race_report(kernel)
-                .map(crate::races::KernelRaceReport::eligible_static)
-                .unwrap_or(false),
-            None => crate::races::analyze_kernel(self.module, kernel)
-                .map(|r| r.eligible_static())
-                .unwrap_or(false),
+            Some(facts) => {
+                let report = facts.race_report(kernel)?;
+                let contract = facts
+                    .has_dequeue_contract(kernel)
+                    .then(|| self.module.dequeue.get(kernel))
+                    .flatten();
+                Some(f(report, contract))
+            }
+            None => {
+                let (report, contract) = crate::races::gate_report(self.module, kernel)?;
+                Some(f(&report, contract))
+            }
         }
     }
 
-    /// Launch-aware parallel-eligibility: the gate actually used by
-    /// [`run_kernel_parallel_sched`](Self::run_kernel_parallel_sched).
-    /// Validates the static verdict's residual assumptions (unit
-    /// dimensions, scalar-dependent strides, buffer distinctness) against
-    /// the concrete `ndrange` and `args`, rescuing kernels whose
-    /// disjointness could only be decided per launch.
-    pub fn parallel_eligible(&self, kernel: &str, ndrange: NdRange, args: &[ArgValue]) -> bool {
-        let fresh;
-        let report = match self.facts.and_then(|f| f.race_report(kernel)) {
-            Some(r) => r,
-            None => match crate::races::analyze_kernel(self.module, kernel) {
-                Some(r) => {
-                    fresh = r;
-                    &fresh
+    /// The gate of the sharding entry points: whether the launch may run
+    /// its work groups on up to `threads` threads and, for a scheduling
+    /// kernel whose original kernel admits the virtual range read from
+    /// its descriptor, the round-robin dequeue order its workers follow at
+    /// every thread count. Launches the gate rejects take neither.
+    pub(crate) fn admit(
+        &self,
+        mem: &DeviceMemory,
+        kernel: &str,
+        ndrange: NdRange,
+        args: &[ArgValue],
+        threads: usize,
+    ) -> (bool, Option<Tickets>) {
+        // Without a contract, a one-thread launch needs no verdict.
+        if threads <= 1 && !self.module.dequeue.contains_key(kernel) {
+            return (false, None);
+        }
+        self.with_gate(kernel, |report, contract| {
+            let Some(c) = contract else {
+                return (threads > 1 && eligible_for(report, ndrange, args), None);
+            };
+            let word = |slot: usize| -> Option<i64> {
+                let ArgValue::Buffer(rt) = args.get(c.descriptor)? else {
+                    return None;
+                };
+                let bytes = mem.buffers.get(rt.0 as usize)?.bytes();
+                let w = bytes.get(8 * slot..8 * slot + 8)?;
+                Some(i64::from_le_bytes(w.try_into().ok()?))
+            };
+            let virtual_range = || -> Option<(i64, [usize; 3])> {
+                let base = word(c.next_slot)?;
+                let total = word(c.total_slot)?;
+                let mut groups = [0usize; 3];
+                let mut product: i64 = 1;
+                for (d, g) in groups.iter_mut().enumerate() {
+                    let n = word(c.dims_slot + d)?;
+                    product = product.checked_mul(n).filter(|_| n >= 1)?;
+                    *g = n as usize;
                 }
-                None => return false,
-            },
-        };
-        let scalars: Vec<Option<i64>> = args
-            .iter()
-            .map(|a| match a {
-                ArgValue::Scalar(Value::I32(x)) => Some(*x as i64),
-                ArgValue::Scalar(Value::I64(x)) => Some(*x),
-                _ => None,
-            })
-            .collect();
-        let mut buffers: Vec<BufferId> = args
-            .iter()
-            .filter_map(|a| match a {
-                ArgValue::Buffer(b) => Some(*b),
-                _ => None,
-            })
-            .collect();
-        buffers.sort_unstable();
-        let distinct_buffers = buffers.windows(2).all(|w| w[0] != w[1]);
-        let env = crate::races::LaunchEnv {
-            local: ndrange.local,
-            groups: ndrange.num_groups(),
-            work_dim: ndrange.work_dim as u32,
-            args: &scalars,
-            distinct_buffers,
-        };
-        report.eligible_for_launch(&env)
+                // The analysis enumerates up to every virtual work item.
+                (product as usize).checked_mul(ndrange.wg_size())?;
+                (base >= 0 && (0..=product).contains(&total)).then_some((base, groups))
+            };
+            let Some((base, groups)) = virtual_range() else {
+                return (false, None);
+            };
+            let Some(own_args) = args.get(..c.descriptor) else {
+                return (false, None);
+            };
+            let scalars = launch_scalars(own_args);
+            let env = crate::races::LaunchEnv {
+                local: ndrange.local,
+                groups,
+                work_dim: ndrange.work_dim as u32,
+                args: &scalars,
+                distinct_buffers: distinct_buffers(args),
+            };
+            if !report.eligible_for_launch(&env) {
+                return (false, None);
+            }
+            let tickets = Tickets {
+                block: c.block,
+                inst: c.inst,
+                base,
+                chunk: i64::from(c.chunk),
+                workers: ndrange.total_groups() as i64,
+            };
+            (true, Some(tickets))
+        })
+        .unwrap_or((false, None))
     }
 
     /// Resolve the entry point, argument plan and local-memory layout.
@@ -1188,6 +1380,7 @@ impl<'m> Interpreter<'m> {
             arg_plan,
             static_local,
             local_bytes,
+            tickets: None,
         })
     }
 
@@ -1260,7 +1453,9 @@ impl<'m> Interpreter<'m> {
             arg_plan,
             static_local,
             local_bytes,
+            tickets,
         } = setup;
+        let mut cursor = tickets.map(|t| t.worker(flat_index(ndrange.num_groups(), group_id)));
         let WgScratch { local, items, pool } = scratch;
         // Zero the shared arena (resize-from-empty reuses the allocation).
         local.clear();
@@ -1335,6 +1530,7 @@ impl<'m> Interpreter<'m> {
                     stats,
                     &mut wg_insns,
                     oracle.as_deref_mut(),
+                    tickets.as_ref().zip(cursor.as_mut()),
                 )?;
             }
             // After run_until_pause every item is Done or AtBarrier.
@@ -1365,14 +1561,11 @@ impl<'m> Interpreter<'m> {
         stats: &mut DynStats,
         wg_insns: &mut u64,
         mut oracle: Option<&mut OracleState>,
+        mut tickets: Option<(&Tickets, &mut TicketCursor)>,
     ) -> Result<(), InterpError> {
         // Flat group id for oracle attribution (same flat order as the
         // sequential group loop).
-        let flat_group = {
-            let g = ndrange.num_groups();
-            let c = item.ctx.group_id;
-            (c[0] + g[0] * (c[1] + g[1] * c[2])) as u32
-        };
+        let flat_group = flat_index(ndrange.num_groups(), item.ctx.group_id) as u32;
         loop {
             if item.frames.is_empty() {
                 item.status = WiStatus::Done;
@@ -1662,6 +1855,15 @@ impl<'m> Interpreter<'m> {
                             true,
                         );
                     }
+                    let in_entry = item.frames.len() == 1;
+                    let old = match tickets.as_mut() {
+                        Some((t, cursor))
+                            if in_entry && (t.block, t.inst) == (cur_block, cur_ip) =>
+                        {
+                            cursor.take()
+                        }
+                        _ => old,
+                    };
                     set_result(item, inst.result, old);
                 }
                 Op::AtomicCmpXchg {
@@ -1886,6 +2088,11 @@ impl<'a> GlobalMem<'a> {
 /// `Sync` claim sound.
 struct SyncPtr<T>(*mut T);
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
+
+/// Encode 3-D group coordinates as the flat group id [`flat_gid`] decodes.
+pub(crate) fn flat_index(groups: [usize; 3], gid: [usize; 3]) -> usize {
+    gid[0] + groups[0] * (gid[1] + groups[1] * gid[2])
+}
 
 /// Decode a flat group id into 3-D group coordinates. Shared by every
 /// schedule (and both execution tiers) so the flat ordering cannot drift:

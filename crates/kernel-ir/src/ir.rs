@@ -7,6 +7,7 @@
 //! pass in the paper operates on before vendor optimization).
 
 use crate::types::{AddressSpace, Type};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a virtual register within one function.
@@ -528,11 +529,110 @@ impl Function {
     }
 }
 
+/// The dequeue contract of a persistent-worker scheduling kernel: a JIT
+/// that rewrote an original kernel into a loop in which each work group
+/// (a *worker*) repeatedly claims the next `chunk` virtual groups with
+/// `atomic_add(rt[next_slot], chunk)` and exits once its claim reaches
+/// `rt[total_slot]` records where that dequeue is and what it rewrote.
+///
+/// The contract licenses the interpreter to hand worker `w`'s `j`-th
+/// dequeue the ticket `base + (j·W + w)·chunk` (`W` workers, `base` the
+/// counter's value at launch): a legal round-robin schedule that hands
+/// out the same tickets and leaves the same final counter as any real
+/// one, and makes workers independent whenever the *original* kernel's
+/// virtual groups are. Only a contract that [`DequeueContract::holds_in`]
+/// the scheduling kernel counts; anything else runs the loop as written.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DequeueContract {
+    /// Block of the dequeue `atomic_add` in the scheduling kernel.
+    pub block: BlockId,
+    /// Index of the dequeue within `block`.
+    pub inst: usize,
+    /// Parameter index of the descriptor `rt` (a global `i64` array); the
+    /// original kernel's parameters are the ones before it.
+    pub descriptor: usize,
+    /// Descriptor slot of the dequeue counter.
+    pub next_slot: usize,
+    /// Descriptor slot of the total virtual-group count.
+    pub total_slot: usize,
+    /// First of three descriptor slots holding the virtual group counts
+    /// per dimension.
+    pub dims_slot: usize,
+    /// Virtual groups claimed per dequeue (the `atomic_add` operand).
+    pub chunk: u32,
+    /// The original kernel, under the scheduling kernel's name, with every
+    /// helper it calls, untransformed: the code whose race report decides
+    /// whether the workers may run in parallel.
+    pub original: Module,
+}
+
+impl DequeueContract {
+    /// Whether the contract describes `kernel`: the descriptor is the last
+    /// parameter and a global `i64` pointer, the parameters before it are
+    /// the original kernel's, and the recorded site is
+    /// `atomic_add(gep(rt, next_slot), chunk)` with both operands
+    /// constants of this contract.
+    pub fn holds_in(&self, kernel: &Function) -> bool {
+        let Some(original) = self.original.function(&kernel.name) else {
+            return false;
+        };
+        let rt_ty = Type::ptr(AddressSpace::Global, Type::I64);
+        if kernel.kind != FunctionKind::Kernel
+            || original.kind != FunctionKind::Kernel
+            || self.chunk == 0
+            || self.descriptor + 1 != kernel.params.len()
+            || kernel.params[self.descriptor].ty != rt_ty
+            || original.params.len() != self.descriptor
+            || original
+                .params
+                .iter()
+                .zip(&kernel.params)
+                .any(|(a, b)| a.ty != b.ty)
+        {
+            return false;
+        }
+        let def = |v: ValueId| -> Option<&Op> {
+            kernel
+                .blocks
+                .iter()
+                .flat_map(|b| &b.insts)
+                .find(|i| i.result == Some(v))
+                .map(|i| &i.op)
+        };
+        let is_const = |v: ValueId, want: i64| matches!(def(v), Some(Op::Const(ConstVal::I64(x))) if *x == want);
+        let site = kernel
+            .blocks
+            .get(self.block.index())
+            .and_then(|b| b.insts.get(self.inst));
+        let Some(Inst {
+            op:
+                Op::AtomicRmw {
+                    op: AtomicOp::Add,
+                    ptr,
+                    value,
+                },
+            ..
+        }) = site
+        else {
+            return false;
+        };
+        let slot_of_rt = matches!(
+            def(*ptr),
+            Some(Op::Gep { ptr: base, index })
+                if base.index() == self.descriptor && is_const(*index, self.next_slot as i64)
+        );
+        slot_of_rt && is_const(*value, i64::from(self.chunk))
+    }
+}
+
 /// A module: an ordered set of uniquely named functions.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Module {
     /// Functions in definition order.
     pub functions: Vec<Function>,
+    /// Dequeue contracts of persistent-worker scheduling kernels, by
+    /// kernel name (empty unless a JIT produced the module).
+    pub dequeue: BTreeMap<String, DequeueContract>,
 }
 
 impl Module {

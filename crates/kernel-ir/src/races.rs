@@ -36,8 +36,8 @@
 use crate::analysis::reachable_helpers;
 use crate::interp::interp_size;
 use crate::ir::{
-    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, Function, FunctionKind, Module, Op, Terminator,
-    UnOp, ValueId, WiBuiltin,
+    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Module, Op,
+    Terminator, UnOp, ValueId, WiBuiltin,
 };
 use crate::types::{AddressSpace, Type};
 use crate::verify::{operands, successors};
@@ -2021,6 +2021,24 @@ pub fn analyze_module(module: &Module) -> Vec<KernelRaceReport> {
         .collect()
 }
 
+/// The report that gates cross-group parallel execution of kernel `name`,
+/// with the kernel's dequeue contract when one
+/// [holds](DequeueContract::holds_in). A persistent-worker scheduling
+/// kernel's own report is always racy (every worker contends on the
+/// dequeue counter), so under a holding contract the report is the
+/// *original* kernel's, to be checked against the virtual range the
+/// workers dequeue from. Returns `None` if `name` is not a kernel.
+pub fn gate_report<'m>(
+    module: &'m Module,
+    name: &str,
+) -> Option<(KernelRaceReport, Option<&'m DequeueContract>)> {
+    let kernel = module.function(name)?;
+    match module.dequeue.get(name) {
+        Some(c) if c.holds_in(kernel) => Some((analyze_kernel(&c.original, name)?, Some(c))),
+        _ => Some((analyze_kernel(module, name)?, None)),
+    }
+}
+
 impl KernelRaceReport {
     /// Launch-independent eligibility for cross-group parallel execution:
     /// the verdict guarantees race freedom *and* bit-identical results.
@@ -2070,6 +2088,25 @@ impl KernelRaceReport {
             }
         }
         true
+    }
+
+    /// Eligibility that holds whatever the group counts of a `work_dim`
+    /// launch (one group in every dimension from `work_dim` up): every
+    /// written parameter is disjoint with at most those dimensions
+    /// required unit, or deterministically contended, and buffers do not
+    /// alias. Answers launches whose group counts are not known up front
+    /// (a JIT scheduling kernel's virtual range lives in device memory);
+    /// it implies [`Self::eligible_for_launch`] for every such launch.
+    pub fn eligible_for_any_groups(&self, work_dim: u32, distinct_buffers: bool) -> bool {
+        self.routes.is_empty()
+            || (distinct_buffers
+                && self.routes.values().all(|r| match r {
+                    Route::Disjoint { unit_groups } => {
+                        unit_groups.iter().all(|&d| u32::from(d) >= work_dim)
+                    }
+                    Route::Contended { deterministic } => *deterministic,
+                    Route::NeedsLaunch | Route::Racy { .. } => false,
+                }))
     }
 
     /// Whether any parameter is written at all (reads alone cannot race).

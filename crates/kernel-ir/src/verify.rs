@@ -432,26 +432,34 @@ fn check_inst(func: &Function, module: &Module, inst: &Inst, _bid: BlockId) -> R
 /// (the conventional initialisation), which keeps uses in dead code legal.
 pub fn dominators(func: &Function) -> Vec<Vec<BlockId>> {
     let n = func.blocks.len();
-    let full: u128 = if n >= 128 {
-        u128::MAX
-    } else {
-        (1u128 << n) - 1
-    };
-    assert!(n <= 128, "function with more than 128 blocks");
-    let mut dom = vec![full; n];
-    dom[0] = 1; // entry dominated only by itself
+    if n == 0 {
+        return Vec::new();
+    }
+    let words = n.div_ceil(64);
+    let bit = |i: usize| (i / 64, 1u64 << (i % 64));
+    let mut full = vec![u64::MAX; words];
+    if !n.is_multiple_of(64) {
+        full[words - 1] = (1u64 << (n % 64)) - 1;
+    }
+    let mut dom = vec![full.clone(); n];
+    dom[0] = vec![0; words];
+    dom[0][0] = 1; // entry dominated only by itself
     let preds = predecessors(func);
+    let mut new = vec![0u64; words];
     let mut changed = true;
     while changed {
         changed = false;
         for b in 1..n {
-            let mut new = full;
+            new.copy_from_slice(&full);
             for p in &preds[b] {
-                new &= dom[p.index()];
+                for (x, y) in new.iter_mut().zip(&dom[p.index()]) {
+                    *x &= y;
+                }
             }
-            new |= 1u128 << b;
+            let (w, m) = bit(b);
+            new[w] |= m;
             if new != dom[b] {
-                dom[b] = new;
+                dom[b].copy_from_slice(&new);
                 changed = true;
             }
         }
@@ -459,7 +467,10 @@ pub fn dominators(func: &Function) -> Vec<Vec<BlockId>> {
     dom.iter()
         .map(|bits| {
             (0..n)
-                .filter(|i| bits & (1u128 << i) != 0)
+                .filter(|&i| {
+                    let (w, m) = bit(i);
+                    bits[w] & m != 0
+                })
                 .map(|i| BlockId(i as u32))
                 .collect()
         })
@@ -667,6 +678,7 @@ mod tests {
         b.ret(None);
         let m = Module {
             functions: vec![a.finish(), b.finish()],
+            ..Module::default()
         };
         assert!(verify_module(&m)
             .unwrap_err()

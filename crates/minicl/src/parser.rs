@@ -22,7 +22,8 @@ use kernel_ir::types::AddressSpace;
 ///
 /// # Errors
 ///
-/// Returns the first [`CompileError`] encountered (lexical or syntactic).
+/// Returns the first [`CompileError`] encountered (lexical or syntactic),
+/// including nesting deeper than [`MAX_NESTING`] levels.
 ///
 /// # Examples
 ///
@@ -33,29 +34,106 @@ use kernel_ir::types::AddressSpace;
 /// assert!(prog.functions[0].is_kernel);
 /// ```
 pub fn parse(src: &str) -> Result<Program, CompileError> {
+    parse_within(src, MAX_NESTING)?
+        .map_err(|pos| CompileError::at(pos, format!("nesting deeper than {MAX_NESTING} levels")))
+}
+
+/// Parse allowing `limit` levels of nesting: `Ok(Err(pos))` when the
+/// source nests deeper, `pos` being where it first does.
+pub(crate) fn parse_within(src: &str, limit: u32) -> Result<Result<Program, Pos>, CompileError> {
     let tokens = lex(src)?;
     let mut p = Parser {
         tokens,
         pos: 0,
         next_id: 0,
+        depth: 0,
+        peak: 0,
+        limit,
+        too_deep: None,
     };
     let mut functions = Vec::new();
     while !p.at(&Tok::Eof) {
-        functions.push(p.function()?);
+        match p.function() {
+            Ok(f) => functions.push(f),
+            Err(e) => return p.too_deep.map(Err).ok_or(e),
+        }
     }
-    Ok(Program {
+    Ok(Ok(Program {
         functions,
         node_count: p.next_id,
-    })
+    }))
 }
+
+/// Deepest nesting of statements and expressions the front end accepts,
+/// counting each operand folded into a left-deep chain (`a + b + …`,
+/// `a[i][j]…`) as a level, since the syntax tree is that deep.
+///
+/// Parsing, lowering and dropping the tree recurse over it, so unbounded
+/// nesting in tenant source could overflow the stack and abort the whole
+/// process; beyond this depth the source is rejected with a positioned
+/// [`CompileError`] instead. The bundled kernels nest under 40 levels.
+pub const MAX_NESTING: u32 = 256;
 
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     next_id: u32,
+    /// Syntax-tree depth of what is being parsed: open statements and
+    /// expressions, plus one per operand folded into a left-deep chain.
+    depth: u32,
+    /// Deepest `depth` reached in the innermost open chain.
+    peak: u32,
+    /// Most levels `depth` may reach.
+    limit: u32,
+    /// Where the source first nested deeper than `limit`.
+    too_deep: Option<Pos>,
 }
 
 impl Parser {
+    /// Run `f` one nesting level deeper, failing past `limit`.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        self.deeper(self.depth)?;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    /// Enter the level below `level`, failing past `limit`.
+    fn deeper(&mut self, level: u32) -> Result<(), CompileError> {
+        if level >= self.limit {
+            let pos = self.here();
+            self.too_deep = Some(pos);
+            return Err(CompileError::at(pos, "nesting limit"));
+        }
+        self.depth = level + 1;
+        self.peak = self.peak.max(self.depth);
+        Ok(())
+    }
+
+    /// Parse a left-deep chain (`a + b + …`, `a[i][j]…`) with `f`, which
+    /// calls [`Self::fold`] per operand: parsing nests no deeper there,
+    /// but the tree does.
+    fn chain<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        let base = self.depth;
+        let outer_peak = std::mem::replace(&mut self.peak, base);
+        let out = f(self);
+        self.depth = base;
+        self.peak = self.peak.max(outer_peak);
+        out
+    }
+
+    /// Fold one more operand into the current chain: the new node sits a
+    /// level above everything the chain holds so far.
+    fn fold(&mut self) -> Result<(), CompileError> {
+        self.deeper(self.peak)
+    }
+
     fn id(&mut self) -> NodeId {
         let id = NodeId(self.next_id);
         self.next_id += 1;
@@ -263,6 +341,10 @@ impl Parser {
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
+        self.nested(Self::stmt_inner)
+    }
+
+    fn stmt_inner(&mut self) -> Result<Stmt, CompileError> {
         let pos = self.here();
         match self.peek() {
             Tok::Kw(Kw::If) => {
@@ -489,6 +571,10 @@ impl Parser {
     }
 
     fn ternary(&mut self) -> Result<Expr, CompileError> {
+        self.nested(Self::ternary_inner)
+    }
+
+    fn ternary_inner(&mut self) -> Result<Expr, CompileError> {
         let cond = self.binary(0)?;
         if self.at(&Tok::Question) {
             let pos = self.here();
@@ -533,6 +619,10 @@ impl Parser {
     }
 
     fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+        self.chain(|p| p.binary_chain(min_prec))
+    }
+
+    fn binary_chain(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
         let mut lhs = self.unary()?;
         while let Some((kind, prec)) = Self::bin_kind(self.peek()) {
             if prec < min_prec {
@@ -540,6 +630,7 @@ impl Parser {
             }
             let pos = self.here();
             self.bump();
+            self.fold()?;
             let rhs = self.binary(prec + 1)?;
             let id = self.id();
             lhs = Expr {
@@ -556,7 +647,7 @@ impl Parser {
         match self.peek() {
             Tok::Minus => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 let id = self.id();
                 Ok(Expr {
                     id,
@@ -566,7 +657,7 @@ impl Parser {
             }
             Tok::Bang => {
                 self.bump();
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 let id = self.id();
                 Ok(Expr {
                     id,
@@ -579,7 +670,7 @@ impl Parser {
                 self.bump();
                 let ty = self.type_name()?;
                 self.expect(&Tok::RParen)?;
-                let e = self.unary()?;
+                let e = self.nested(Self::unary)?;
                 let id = self.id();
                 Ok(Expr {
                     id,
@@ -592,11 +683,16 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
+        self.chain(Self::postfix_chain)
+    }
+
+    fn postfix_chain(&mut self) -> Result<Expr, CompileError> {
         let mut e = self.primary()?;
         loop {
             if self.at(&Tok::LBracket) {
                 let pos = self.here();
                 self.bump();
+                self.fold()?;
                 let idx = self.expr()?;
                 self.expect(&Tok::RBracket)?;
                 let id = self.id();
