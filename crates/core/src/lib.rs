@@ -9,7 +9,8 @@
 //! | paper section | module |
 //! |---------------|--------|
 //! | §3 resource-sharing algorithm (`x=T/Kw`, `y=L/Km`, `z=R/Kr`, greedy saturation) | [`resource`] |
-//! | §5 host runtime: Application Monitor FSM, Kernel Scheduler, memory manager | [`proxycl`], [`scheduler`], [`memory`] |
+//! | §5 host runtime: Application Monitor FSM, Kernel Scheduler | [`proxycl`], [`scheduler`] |
+//! | §5 memory management, a standalone model the runtime does not call | [`memory`] |
 //! | §6.2 six-step JIT kernel transformation | [`jit`] |
 //! | §6.4 adaptive scheduling (chunked dequeues) | [`chunk`] |
 //! | §2.4 Virtual NDRanges | [`vrange`] |
@@ -76,5 +77,5 @@ pub use policy::{
 };
 pub use proxycl::{PendingExec, ProxyCl, ProxyProgram, RetryPolicy};
 pub use resource::{compute_shares, compute_weighted_shares, ResourceDemand, ShareAllocation};
-pub use scheduler::{plan_launches, DecisionKind, ExecRequest, LaunchDecision};
+pub use scheduler::{DecisionKind, ExecRequest, LaunchDecision};
 pub use vrange::VirtualNdRange;

@@ -1,7 +1,8 @@
-//! The Kernel Scheduler (paper §5): turns concurrent kernel execution
-//! requests into resource-controlled launches.
-//!
-//! For every batch of concurrent requests it:
+//! The Kernel Scheduler (paper §5): the requests and launch decisions
+//! that turn concurrent kernel executions into resource-controlled
+//! launches. A [`crate::policy::SchedulingPolicy`] plans each batch; the
+//! paper's, [`crate::policy::AccelOsPolicy`], for every batch of
+//! concurrent requests:
 //!
 //! 1. runs the §3 resource-sharing algorithm to pick the number of
 //!    persistent work groups per kernel;
@@ -15,9 +16,9 @@
 //! range; the timing plane converts each decision into a
 //! [`gpu_sim::LaunchPlan::PersistentDynamic`].
 
-use crate::resource::{compute_shares, ResourceDemand};
+use crate::resource::ResourceDemand;
 use crate::vrange::{VirtualNdRange, DESCRIPTOR_LEN};
-use gpu_sim::{Costs, DeviceConfig, LaunchPlan};
+use gpu_sim::{Costs, LaunchPlan};
 use kernel_ir::interp::NdRange;
 use std::sync::Arc;
 
@@ -158,8 +159,8 @@ impl LaunchDecision {
 }
 
 /// Build one [`DecisionKind::Chunked`] decision from an allocated worker
-/// count, applying the §6.4 queue-length chunk cap (shared by
-/// [`plan_launches`] and the policy objects in [`crate::policy`]).
+/// count, applying the §6.4 queue-length chunk cap (shared by the policy
+/// objects in [`crate::policy`]).
 pub(crate) fn chunked_decision(req: &ExecRequest, workers: u32) -> LaunchDecision {
     let v = VirtualNdRange::new(req.ndrange);
     // Chunked dequeues trade scheduling overhead for balance; when
@@ -178,44 +179,16 @@ pub(crate) fn chunked_decision(req: &ExecRequest, workers: u32) -> LaunchDecisio
     }
 }
 
-/// Decide launches for a batch of concurrent requests (equal sharing, the
-/// paper's default).
-///
-/// # Panics
-///
-/// Panics if `requests` is empty (propagated from the §3 algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use accelos::scheduler::{plan_launches, ExecRequest};
-/// use gpu_sim::DeviceConfig;
-/// use kernel_ir::interp::NdRange;
-///
-/// let dev = DeviceConfig::k20m();
-/// let reqs = vec![
-///     ExecRequest::new("a", NdRange::new_1d(65536, 256), 0, 16, 1),
-///     ExecRequest::new("b", NdRange::new_1d(65536, 256), 0, 16, 1),
-/// ];
-/// let plans = plan_launches(&dev, &reqs);
-/// // Both kernels fit simultaneously with equal shares.
-/// assert_eq!(plans[0].workers, plans[1].workers);
-/// let threads: u64 = plans.iter().map(|p| p.workers as u64 * 256).sum();
-/// assert!(threads <= dev.total_threads());
-/// ```
-pub fn plan_launches(device: &DeviceConfig, requests: &[ExecRequest]) -> Vec<LaunchDecision> {
-    let demands: Vec<ResourceDemand> = requests.iter().map(|r| r.demand).collect();
-    let alloc = compute_shares(device, &demands);
-    requests
-        .iter()
-        .zip(&alloc.wgs_per_kernel)
-        .map(|(req, &workers)| chunked_decision(req, workers))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{AccelOsPolicy, PlanCtx, SchedulingPolicy};
+    use gpu_sim::DeviceConfig;
+
+    /// The paper's default plan: equal §3 shares, adaptive chunks.
+    fn accelos_plan(device: &DeviceConfig, requests: &[ExecRequest]) -> Vec<LaunchDecision> {
+        AccelOsPolicy::optimized().plan(&PlanCtx::new(device), requests)
+    }
 
     #[test]
     fn reduces_range_but_keeps_wg_shape() {
@@ -224,7 +197,7 @@ mod tests {
             ExecRequest::new("a", NdRange::new_2d([1024, 512], [16, 16]), 0, 8, 2),
             ExecRequest::new("b", NdRange::new_1d(131072, 128), 2048, 8, 1),
         ];
-        let plans = plan_launches(&dev, &reqs);
+        let plans = accelos_plan(&dev, &reqs);
         assert_eq!(plans[0].hardware_range.local, [16, 16, 1]);
         assert_eq!(plans[0].hardware_range.work_dim, 2);
         assert!(plans[0].hardware_range.total_groups() < reqs[0].ndrange.total_groups());
@@ -236,7 +209,7 @@ mod tests {
     fn four_equal_kernels_quarter_the_machine() {
         let dev = DeviceConfig::k20m();
         let req = ExecRequest::new("k", NdRange::new_1d(1 << 20, 256), 0, 16, 1);
-        let plans = plan_launches(&dev, &[req.clone(), req.clone(), req.clone(), req]);
+        let plans = accelos_plan(&dev, &[req.clone(), req.clone(), req.clone(), req]);
         let w: Vec<u32> = plans.iter().map(|p| p.workers).collect();
         let total: u64 = w.iter().map(|&x| x as u64 * 256).sum();
         assert!(w.iter().max().unwrap() - w.iter().min().unwrap() <= 1);
@@ -250,7 +223,7 @@ mod tests {
         // A queue far longer than the worker count keeps the requested
         // chunk; see `chunk_capped_by_queue_length` for the other case.
         let reqs = vec![ExecRequest::new("k", NdRange::new_1d(8192, 8), 0, 1, 4)];
-        let plan = &plan_launches(&dev, &reqs)[0];
+        let plan = &accelos_plan(&dev, &reqs)[0];
         let sim = plan.to_sim_plan(vec![10; 1024], 2);
         match sim {
             LaunchPlan::PersistentDynamic {
@@ -274,7 +247,7 @@ mod tests {
         // idle seven workers, so the cap forces chunk 1.
         let dev = DeviceConfig::test_tiny();
         let reqs = vec![ExecRequest::new("k", NdRange::new_1d(64, 8), 0, 1, 4)];
-        let plan = &plan_launches(&dev, &reqs)[0];
+        let plan = &accelos_plan(&dev, &reqs)[0];
         assert_eq!(plan.chunk, 1);
     }
 
@@ -283,7 +256,7 @@ mod tests {
     fn sim_plan_cost_count_checked() {
         let dev = DeviceConfig::test_tiny();
         let reqs = vec![ExecRequest::new("k", NdRange::new_1d(64, 8), 0, 1, 4)];
-        let _ = plan_launches(&dev, &reqs)[0].to_sim_plan(vec![10; 3], 2);
+        let _ = accelos_plan(&dev, &reqs)[0].to_sim_plan(vec![10; 3], 2);
     }
 
     #[test]
@@ -293,6 +266,6 @@ mod tests {
             ExecRequest::new("a", NdRange::new_1d(65536, 256), 1024, 12, 2),
             ExecRequest::new("b", NdRange::new_1d(32768, 128), 0, 20, 1),
         ];
-        assert_eq!(plan_launches(&dev, &reqs), plan_launches(&dev, &reqs));
+        assert_eq!(accelos_plan(&dev, &reqs), accelos_plan(&dev, &reqs));
     }
 }

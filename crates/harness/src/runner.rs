@@ -35,7 +35,8 @@ use parboil::{KernelDb, KernelSpec};
 use sched_metrics::profile::ProfileStore;
 use sched_metrics::IntervalSet;
 use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::iter;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Software cost added per virtual group by the persistent-worker runtime
 /// (index arithmetic of the replaced work-item functions).
@@ -145,7 +146,14 @@ impl<'r> RepContext<'r> {
                 };
                 let costs = draws
                     .entry(spec.name)
-                    .or_insert_with(|| spec.vg_costs(spec.default_wgs as usize, seed).into())
+                    .or_insert_with(|| {
+                        // Drawn straight into the shared table: one allocation.
+                        let mut costs: Costs =
+                            iter::repeat_n(0, spec.default_wgs as usize).collect();
+                        let table = Arc::get_mut(&mut costs).expect("a fresh table is unshared");
+                        spec.fill_vg_costs(seed, table);
+                        costs
+                    })
                     .clone();
                 RepKernel {
                     spec,

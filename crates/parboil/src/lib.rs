@@ -30,13 +30,14 @@
 #![warn(missing_docs)]
 
 pub mod datasets;
+mod draw;
 pub mod sources;
 
 use kernel_ir::ir::Module;
 use kernel_ir::KernelProfile;
 use minicl::CompileError;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// One Parboil kernel: source, entry point, and launch/cost profile.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -405,23 +406,40 @@ impl KernelSpec {
     }
 
     /// Deterministic per-work-group cost samples: mean [`Self::base_cost`],
-    /// coefficient of variation [`Self::imbalance`] (Box-Muller normal,
-    /// clamped positive), reproducible for a given `(kernel, seed)`.
+    /// coefficient of variation [`Self::imbalance`], reproducible for a
+    /// given `(kernel, n, seed)`.
+    ///
+    /// Draw `i` takes the next two uniforms `a`, `b` in `[0, 1)` from a
+    /// [`StdRng`] seeded with `seed` XOR the FNV-1a hash of [`Self::name`],
+    /// sets `u1 = max(a, 1e-12)` and `u2 = b`, forms the Box–Muller normal
+    /// `z = sqrt(−2 ln u1) · cos(2π u2)`, and returns
+    /// `max(1, round(base_cost · max(0.05, 1 + imbalance · z)))`: the factor
+    /// is floored at 0.05, `round` rounds half away from zero, and no cost
+    /// is below 1. Every value is exactly what that formula gives in `f64`
+    /// with libm's `ln` and `cos`, on every CPU.
     pub fn vg_costs(&self, n: usize, seed: u64) -> Vec<u64> {
+        let mut out = vec![0; n];
+        self.fill_vg_costs(seed, &mut out);
+        out
+    }
+
+    /// [`Self::vg_costs`] for `n = out.len()`, written into `out`.
+    pub fn fill_vg_costs(&self, seed: u64, out: &mut [u64]) {
+        draw::fill(
+            self.base_cost,
+            self.imbalance,
+            &mut self.cost_rng(seed),
+            out,
+        );
+    }
+
+    /// The uniform stream of [`Self::vg_costs`].
+    fn cost_rng(&self, seed: u64) -> StdRng {
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
         for b in self.name.bytes() {
             h = (h ^ b as u64).wrapping_mul(0x1000_0000_01b3);
         }
-        let mut rng = StdRng::seed_from_u64(seed ^ h);
-        (0..n)
-            .map(|_| {
-                let u1: f64 = rng.random::<f64>().max(1e-12);
-                let u2: f64 = rng.random();
-                let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                let factor = (1.0 + self.imbalance * z).max(0.05);
-                (self.base_cost as f64 * factor).round().max(1.0) as u64
-            })
-            .collect()
+        StdRng::seed_from_u64(seed ^ h)
     }
 
     /// The canonical sweep-scale NDRange (all `default_wgs` groups laid out
