@@ -1,6 +1,7 @@
 //! In-order command queues with profiling events.
 //!
-//! Execution takes place on two planes (DESIGN.md):
+//! Execution takes place on two planes (`docs/ARCHITECTURE.md`, "The two
+//! execution planes"):
 //!
 //! * **functional** — the kernel really runs, via the `kernel-ir`
 //!   interpreter, against the context's device memory;
@@ -90,8 +91,9 @@ impl CommandQueue {
     /// # Errors
     ///
     /// Returns [`ClError::InvalidArgs`] for unbound arguments,
-    /// [`ClError::InvalidWorkGroupSize`] / [`ClError::OutOfResources`] for
-    /// geometry the device cannot host, and [`ClError::ExecutionFailure`]
+    /// [`ClError::InvalidWorkGroupSize`] for a malformed `ndrange` (see
+    /// [`NdRange::check`]), [`ClError::InvalidWorkGroupSize`] /
+    /// [`ClError::OutOfResources`] for geometry the device cannot host, and [`ClError::ExecutionFailure`]
     /// if the kernel faults.
     pub fn enqueue_nd_range(
         &mut self,
@@ -99,6 +101,7 @@ impl CommandQueue {
         kernel: &Kernel,
         ndrange: NdRange,
     ) -> Result<Event, ClError> {
+        ndrange.check().map_err(ClError::InvalidWorkGroupSize)?;
         let args = kernel.resolved_args()?;
         let req = launch_requirements(kernel, ndrange);
         let dev = ctx.device().clone();
@@ -119,7 +122,7 @@ impl CommandQueue {
         }
 
         // Functional plane: kernels execute on the bytecode tier
-        // (`ACCELOS_EXEC_TIER` selects `tree`/`bytecode`/`bytecode-opt`;
+        // (`ACCELOS_EXEC_TIER` selects `tree` or `bytecode-opt`;
         // unsupported constructs fall back to the tree-walker), sharding
         // work groups across host threads when the accelcheck race
         // analysis proves the launch free of cross-group races — with
@@ -233,6 +236,28 @@ mod tests {
         // test_tiny allows 128 threads per CU.
         let err = q.enqueue_nd_range(&mut ctx, &k, NdRange::new_1d(512, 256));
         assert!(matches!(err, Err(ClError::InvalidWorkGroupSize(_))));
+    }
+
+    #[test]
+    fn malformed_ndrange_literals_are_rejected() {
+        // Struct literals skip the constructors' validation: a zero local
+        // size, a local size that does not divide the global size, and a
+        // zero work_dim must each be an error, not a panic or a launch.
+        let (mut ctx, k, buf) = setup();
+        let mut q = CommandQueue::new();
+        for (work_dim, global, local) in [(1, 8, 0), (1, 10, 4), (0, 8, 4)] {
+            let nd = NdRange {
+                work_dim,
+                global: [global, 1, 1],
+                local: [local, 1, 1],
+            };
+            let err = q.enqueue_nd_range(&mut ctx, &k, nd);
+            assert!(
+                matches!(err, Err(ClError::InvalidWorkGroupSize(_))),
+                "{nd:?}: {err:?}"
+            );
+        }
+        assert_eq!(ctx.read_i32(buf).unwrap(), vec![0; 16], "nothing ran");
     }
 
     #[test]

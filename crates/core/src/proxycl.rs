@@ -367,7 +367,9 @@ impl ProxyCl {
     /// # Errors
     ///
     /// Returns [`ClError::InvalidArgs`] for unbound arguments or an empty
-    /// batch, and [`ClError::ExecutionFailure`] if any kernel faults.
+    /// batch, [`ClError::InvalidWorkGroupSize`] for a malformed `NdRange`
+    /// (see [`NdRange::check`]), and [`ClError::ExecutionFailure`] if any
+    /// kernel faults.
     pub fn enqueue_concurrent(&mut self, batch: Vec<PendingExec>) -> Result<Vec<Event>, ClError> {
         let arrivals = vec![0; batch.len()];
         self.enqueue_concurrent_at(batch, &arrivals)
@@ -414,6 +416,9 @@ impl ProxyCl {
             return Err(ClError::InvalidArgs(
                 "one arrival offset per batched request".into(),
             ));
+        }
+        for p in &batch {
+            p.ndrange.check().map_err(ClError::InvalidWorkGroupSize)?;
         }
 
         // Kernel Scheduler: one policy plan across the whole batch (the
@@ -850,6 +855,34 @@ mod tests {
             os.enqueue_concurrent(vec![]),
             Err(ClError::InvalidArgs(_))
         ));
+    }
+
+    #[test]
+    fn malformed_ndrange_literals_are_rejected() {
+        // The fields are public, so a tenant can skip the constructors'
+        // validation: a zero local size (divide by zero in the group
+        // count), a local size that does not divide the global size (the
+        // tail items would silently never run) and a zero work_dim.
+        let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+        let program = os.build_program(SRC).unwrap();
+        let mut kernel = program.create_kernel("scale").unwrap();
+        let buf = os.context_mut().create_buffer(16 * 4);
+        kernel.set_arg(0, Arg::Buffer(buf)).unwrap();
+        kernel
+            .set_arg(1, Arg::Scalar(kernel_ir::Value::F32(2.0)))
+            .unwrap();
+        for (work_dim, global, local) in [(1, 8, 0), (1, 10, 4), (0, 8, 4)] {
+            let nd = NdRange {
+                work_dim,
+                global: [global, 1, 1],
+                local: [local, 1, 1],
+            };
+            let err = os.enqueue(&program, &kernel, nd);
+            assert!(
+                matches!(err, Err(ClError::InvalidWorkGroupSize(_))),
+                "{nd:?}: {err:?}"
+            );
+        }
     }
 
     fn two_scaled(os: &mut ProxyCl) -> (Vec<PendingExec>, Buffer, Buffer) {

@@ -7,8 +7,7 @@
 /// their combined thread count, local-memory usage and register usage fit.
 ///
 /// Cost-model constants are in abstract "cycles". Absolute values are not
-/// meaningful — only the *shape* of results (who wins, crossovers) is, per
-/// DESIGN.md.
+/// meaningful — only the *shape* of results (who wins, crossovers) is.
 ///
 /// # Examples
 ///

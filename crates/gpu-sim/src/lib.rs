@@ -3,8 +3,9 @@
 //! The hardware substrate of the accelOS (CGO 2016) reproduction. No GPU is
 //! available in this environment, so the paper's NVIDIA K20m and AMD
 //! R9 295X2 are replaced by a deterministic discrete-event model of an
-//! occupancy-limited many-core accelerator (see DESIGN.md for why the
-//! substitution preserves the paper's mechanisms).
+//! occupancy-limited many-core accelerator (see `docs/ARCHITECTURE.md`,
+//! "The timing plane: `gpu-sim`", for why the substitution preserves the
+//! paper's mechanisms).
 //!
 //! The simulator knows nothing about scheduling *policy*: callers describe
 //! launches as hardware work groups (standard OpenCL), persistent dynamic

@@ -29,7 +29,7 @@
 //! lowering and the launch-optimized program — the form that
 //! `tests/golden/bytecode_spmv.txt` pins for spmv.
 //!
-//! `--exec-tier tree|bytecode|bytecode-opt` selects the functional-plane
+//! `--exec-tier tree|bytecode-opt` selects the functional-plane
 //! execution tier for every kernel launch of the run (it sets
 //! `ACCELOS_EXEC_TIER`, which `clrt` consults at launch time; the default
 //! is `bytecode-opt`). Every figure and table is tier-invariant — the
@@ -224,13 +224,9 @@ fn parse_args() -> Result<Options, String> {
                 i += 1;
                 let tier = args.get(i).ok_or("missing value after --exec-tier")?;
                 match tier.as_str() {
-                    "tree" | "bytecode" | "bytecode-opt" => {
-                        std::env::set_var("ACCELOS_EXEC_TIER", tier)
-                    }
+                    "tree" | "bytecode-opt" => std::env::set_var("ACCELOS_EXEC_TIER", tier),
                     other => {
-                        return Err(format!(
-                            "unknown exec tier `{other}` (tree | bytecode | bytecode-opt)"
-                        ))
+                        return Err(format!("unknown exec tier `{other}` (tree | bytecode-opt)"))
                     }
                 }
             }
@@ -533,7 +529,7 @@ fn main() {
                  [--pairs N] [--n4 N] [--n8 N] [--reps N] [--seed N] \
                  [--jobs N] [--sequential] [--profile-store FILE] \
                  [--shard i/n [--out FILE]] \
-                 [--exec-tier tree|bytecode|bytecode-opt]\n\
+                 [--exec-tier tree|bytecode-opt]\n\
                  usage: repro merge --inputs FILE,FILE,... [<sweep figures>...] [--reference name]\n\
                  usage: repro lint [--deny-warnings]\n\
                  usage: repro disasm <kernel>"

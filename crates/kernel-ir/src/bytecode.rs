@@ -2,11 +2,10 @@
 //!
 //! A compile-and-execute tier for the functional plane: kernel functions are
 //! lowered once per launch into a dense register bytecode (flat instruction
-//! array, resolved branch targets, pre-computed frame sizes), optionally run
-//! through a launch-specialising optimizer, and executed by a flat-dispatch
-//! VM that shares the NDRange group loop — and therefore the flat group
-//! order and both [`ParSchedule`] work
-//! distributions — with the tree-walking interpreter.
+//! array, resolved branch targets, pre-computed frame sizes), run through a
+//! launch-specialising optimizer, and executed by a flat-dispatch VM that
+//! shares the NDRange group loops — and therefore the flat group order and
+//! the stealing work distribution — with the tree-walking interpreter.
 //!
 //! ## Pipeline
 //!
@@ -18,7 +17,7 @@
 //!    calls their resolved callee index, and static local allocas their
 //!    pre-planned arena offset — the per-dispatch lookups the tree-walker
 //!    pays on every execution.
-//! 2. **Optimization** (`optimize`, the `BytecodeOpt` tier) — a
+//! 2. **Optimization** (`optimize`) — a
 //!    once-per-launch pipeline of constant folding over the concrete launch
 //!    (scalar *and* pointer arguments are known values at launch time,
 //!    launch-uniform work-item builtins are constants of the NDRange),
@@ -47,10 +46,10 @@
 //!
 //! ## Identity contract
 //!
-//! For every verified module and launch, all three tiers produce the same
+//! For every verified module and launch, both tiers produce the same
 //! `DeviceMemory` bytes, the same `DynStats` (every counter, including the
-//! per-group instruction histogram) and the same `Result`. The optimized
-//! tier additionally assumes the module is *well-typed* (verifier-clean):
+//! per-group instruction histogram) and the same `Result`. The bytecode
+//! tier assumes the module is *well-typed* (verifier-clean):
 //! dead code it eliminates can no longer raise type-confusion
 //! `InterpError::Invalid` errors that the tree-walker would only hit when
 //! actually executing the dead instructions. Divide-by-zero and other
@@ -59,10 +58,9 @@
 use crate::error::InterpError;
 use crate::interp::{
     apply_atomic, bounds, decode_value, default_interp_threads, encode_value, eval_bin, eval_cast,
-    eval_cmp, eval_un, flat_index, interp_size, run_groups_seq_sched, run_groups_static_sched,
-    run_groups_stealing_sched, Arena, ArgValue, DeviceMemory, DynStats, GlobalMem, Interpreter,
-    LaunchSetup, NdRange, ParSchedule, PtrVal, RegsPool, TicketCursor, Tickets, Value, WiCtx,
-    WiStatus,
+    eval_cmp, eval_un, flat_index, interp_size, run_groups_seq_sched, run_groups_stealing_sched,
+    Arena, ArgValue, DeviceMemory, DynStats, GlobalMem, Interpreter, LaunchSetup, NdRange, PtrVal,
+    RegsPool, TicketCursor, Tickets, Value, WiCtx, WiStatus,
 };
 use crate::ir::{AtomicOp, BinOp, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin};
 use crate::types::{AddressSpace, Type};
@@ -77,22 +75,20 @@ use crate::types::{AddressSpace, Type};
 pub enum ExecTier {
     /// The original tree-walking interpreter.
     TreeWalk,
-    /// Dense register bytecode, lowered per launch but not optimized.
-    Bytecode,
-    /// Bytecode plus the launch-specialising optimization pipeline
-    /// (constant folding, invariant hoisting into the per-launch preamble,
-    /// dead-code elimination).
+    /// Dense register bytecode, lowered per launch and run through the
+    /// launch-specialising optimization pipeline (constant folding,
+    /// invariant hoisting into the per-launch preamble, dead-code
+    /// elimination).
     BytecodeOpt,
 }
 
 impl ExecTier {
     /// Tier selected by the `ACCELOS_EXEC_TIER` environment variable:
-    /// `tree`, `bytecode` or `bytecode-opt`. Unset (and unrecognised)
-    /// values select [`ExecTier::BytecodeOpt`].
+    /// `tree` or `bytecode-opt`. Unset (and unrecognised) values select
+    /// [`ExecTier::BytecodeOpt`].
     pub fn from_env() -> Self {
         match std::env::var("ACCELOS_EXEC_TIER").ok().as_deref() {
             Some("tree") => ExecTier::TreeWalk,
-            Some("bytecode") => ExecTier::Bytecode,
             _ => ExecTier::BytecodeOpt,
         }
     }
@@ -1489,8 +1485,8 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Execute `kernel` on the selected [`ExecTier`], sharding work groups
-    /// like [`run_kernel_parallel_sched`](Self::run_kernel_parallel_sched)
-    /// (same accelcheck gate, same schedules, same flat group order).
+    /// like [`run_kernel_parallel_with`](Self::run_kernel_parallel_with)
+    /// (same accelcheck gate, same schedule, same flat group order).
     /// Falls back to the tree-walking interpreter when the tier is
     /// [`ExecTier::TreeWalk`] or the module refuses to lower (see the
     /// [module docs](crate::bytecode) for the fallback rules). Successful
@@ -1507,10 +1503,9 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
         threads: usize,
-        schedule: ParSchedule,
     ) -> Result<DynStats, InterpError> {
         if self.tier == ExecTier::TreeWalk {
-            return self.run_kernel_parallel_sched(mem, kernel, ndrange, args, threads, schedule);
+            return self.run_kernel_parallel_with(mem, kernel, ndrange, args, threads);
         }
         let mut setup = self.plan(mem, kernel, ndrange, args)?;
         let total = ndrange.total_groups();
@@ -1519,16 +1514,13 @@ impl<'m> Interpreter<'m> {
         setup.tickets = tickets;
         let prog = match lower(self.module, &setup) {
             Ok(mut bc) => {
-                if self.tier == ExecTier::BytecodeOpt {
-                    optimize(&mut bc, ndrange);
-                }
+                optimize(&mut bc, ndrange);
                 layout(&bc)
             }
             Err(_) => {
                 // Unsupported construct: the tree-walker implements its
                 // (error-path) semantics directly.
-                return self
-                    .run_kernel_parallel_sched(mem, kernel, ndrange, args, threads, schedule);
+                return self.run_kernel_parallel_with(mem, kernel, ndrange, args, threads);
             }
         };
         let step_limit = self.config.step_limit;
@@ -1550,15 +1542,12 @@ impl<'m> Interpreter<'m> {
         if threads <= 1 || !eligible {
             run_groups_seq_sched(ndrange, run)
         } else {
-            match schedule {
-                ParSchedule::Static => run_groups_static_sched(ndrange, threads, run),
-                ParSchedule::Stealing => run_groups_stealing_sched(ndrange, threads, run),
-            }
+            run_groups_stealing_sched(ndrange, threads, run)
         }
     }
 
     /// [`run_kernel_bytecode`](Self::run_kernel_bytecode) with the host's
-    /// available parallelism and the default schedule — the entry point
+    /// available parallelism — the entry point
     /// the OpenCL runtime layers (`clrt::queue`, `ProxyCl`) call.
     ///
     /// # Errors
@@ -1571,14 +1560,7 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> Result<DynStats, InterpError> {
-        self.run_kernel_bytecode(
-            mem,
-            kernel,
-            ndrange,
-            args,
-            default_interp_threads(),
-            ParSchedule::default(),
-        )
+        self.run_kernel_bytecode(mem, kernel, ndrange, args, default_interp_threads())
     }
 }
 
@@ -1655,7 +1637,7 @@ mod tests {
         full_args.extend_from_slice(args);
         let name = m.functions[0].name.clone();
         let stats = interp
-            .run_kernel_bytecode(&mut mem, &name, nd, &full_args, 1, ParSchedule::default())
+            .run_kernel_bytecode(&mut mem, &name, nd, &full_args, 1)
             .expect("runs");
         let mut bytes = mem.bytes(x).to_vec();
         bytes.extend_from_slice(mem.bytes(y));
@@ -1672,11 +1654,8 @@ mod tests {
         ];
         let data: Vec<f32> = (0..23).map(|i| i as f32 * 0.5).collect();
         let (tree_mem, tree_stats) = run_tier(&m, ExecTier::TreeWalk, nd, &args, &data);
-        let (bc_mem, bc_stats) = run_tier(&m, ExecTier::Bytecode, nd, &args, &data);
         let (opt_mem, opt_stats) = run_tier(&m, ExecTier::BytecodeOpt, nd, &args, &data);
-        assert_eq!(tree_mem, bc_mem);
         assert_eq!(tree_mem, opt_mem);
-        assert_eq!(tree_stats, bc_stats);
         assert_eq!(tree_stats, opt_stats, "weight preservation broke DynStats");
     }
 
@@ -1770,7 +1749,6 @@ mod tests {
                 NdRange::new_1d(4, 4),
                 &[ArgValue::Buffer(buf)],
                 1,
-                ParSchedule::default(),
             )
             .expect("fallback executes");
         assert_eq!(mem.read_i32(buf), vec![0, 0, 0, 0]);
@@ -1780,11 +1758,7 @@ mod tests {
     fn step_limit_parity_across_tiers() {
         let m = loop_kernel();
         let nd = NdRange::new_1d(4, 4);
-        for tier in [
-            ExecTier::TreeWalk,
-            ExecTier::Bytecode,
-            ExecTier::BytecodeOpt,
-        ] {
+        for tier in [ExecTier::TreeWalk, ExecTier::BytecodeOpt] {
             let mut mem = DeviceMemory::new();
             let x = mem.alloc(64 * 4);
             let y = mem.alloc(64 * 4);
@@ -1808,7 +1782,6 @@ mod tests {
                         ArgValue::Scalar(Value::I32(64)),
                     ],
                     1,
-                    ParSchedule::default(),
                 )
                 .unwrap_err();
             assert!(

@@ -287,15 +287,37 @@ impl NdRange {
     }
 
     fn validate(&self) {
-        for d in 0..3 {
-            assert!(self.local[d] > 0, "local size must be positive");
-            assert!(
-                self.global[d].is_multiple_of(self.local[d]),
-                "global size {} not divisible by local size {} in dim {d}",
-                self.global[d],
-                self.local[d]
-            );
+        if let Err(msg) = self.check() {
+            panic!("{msg}");
         }
+    }
+
+    /// Check a range built as a struct literal (the fields are public, so
+    /// the constructors' validation can be skipped): `work_dim` must be
+    /// 1..=3, and every local size positive and a divisor of its global
+    /// size. The runtime entry points call this before a launch, so a
+    /// malformed range is an error rather than a divide-by-zero or
+    /// silently unprocessed work items.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the first violated rule.
+    pub fn check(&self) -> Result<(), String> {
+        if !(1..=3).contains(&self.work_dim) {
+            return Err(format!("work_dim {} is not 1, 2 or 3", self.work_dim));
+        }
+        for d in 0..3 {
+            if self.local[d] == 0 {
+                return Err("local size must be positive".into());
+            }
+            if !self.global[d].is_multiple_of(self.local[d]) {
+                return Err(format!(
+                    "global size {} not divisible by local size {} in dim {d}",
+                    self.global[d], self.local[d]
+                ));
+            }
+        }
+        Ok(())
     }
 
     /// Number of work groups per dimension.
@@ -602,29 +624,10 @@ impl OracleState {
     }
 }
 
-/// Work-distribution schedule of the parallel interpreter
-/// ([`Interpreter::run_kernel_parallel_sched`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ParSchedule {
-    /// Contiguous static partitions, one per thread. Threads finishing a
-    /// cheap partition idle while a thread stuck on an expensive one
-    /// (bfs's frontier groups, spmv's long rows) runs alone — kept as the
-    /// reference schedule for differential tests and benchmarks.
-    Static,
-    /// Atomic-cursor dynamic schedule: threads repeatedly claim the next
-    /// [`steal_claim`]-sized run of flat work groups until the range
-    /// space is drained, so imbalanced kernels stop stranding threads.
-    /// Each claimed range writes into its own pre-sized slice of the flat
-    /// per-group stats buffer, which preserves the flat-order merge — and
-    /// thus bit-identity with the sequential interpreter.
-    #[default]
-    Stealing,
-}
-
-/// Ceiling on the flat work groups claimed per atomic-cursor fetch by
-/// [`ParSchedule::Stealing`]: small enough that one expensive range
-/// cannot strand a thread for long, large enough that the cursor is not
-/// contended on every group. Actual claims taper below this near the end
+/// Ceiling on the flat work groups claimed per atomic-cursor fetch by the
+/// parallel interpreter's stealing schedule: small enough that one
+/// expensive range cannot strand a thread for long, large enough that the
+/// cursor is not contended on every group. Actual claims taper below this near the end
 /// of the range space — see [`steal_claim`].
 pub const STEAL_RANGE: usize = 8;
 
@@ -1020,9 +1023,9 @@ impl<'m> Interpreter<'m> {
     /// sequential interpreter otherwise (and for single-group or
     /// single-thread runs). Contended global atomics execute as true host
     /// atomics, so histogram-style kernels parallelize too.
-    /// Uses the default [`ParSchedule::Stealing`] work distribution; see
-    /// [`run_kernel_parallel_sched`](Self::run_kernel_parallel_sched) to
-    /// pick a schedule explicitly.
+    /// Threads repeatedly claim the next [`steal_claim`]-sized run of flat
+    /// work groups from an atomic cursor, so a thread stuck on an expensive
+    /// group (bfs's frontier, spmv's long rows) does not strand the rest.
     ///
     /// Successful runs are bit-identical to the sequential interpreter:
     /// `DeviceMemory` contents, `insns_per_wg` and every `DynStats` counter
@@ -1057,29 +1060,6 @@ impl<'m> Interpreter<'m> {
         args: &[ArgValue],
         threads: usize,
     ) -> Result<DynStats, InterpError> {
-        self.run_kernel_parallel_sched(mem, kernel, ndrange, args, threads, ParSchedule::default())
-    }
-
-    /// [`run_kernel_parallel_with`](Self::run_kernel_parallel_with) with an
-    /// explicit work-distribution schedule. [`ParSchedule::Stealing`] (the
-    /// default) keeps threads busy on imbalanced kernels (bfs, spmv);
-    /// [`ParSchedule::Static`] is the historical contiguous partitioning,
-    /// kept as the differential-test reference and for benchmarking the
-    /// schedules against each other. Both are bit-identical to the
-    /// sequential interpreter (and therefore to each other).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_kernel`](Self::run_kernel).
-    pub fn run_kernel_parallel_sched(
-        &self,
-        mem: &mut DeviceMemory,
-        kernel: &str,
-        ndrange: NdRange,
-        args: &[ArgValue],
-        threads: usize,
-        schedule: ParSchedule,
-    ) -> Result<DynStats, InterpError> {
         let mut setup = self.plan(mem, kernel, ndrange, args)?;
         let total = ndrange.total_groups();
         let threads = threads.min(total).max(1);
@@ -1088,10 +1068,7 @@ impl<'m> Interpreter<'m> {
         if threads <= 1 || !eligible {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
-        match schedule {
-            ParSchedule::Static => self.run_groups_par(mem, &setup, ndrange, threads),
-            ParSchedule::Stealing => self.run_groups_stealing(mem, &setup, ndrange, threads),
-        }
+        self.run_groups_stealing(mem, &setup, ndrange, threads)
     }
 
     /// [`run_kernel_parallel_with`](Self::run_kernel_parallel_with) using
@@ -1128,7 +1105,7 @@ impl<'m> Interpreter<'m> {
     /// residual assumptions (unit dimensions, scalar-dependent strides,
     /// buffer distinctness) against the concrete `ndrange` and `args`,
     /// rescuing kernels whose disjointness could only be decided per
-    /// launch: the gate [`run_kernel_parallel_sched`](Self::run_kernel_parallel_sched)
+    /// launch: the gate [`run_kernel_parallel_with`](Self::run_kernel_parallel_with)
     /// uses.
     ///
     /// For a scheduling kernel under a [`crate::ir::DequeueContract`] the
@@ -1403,21 +1380,6 @@ impl<'m> Interpreter<'m> {
                 stats,
                 oracle.as_deref_mut(),
             )
-        })
-    }
-
-    /// Shard work groups across `threads` OS threads (contiguous flat
-    /// ranges, merged in order); see [`run_groups_static_sched`].
-    fn run_groups_par(
-        &self,
-        mem: &mut DeviceMemory,
-        setup: &LaunchSetup<'_>,
-        ndrange: NdRange,
-        threads: usize,
-    ) -> Result<DynStats, InterpError> {
-        let gmem = GlobalMem::new(mem);
-        run_groups_static_sched(ndrange, threads, |gid, scratch: &mut WgScratch, part| {
-            self.run_work_group(&gmem, setup, ndrange, gid, scratch, part, None)
         })
     }
 
@@ -2094,24 +2056,16 @@ pub(crate) fn flat_index(groups: [usize; 3], gid: [usize; 3]) -> usize {
     gid[0] + groups[0] * (gid[1] + groups[1] * gid[2])
 }
 
-/// Decode a flat group id into 3-D group coordinates. Shared by every
-/// schedule (and both execution tiers) so the flat ordering cannot drift:
-/// it is what bit-identity with the sequential `gz/gy/gx` loop rests on.
+/// Decode a flat group id into 3-D group coordinates. Shared by the
+/// stealing schedule of both execution tiers so the flat ordering cannot
+/// drift: it is what bit-identity with the sequential `gz/gy/gx` loop
+/// rests on.
 pub(crate) fn flat_gid(groups: [usize; 3], flat: usize) -> [usize; 3] {
     [
         flat % groups[0],
         (flat / groups[0]) % groups[1],
         flat / (groups[0] * groups[1]),
     ]
-}
-
-/// Keep the error of the lowest-numbered failing group — the one the
-/// sequential interpreter would have stopped at. Shared by both parallel
-/// schedules.
-fn keep_lowest_err(first: &mut Option<(usize, InterpError)>, flat: usize, e: InterpError) {
-    if first.as_ref().map(|(f, _)| flat < *f).unwrap_or(true) {
-        *first = Some((flat, e));
-    }
 }
 
 /// Run every work group in flat order on the calling thread, reusing one
@@ -2144,68 +2098,7 @@ where
     Ok(stats)
 }
 
-/// [`ParSchedule::Static`] work distribution, generic over the per-group
-/// executor: contiguous flat ranges, one per thread, merged in thread
-/// order. Each worker owns one scratch `S` for its whole partition. Only
-/// called once the analysis has admitted the launch for cross-group
-/// parallelism.
-pub(crate) fn run_groups_static_sched<S, F>(
-    ndrange: NdRange,
-    threads: usize,
-    run: F,
-) -> Result<DynStats, InterpError>
-where
-    S: Default,
-    F: Fn([usize; 3], &mut S, &mut DynStats) -> Result<u64, InterpError> + Sync,
-{
-    let groups = ndrange.num_groups();
-    let total = ndrange.total_groups();
-    let mut merged = DynStats {
-        insns_per_wg: Vec::with_capacity(total),
-        ..DynStats::default()
-    };
-    let mut first_err: Option<(usize, InterpError)> = None;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let lo = total * t / threads;
-                let hi = total * (t + 1) / threads;
-                let run = &run;
-                scope.spawn(move || {
-                    let mut scratch = S::default();
-                    let mut part = DynStats::default();
-                    let mut insns = Vec::with_capacity(hi - lo);
-                    for flat in lo..hi {
-                        let gid = flat_gid(groups, flat);
-                        match run(gid, &mut scratch, &mut part) {
-                            Ok(n) => insns.push(n),
-                            Err(e) => return Err((flat, e)),
-                        }
-                    }
-                    Ok((insns, part))
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join().expect("interpreter worker panicked") {
-                Ok((insns, part)) => {
-                    merged.insns_per_wg.extend(insns);
-                    merged.mem_ops += part.mem_ops;
-                    merged.atomic_ops += part.atomic_ops;
-                    merged.barriers += part.barriers;
-                }
-                Err((flat, e)) => keep_lowest_err(&mut first_err, flat, e),
-            }
-        }
-    });
-    if let Some((_, e)) = first_err {
-        return Err(e);
-    }
-    merged.total_insns = merged.insns_per_wg.iter().sum();
-    Ok(merged)
-}
-
-/// [`ParSchedule::Stealing`] work distribution, generic over the per-group
+/// The stealing work distribution, generic over the per-group
 /// executor: each thread repeatedly claims the next [`steal_claim`]-sized
 /// run of flat groups from an atomic cursor (tapering from
 /// [`STEAL_RANGE`] toward single groups as the range space drains), so a
@@ -2281,7 +2174,13 @@ where
                     merged.atomic_ops += part.atomic_ops;
                     merged.barriers += part.barriers;
                 }
-                Err((flat, e)) => keep_lowest_err(&mut first_err, flat, e),
+                // Keep the error of the lowest-numbered failing group —
+                // the one the sequential interpreter would have stopped at.
+                Err((flat, e)) => {
+                    if first_err.as_ref().is_none_or(|(f, _)| flat < *f) {
+                        first_err = Some((flat, e));
+                    }
+                }
             }
         }
     });
@@ -2895,9 +2794,9 @@ mod tests {
     }
 
     #[test]
-    fn stealing_matches_static_and_sequential() {
-        // 64 groups of wildly different cost (gid-dependent loop trip
-        // counts) so static partitions are imbalanced and stealing really
+    fn stealing_matches_sequential() {
+        // 64 groups whose cost grows with the group id (gid-dependent loop
+        // trip counts, the shape of bfs's frontier) so stealing really
         // redistributes ranges — outputs must still be bit-identical.
         let mut b = FunctionBuilder::new("tri", FunctionKind::Kernel, Type::Void);
         let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I64));
@@ -2924,25 +2823,23 @@ mod tests {
         b.store(p, total);
         b.ret(None);
         let m = module_of(vec![b.finish()]);
-        let run = |sched: Option<ParSchedule>, threads: usize| {
+        let run = |threads: Option<usize>| {
             let mut mem = DeviceMemory::new();
             let buf = mem.alloc(8 * 64);
             let interp = Interpreter::new(&m);
             let nd = NdRange::new_1d(64, 1);
             let args = [ArgValue::Buffer(buf)];
-            let stats = match sched {
+            let stats = match threads {
                 None => interp.run_kernel(&mut mem, "tri", nd, &args).unwrap(),
-                Some(s) => interp
-                    .run_kernel_parallel_sched(&mut mem, "tri", nd, &args, threads, s)
+                Some(t) => interp
+                    .run_kernel_parallel_with(&mut mem, "tri", nd, &args, t)
                     .unwrap(),
             };
             (mem, stats)
         };
-        let seq = run(None, 1);
+        let seq = run(None);
         for threads in [2, 3, 4, 8] {
-            let stat = run(Some(ParSchedule::Static), threads);
-            let steal = run(Some(ParSchedule::Stealing), threads);
-            assert_eq!(seq, stat, "static diverged at {threads} threads");
+            let steal = run(Some(threads));
             assert_eq!(seq, steal, "stealing diverged at {threads} threads");
         }
         // The workload really is imbalanced (what stealing exists for).
@@ -2987,34 +2884,32 @@ mod tests {
 
     #[test]
     fn stealing_reports_the_lowest_failing_group() {
-        // Group `gid` indexes out of bounds once gid >= 24: the parallel
-        // schedules must report the same error the sequential interpreter
+        // Group `gid` indexes out of bounds once gid >= 24: the stealing
+        // schedule must report the same error the sequential interpreter
         // stops at (flat group 24, offset 96), not whichever thread
         // failed first — a later group's out-of-bounds carries a larger
         // offset, so rendered-message equality pins the selection.
         let m = scale_kernel();
-        let run = |sched: Option<ParSchedule>| -> InterpError {
+        let run = |parallel: bool| -> InterpError {
             let mut mem = DeviceMemory::new();
             let buf = mem.alloc(4 * 24);
             let interp = Interpreter::new(&m);
             let nd = NdRange::new_1d(64, 1);
             let args = [ArgValue::Buffer(buf), ArgValue::Scalar(Value::F32(1.0))];
-            match sched {
-                None => interp.run_kernel(&mut mem, "scale", nd, &args),
-                Some(s) => interp.run_kernel_parallel_sched(&mut mem, "scale", nd, &args, 4, s),
+            if parallel {
+                interp.run_kernel_parallel_with(&mut mem, "scale", nd, &args, 4)
+            } else {
+                interp.run_kernel(&mut mem, "scale", nd, &args)
             }
             .unwrap_err()
         };
-        let seq = run(None);
+        let seq = run(false);
         assert!(matches!(seq, InterpError::OutOfBounds { .. }), "{seq}");
-        for sched in [ParSchedule::Static, ParSchedule::Stealing] {
-            let err = run(Some(sched));
-            assert_eq!(
-                format!("{err}"),
-                format!("{seq}"),
-                "{sched:?} must report the sequential interpreter's error"
-            );
-        }
+        assert_eq!(
+            format!("{}", run(true)),
+            format!("{seq}"),
+            "stealing must report the sequential interpreter's error"
+        );
     }
 
     #[test]

@@ -5,7 +5,8 @@
 //! stencil, SAD, tiled GEMM, …), the same qualitative resource behaviour
 //! (memory- vs compute-bound, barriers, atomics, local tiles) and the same
 //! source of work-group imbalance where the original has one. Absolute
-//! flop counts differ — DESIGN.md explains why only the shapes matter.
+//! flop counts differ; the reproduction asserts result shapes, not
+//! absolute numbers (`tests/reproduction_shapes.rs`).
 
 /// `bfs`: one frontier expansion step of breadth-first search (irregular,
 /// atomic frontier queue, strongly degree-dependent imbalance).

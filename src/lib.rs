@@ -13,8 +13,8 @@
 //! * [`sched_metrics`] — the §7.4 metrics;
 //! * [`harness`] — workloads and experiment drivers.
 //!
-//! See `DESIGN.md` for the system inventory and substitution arguments and
-//! `EXPERIMENTS.md` for the paper-vs-measured record.
+//! See `docs/ARCHITECTURE.md` for the crate-by-crate walkthrough and the
+//! two execution planes that stand in for the paper's GPUs.
 
 #![warn(missing_docs)]
 

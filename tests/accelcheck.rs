@@ -19,7 +19,7 @@
 
 use clrt::{Context, Platform, Program};
 use kernel_ir::bytecode::ExecTier;
-use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, ParSchedule, Value};
+use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
 use kernel_ir::races::analyze_kernel;
 use kernel_ir::testgen::{build_kernel, Pattern, PATTERNS};
 use kernel_ir::ParallelSafety;
@@ -29,7 +29,7 @@ use proptest::prelude::*;
 
 /// One differential run: static verdict + launch gate vs the dynamic
 /// oracle vs bit-level parallel/sequential comparison — with every leg
-/// repeated on the bytecode tier (raw and optimized).
+/// repeated on the bytecode tier.
 fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool, threads: usize) {
     let module = build_kernel(pattern, c);
     let interp = Interpreter::new(&module);
@@ -71,44 +71,36 @@ fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool
     let seq_stats = interp
         .run_kernel(&mut seq_mem, "k", nd, &args)
         .expect("sequential run succeeds");
-    for sched in [ParSchedule::Static, ParSchedule::Stealing] {
-        let mut par_mem = mem.clone();
-        interp
-            .run_kernel_parallel_sched(&mut par_mem, "k", nd, &args, threads, sched)
-            .expect("parallel run succeeds");
-        assert_eq!(
-            seq_mem, par_mem,
-            "{pattern:?} c={c} local={local} groups={groups} alias={alias} diverged \
-             under {sched:?} (eligible={eligible})"
-        );
-    }
+    let mut par_mem = mem.clone();
+    interp
+        .run_kernel_parallel_with(&mut par_mem, "k", nd, &args, threads)
+        .expect("parallel run succeeds");
+    assert_eq!(
+        seq_mem, par_mem,
+        "{pattern:?} c={c} local={local} groups={groups} alias={alias} diverged \
+         in parallel (eligible={eligible})"
+    );
 
-    // Bytecode tier: raw and optimized, sequential and both parallel
-    // schedules, must all be bit-identical to the tree-walker — memory
-    // bytes AND every DynStats counter (the weight-preservation contract).
-    for tier in [ExecTier::Bytecode, ExecTier::BytecodeOpt] {
-        let mut bc = Interpreter::new(&module);
-        bc.set_exec_tier(tier);
-        for (sched, bc_threads) in [
-            (ParSchedule::Static, 1),
-            (ParSchedule::Static, threads),
-            (ParSchedule::Stealing, threads),
-        ] {
-            let mut bc_mem = mem.clone();
-            let bc_stats = bc
-                .run_kernel_bytecode(&mut bc_mem, "k", nd, &args, bc_threads, sched)
-                .expect("bytecode run succeeds");
-            assert_eq!(
-                seq_mem, bc_mem,
-                "{pattern:?} c={c} local={local} groups={groups} alias={alias} memory \
-                 diverged on {tier:?} ({sched:?} x{bc_threads}, eligible={eligible})"
-            );
-            assert_eq!(
-                seq_stats, bc_stats,
-                "{pattern:?} c={c} local={local} groups={groups} alias={alias} DynStats \
-                 diverged on {tier:?} ({sched:?} x{bc_threads}, eligible={eligible})"
-            );
-        }
+    // Bytecode tier, sequential and parallel, must be bit-identical to
+    // the tree-walker — memory bytes AND every DynStats counter (the
+    // weight-preservation contract).
+    let mut bc = Interpreter::new(&module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    for bc_threads in [1, threads] {
+        let mut bc_mem = mem.clone();
+        let bc_stats = bc
+            .run_kernel_bytecode(&mut bc_mem, "k", nd, &args, bc_threads)
+            .expect("bytecode run succeeds");
+        assert_eq!(
+            seq_mem, bc_mem,
+            "{pattern:?} c={c} local={local} groups={groups} alias={alias} memory \
+             diverged on bytecode x{bc_threads} (eligible={eligible})"
+        );
+        assert_eq!(
+            seq_stats, bc_stats,
+            "{pattern:?} c={c} local={local} groups={groups} alias={alias} DynStats \
+             diverged on bytecode x{bc_threads} (eligible={eligible})"
+        );
     }
 
     // The static verdict must agree with the gate's widening direction:
@@ -241,14 +233,7 @@ fn widened_atomic_kernels_run_parallel_bit_identically() {
             .expect("sequential run");
         let mut par_mem = ctx.memory_mut().clone();
         interp
-            .run_kernel_parallel_sched(
-                &mut par_mem,
-                kernel.name(),
-                nd,
-                &args,
-                4,
-                ParSchedule::Static,
-            )
+            .run_kernel_parallel_with(&mut par_mem, kernel.name(), nd, &args, 4)
             .expect("parallel run");
         assert_eq!(
             seq_mem, par_mem,

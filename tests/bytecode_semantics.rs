@@ -4,25 +4,24 @@
 //! launch geometry, scalar argument and buffer state,
 //!
 //! ```text
-//! tree-walker  ≡  raw bytecode  ≡  optimized bytecode
+//! tree-walker  ≡  optimized bytecode
 //! ```
 //!
 //! bit-for-bit in memory contents AND in every `DynStats` counter, across
-//! the sequential schedule and both parallel schedules. Two proptest
+//! the sequential and the parallel schedule. Two proptest
 //! planes (the shared `testgen` corpus — including the atomics-bearing
 //! kernels accelcheck admits into the parallel path — and minicl-compiled
 //! kernels with loops, barriers, local memory and helpers) plus directed
 //! endpoints for the fallback and trap-parity rules.
 
 use kernel_ir::bytecode::ExecTier;
-use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, ParSchedule, Value};
+use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
 use proptest::prelude::*;
 
-const TIERS: [ExecTier; 2] = [ExecTier::Bytecode, ExecTier::BytecodeOpt];
-
-/// Run `module`'s kernel `k` on every tier/schedule combination and insist
-/// on bit-identity with the sequential tree-walker (memory and stats).
+/// Run `module`'s kernel `k` on the bytecode tier, sequentially and on
+/// `threads` threads, and insist on bit-identity with the sequential
+/// tree-walker (memory and stats).
 fn assert_tiers_agree(
     module: &kernel_ir::ir::Module,
     mem: &DeviceMemory,
@@ -37,27 +36,21 @@ fn assert_tiers_agree(
         .run_kernel(&mut seq_mem, "k", nd, args)
         .unwrap_or_else(|e| panic!("{what}: tree-walk run failed: {e}"));
 
-    for tier in TIERS {
-        let mut bc = Interpreter::new(module);
-        bc.set_exec_tier(tier);
-        for (sched, bc_threads) in [
-            (ParSchedule::Static, 1),
-            (ParSchedule::Static, threads),
-            (ParSchedule::Stealing, threads),
-        ] {
-            let mut bc_mem = mem.clone();
-            let bc_stats = bc
-                .run_kernel_bytecode(&mut bc_mem, "k", nd, args, bc_threads, sched)
-                .unwrap_or_else(|e| panic!("{what}: {tier:?} run failed: {e}"));
-            assert_eq!(
-                seq_mem, bc_mem,
-                "{what}: memory diverged on {tier:?} ({sched:?} x{bc_threads})"
-            );
-            assert_eq!(
-                seq_stats, bc_stats,
-                "{what}: DynStats diverged on {tier:?} ({sched:?} x{bc_threads})"
-            );
-        }
+    let mut bc = Interpreter::new(module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    for bc_threads in [1, threads] {
+        let mut bc_mem = mem.clone();
+        let bc_stats = bc
+            .run_kernel_bytecode(&mut bc_mem, "k", nd, args, bc_threads)
+            .unwrap_or_else(|e| panic!("{what}: bytecode run failed: {e}"));
+        assert_eq!(
+            seq_mem, bc_mem,
+            "{what}: memory diverged on bytecode x{bc_threads}"
+        );
+        assert_eq!(
+            seq_stats, bc_stats,
+            "{what}: DynStats diverged on bytecode x{bc_threads}"
+        );
     }
 }
 
@@ -111,7 +104,7 @@ fn check_generated(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(384))]
 
-    /// Optimized bytecode ≡ raw bytecode ≡ interpreter over the shared
+    /// Optimized bytecode ≡ interpreter over the shared
     /// kernel corpus with random geometry, scalar args and buffer fills.
     /// `AtomicUnused`/`AtomicUsed` keep the atomics paths honest, and the
     /// parallel legs exercise the accelcheck gate on both sides.
@@ -177,7 +170,7 @@ const CL_KERNELS: &[(&str, &str)] = &[
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Same three-way identity over minicl-compiled kernels whose loops and
+    /// Same identity over minicl-compiled kernels whose loops and
     /// barriers stress the frame/branch machinery rather than the indexing.
     #[test]
     fn compiled_kernels_agree_across_tiers(
@@ -320,13 +313,11 @@ fn traps_are_identical_across_tiers() {
         .run_kernel(&mut mem.clone(), "k", nd, &args)
         .expect_err("tree-walker must trap")
         .to_string();
-    for tier in TIERS {
-        let mut bc = Interpreter::new(&module);
-        bc.set_exec_tier(tier);
-        let bc_err = bc
-            .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, 1, ParSchedule::default())
-            .expect_err("bytecode tier must trap")
-            .to_string();
-        assert_eq!(tree_err, bc_err, "trap text diverged on {tier:?}");
-    }
+    let mut bc = Interpreter::new(&module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    let bc_err = bc
+        .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, 1)
+        .expect_err("bytecode tier must trap")
+        .to_string();
+    assert_eq!(tree_err, bc_err, "trap text diverged on the bytecode tier");
 }

@@ -21,7 +21,10 @@
 //! * **(c) zero-fault inertness** — with no faults injected, configuring
 //!   failure domains and enabling (or disabling) the CU-health memory
 //!   leaves every traced report byte-identical to the plain simulator:
-//!   the health plane must be invisible until a fault actually fires.
+//!   the health plane must be invisible until a fault actually fires;
+//! * **(d) health-aware recovery** — on a fixed correlated-loss episode
+//!   the health-aware placement conserves work and recovers strictly
+//!   faster than the blind engine (`with_blind_health`).
 
 use accelos::chunk::Mode;
 use accelos::proxycl::{PendingExec, ProxyCl, RetryPolicy};
@@ -293,4 +296,88 @@ proptest! {
             "health memory must be inert while no CU is ever suspect"
         );
     }
+}
+
+/// (d) A four-CU K20m slice, one failure domain per CU. CU 0 fails at
+/// 400 and is repaired at 800, then straggles ×8 until 3,000; domain 1
+/// is lost for good at 1,000 — 25% of the fleet, the severity threshold
+/// — while CU 0 is still degraded. The displaced workers must be
+/// re-placed around a CU that looks healthy to the blind engine but is
+/// not: both modes conserve work, and health-aware placement recovers
+/// strictly faster.
+#[test]
+fn health_aware_placement_recovers_faster_than_blind() {
+    let mut cfg = DeviceConfig::k20m();
+    cfg.num_cus = 4;
+    let launches: Vec<KernelLaunch> = (0..2u32)
+        .map(|i| KernelLaunch {
+            name: format!("tenant{i}"),
+            arrival: u64::from(i) * 200,
+            req: WorkGroupReq {
+                threads: 64,
+                local_mem: 0,
+                regs_per_thread: 1,
+            },
+            mem_intensity: 0.0,
+            plan: LaunchPlan::PersistentDynamic {
+                workers: 4,
+                vg_costs: vec![40u64; 160].into(),
+                chunk: 4,
+                per_vg_overhead: 1,
+            },
+            max_workers: None,
+        })
+        .collect();
+    let plan = FaultPlan::new(vec![
+        FaultEvent {
+            at: 400,
+            kind: FaultKind::CuFailure {
+                cu: 0,
+                repair_at: Some(800),
+            },
+        },
+        FaultEvent {
+            at: 800,
+            kind: FaultKind::Straggler {
+                cu: 0,
+                factor: 8.0,
+                until: 3_000,
+            },
+        },
+        FaultEvent {
+            at: 1_000,
+            kind: FaultKind::DomainFailure {
+                domain: 1,
+                repair_at: None,
+            },
+        },
+    ]);
+    let recovery = |blind: bool| -> u64 {
+        let mut sim = Simulator::new(cfg.clone())
+            .with_domains(FailureDomain::split_evenly(cfg.num_cus, 4))
+            .with_faults(plan.clone());
+        if blind {
+            sim = sim.with_blind_health();
+        }
+        let report = run_episode(sim, &launches, &[], &[]);
+        let (mut lost, mut retried) = (0, 0);
+        for (k, launch) in report.kernels.iter().zip(&launches) {
+            assert!(!k.aborted, "{}: no aborts are scheduled", k.name);
+            assert_eq!(
+                k.groups_executed as u64,
+                launch.plan.total_groups(),
+                "{}: a faulty run must still complete its full plan",
+                k.name
+            );
+            lost += k.chunks_lost;
+            retried += k.groups_retried;
+        }
+        assert_eq!(retried, lost, "every lost group re-executes exactly once");
+        sched_metrics::recovery_latency(plan.events[0].at, report.total_time())
+    };
+    let (aware, blind) = (recovery(false), recovery(true));
+    assert!(
+        aware < blind,
+        "health-aware placement must recover strictly faster: {aware} vs {blind}"
+    );
 }

@@ -9,7 +9,7 @@ use accelos::chunk::Mode;
 use accelos::jit::transform_module;
 use accelos::vrange::VirtualNdRange;
 use kernel_ir::bytecode::ExecTier;
-use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, ParSchedule};
+use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
 use kernel_ir::ir::Module;
 use proptest::prelude::*;
 
@@ -85,7 +85,7 @@ fn run_tier(
     let mut interp = Interpreter::new(module);
     interp.set_exec_tier(tier);
     interp
-        .run_kernel_bytecode(&mut mem, "k", launch, &args, 1, ParSchedule::default())
+        .run_kernel_bytecode(&mut mem, "k", launch, &args, 1)
         .expect("kernel runs");
     mem.bytes(buf).to_vec()
 }
@@ -119,15 +119,13 @@ proptest! {
         prop_assert_eq!(&base, &virt, "kernel `{}` diverged (nd {:?}, {} workers)", name, nd, workers);
 
         // Transform x compile compose: the §6-transformed module must also
-        // execute identically on the bytecode tier, raw and optimized.
-        for tier in [ExecTier::Bytecode, ExecTier::BytecodeOpt] {
-            let bc = run_tier(&transformed.module, nd, workers, true, bytes, tier);
-            prop_assert_eq!(
-                &base, &bc,
-                "kernel `{}` diverged on {:?} after the JIT (nd {:?}, {} workers)",
-                name, tier, nd, workers
-            );
-        }
+        // execute identically on the bytecode tier.
+        let bc = run_tier(&transformed.module, nd, workers, true, bytes, ExecTier::BytecodeOpt);
+        prop_assert_eq!(
+            &base, &bc,
+            "kernel `{}` diverged on bytecode after the JIT (nd {:?}, {} workers)",
+            name, nd, workers
+        );
     }
 
     #[test]
@@ -197,14 +195,7 @@ fn parboil_kernels_survive_the_jit() {
             let mut interp = Interpreter::new(kernel.module());
             interp.set_exec_tier(tier);
             interp
-                .run_kernel_bytecode(
-                    ctx.memory_mut(),
-                    kernel.name(),
-                    launch_nd,
-                    &args,
-                    1,
-                    ParSchedule::default(),
-                )
+                .run_kernel_bytecode(ctx.memory_mut(), kernel.name(), launch_nd, &args, 1)
                 .unwrap_or_else(|e| panic!("`{}` run: {e}", spec.name));
             prepared
                 .outputs
@@ -221,13 +212,11 @@ fn parboil_kernels_survive_the_jit() {
         let base = run_scheme(false, ExecTier::TreeWalk);
         let virt = run_scheme(true, ExecTier::TreeWalk);
         assert_eq!(base, virt, "`{}` diverged under the JIT", spec.name);
-        for tier in [ExecTier::Bytecode, ExecTier::BytecodeOpt] {
-            let virt_bc = run_scheme(true, tier);
-            assert_eq!(
-                base, virt_bc,
-                "`{}` diverged under the JIT on {tier:?}",
-                spec.name
-            );
-        }
+        let virt_bc = run_scheme(true, ExecTier::BytecodeOpt);
+        assert_eq!(
+            base, virt_bc,
+            "`{}` diverged under the JIT on bytecode",
+            spec.name
+        );
     }
 }

@@ -17,17 +17,14 @@ use accel_harness::runner::Runner;
 use accel_harness::workloads::SweepConfig;
 use accelos::policy::PolicySet;
 use gpu_sim::DeviceConfig;
-use kernel_ir::interp::{DeviceMemory, DynStats, Interpreter, NdRange, ParSchedule};
+use kernel_ir::interp::{DeviceMemory, DynStats, Interpreter, NdRange};
 use parboil::datasets::prepare_launch;
 use parboil::KernelSpec;
 
 /// Run one Parboil kernel functionally on a fresh context; returns the
 /// final device memory and the dynamic statistics. `None` runs the
-/// sequential interpreter; `Some((threads, schedule))` the parallel one.
-fn run_functional(
-    spec: &KernelSpec,
-    exec: Option<(usize, ParSchedule)>,
-) -> (DeviceMemory, DynStats) {
+/// sequential interpreter; `Some(threads)` the parallel one.
+fn run_functional(spec: &KernelSpec, threads: Option<usize>) -> (DeviceMemory, DynStats) {
     use clrt::{Context, Platform, Program};
     let mut ctx = Context::new(&Platform::nvidia());
     let program = Program::build(spec.source).expect("bundled kernels compile");
@@ -36,11 +33,9 @@ fn run_functional(
     let args = kernel.resolved_args().expect("args resolved");
     let interp = Interpreter::new(kernel.module());
     let nd: NdRange = prepared.ndrange;
-    let stats = match exec {
+    let stats = match threads {
         None => interp.run_kernel(ctx.memory_mut(), kernel.name(), nd, &args),
-        Some((t, sched)) => {
-            interp.run_kernel_parallel_sched(ctx.memory_mut(), kernel.name(), nd, &args, t, sched)
-        }
+        Some(t) => interp.run_kernel_parallel_with(ctx.memory_mut(), kernel.name(), nd, &args, t),
     }
     .unwrap_or_else(|e| panic!("`{}` failed: {e}", spec.name));
     (ctx.memory_mut().clone(), stats)
@@ -59,24 +54,22 @@ fn parallel_interpreter_matches_sequential_across_parboil() {
             fallback += 1;
         }
         let (mem_seq, stats_seq) = run_functional(spec, None);
-        for sched in [ParSchedule::Static, ParSchedule::Stealing] {
-            let (mem_par, stats_par) = run_functional(spec, Some((4, sched)));
-            assert_eq!(
-                mem_seq, mem_par,
-                "`{}` device memory diverged between sequential and {sched:?}",
-                spec.name
-            );
-            assert_eq!(
-                stats_seq.total_insns, stats_par.total_insns,
-                "`{}` total_insns diverged under {sched:?}",
-                spec.name
-            );
-            assert_eq!(
-                stats_seq, stats_par,
-                "`{}` DynStats diverged under {sched:?}",
-                spec.name
-            );
-        }
+        let (mem_par, stats_par) = run_functional(spec, Some(4));
+        assert_eq!(
+            mem_seq, mem_par,
+            "`{}` device memory diverged between sequential and parallel",
+            spec.name
+        );
+        assert_eq!(
+            stats_seq.total_insns, stats_par.total_insns,
+            "`{}` total_insns diverged in parallel",
+            spec.name
+        );
+        assert_eq!(
+            stats_seq, stats_par,
+            "`{}` DynStats diverged in parallel",
+            spec.name
+        );
     }
     // The kernel set must exercise both paths for this test to mean
     // anything: regular kernels parallelize, atomic-using kernels (bfs's
@@ -98,23 +91,23 @@ fn stealing_matches_sequential_across_thread_counts() {
     // exercising the guard at every thread count — and spmv's skewed
     // rows) plus a regular dense kernel. 1–8 threads cover the
     // degenerate single-thread short-circuit, odd partitions and
-    // oversubscription; both schedules must stay bit-identical to the
-    // sequential interpreter throughout.
+    // oversubscription; stealing must stay bit-identical to the
+    // sequential interpreter throughout. (A frontier-shaped kernel whose
+    // per-group cost grows with the group id is kernel-ir's
+    // `stealing_matches_sequential` unit test.)
     for name in ["bfs", "spmv", "sgemm"] {
         let spec = KernelSpec::by_name(name).expect("kernel exists");
         let (mem_seq, stats_seq) = run_functional(spec, None);
         for threads in [1usize, 2, 3, 5, 8] {
-            for sched in [ParSchedule::Static, ParSchedule::Stealing] {
-                let (mem, stats) = run_functional(spec, Some((threads, sched)));
-                assert_eq!(
-                    mem_seq, mem,
-                    "`{name}` memory diverged under {sched:?} at {threads} threads"
-                );
-                assert_eq!(
-                    stats_seq, stats,
-                    "`{name}` stats diverged under {sched:?} at {threads} threads"
-                );
-            }
+            let (mem, stats) = run_functional(spec, Some(threads));
+            assert_eq!(
+                mem_seq, mem,
+                "`{name}` memory diverged at {threads} threads"
+            );
+            assert_eq!(
+                stats_seq, stats,
+                "`{name}` stats diverged at {threads} threads"
+            );
         }
     }
 }
@@ -125,8 +118,7 @@ fn tapered_stealing_covers_tiny_launches() {
     // thread swallows a 1–9-group launch whole); the tapered claim
     // (`steal_claim`) hands out single-group bites instead. Bit-identity
     // with the sequential interpreter is structural either way — this
-    // pins it across every 1–9-group shape at 1–8 threads, for both
-    // schedules.
+    // pins it across every 1–9-group shape at 1–8 threads.
     use clrt::{Arg, Context, Platform, Program};
     use kernel_ir::interp::ArgValue;
     const SRC: &str = "kernel void fill(global float* b) {
@@ -137,7 +129,7 @@ fn tapered_stealing_covers_tiny_launches() {
         let wg = 4usize;
         let items = groups * wg;
         let nd = NdRange::new_1d(items, wg);
-        let run = |exec: Option<(usize, ParSchedule)>| -> (Vec<f32>, DynStats) {
+        let run = |threads: Option<usize>| -> (Vec<f32>, DynStats) {
             let mut ctx = Context::new(&Platform::nvidia());
             let program = Program::build(SRC).expect("compiles");
             let mut kernel = program.create_kernel("fill").expect("kernel exists");
@@ -146,11 +138,9 @@ fn tapered_stealing_covers_tiny_launches() {
             kernel.set_arg(0, Arg::Buffer(buf)).expect("bind");
             let args: Vec<ArgValue> = kernel.resolved_args().expect("args resolved");
             let interp = Interpreter::new(kernel.module());
-            let stats = match exec {
+            let stats = match threads {
                 None => interp.run_kernel(ctx.memory_mut(), "fill", nd, &args),
-                Some((t, sched)) => {
-                    interp.run_kernel_parallel_sched(ctx.memory_mut(), "fill", nd, &args, t, sched)
-                }
+                Some(t) => interp.run_kernel_parallel_with(ctx.memory_mut(), "fill", nd, &args, t),
             }
             .unwrap_or_else(|e| panic!("{groups}-group launch failed: {e}"));
             (ctx.read_f32(buf).expect("read"), stats)
@@ -158,13 +148,11 @@ fn tapered_stealing_covers_tiny_launches() {
         let seq = run(None);
         assert_eq!(seq.0, vec![7.0f32; items]);
         for threads in [1usize, 2, 3, 4, 8] {
-            for sched in [ParSchedule::Static, ParSchedule::Stealing] {
-                let par = run(Some((threads, sched)));
-                assert_eq!(
-                    seq, par,
-                    "{groups}-group launch diverged under {sched:?} at {threads} threads"
-                );
-            }
+            let par = run(Some(threads));
+            assert_eq!(
+                seq, par,
+                "{groups}-group launch diverged at {threads} threads"
+            );
         }
     }
 }

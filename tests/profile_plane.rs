@@ -265,10 +265,11 @@ const BATCH_ITEMS: usize = 256;
 const WG: usize = 32;
 
 /// A deadline-scenario episode on the transparent plane: two short batch
-/// tenants at t=0, the deadlined tenant (index 0) joining at t=60.
+/// tenants at t=0, the deadlined tenant (index 0) joining at `arrival`.
 /// Returns the per-buffer results and the timing report.
 fn staggered_episode(
     store: Option<ProfileStore>,
+    arrival: u64,
 ) -> (Vec<Vec<f32>>, SimReport, Option<ProfileStore>) {
     let mut os = ProxyCl::with_policy(&Platform::test_tiny(), Arc::new(DeadlinePolicy::default()));
     if let Some(s) = store {
@@ -298,7 +299,7 @@ fn staggered_episode(
             ndrange: NdRange::new_1d(*items, WG),
         })
         .collect();
-    os.enqueue_concurrent_at(batch, &[60, 0, 0]).unwrap();
+    os.enqueue_concurrent_at(batch, &[arrival, 0, 0]).unwrap();
     let results = kernels
         .iter()
         .map(|(_, b, _)| os.context_mut().read_f32(*b).unwrap())
@@ -340,18 +341,20 @@ fn calibrated_store() -> ProfileStore {
 /// timing report) is byte-identical to a store-less session.
 #[test]
 fn cold_store_is_bit_identical_through_proxycl() {
-    let (res_none, rep_none, _) = staggered_episode(None);
-    let (res_cold, rep_cold, taken) = staggered_episode(Some(ProfileStore::new()));
+    let (res_none, rep_none, _) = staggered_episode(None, 60);
+    let (res_cold, rep_cold, taken) = staggered_episode(Some(ProfileStore::new()), 60);
     assert_eq!(res_none, res_cold);
     assert_eq!(format!("{rep_none:#?}"), format!("{rep_cold:#?}"));
     // The cold session still *learned* from its own launches.
     assert!(!taken.expect("store was attached").is_empty());
 }
 
-/// The acceptance cycle: calibrate → save → restart → load → replan.
-/// Both warmed sessions replan bit-identically, the calibrated deadline
-/// run reclaims strictly fewer workers than the uncalibrated
-/// all-or-floor degradation, and the deadline still holds.
+/// The acceptance cycle: calibrate → save → restart → load → replan,
+/// with the deadlined tenant arriving early, mid-run and late. At every
+/// arrival both warmed sessions replan bit-identically, the deadline
+/// holds, and the calibrated run reclaims no more workers than the
+/// uncalibrated all-or-floor degradation — strictly fewer when the
+/// tenant joins at t=60.
 #[test]
 fn saved_store_reproduces_the_plan_and_minimises_reclamation() {
     let store = calibrated_store();
@@ -363,34 +366,45 @@ fn saved_store_reproduces_the_plan_and_minimises_reclamation() {
     assert_eq!(loaded.render(), store.render(), "round-trip is byte-stable");
     std::fs::remove_dir_all(&dir).ok();
 
-    let (res_a, rep_a, _) = staggered_episode(Some(loaded.clone()));
-    let (res_b, rep_b, _) = staggered_episode(Some(loaded));
-    assert_eq!(res_a, res_b);
-    assert_eq!(
-        format!("{rep_a:#?}"),
-        format!("{rep_b:#?}"),
-        "save → restart → load must reproduce the plan bit-identically"
-    );
-    assert_eq!(res_a[0], vec![2.0; PREMIUM_ITEMS]);
-    assert_eq!(res_a[1], vec![5.0; BATCH_ITEMS]);
-    assert_eq!(res_a[2], vec![9.0; BATCH_ITEMS]);
-
-    // Minimal reclamation: the calibrated run takes back strictly fewer
-    // workers than the estimate-free all-or-floor fallback...
-    let (_, rep_cold, _) = staggered_episode(None);
-    let warm: usize = rep_a.kernels.iter().map(|k| k.reclaimed_workers).sum();
-    let cold: usize = rep_cold.kernels.iter().map(|k| k.reclaimed_workers).sum();
-    assert!(
-        warm < cold,
-        "calibrated deadline run must reclaim fewer workers ({warm} vs {cold})"
-    );
-    // ...while the deadlined tenant still finishes inside slack × its
-    // calibrated isolated time.
-    let estimate = calibrated_store().estimate("scale", PREMIUM_ITEMS).unwrap();
+    // The deadline clock runs from episode start (the policy's
+    // remaining-time computation is `slack × estimate − now`), so every
+    // arrival shares one deadline.
+    let estimate = store.estimate("scale", PREMIUM_ITEMS).unwrap();
     let deadline = (DeadlinePolicy::default().slack() * estimate as f64) as u64;
-    assert!(
-        rep_a.kernels[0].end <= deadline,
-        "deadline missed: end {} > {deadline}",
-        rep_a.kernels[0].end
-    );
+    for arrival in [30, 60, 300, 900, 1_800] {
+        let (res_a, rep_a, _) = staggered_episode(Some(loaded.clone()), arrival);
+        let (res_b, rep_b, _) = staggered_episode(Some(loaded.clone()), arrival);
+        assert_eq!(res_a, res_b);
+        assert_eq!(
+            format!("{rep_a:#?}"),
+            format!("{rep_b:#?}"),
+            "save → restart → load must reproduce the plan bit-identically (t={arrival})"
+        );
+        assert_eq!(res_a[0], vec![2.0; PREMIUM_ITEMS]);
+        assert_eq!(res_a[1], vec![5.0; BATCH_ITEMS]);
+        assert_eq!(res_a[2], vec![9.0; BATCH_ITEMS]);
+
+        // Minimal reclamation: the calibrated run never takes back more
+        // workers than the estimate-free all-or-floor fallback...
+        let (_, rep_cold, _) = staggered_episode(None, arrival);
+        let warm: usize = rep_a.kernels.iter().map(|k| k.reclaimed_workers).sum();
+        let cold: usize = rep_cold.kernels.iter().map(|k| k.reclaimed_workers).sum();
+        assert!(
+            warm <= cold,
+            "calibrated deadline run reclaimed more workers at t={arrival} ({warm} vs {cold})"
+        );
+        if arrival == 60 {
+            assert!(
+                warm < cold,
+                "calibrated deadline run must reclaim fewer workers ({warm} vs {cold})"
+            );
+        }
+        // ...while the deadlined tenant still finishes inside slack × its
+        // calibrated isolated time.
+        assert!(
+            rep_a.kernels[0].end <= deadline,
+            "deadline missed at t={arrival}: end {} > {deadline}",
+            rep_a.kernels[0].end
+        );
+    }
 }

@@ -1,7 +1,7 @@
 //! The paper's headline claims, asserted at test scale on both device
-//! presets. These are the result *shapes* DESIGN.md commits to: who wins,
-//! in which direction, with sensible magnitudes — not the absolute numbers
-//! of the authors' testbed.
+//! presets. These are the result *shapes* the reproduction commits to:
+//! who wins, in which direction, with sensible magnitudes — not the
+//! absolute numbers of the authors' testbed.
 
 use accel_harness::experiments::{device_sweeps, fig15, fig2, small_kernels};
 use accel_harness::runner::Runner;

@@ -23,7 +23,7 @@ use accelos::proxycl::{PendingExec, ProxyCl};
 use accelos::vrange::VirtualNdRange;
 use clrt::{Arg, CommandQueue, Context, Event, Platform, Program};
 use kernel_ir::builder::FunctionBuilder;
-use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange, ParSchedule};
+use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange};
 use kernel_ir::ir::{AtomicOp, BinOp, CmpOp, DequeueContract, FunctionKind, Module, Op, WiBuiltin};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
 use kernel_ir::types::{AddressSpace, Type};
@@ -235,14 +235,7 @@ fn admitted_corpus_launches_match_the_sequential_loop() {
                         for threads in [2, 4] {
                             let mut par_mem = mem.clone();
                             let stats = par
-                                .run_kernel_bytecode(
-                                    &mut par_mem,
-                                    "k",
-                                    hw,
-                                    &args,
-                                    threads,
-                                    ParSchedule::Stealing,
-                                )
+                                .run_kernel_bytecode(&mut par_mem, "k", hw, &args, threads)
                                 .expect("round-robin run");
                             assert!(
                                 seq_mem == par_mem,
@@ -373,13 +366,13 @@ proptest! {
         prop_assert!(Interpreter::new(&module).parallel_eligible_in(&mem, "sched", hw, &args));
 
         let mut first: Option<DeviceMemory> = None;
-        for tier in [ExecTier::TreeWalk, ExecTier::Bytecode, ExecTier::BytecodeOpt] {
+        for tier in [ExecTier::TreeWalk, ExecTier::BytecodeOpt] {
             for threads in [1, 2, 4] {
                 let mut interp = Interpreter::new(&module);
                 interp.set_exec_tier(tier);
                 let mut run = mem.clone();
                 interp
-                    .run_kernel_bytecode(&mut run, "sched", hw, &args, threads, ParSchedule::Stealing)
+                    .run_kernel_bytecode(&mut run, "sched", hw, &args, threads)
                     .expect("logger runs");
                 match &first {
                     None => first = Some(run),
