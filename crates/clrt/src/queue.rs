@@ -241,15 +241,21 @@ mod tests {
     #[test]
     fn malformed_ndrange_literals_are_rejected() {
         // Struct literals skip the constructors' validation: a zero local
-        // size, a local size that does not divide the global size, and a
-        // zero work_dim must each be an error, not a panic or a launch.
+        // size, a local size that does not divide the global size, a zero
+        // work_dim and an item count overflowing `usize` must each be an
+        // error, not a panic or a launch.
         let (mut ctx, k, buf) = setup();
         let mut q = CommandQueue::new();
-        for (work_dim, global, local) in [(1, 8, 0), (1, 10, 4), (0, 8, 4)] {
+        for (work_dim, global, local) in [
+            (1, [8, 1, 1], [0, 1, 1]),
+            (1, [10, 1, 1], [4, 1, 1]),
+            (0, [8, 1, 1], [4, 1, 1]),
+            (3, [1 << 32, 1 << 32, 4], [1, 1, 1]),
+        ] {
             let nd = NdRange {
                 work_dim,
-                global: [global, 1, 1],
-                local: [local, 1, 1],
+                global,
+                local,
             };
             let err = q.enqueue_nd_range(&mut ctx, &k, nd);
             assert!(

@@ -10,6 +10,7 @@
 //! |---------------|--------|
 //! | §3 resource-sharing algorithm (`x=T/Kw`, `y=L/Km`, `z=R/Kr`, greedy saturation) | [`resource`] |
 //! | §5 host runtime: Application Monitor FSM, Kernel Scheduler | [`proxycl`], [`scheduler`] |
+//! | §5 launching and recovery: one timing-plane episode, retries included | [`episode`] |
 //! | §5 memory management, a standalone model the runtime does not call | [`memory`] |
 //! | §6.2 six-step JIT kernel transformation | [`jit`] |
 //! | §6.4 adaptive scheduling (chunked dequeues) | [`chunk`] |
@@ -59,6 +60,7 @@
 #![warn(missing_docs)]
 
 pub mod chunk;
+pub mod episode;
 pub mod jit;
 pub mod memory;
 pub mod policy;
@@ -68,6 +70,7 @@ pub mod scheduler;
 pub mod vrange;
 
 pub use chunk::{chunk_for, Mode};
+pub use episode::{Episode, EpisodeOutcome, RetryPolicy};
 pub use jit::{transform_module, TransformInfo, TransformedProgram};
 pub use policy::{
     plan_with_arrivals, plan_with_arrivals_and_faults, AccelOsPolicy, ArrivalPlan, ArrivalSchedule,
@@ -75,7 +78,7 @@ pub use policy::{
     PolicyFaultKind, PolicySet, PriorityPolicy, SchedulingPolicy, TimedReclaim, WeightedPolicy,
     WorkerReclaim,
 };
-pub use proxycl::{PendingExec, ProxyCl, ProxyProgram, RetryPolicy};
+pub use proxycl::{PendingExec, ProxyCl, ProxyProgram};
 pub use resource::{compute_shares, compute_weighted_shares, ResourceDemand, ShareAllocation};
 pub use scheduler::{DecisionKind, ExecRequest, LaunchDecision};
 pub use vrange::VirtualNdRange;

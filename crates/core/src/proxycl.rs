@@ -14,20 +14,21 @@
 //! * **anything else** → passes through untouched.
 
 use crate::chunk::Mode;
+use crate::episode::Episode;
 use crate::jit::{transform_module, TransformInfo};
 use crate::policy::{
-    plan_with_arrivals_and_faults, AccelOsPolicy, FaultSchedule, PlanCtx, SchedulingPolicy,
+    plan_with_arrivals_and_faults, AccelOsPolicy, ArrivalSchedule, FaultSchedule, PlanCtx,
+    SchedulingPolicy,
 };
 use crate::scheduler::{ExecRequest, LaunchDecision};
 use crate::vrange::DESCRIPTOR_LEN;
 use clrt::{Arg, Buffer, ClError, Context, Event, Kernel, Platform, Program};
-use gpu_sim::{
-    FaultEvent, FaultKind, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd, SimReport,
-    Simulator,
-};
+use gpu_sim::{FaultKind, FaultPlan, KernelLaunch, SimReport};
 use kernel_ir::interp::{ArgValue, DynStats, Interpreter, NdRange};
 use sched_metrics::profile::ProfileStore;
 use std::sync::Arc;
+
+pub use crate::episode::RetryPolicy;
 
 /// The request classes the Application Monitor distinguishes (fig. 6).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -95,68 +96,6 @@ impl ProxyProgram {
     /// The transformed program.
     pub fn program(&self) -> &Program {
         &self.program
-    }
-}
-
-/// Bounded retry with exponential backoff for kernel executions killed by
-/// an injected [`gpu_sim::FaultKind::KernelAbort`] (paper §5: recovery is
-/// the runtime's job, not the device's).
-///
-/// Backoff runs in *virtual* device time, so recovery latency is part of
-/// the deterministic timeline: retry `n` of a request re-enters the
-/// device [`RetryPolicy::backoff_delay`]`(n - 1)` cycles after the abort
-/// it recovers from.
-///
-/// With `checkpoint` set (the default), a retry resumes from the abort's
-/// completed-group count — the runtime re-enqueues only the unfinished
-/// tail of the virtual NDRange ([`gpu_sim::LaunchPlan::tail`]) instead of
-/// re-executing the full launch, so total executed groups across
-/// incarnations equal the plan's `total_groups()` exactly. Clearing it
-/// restores full re-execution (each incarnation replays from group 0),
-/// which re-pays every group the aborted incarnations already finished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries allowed per request after its first abort. `0` fails fast:
-    /// any abort surfaces as [`ClError::ExecutionFailure`].
-    pub max_attempts: u32,
-    /// Virtual-time delay before the first retry; doubles per attempt,
-    /// saturating at `u64::MAX` (see [`RetryPolicy::backoff_delay`]).
-    pub base_backoff: u64,
-    /// Resume retries from the aborted incarnation's completed-group
-    /// checkpoint instead of re-executing the full launch.
-    pub checkpoint: bool,
-}
-
-impl RetryPolicy {
-    /// Backoff delay inserted before the next retry when `prior` retries
-    /// have already been spent: `base_backoff << prior`, saturating at
-    /// `u64::MAX` instead of overflowing once the doubling escapes 64
-    /// bits. A pathological budget (say `max_attempts` in the hundreds)
-    /// must exhaust deterministically, not panic in debug builds or wrap
-    /// to a *zero* delay in release builds.
-    ///
-    /// ```
-    /// use accelos::proxycl::RetryPolicy;
-    /// let retry = RetryPolicy { base_backoff: u64::MAX / 2, ..RetryPolicy::default() };
-    /// assert_eq!(retry.backoff_delay(2), u64::MAX); // saturates, not 4x-wraps
-    /// assert_eq!(retry.backoff_delay(200), u64::MAX); // shift >= 64 saturates too
-    /// ```
-    pub fn backoff_delay(&self, prior: u32) -> u64 {
-        match 1u64.checked_shl(prior) {
-            Some(factor) => self.base_backoff.saturating_mul(factor),
-            None if self.base_backoff == 0 => 0,
-            None => u64::MAX,
-        }
-    }
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 3,
-            base_backoff: 1_000,
-            checkpoint: true,
-        }
     }
 }
 
@@ -439,25 +378,18 @@ impl ProxyCl {
             })
             .collect();
 
-        // Split the fault plan: abort event `j` of request `i` applies to
-        // its `j`-th incarnation (0 = the original launch), so each abort
-        // consumes one retry life; device-level faults (CU failures,
-        // stragglers) replay identically in every retry simulation.
-        let mut abort_times: Vec<Vec<u64>> = vec![Vec::new(); batch.len()];
-        let mut device_faults: Vec<FaultEvent> = Vec::new();
+        // Abort events index requests within this batch (the episode
+        // engine maps each to an incarnation); reject a plan naming a
+        // request the batch does not have before anything runs.
         for ev in &self.faults.events {
-            match ev.kind {
-                FaultKind::KernelAbort { launch } => {
-                    let i = launch.0 as usize;
-                    if i >= batch.len() {
-                        return Err(ClError::InvalidArgs(format!(
-                            "fault plan aborts request {i}, but the batch has {} requests",
-                            batch.len()
-                        )));
-                    }
-                    abort_times[i].push(ev.at);
+            if let FaultKind::KernelAbort { launch } = ev.kind {
+                if launch.0 as usize >= batch.len() {
+                    return Err(ClError::InvalidArgs(format!(
+                        "fault plan aborts request {}, but the batch has {} requests",
+                        launch.0,
+                        batch.len()
+                    )));
                 }
-                _ => device_faults.push(*ev),
             }
         }
 
@@ -478,14 +410,17 @@ impl ProxyCl {
         if estimates.iter().any(Option::is_some) {
             planning_ctx = planning_ctx.with_estimates(&estimates);
         }
-        let schedule = plan_with_arrivals_and_faults(
+        let ArrivalSchedule {
+            decisions,
+            reclaims,
+            resumes,
+        } = plan_with_arrivals_and_faults(
             self.policy.as_ref(),
             &planning_ctx,
             &requests,
             arrivals,
             &FaultSchedule::from_fault_plan(&self.faults),
         );
-        let decisions = schedule.decisions;
 
         // Functional plane: run each transformed kernel over its reduced
         // hardware range with the Virtual NDRange descriptor appended.
@@ -501,7 +436,6 @@ impl ProxyCl {
         // reclaimed tenant could never regrow once the premium work
         // retires (the give-back half of the preemption cycle). The
         // all-simultaneous path keeps the historical static launches.
-        let device = self.ctx.device().clone();
         let staggered = arrivals.iter().any(|&a| a != arrivals[0]);
         let plan_ctx = PlanCtx::new(self.ctx.device());
         let mut launches: Vec<KernelLaunch> = Vec::with_capacity(batch.len());
@@ -535,111 +469,57 @@ impl ProxyCl {
             });
         }
 
-        // Recovery loop: simulate, and if a request's newest incarnation
-        // was aborted, respawn a retry copy `backoff_delay(n)` cycles
-        // after the abort and re-simulate the whole episode. Identical
-        // launches replay identically, so each iteration extends the
-        // previous timeline deterministically; an empty fault plan takes
-        // exactly one iteration with the historical launch set. A retry
-        // copy carries the abort's checkpoint — the cumulative group
-        // count completed by every earlier incarnation — and (under
-        // `RetryPolicy::checkpoint`) resumes from the plan's unfinished
-        // tail rather than group 0.
-        let retry = self.retry;
-        let mut copies: Vec<Vec<(u64, u64)>> = vec![Vec::new(); batch.len()];
-        let (report, lineage) = loop {
-            let mut sim = Simulator::new(device.clone());
-            let mut lineage: Vec<Vec<LaunchId>> = Vec::with_capacity(batch.len());
-            for launch in &launches {
-                lineage.push(vec![sim.add_launch(launch.clone())]);
-            }
-            for (i, arrs) in copies.iter().enumerate() {
-                for &(arrival, resume_from) in arrs {
-                    let mut copy = launches[i].clone();
-                    copy.arrival = arrival;
-                    if resume_from > 0 {
-                        copy.plan = launches[i].plan.tail(resume_from);
-                    }
-                    let id = sim.add_launch(copy);
-                    lineage[i].push(id);
-                }
-            }
-            for r in &schedule.reclaims {
-                sim.add_reclaim(ReclaimCmd {
-                    at: r.at,
-                    launch: lineage[r.index][0],
-                    workers: r.workers,
-                    pressure: r.pressure.map(|p| lineage[p][0]),
-                    chunk: None,
-                });
-            }
-            for r in &schedule.resumes {
-                sim.add_resume(ResumeCmd {
-                    after: lineage[r.after][0],
-                    launch: lineage[r.index][0],
-                    workers: r.workers,
-                });
-            }
-            for ev in &device_faults {
-                sim.add_fault(*ev);
-            }
-            for (i, times) in abort_times.iter().enumerate() {
-                for (j, &at) in times.iter().enumerate() {
-                    // Abort j targets incarnation j; later aborts wait for
-                    // the retry copy they will kill to exist.
-                    if let Some(&id) = lineage[i].get(j) {
-                        sim.add_fault(FaultEvent {
-                            at,
-                            kind: FaultKind::KernelAbort { launch: id },
-                        });
-                    }
-                }
-            }
-            let report = sim.run();
-
-            let mut respawned = false;
-            for (i, ids) in lineage.iter().enumerate() {
-                let newest = report.kernel(*ids.last().expect("lineage is never empty"));
-                if !newest.aborted {
-                    continue;
-                }
-                let spent = copies[i].len() as u32;
-                if spent >= retry.max_attempts {
-                    return Err(ClError::ExecutionFailure(format!(
-                        "kernel '{}' aborted {} time(s); retry budget ({}) exhausted",
-                        batch[i].kernel.name(),
-                        spent + 1,
-                        retry.max_attempts,
-                    )));
-                }
-                let checkpoint: u64 = if retry.checkpoint {
-                    ids.iter()
-                        .map(|&id| report.kernel(id).groups_executed as u64)
-                        .sum()
-                } else {
-                    0
-                };
-                let arrival = newest.end.saturating_add(retry.backoff_delay(spent));
-                copies[i].push((arrival, checkpoint));
-                respawned = true;
-            }
-            if !respawned {
-                break (report, lineage);
-            }
+        // Recovery: the episode engine re-simulates with retry copies of
+        // aborted requests until each completes or runs out of retries.
+        let episode = Episode {
+            reclaims,
+            resumes,
+            faults: self.faults.clone(),
+            retry: self.retry,
+            ..Episode::new(launches)
         };
+        let outcome = episode.run(self.ctx.device());
+        if let Some(i) = outcome.exhausted {
+            return Err(ClError::ExecutionFailure(format!(
+                "kernel '{}' aborted {} time(s); retry budget ({}) exhausted",
+                batch[i].kernel.name(),
+                outcome.lineage[i].len(),
+                self.retry.max_attempts,
+            )));
+        }
+
+        // Device times are offsets from this queue's cursor; a timeline
+        // that no longer fits in 64-bit cycles is a failed execution, not
+        // a wrapped clock.
+        let queued = self.cursor;
+        let at = |offset: u64| {
+            queued.checked_add(offset).ok_or_else(|| {
+                ClError::ExecutionFailure("device timeline overflows 64-bit cycles".into())
+            })
+        };
+        let mut events = Vec::with_capacity(batch.len());
+        for (i, stats) in all_stats.into_iter().enumerate() {
+            let starts = outcome.lineage[i].iter();
+            let first_start = starts.filter_map(|&id| outcome.report.kernel(id).first_start);
+            events.push(Event {
+                queued,
+                start: at(first_start.min().unwrap_or(0))?,
+                end: at(outcome.newest(i).end)?,
+                stats,
+            });
+        }
+        let cursor = at(outcome.report.makespan)?;
 
         // Calibration plane, write side: every completed launch feeds a
         // width-normalized isolated-time observation back into the store
-        // (the retry loop only breaks once no newest incarnation is
-        // aborted, so the last incarnation is always the completed one).
+        // (with no request exhausted, each newest incarnation completed).
         // A checkpointed retry's last incarnation executed only the
         // unfinished tail, so its busy time describes a fraction of the
         // kernel — recording it would poison the estimate; skip those.
         if let Some(store) = self.profile.as_mut() {
-            let plan_ctx = PlanCtx::new(self.ctx.device());
-            for (i, (pending, ids)) in batch.iter().zip(&lineage).enumerate() {
-                let newest = report.kernel(*ids.last().expect("lineage is never empty"));
-                if newest.groups_executed as u64 != launches[i].plan.total_groups() {
+            for (i, pending) in batch.iter().enumerate() {
+                let newest = outcome.newest(i);
+                if newest.groups_executed as u64 != episode.launches[i].plan.total_groups() {
                     continue;
                 }
                 let solo = plan_ctx.solo_share(i, &requests[i].demand);
@@ -649,25 +529,8 @@ impl ProxyCl {
             }
         }
 
-        let queued = self.cursor;
-        let mut events = Vec::with_capacity(batch.len());
-        for (ids, stats) in lineage.into_iter().zip(all_stats) {
-            let first_start = ids
-                .iter()
-                .filter_map(|&id| report.kernel(id).first_start)
-                .min();
-            let end = report
-                .kernel(*ids.last().expect("lineage is never empty"))
-                .end;
-            events.push(Event {
-                queued,
-                start: queued + first_start.unwrap_or(0),
-                end: queued + end,
-                stats,
-            });
-        }
-        self.cursor = queued + report.makespan;
-        self.last_report = Some(report);
+        self.cursor = cursor;
+        self.last_report = Some(outcome.report);
         Ok(events)
     }
 
@@ -711,6 +574,7 @@ impl ProxyCl {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::{FaultEvent, LaunchId};
 
     const SRC: &str = "kernel void scale(global float* b, float s) {
         size_t i = get_global_id(0);
@@ -862,7 +726,8 @@ mod tests {
         // The fields are public, so a tenant can skip the constructors'
         // validation: a zero local size (divide by zero in the group
         // count), a local size that does not divide the global size (the
-        // tail items would silently never run) and a zero work_dim.
+        // tail items would silently never run), a zero work_dim and an
+        // item count overflowing `usize`.
         let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
         let program = os.build_program(SRC).unwrap();
         let mut kernel = program.create_kernel("scale").unwrap();
@@ -871,11 +736,16 @@ mod tests {
         kernel
             .set_arg(1, Arg::Scalar(kernel_ir::Value::F32(2.0)))
             .unwrap();
-        for (work_dim, global, local) in [(1, 8, 0), (1, 10, 4), (0, 8, 4)] {
+        for (work_dim, global, local) in [
+            (1, [8, 1, 1], [0, 1, 1]),
+            (1, [10, 1, 1], [4, 1, 1]),
+            (0, [8, 1, 1], [4, 1, 1]),
+            (3, [1 << 32, 1 << 32, 4], [1, 1, 1]),
+        ] {
             let nd = NdRange {
                 work_dim,
-                global: [global, 1, 1],
-                local: [local, 1, 1],
+                global,
+                local,
             };
             let err = os.enqueue(&program, &kernel, nd);
             assert!(
@@ -1123,11 +993,52 @@ mod tests {
             },
         }]);
         let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized).with_faults(plan);
-        let (batch, _, _) = two_scaled(&mut os);
+        let (batch, b1, b2) = two_scaled(&mut os);
         assert!(matches!(
             os.enqueue_concurrent(batch),
             Err(ClError::InvalidArgs(_))
         ));
+        // Rejected before the functional plane ran.
+        assert_eq!(os.context_mut().read_f32(b1).unwrap(), vec![1.0; 64]);
+        assert_eq!(os.context_mut().read_f32(b2).unwrap(), vec![1.0; 64]);
+    }
+
+    #[test]
+    fn saturated_backoff_exhausts_instead_of_overflowing_the_clock() {
+        let abort = |at| FaultEvent {
+            at,
+            kind: FaultKind::KernelAbort {
+                launch: LaunchId(0),
+            },
+        };
+        let huge_backoff = |max_attempts| RetryPolicy {
+            max_attempts,
+            base_backoff: u64::MAX / 2,
+            ..RetryPolicy::default()
+        };
+        // The retry copy is aborted too, and the doubled backoff would
+        // land the second retry at u64::MAX.
+        let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized)
+            .with_faults(FaultPlan::new(vec![abort(10), abort(u64::MAX / 2 + 200)]))
+            .with_retry(huge_backoff(3));
+        let (batch, _, _) = two_scaled(&mut os);
+        let err = os.enqueue_concurrent(batch);
+        assert!(
+            matches!(&err, Err(ClError::ExecutionFailure(m)) if m.contains("exhausted")),
+            "{err:?}"
+        );
+
+        // One retry near 2^63 fits, but the queue's next batch starts
+        // past it and its device times overflow the cycle counter.
+        let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized)
+            .with_faults(FaultPlan::new(vec![abort(10)]))
+            .with_retry(huge_backoff(2));
+        let (batch, _, _) = two_scaled(&mut os);
+        let events = os.enqueue_concurrent(batch).unwrap();
+        assert!(events[0].end > u64::MAX / 2);
+        let (batch, _, _) = two_scaled(&mut os);
+        let err = os.enqueue_concurrent(batch);
+        assert!(matches!(err, Err(ClError::ExecutionFailure(_))), "{err:?}");
     }
 
     #[test]

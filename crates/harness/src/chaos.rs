@@ -21,10 +21,9 @@
 
 use crate::experiments::priority_workload;
 use crate::runner::Runner;
-use accelos::policy::{FaultSchedule, PolicySet};
+use accelos::policy::PolicySet;
 use gpu_sim::{
-    DeviceConfig, FailureDomain, FaultPlan, FaultSpec, KernelLaunch, SimReport, Simulator,
-    TraceKind,
+    DeviceConfig, FailureDomain, FaultPlan, FaultSpec, KernelLaunch, SimReport, TraceKind,
 };
 
 /// How many failure domains the chaos sweep partitions the device into.
@@ -233,30 +232,14 @@ pub fn chaos_soak(runner: &Runner, set: &PolicySet, grid: &ChaosGrid, seed: u64)
                 .iter()
                 .zip(&plans)
                 .map(|(&(ind, cor, ab), plan)| {
-                    let projected = FaultSchedule::from_fault_plan_with_domains(plan, &domains);
-                    let (launches, reclaims, resumes) = runner.launches_preemptive_with_schedule(
-                        &ctx,
-                        policy.as_ref(),
-                        &arrivals,
-                        &projected,
-                    );
-                    let mut sim = Simulator::new(runner.device().clone())
-                        .with_trace()
-                        .with_domains(domains.clone());
-                    for l in launches.iter().cloned() {
-                        sim.add_launch(l);
-                    }
-                    for r in &reclaims {
-                        sim.add_reclaim(*r);
-                    }
-                    for r in &resumes {
-                        sim.add_resume(*r);
-                    }
-                    let report = sim.with_faults(plan.clone()).run();
+                    let mut episode =
+                        runner.preemptive_episode(&ctx, policy.as_ref(), &arrivals, plan, &domains);
+                    episode.trace = true;
+                    let report = episode.run(runner.device()).report;
 
                     let cell = (ind, cor, ab);
                     // The standing invariants, asserted per cell.
-                    for (k, launch) in report.kernels.iter().zip(&launches) {
+                    for (k, launch) in report.kernels.iter().zip(&episode.launches) {
                         if k.aborted {
                             continue;
                         }
@@ -277,7 +260,7 @@ pub fn chaos_soak(runner: &Runner, set: &PolicySet, grid: &ChaosGrid, seed: u64)
                             k.name
                         );
                     }
-                    assert_no_double_booking(runner.device(), &launches, &report, cell);
+                    assert_no_double_booking(runner.device(), &episode.launches, &report, cell);
                     if plan.events.is_empty() {
                         assert_eq!(
                             report.total_time(),

@@ -16,8 +16,9 @@
 
 use crate::runner::{Runner, WorkloadRun};
 use crate::workloads::{alphabetic_pairs, SweepConfig, Workload};
+use accelos::episode::Episode;
 use accelos::policy::PolicySet;
-use gpu_sim::{DeviceConfig, FaultPlan, FaultSpec, KernelLaunch, LaunchPlan, Simulator};
+use gpu_sim::{DeviceConfig, FaultPlan, FaultSpec, KernelLaunch, LaunchPlan};
 use parboil::KernelSpec;
 use rayon::prelude::*;
 use std::fmt;
@@ -872,8 +873,7 @@ pub fn isolated_custom(
     seed: u64,
 ) -> u64 {
     let costs = spec.vg_costs(wgs as usize, seed);
-    let mut sim = Simulator::new(device.clone());
-    sim.add_launch(KernelLaunch {
+    let launch = KernelLaunch {
         name: spec.name.to_string(),
         arrival: 0,
         req: gpu_sim::WorkGroupReq {
@@ -884,8 +884,9 @@ pub fn isolated_custom(
         mem_intensity: spec.mem_intensity,
         plan: plan_of(costs),
         max_workers: None,
-    });
-    sim.run().total_time().max(1)
+    };
+    let report = Episode::new(vec![launch]).run(device).report;
+    report.total_time().max(1)
 }
 
 /// One row of the §8.5 small-kernel study.
@@ -1484,15 +1485,17 @@ pub fn fault_scenario(runner: &Runner, set: &PolicySet, seed: u64) -> FaultScena
     let rows = set
         .iter()
         .map(|policy| {
+            let policy = policy.as_ref();
             let clean = runner
-                .preemptive_report(&ctx, policy.as_ref(), &arrivals)
+                .preemptive_report(&ctx, policy, &arrivals)
                 .total_time()
                 .max(1);
             let cells = FAULT_COUNTS
                 .iter()
                 .zip(&plans)
                 .map(|(&n, plan)| {
-                    let report = runner.faulty_report(&ctx, policy.as_ref(), &arrivals, plan);
+                    let report =
+                        runner.faulty_report_with_domains(&ctx, policy, &arrivals, plan, &[]);
                     let makespan = report.total_time();
                     let first_fault = plan.events.first().map(|e| e.at);
                     let lost: usize = report.kernels.iter().map(|k| k.chunks_lost).sum();

@@ -24,12 +24,12 @@
 //! paper's 20-repetition averaging has variance to average over.
 
 use accelos::chunk::{chunk_for, Mode};
+use accelos::episode::Episode;
 use accelos::policy::{plan_with_arrivals_and_faults, FaultSchedule, PlanCtx, SchedulingPolicy};
 use accelos::resource::{ResourceDemand, ShareAllocation};
 use accelos::scheduler::{ExecRequest, LaunchDecision};
 use gpu_sim::{
-    Costs, DeviceConfig, FailureDomain, FaultPlan, KernelLaunch, LaunchId, ReclaimCmd, ResumeCmd,
-    SimReport, Simulator, WorkGroupReq,
+    Costs, DeviceConfig, FailureDomain, FaultPlan, KernelLaunch, SimReport, WorkGroupReq,
 };
 use parboil::{KernelDb, KernelSpec};
 use sched_metrics::profile::ProfileStore;
@@ -330,77 +330,49 @@ impl Runner {
         self.build_launches(ctx, policy, &plan_ctx, &requests, &decisions, arrivals)
     }
 
-    /// Machine launches **plus timed reclamation and resumption
-    /// commands** for a staggered session, planned cohort by cohort
-    /// through the policy's arrival hooks
-    /// ([`accelos::policy::plan_with_arrivals`]): the first cohort is
-    /// planned against only itself (no clairvoyance about future
-    /// arrivals), each later cohort goes through
+    /// Plan a **preemptive** episode of a staggered session, ready for
+    /// [`Episode::run`]: machine launches plus timed reclaim and resume
+    /// commands, planned cohort by cohort through the policy's arrival
+    /// hooks ([`accelos::policy::plan_with_arrivals`]). The first cohort
+    /// is planned against only itself (no clairvoyance about future
+    /// arrivals); each later cohort goes through
     /// `SchedulingPolicy::on_arrival` and may shrink running launches at
     /// their next chunk boundary — down to a resumable full pause, whose
-    /// paired [`ResumeCmd`] the simulator fires when the pressuring
-    /// tenant retires. With all-equal arrivals this degenerates to
-    /// exactly [`Runner::launches_in`] with no reclaims.
+    /// paired resume fires when the pressuring tenant retires. With
+    /// all-equal arrivals and no faults the launches are exactly
+    /// [`Runner::launches_in`]'s, with no reclaims.
     ///
-    /// For indices a policy declares via
-    /// [`SchedulingPolicy::estimate_indices`] (the deadline family's
-    /// deadlined tenant), the planning context carries the session's
-    /// **cached isolated-time estimates** (computed through the same
-    /// per-policy cache as the metrics' `alone` times), which the policy
-    /// consults to reclaim just enough width for an arriving deadline to
-    /// hold. Undeclared indices — and policies that declare none — skip
-    /// the estimate simulations entirely: they would ignore the values
-    /// anyway.
+    /// `faults` is rehearsed into the plan with the `domains` partition
+    /// attached ([`FaultSchedule::from_fault_plan_with_domains`]: the
+    /// [`SchedulingPolicy::on_fault`] hook pre-shrinks survivors for
+    /// permanent capacity losses, a lost domain as one event, and for
+    /// kernel aborts; transients are the simulator's business) and
+    /// injected into the machine. The episode retries nothing: an aborted
+    /// kernel stays aborted.
     ///
-    /// With a calibration store attached ([`Runner::set_profile_store`]),
-    /// calibrated entries replace the solo simulations (declared indices
-    /// the store has not seen still pay one, which is then recorded),
-    /// and every request with a calibrated entry carries an estimate so
-    /// the arrival planner can prune victims that drained before an
-    /// arrival. Store-less runs are bit-identical to the
-    /// pre-calibration planner.
-    pub fn launches_preemptive(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
-    ) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeCmd>) {
-        self.launches_preemptive_with_faults(ctx, policy, arrivals, &FaultPlan::default())
-    }
-
-    /// [`Runner::launches_preemptive`] with an injected [`FaultPlan`]
-    /// rehearsed into the plan: the policy's
-    /// [`SchedulingPolicy::on_fault`] hook pre-shrinks survivors for the
-    /// plan's permanent capacity losses and kernel aborts (transients are
-    /// the simulator's business). An empty plan is bit-identical to the
-    /// fault-free planner.
-    pub fn launches_preemptive_with_faults(
+    /// Indices a policy declares via [`SchedulingPolicy::estimate_indices`]
+    /// (the deadline family's deadlined tenant) carry the session's cached
+    /// isolated-time estimates, so the policy can reclaim just enough
+    /// width for an arriving deadline to hold; other indices skip the
+    /// solo simulations. With a calibration store attached
+    /// ([`Runner::set_profile_store`]), calibrated entries replace the
+    /// solo simulations (a declared index the store has not seen still
+    /// pays one, which is then recorded), and every request with an entry
+    /// carries an estimate so the arrival planner can prune victims that
+    /// drained before an arrival. Store-less runs are bit-identical to
+    /// the pre-calibration planner.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `arrivals` does not match the session's workload length.
+    pub fn preemptive_episode(
         &self,
         ctx: &RepContext<'_>,
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
         faults: &FaultPlan,
-    ) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeCmd>) {
-        self.launches_preemptive_with_schedule(
-            ctx,
-            policy,
-            arrivals,
-            &FaultSchedule::from_fault_plan(faults),
-        )
-    }
-
-    /// [`Runner::launches_preemptive_with_faults`] with the fault plan
-    /// already projected onto the policy plane — the domain-aware path
-    /// ([`Runner::faulty_report_with_domains`]) projects with the device
-    /// partition attached so correlated losses reach
-    /// [`SchedulingPolicy::on_fault`] as whole-domain capacity events.
-    pub fn launches_preemptive_with_schedule(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
-        projected: &FaultSchedule,
-    ) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeCmd>) {
+        domains: &[FailureDomain],
+    ) -> Episode {
         assert_eq!(ctx.kernels.len(), arrivals.len(), "one arrival per kernel");
         let requests = ctx.exec_requests(policy.chunk_mode());
         let indices = policy.estimate_indices(&requests);
@@ -434,8 +406,9 @@ impl Runner {
         if !estimates.is_empty() {
             plan_ctx = plan_ctx.with_estimates(&estimates);
         }
+        let projected = FaultSchedule::from_fault_plan_with_domains(faults, domains);
         let schedule =
-            plan_with_arrivals_and_faults(policy, &plan_ctx, &requests, arrivals, projected);
+            plan_with_arrivals_and_faults(policy, &plan_ctx, &requests, arrivals, &projected);
         let launches = self.build_launches(
             ctx,
             policy,
@@ -444,27 +417,13 @@ impl Runner {
             &schedule.decisions,
             arrivals,
         );
-        let reclaims = schedule
-            .reclaims
-            .iter()
-            .map(|r| ReclaimCmd {
-                at: r.at,
-                launch: LaunchId(r.index as u32),
-                workers: r.workers,
-                pressure: r.pressure.map(|p| LaunchId(p as u32)),
-                chunk: None,
-            })
-            .collect();
-        let resumes = schedule
-            .resumes
-            .iter()
-            .map(|r| ResumeCmd {
-                after: LaunchId(r.after as u32),
-                launch: LaunchId(r.index as u32),
-                workers: r.workers,
-            })
-            .collect();
-        (launches, reclaims, resumes)
+        Episode {
+            reclaims: schedule.reclaims,
+            resumes: schedule.resumes,
+            faults: faults.clone(),
+            domains: domains.to_vec(),
+            ..Episode::new(launches)
+        }
     }
 
     /// One [`KernelLaunch`] per decision, sharing the session's cost draw.
@@ -498,44 +457,6 @@ impl Runner {
             .collect()
     }
 
-    fn simulate(&self, launches: Vec<KernelLaunch>) -> SimReport {
-        self.simulate_with(launches, Vec::new(), Vec::new(), FaultPlan::default())
-    }
-
-    fn simulate_with(
-        &self,
-        launches: Vec<KernelLaunch>,
-        reclaims: Vec<ReclaimCmd>,
-        resumes: Vec<ResumeCmd>,
-        faults: FaultPlan,
-    ) -> SimReport {
-        self.simulate_full(launches, reclaims, resumes, faults, &[])
-    }
-
-    fn simulate_full(
-        &self,
-        launches: Vec<KernelLaunch>,
-        reclaims: Vec<ReclaimCmd>,
-        resumes: Vec<ResumeCmd>,
-        faults: FaultPlan,
-        domains: &[FailureDomain],
-    ) -> SimReport {
-        let mut sim = Simulator::new(self.device.clone());
-        if !domains.is_empty() {
-            sim = sim.with_domains(domains.to_vec());
-        }
-        for l in launches {
-            sim.add_launch(l);
-        }
-        for r in reclaims {
-            sim.add_reclaim(r);
-        }
-        for r in resumes {
-            sim.add_resume(r);
-        }
-        sim.with_faults(faults).run()
-    }
-
     /// Isolated execution time of one kernel under `policy` (cached by
     /// policy name — see [`SchedulingPolicy::name`] for why the name must
     /// identify the policy's behaviour).
@@ -545,17 +466,27 @@ impl Runner {
         spec: &'static KernelSpec,
         seed: u64,
     ) -> u64 {
-        if let Some(&t) = self
-            .isolated
-            .lock()
-            .unwrap()
-            .get(policy.name())
-            .and_then(|m| m.get(&(spec.name, seed)))
-        {
+        // A hit skips the session's cost draw altogether.
+        if let Some(t) = self.cached_isolated_time(policy, spec.name, seed) {
             return t;
         }
         let ctx = self.rep_context(&[spec], seed);
         self.isolated_time_in(&ctx, policy, 0)
+    }
+
+    /// The isolated-time cache entry of `(kernel, seed)` under `policy`.
+    fn cached_isolated_time(
+        &self,
+        policy: &dyn SchedulingPolicy,
+        kernel: &'static str,
+        seed: u64,
+    ) -> Option<u64> {
+        self.isolated
+            .lock()
+            .unwrap()
+            .get(policy.name())
+            .and_then(|m| m.get(&(kernel, seed)))
+            .copied()
     }
 
     /// Isolated time of the session's kernel `index` under `policy`,
@@ -568,17 +499,11 @@ impl Runner {
         index: usize,
     ) -> u64 {
         let spec = ctx.kernels[index].spec;
-        if let Some(&t) = self
-            .isolated
-            .lock()
-            .unwrap()
-            .get(policy.name())
-            .and_then(|m| m.get(&(spec.name, ctx.seed)))
-        {
+        if let Some(t) = self.cached_isolated_time(policy, spec.name, ctx.seed) {
             return t;
         }
-        let report = self.simulate(self.launches_in(&ctx.solo(index), policy, &[0]));
-        let t = report.total_time().max(1);
+        let solo = Episode::new(self.launches_in(&ctx.solo(index), policy, &[0]));
+        let t = solo.run(&self.device).report.total_time().max(1);
         self.isolated
             .lock()
             .unwrap()
@@ -638,14 +563,16 @@ impl Runner {
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
     ) -> WorkloadRun {
-        let report = self.simulate(self.launches_in(ctx, policy, arrivals));
+        let report = Episode::new(self.launches_in(ctx, policy, arrivals))
+            .run(&self.device)
+            .report;
         self.finish_run(ctx, policy, &report)
     }
 
-    /// Raw simulator report of a **preemptive** (cohort-planned) run:
-    /// launches from [`Runner::launches_preemptive`] co-executing with its
-    /// reclaim commands applied. Use this when the preemption bookkeeping
-    /// matters (`KernelReport::preemptions` / `reclaimed_workers` /
+    /// Raw simulator report of a **preemptive** (cohort-planned) run
+    /// with no faults: [`Runner::preemptive_episode`] run as planned. Use
+    /// this when the preemption bookkeeping matters
+    /// (`KernelReport::preemptions` / `reclaimed_workers` /
     /// `groups_executed`); [`Runner::run_preemptive`] wraps it into the
     /// usual metrics.
     pub fn preemptive_report(
@@ -654,35 +581,18 @@ impl Runner {
         policy: &dyn SchedulingPolicy,
         arrivals: &[u64],
     ) -> SimReport {
-        let (launches, reclaims, resumes) = self.launches_preemptive(ctx, policy, arrivals);
-        self.simulate_with(launches, reclaims, resumes, FaultPlan::default())
+        self.faulty_report_with_domains(ctx, policy, arrivals, &FaultPlan::default(), &[])
     }
 
-    /// Raw simulator report of a **faulty** cohort-planned run: the
-    /// [`FaultPlan`] is rehearsed into the plan (policy-visible capacity
-    /// losses and aborts drive [`SchedulingPolicy::on_fault`]) *and*
-    /// injected into the machine simulation. With an empty plan this is
+    /// Raw simulator report of a **faulty** cohort-planned run on a
+    /// device partitioned into `domains`: [`Runner::preemptive_episode`]
+    /// run as planned. The [`FaultPlan`] is rehearsed into the plan
+    /// (policy-visible capacity losses and aborts drive
+    /// [`SchedulingPolicy::on_fault`]; a permanent domain loss arrives as
+    /// one whole-domain capacity event) *and* injected into the machine
+    /// simulation (where [`gpu_sim::FaultKind::DomainFailure`] events
+    /// resolve to correlated member failures). With an empty plan this is
     /// bit-identical to [`Runner::preemptive_report`].
-    pub fn faulty_report(
-        &self,
-        ctx: &RepContext<'_>,
-        policy: &dyn SchedulingPolicy,
-        arrivals: &[u64],
-        faults: &FaultPlan,
-    ) -> SimReport {
-        let (launches, reclaims, resumes) =
-            self.launches_preemptive_with_faults(ctx, policy, arrivals, faults);
-        self.simulate_with(launches, reclaims, resumes, faults.clone())
-    }
-
-    /// [`Runner::faulty_report`] on a **partitioned** device: the
-    /// [`FailureDomain`] partition is attached to the machine simulation
-    /// (so [`gpu_sim::FaultKind::DomainFailure`] events resolve to
-    /// correlated member failures) *and* to the policy projection (so a
-    /// permanent domain loss reaches [`SchedulingPolicy::on_fault`] as
-    /// one whole-domain capacity event rather than being dropped). With
-    /// no domains and no domain faults this is bit-identical to
-    /// [`Runner::faulty_report`].
     pub fn faulty_report_with_domains(
         &self,
         ctx: &RepContext<'_>,
@@ -691,10 +601,9 @@ impl Runner {
         faults: &FaultPlan,
         domains: &[FailureDomain],
     ) -> SimReport {
-        let projected = FaultSchedule::from_fault_plan_with_domains(faults, domains);
-        let (launches, reclaims, resumes) =
-            self.launches_preemptive_with_schedule(ctx, policy, arrivals, &projected);
-        self.simulate_full(launches, reclaims, resumes, faults.clone(), domains)
+        self.preemptive_episode(ctx, policy, arrivals, faults, domains)
+            .run(&self.device)
+            .report
     }
 
     /// Run one staggered workload through the policy's arrival hooks
@@ -880,7 +789,14 @@ mod tests {
         let arrivals = [t_batch / 4, 0, 0];
         let ctx = r.rep_context(&wl, 21);
         let queueing = r.preemptive_report(&ctx, &accelos, &arrivals);
-        let preempting = r.preemptive_report(&ctx, &PriorityPolicy::default(), &arrivals);
+        let episode = r.preemptive_episode(
+            &ctx,
+            &PriorityPolicy::default(),
+            &arrivals,
+            &FaultPlan::default(),
+            &[],
+        );
+        let preempting = episode.run(r.device()).report;
         let t_queue = queueing.kernels[0].turnaround();
         let t_preempt = preempting.kernels[0].turnaround();
         assert!(
@@ -892,10 +808,7 @@ mod tests {
             .iter()
             .all(|k| k.preemptions == 1 && k.reclaimed_workers > 0));
         assert_eq!(queueing.kernels[0].preemptions, 0);
-        for (k, launch) in preempting.kernels.iter().zip(
-            r.launches_preemptive(&ctx, &PriorityPolicy::default(), &arrivals)
-                .0,
-        ) {
+        for (k, launch) in preempting.kernels.iter().zip(&episode.launches) {
             assert_eq!(k.groups_executed as u64, launch.plan.total_groups());
         }
     }

@@ -294,10 +294,12 @@ impl NdRange {
 
     /// Check a range built as a struct literal (the fields are public, so
     /// the constructors' validation can be skipped): `work_dim` must be
-    /// 1..=3, and every local size positive and a divisor of its global
-    /// size. The runtime entry points call this before a launch, so a
-    /// malformed range is an error rather than a divide-by-zero or
-    /// silently unprocessed work items.
+    /// 1..=3, every local size positive and a divisor of its global
+    /// size, and the item counts ([`NdRange::total_items`],
+    /// [`NdRange::wg_size`]) must fit in `usize`. The runtime entry
+    /// points call this before a launch, so a malformed range is an error
+    /// rather than a divide-by-zero, an overflowing count or silently
+    /// unprocessed work items.
     ///
     /// # Errors
     ///
@@ -316,6 +318,14 @@ impl NdRange {
                     self.global[d], self.local[d]
                 ));
             }
+        }
+        // Group counts divide item counts, so they fit once those do.
+        let product = |dims: [usize; 3]| dims.iter().try_fold(1usize, |n, &d| n.checked_mul(d));
+        if product(self.global).is_none() || product(self.local).is_none() {
+            return Err(format!(
+                "item count of global {:?} / local {:?} overflows usize",
+                self.global, self.local
+            ));
         }
         Ok(())
     }

@@ -38,7 +38,7 @@ use accel_harness::runner::Runner;
 use accelos::policy::{DeadlinePolicy, PolicySet, SchedulingPolicy, SlaPolicy};
 use accelos::proxycl::{PendingExec, ProxyCl};
 use clrt::{Arg, Platform};
-use gpu_sim::{DeviceConfig, SimReport};
+use gpu_sim::{DeviceConfig, FaultPlan, SimReport};
 use kernel_ir::interp::NdRange;
 use sched_metrics::profile::ProfileStore;
 use std::sync::Arc;
@@ -195,13 +195,13 @@ fn main() {
     let arrivals = vec![sc.arrival, 0, 0];
     let ctx = runner.rep_context(&workload, SEED);
     let sla = SlaPolicy::new(&[4, 4, 0]);
-    let report = runner.preemptive_report(&ctx, &sla, &arrivals);
-    let (launches, _, resumes) = runner.launches_preemptive(&ctx, &sla, &arrivals);
+    let episode = runner.preemptive_episode(&ctx, &sla, &arrivals, &FaultPlan::default(), &[]);
+    let report = episode.run(runner.device()).report;
     println!(
         "\nSLA tiers under {} (floors: lbm 4, tpacf 0 = best-effort full pause):",
         sla.name()
     );
-    for (kr, launch) in report.kernels.iter().zip(&launches) {
+    for (kr, launch) in report.kernels.iter().zip(&episode.launches) {
         println!(
             "  {:<8} end {:>7}  executed {}/{} groups, {} pauses, {} resumes \
              ({} workers respawned)",
@@ -227,7 +227,7 @@ fn main() {
     );
     assert!(paused.resumed_workers > 0);
     assert_eq!(
-        resumes.len(),
+        episode.resumes.len(),
         1,
         "the planner paired the pause with a resume"
     );

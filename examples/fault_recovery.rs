@@ -52,8 +52,8 @@ fn main() {
             repair_at: None,
         },
     }]);
-    let faulty = runner.faulty_report(&ctx, &policy, &arrivals, &faults);
-    let (launches, _, _) = runner.launches_preemptive(&ctx, &policy, &arrivals);
+    let episode = runner.preemptive_episode(&ctx, &policy, &arrivals, &faults, &[]);
+    let faulty = episode.run(runner.device()).report;
 
     println!(
         "episode on {} ({num_cus} CUs): batch tenants at t=0, premium at t={arrival}, \
@@ -66,7 +66,12 @@ fn main() {
     );
     let mut lost = 0;
     let mut retried = 0;
-    for ((ck, fk), launch) in clean.kernels.iter().zip(&faulty.kernels).zip(&launches) {
+    for ((ck, fk), launch) in clean
+        .kernels
+        .iter()
+        .zip(&faulty.kernels)
+        .zip(&episode.launches)
+    {
         println!(
             "  {:<8} {:>12} {:>12} {:>10} {:>8} {:>8}",
             fk.name, ck.end, fk.end, fk.groups_executed, fk.chunks_lost, fk.groups_retried

@@ -18,7 +18,7 @@
 use accel_harness::experiments::priority_workload;
 use accel_harness::runner::Runner;
 use accelos::policy::{AccelOsPolicy, PriorityPolicy, SchedulingPolicy};
-use gpu_sim::DeviceConfig;
+use gpu_sim::{DeviceConfig, FaultPlan};
 
 /// Same episode (workload, arrival rule, seed) as `repro priority` and the
 /// golden snapshot in `tests/preemption_invariants.rs`, so numbers line up
@@ -46,7 +46,9 @@ fn main() {
     // cohort-planned preemptive path drives each policy's arrival hooks.
     let ctx = runner.rep_context(&workload, SEED);
     let queue_report = runner.preemptive_report(&ctx, &queueing, &arrivals);
-    let preempt_report = runner.preemptive_report(&ctx, &preempting, &arrivals);
+    let preempting_episode =
+        runner.preemptive_episode(&ctx, &preempting, &arrivals, &FaultPlan::default(), &[]);
+    let preempt_report = preempting_episode.run(runner.device()).report;
 
     println!("turnaround (cycles):");
     println!(
@@ -74,8 +76,12 @@ fn main() {
          {reclaimed} workers retired at chunk boundaries"
     );
     // Conservation: executed groups vs the launch plan's total.
-    let (launches, _, _) = runner.launches_preemptive(&ctx, &preempting, &arrivals);
-    for (i, (k, launch)) in preempt_report.kernels.iter().zip(&launches).enumerate() {
+    for (i, (k, launch)) in preempt_report
+        .kernels
+        .iter()
+        .zip(&preempting_episode.launches)
+        .enumerate()
+    {
         assert_eq!(
             k.groups_executed as u64,
             launch.plan.total_groups(),

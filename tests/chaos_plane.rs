@@ -24,9 +24,16 @@
 //!   the health plane must be invisible until a fault actually fires;
 //! * **(d) health-aware recovery** — on a fixed correlated-loss episode
 //!   the health-aware placement conserves work and recovers strictly
-//!   faster than the blind engine (`with_blind_health`).
+//!   faster than the blind engine (`with_blind_health`);
+//! * **(e) engine ≡ bare simulator** — with a fail-fast retry policy the
+//!   episode engine (`accelos::episode`) is exactly one simulation: its
+//!   report equals a bare `Simulator` fed the same launches, commands and
+//!   fault plan, trace included, even when a device fault and a kernel
+//!   abort land on the same instant.
 
 use accelos::chunk::Mode;
+use accelos::episode::Episode;
+use accelos::policy::{PlannedResume, TimedReclaim};
 use accelos::proxycl::{PendingExec, ProxyCl, RetryPolicy};
 use clrt::{Arg, Buffer, Platform};
 use gpu_sim::{
@@ -294,6 +301,75 @@ proptest! {
             format!("{base:#?}"),
             format!("{blind:#?}"),
             "health memory must be inert while no CU is ever suspect"
+        );
+    }
+
+    /// (e) With `max_attempts: 0` the engine adds nothing to the
+    /// simulator: same launches, churn and faults ⇒ the same report, trace
+    /// included. A CU failure and a kernel abort share one instant, in
+    /// either plan order, so the engine must inject faults in plan order.
+    #[test]
+    fn fail_fast_engine_matches_the_bare_simulator(seed in 0u64..10_000) {
+        let cfg = DeviceConfig::test_tiny();
+        let launches = random_launches(seed, &cfg);
+        let (reclaims, resumes) = random_churn(seed, launches.len());
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xe9);
+        let at = rng.random_range(0..5_000u64);
+        let mut events = vec![
+            FaultEvent {
+                at,
+                kind: FaultKind::CuFailure {
+                    cu: rng.random_range(0..cfg.num_cus),
+                    repair_at: Some(at + rng.random_range(500..4_000u64)),
+                },
+            },
+            FaultEvent {
+                at,
+                kind: FaultKind::KernelAbort {
+                    launch: LaunchId(rng.random_range(0..launches.len() as u32)),
+                },
+            },
+        ];
+        if rng.random_range(0..2u32) == 0 {
+            events.reverse();
+        }
+        let plan = FaultPlan::new(events);
+
+        let episode = Episode {
+            reclaims: reclaims
+                .iter()
+                .map(|r| TimedReclaim {
+                    at: r.at,
+                    index: r.launch.0 as usize,
+                    workers: r.workers,
+                    pressure: r.pressure.map(|p| p.0 as usize),
+                })
+                .collect(),
+            resumes: resumes
+                .iter()
+                .map(|r| PlannedResume {
+                    after: r.after.0 as usize,
+                    index: r.launch.0 as usize,
+                    workers: r.workers,
+                })
+                .collect(),
+            faults: plan.clone(),
+            trace: true,
+            ..Episode::new(launches.clone())
+        };
+        let outcome = episode.run(&cfg);
+        let bare = run_episode(
+            Simulator::new(cfg.clone()).with_trace().with_faults(plan),
+            &launches, &reclaims, &resumes,
+        );
+        prop_assert_eq!(&outcome.report, &bare);
+        prop_assert_eq!(bare.faults_injected, 2);
+        for (i, ids) in outcome.lineage.iter().enumerate() {
+            prop_assert_eq!(ids, &vec![LaunchId(i as u32)]);
+        }
+        prop_assert_eq!(
+            outcome.exhausted,
+            bare.kernels.iter().position(|k| k.aborted)
         );
     }
 }

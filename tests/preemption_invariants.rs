@@ -631,8 +631,8 @@ fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     );
     let ctx = runner.rep_context(&workload, 2016);
     let policy = PriorityPolicy::default();
-    let a = runner.faulty_report(&ctx, &policy, &arrivals, &plan);
-    let b = runner.faulty_report(&ctx, &policy, &arrivals, &plan);
+    let a = runner.faulty_report_with_domains(&ctx, &policy, &arrivals, &plan, &[]);
+    let b = runner.faulty_report_with_domains(&ctx, &policy, &arrivals, &plan, &[]);
     assert_eq!(
         format!("{a:#?}"),
         format!("{b:#?}"),
@@ -640,7 +640,8 @@ fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     );
     assert!(a.faults_injected > 0);
 
-    let clean = runner.faulty_report(&ctx, &policy, &arrivals, &FaultPlan::default());
+    let clean =
+        runner.faulty_report_with_domains(&ctx, &policy, &arrivals, &FaultPlan::default(), &[]);
     let plain = runner.preemptive_report(&ctx, &policy, &arrivals);
     assert_eq!(clean, plain, "zero faults must not perturb the timeline");
     assert_eq!(clean.faults_injected, 0);
