@@ -121,9 +121,8 @@ impl CommandQueue {
             )));
         }
 
-        // Functional plane: kernels execute on the bytecode tier
-        // (`ACCELOS_EXEC_TIER` selects `tree` or `bytecode-opt`;
-        // unsupported constructs fall back to the tree-walker), sharding
+        // Functional plane: kernels execute on the bytecode VM (or the
+        // sequential tree-walker under `ACCELOS_EXEC_TIER=tree`), sharding
         // work groups across host threads when the accelcheck race
         // analysis proves the launch free of cross-group races — with
         // bit-identical memory contents and statistics on every path.

@@ -551,13 +551,12 @@ impl ProxyCl {
         kernel.set_arg(rt_index, Arg::Buffer(rt_buf))?;
         let args: Vec<ArgValue> = kernel.resolved_args()?;
 
-        // Execute on the bytecode tier (`ACCELOS_EXEC_TIER` selects the
-        // tier; unsupported constructs fall back to the tree-walker),
-        // sharding independent work groups across host threads; the
-        // accelcheck race analysis forces launches it cannot prove
-        // race-free onto the sequential path (bit-identical results
-        // either way). The verdicts are served from the program's
-        // build-time `ModuleFacts` cache.
+        // Execute on the bytecode VM (or the sequential tree-walker under
+        // `ACCELOS_EXEC_TIER=tree`), sharding independent work groups
+        // across host threads; the accelcheck race analysis forces
+        // launches it cannot prove race-free onto the sequential path
+        // (bit-identical results either way). The verdicts are served
+        // from the program's build-time `ModuleFacts` cache.
         let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
         interp.set_exec_tier(kernel_ir::ExecTier::from_env());
         interp

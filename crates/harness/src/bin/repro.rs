@@ -29,13 +29,6 @@
 //! lowering and the launch-optimized program — the form that
 //! `tests/golden/bytecode_spmv.txt` pins for spmv.
 //!
-//! `--exec-tier tree|bytecode-opt` selects the functional-plane
-//! execution tier for every kernel launch of the run (it sets
-//! `ACCELOS_EXEC_TIER`, which `clrt` consults at launch time; the default
-//! is `bytecode-opt`). Every figure and table is tier-invariant — the
-//! tiers are pinned bit-identical — so the flag exists to cross-check
-//! exactly that and to time the tiers against each other.
-//!
 //! Defaults use [`SweepConfig::default_scale`]; `--full` switches to the
 //! paper-sized sweep (625 pairs, 16384 4-kernel and 32768 8-kernel
 //! workloads, 20 repetitions — hours of CPU time, so consider `--jobs`).
@@ -219,16 +212,6 @@ fn parse_args() -> Result<Options, String> {
                         .ok_or("missing value after --profile-store")?
                         .clone(),
                 );
-            }
-            "--exec-tier" => {
-                i += 1;
-                let tier = args.get(i).ok_or("missing value after --exec-tier")?;
-                match tier.as_str() {
-                    "tree" | "bytecode-opt" => std::env::set_var("ACCELOS_EXEC_TIER", tier),
-                    other => {
-                        return Err(format!("unknown exec tier `{other}` (tree | bytecode-opt)"))
-                    }
-                }
             }
             "--full" => cfg = SweepConfig::full(),
             "--pairs" => cfg.pairs = take(&mut i)?,
@@ -528,8 +511,7 @@ fn main() {
                  [--device k20m|r9|both] [--policies name,name,...] [--reference name] [--full] \
                  [--pairs N] [--n4 N] [--n8 N] [--reps N] [--seed N] \
                  [--jobs N] [--sequential] [--profile-store FILE] \
-                 [--shard i/n [--out FILE]] \
-                 [--exec-tier tree|bytecode-opt]\n\
+                 [--shard i/n [--out FILE]]\n\
                  usage: repro merge --inputs FILE,FILE,... [<sweep figures>...] [--reference name]\n\
                  usage: repro lint [--deny-warnings]\n\
                  usage: repro disasm <kernel>"

@@ -18,8 +18,7 @@ use parboil::KernelSpec;
 /// # Errors
 ///
 /// Returns a human-readable message when `name` is not a bundled kernel,
-/// its dataset cannot be prepared, or the kernel refuses to lower (the
-/// runtime would fall back to the tree-walker).
+/// its dataset cannot be prepared, or the launch does not plan.
 pub fn disassemble_parboil(name: &str) -> Result<String, String> {
     let spec = KernelSpec::by_name(name).ok_or_else(|| {
         format!(
@@ -43,7 +42,7 @@ pub fn disassemble_parboil(name: &str) -> Result<String, String> {
     let interp = Interpreter::with_facts(kernel.module(), kernel.facts());
     let body = interp
         .disassemble_kernel(ctx.memory_mut(), kernel.name(), prepared.ndrange, &args)
-        .map_err(|e| format!("`{name}` does not lower to bytecode: {e}"))?;
+        .map_err(|e| format!("`{name}` launch does not plan: {e}"))?;
     Ok(format!(
         "bytecode for `{name}` (launch {:?})\n{body}",
         prepared.ndrange

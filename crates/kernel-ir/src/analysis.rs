@@ -217,12 +217,13 @@ pub fn uses_barrier(func: &Function, module: &Module) -> bool {
 /// Whether the function (or any reachable callee) performs atomics on
 /// *global* (or constant) memory.
 ///
-/// This is the gate for cross-work-group parallel interpretation
-/// ([`crate::interp::Interpreter::run_kernel_parallel`]): work groups never
-/// share `local` or `private` arenas, so local-space atomics are safe under
-/// group-level parallelism, while global-memory atomics introduce
-/// cross-group ordering the sequential interpreter resolves by running
-/// groups in flat order.
+/// Work groups never share `local` or `private` arenas, so local-space
+/// atomics are safe under group-level parallelism, while global-memory
+/// atomics introduce cross-group ordering the sequential interpreter
+/// resolves by running groups in flat order. The sharding gate of
+/// [`crate::interp::Interpreter::run_kernel_bytecode`] is the finer race
+/// analysis ([`crate::races`]), which admits global atomics whose
+/// contention is deterministic.
 pub fn uses_global_atomics(func: &Function, module: &Module) -> bool {
     let has = |f: &Function| {
         f.blocks.iter().any(|b| {

@@ -3,9 +3,10 @@
 //! A compile-and-execute tier for the functional plane: kernel functions are
 //! lowered once per launch into a dense register bytecode (flat instruction
 //! array, resolved branch targets, pre-computed frame sizes), run through a
-//! launch-specialising optimizer, and executed by a flat-dispatch VM that
-//! shares the NDRange group loops — and therefore the flat group order and
-//! the stealing work distribution — with the tree-walking interpreter.
+//! launch-specialising optimizer, and executed by a flat-dispatch VM. The VM
+//! shares the sequential group loop — and therefore the flat group order —
+//! with the tree-walking interpreter, and is the only executor that shards
+//! work groups across threads.
 //!
 //! ## Pipeline
 //!
@@ -33,16 +34,23 @@
 //!    instruction array with branch targets resolved to absolute pcs and
 //!    per-function entry pcs and frame sizes recorded.
 //!
-//! ## Fallback rules
+//! ## Trap rules
 //!
-//! Lowering is total for verified modules. Constructs whose tree-walker
-//! semantics are load-bearing error paths — unknown callees (a runtime
-//! [`InterpError::UnknownFunction`] *only if reached*), allocas in
-//! non-stack address spaces, local allocas outside the kernel entry
-//! function, loads without a result, unterminated blocks — refuse to lower
-//! ([`LowerError`]) and [`Interpreter::run_kernel_bytecode`] transparently
-//! falls back to the tree-walking interpreter, which reproduces the exact
-//! runtime behaviour.
+//! Lowering is total. Six constructs have no ordinary instruction, and
+//! the verifier rejects all of them: a call of an unknown function, an
+//! alloca in `global` or `constant` space, a `local` alloca outside the
+//! kernel entry function, a load without a result, a block without a
+//! terminator, and a gep through a non-pointer. Each lowers to a
+//! `BcInsn::Trap` at the point where it occurs, so an unverified module
+//! fails only if (and when) a work item reaches it:
+//!
+//! - an unknown callee raises [`InterpError::UnknownFunction`], and the two
+//!   alloca cases raise the tree-walker's [`InterpError::Invalid`] text;
+//! - the other three raise [`InterpError::Invalid`]. The tree-walker, which
+//!   the runtime only gives verified modules, panics on the first two and
+//!   fails the gep with a value-dependent `Invalid` text.
+//!
+//! A trap has weight 1 and is never folded or eliminated.
 //!
 //! ## Identity contract
 //!
@@ -96,18 +104,6 @@ impl ExecTier {
 
 /// Register sentinel for "no destination" / "no value".
 const NO_REG: u32 = u32::MAX;
-
-/// Why a module refused to lower to bytecode (the caller falls back to the
-/// tree-walking interpreter, which implements the construct's — typically
-/// error-path — semantics directly).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LowerError(pub(crate) String);
-
-impl std::fmt::Display for LowerError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "bytecode lowering unsupported: {}", self.0)
-    }
-}
 
 /// One dense bytecode instruction. Registers are `u32` indices into the
 /// frame's register file ([`NO_REG`] = none); branch targets are block
@@ -191,6 +187,15 @@ pub(crate) enum BcInsn {
     Branch { cond: u32, then_t: u32, else_t: u32 },
     /// Function return ([`NO_REG`] = void).
     Ret { val: u32 },
+    /// A construct with no ordinary lowering (see the module's trap
+    /// rules): raises its error when reached. Weight 1; boxed so the
+    /// instruction stays as small as the other variants.
+    Trap(Box<InterpError>),
+}
+
+/// A trap raising `err` when reached.
+fn trap(err: InterpError) -> BcInsn {
+    BcInsn::Trap(Box::new(err))
 }
 
 /// A lowered function in block-structured form (pre-[`layout`]).
@@ -236,10 +241,12 @@ pub(crate) struct BcProgram {
 
 /// Lower the entry kernel (and every function reachable from it) to
 /// block-structured bytecode, resolving loads' types/sizes, geps' strides,
-/// callee indices and static local-memory offsets.
-pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> Result<BcModule, LowerError> {
-    // Worklist discovery: entry first (function index 0), callees in
-    // first-call order.
+/// callee indices and static local-memory offsets. Total: constructs with
+/// no ordinary lowering become traps (see the module's trap rules).
+pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> BcModule {
+    let find = |name: &str| module.functions.iter().position(|f| f.name == name);
+    // Worklist discovery: entry first (function index 0), resolved callees
+    // in first-call order.
     let mut order: Vec<usize> = vec![setup.func_idx];
     let mut bc_index_of = vec![u32::MAX; module.functions.len()];
     bc_index_of[setup.func_idx] = 0;
@@ -249,16 +256,12 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> Result<BcModule
         cursor += 1;
         for block in &func.blocks {
             for inst in &block.insts {
-                if let Op::Call { callee, .. } = &inst.op {
-                    let idx = module
-                        .functions
-                        .iter()
-                        .position(|f| f.name == *callee)
-                        .ok_or_else(|| LowerError(format!("unknown callee `{callee}`")))?;
-                    if bc_index_of[idx] == u32::MAX {
-                        bc_index_of[idx] = order.len() as u32;
-                        order.push(idx);
-                    }
+                let Op::Call { callee, .. } = &inst.op else {
+                    continue;
+                };
+                if let Some(idx) = find(callee).filter(|&i| bc_index_of[i] == u32::MAX) {
+                    bc_index_of[idx] = order.len() as u32;
+                    order.push(idx);
                 }
             }
         }
@@ -311,66 +314,53 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> Result<BcModule
                             dst,
                             bytes: interp_size(elem) * (*count as usize),
                         },
-                        AddressSpace::Local => {
-                            if !is_entry {
-                                return Err(LowerError(
-                                    "local alloca outside the kernel entry function".into(),
-                                ));
-                            }
-                            let off = setup
-                                .static_local
-                                .iter()
-                                .find(|(b, i, _)| b.index() == bid && *i == ip)
-                                .map(|(_, _, off)| *off)
-                                .ok_or_else(|| LowerError("unplanned local alloca".into()))?;
-                            BcInsn::AllocaLocal { dst, off }
-                        }
-                        other => {
-                            return Err(LowerError(format!("alloca in {other}")));
-                        }
+                        // Only the entry function has planned slots.
+                        AddressSpace::Local => match setup
+                            .static_local
+                            .iter()
+                            .find(|(b, i, _)| is_entry && b.index() == bid && *i == ip)
+                        {
+                            Some(&(_, _, off)) => BcInsn::AllocaLocal { dst, off },
+                            None => trap(InterpError::Invalid(
+                                "local alloca outside the kernel entry function".into(),
+                            )),
+                        },
+                        other => trap(InterpError::Invalid(format!("alloca in {other}"))),
                     },
-                    Op::Load(p) => {
-                        let result = inst
-                            .result
-                            .ok_or_else(|| LowerError("load without a result".into()))?;
-                        let ty = func.value_type(result).clone();
-                        let size = interp_size(&ty);
-                        BcInsn::Load {
-                            dst,
-                            ptr: p.0,
-                            ty: Box::new(ty),
-                            size,
+                    Op::Load(p) => match inst.result {
+                        Some(result) => {
+                            let ty = func.value_type(result).clone();
+                            let size = interp_size(&ty);
+                            BcInsn::Load {
+                                dst,
+                                ptr: p.0,
+                                ty: Box::new(ty),
+                                size,
+                            }
                         }
-                    }
+                        None => trap(InterpError::Invalid("load without a result".into())),
+                    },
                     Op::Store { ptr, value } => BcInsn::Store {
                         ptr: ptr.0,
                         value: value.0,
                     },
-                    Op::Gep { ptr, index } => {
-                        let stride = interp_size(
-                            func.value_type(*ptr)
-                                .pointee()
-                                .ok_or_else(|| LowerError("gep on non-pointer".into()))?,
-                        );
-                        BcInsn::Gep {
+                    Op::Gep { ptr, index } => match func.value_type(*ptr).pointee() {
+                        Some(elem) => BcInsn::Gep {
                             dst,
                             ptr: ptr.0,
                             index: index.0,
-                            stride,
-                        }
-                    }
-                    Op::Call { callee, args } => {
-                        let idx = module
-                            .functions
-                            .iter()
-                            .position(|f| f.name == *callee)
-                            .expect("resolved during discovery");
-                        BcInsn::Call {
+                            stride: interp_size(elem),
+                        },
+                        None => trap(InterpError::Invalid("gep on non-pointer".into())),
+                    },
+                    Op::Call { callee, args } => match find(callee) {
+                        Some(idx) => BcInsn::Call {
                             dst,
                             func: bc_index_of[idx],
                             args: args.iter().map(|a| a.0).collect(),
-                        }
-                    }
+                        },
+                        None => trap(InterpError::UnknownFunction(callee.clone())),
+                    },
                     Op::WorkItem { builtin, dim } => BcInsn::WorkItem {
                         dst,
                         builtin: *builtin,
@@ -400,25 +390,22 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> Result<BcModule
                 };
                 insns.push(insn);
             }
-            match block
-                .term
-                .as_ref()
-                .ok_or_else(|| LowerError("unterminated block".into()))?
-            {
-                Terminator::Br(b) => insns.push(BcInsn::Jump { target: b.0 }),
-                Terminator::CondBr {
+            insns.push(match &block.term {
+                Some(Terminator::Br(b)) => BcInsn::Jump { target: b.0 },
+                Some(Terminator::CondBr {
                     cond,
                     then_bb,
                     else_bb,
-                } => insns.push(BcInsn::Branch {
+                }) => BcInsn::Branch {
                     cond: cond.0,
                     then_t: then_bb.0,
                     else_t: else_bb.0,
-                }),
-                Terminator::Ret(v) => insns.push(BcInsn::Ret {
+                },
+                Some(Terminator::Ret(v)) => BcInsn::Ret {
                     val: v.map(|v| v.0).unwrap_or(NO_REG),
-                }),
-            }
+                },
+                None => trap(InterpError::Invalid("unterminated block".into())),
+            });
             blocks.push(insns);
         }
         let mut template = vec![None; func.value_types.len()];
@@ -435,7 +422,7 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> Result<BcModule
             template,
         });
     }
-    Ok(BcModule { funcs })
+    BcModule { funcs }
 }
 
 fn const_value(c: &ConstVal) -> Value {
@@ -587,7 +574,8 @@ fn dce_function(func: &mut BcFuncBody) {
                     | BcInsn::AllocaLocal { .. }
                     | BcInsn::WorkItem { .. }
                     | BcInsn::Barrier
-                    | BcInsn::Jump { .. } => {}
+                    | BcInsn::Jump { .. }
+                    | BcInsn::Trap(_) => {}
                     BcInsn::Bin { a, b, .. } | BcInsn::Cmp { a, b, .. } => {
                         mark(*a);
                         mark(*b);
@@ -1262,6 +1250,9 @@ fn run_bc_item(
                 item.status = WiStatus::AtBarrier;
                 return Ok(());
             }
+            // The error ends the launch, so the trap's weight never
+            // reaches `DynStats`; the dispatch above counted its step.
+            BcInsn::Trap(err) => return Err((**err).clone()),
         }
     }
 }
@@ -1417,6 +1408,7 @@ pub(crate) fn disassemble(prog: &BcProgram) -> String {
                         format!("ret {}", fmt_reg(*val))
                     }
                 }
+                BcInsn::Trap(err) => format!("trap {err}"),
             };
             let _ = writeln!(out, "  {pc:>4}: {text}");
         }
@@ -1441,10 +1433,11 @@ impl<'m> Interpreter<'m> {
         self.tier
     }
 
-    /// Whether `kernel` (with this launch's arguments) lowers to bytecode,
-    /// i.e. whether [`run_kernel_bytecode`](Self::run_kernel_bytecode)
-    /// would execute on the bytecode tier rather than falling back to the
-    /// tree-walker.
+    /// Whether [`run_kernel_bytecode`](Self::run_kernel_bytecode) would
+    /// execute this launch on the bytecode tier. Lowering is total (see the
+    /// [module docs](crate::bytecode) for the trap rules), so this is
+    /// whether the launch plans: a known kernel, matching arguments and
+    /// local memory within capacity.
     pub fn bytecode_supported(
         &self,
         mem: &DeviceMemory,
@@ -1452,10 +1445,7 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> bool {
-        self.plan(mem, kernel, ndrange, args)
-            .ok()
-            .map(|setup| lower(self.module, &setup).is_ok())
-            .unwrap_or(false)
+        self.plan(mem, kernel, ndrange, args).is_ok()
     }
 
     /// Render the lowered and optimized bytecode of `kernel` for this
@@ -1465,7 +1455,7 @@ impl<'m> Interpreter<'m> {
     /// # Errors
     ///
     /// Returns [`InterpError`] when the launch does not plan (bad
-    /// arguments, unknown kernel) or the module refuses to lower.
+    /// arguments, unknown kernel).
     pub fn disassemble_kernel(
         &self,
         mem: &DeviceMemory,
@@ -1474,7 +1464,7 @@ impl<'m> Interpreter<'m> {
         args: &[ArgValue],
     ) -> Result<String, InterpError> {
         let setup = self.plan(mem, kernel, ndrange, args)?;
-        let raw = lower(self.module, &setup).map_err(|e| InterpError::Invalid(e.to_string()))?;
+        let raw = lower(self.module, &setup);
         let mut opt = raw.clone();
         optimize(&mut opt, ndrange);
         Ok(format!(
@@ -1484,14 +1474,39 @@ impl<'m> Interpreter<'m> {
         ))
     }
 
-    /// Execute `kernel` on the selected [`ExecTier`], sharding work groups
-    /// like [`run_kernel_parallel_with`](Self::run_kernel_parallel_with)
-    /// (same accelcheck gate, same schedule, same flat group order).
-    /// Falls back to the tree-walking interpreter when the tier is
-    /// [`ExecTier::TreeWalk`] or the module refuses to lower (see the
-    /// [module docs](crate::bytecode) for the fallback rules). Successful
-    /// runs are bit-identical to the tree-walker: memory bytes, every
-    /// `DynStats` counter, and errors.
+    /// Execute `kernel` like [`run_kernel`](Self::run_kernel) on the
+    /// selected [`ExecTier`].
+    ///
+    /// The bytecode tier shards independent work groups across up to
+    /// `threads` OS threads when the `accelcheck` race analysis proves the
+    /// launch free of cross-group races — provably disjoint global writes,
+    /// deterministic atomic contention, or a disjointness proof
+    /// re-validated against the concrete launch parameters (see
+    /// [`parallel_eligible_in`](Self::parallel_eligible_in)) — and runs the
+    /// groups in flat order otherwise (and for single-group or
+    /// single-thread runs). Contended global atomics execute as true host
+    /// atomics. Threads repeatedly claim the next
+    /// [`steal_claim`](crate::interp::steal_claim)-sized run of flat work
+    /// groups from an atomic cursor, so a thread stuck on an expensive
+    /// group (bfs's frontier, spmv's long rows) does not strand the rest.
+    /// [`ExecTier::TreeWalk`] runs the reference tree-walker, always
+    /// sequentially.
+    ///
+    /// Successful runs are bit-identical to `run_kernel`: memory bytes and
+    /// every `DynStats` counter (work groups of a race-free kernel touch
+    /// disjoint global bytes, and per-group statistics are merged in flat
+    /// group order). On error, the lowest-numbered failing group's error is
+    /// returned, but — unlike the sequential path, which stops at the first
+    /// failing group — groups after the failing one may already have
+    /// executed.
+    ///
+    /// A persistent-worker scheduling kernel whose
+    /// [`crate::ir::DequeueContract`] admits the launch takes its dequeue
+    /// tickets in the fixed round-robin order on both tiers and at every
+    /// thread count, one thread included: memory and the four `DynStats`
+    /// totals match `run_kernel`'s dequeue loop, while `insns_per_wg`
+    /// splits the work among workers by that order instead of the atomic
+    /// counter's.
     ///
     /// # Errors
     ///
@@ -1504,25 +1519,17 @@ impl<'m> Interpreter<'m> {
         args: &[ArgValue],
         threads: usize,
     ) -> Result<DynStats, InterpError> {
-        if self.tier == ExecTier::TreeWalk {
-            return self.run_kernel_parallel_with(mem, kernel, ndrange, args, threads);
-        }
         let mut setup = self.plan(mem, kernel, ndrange, args)?;
         let total = ndrange.total_groups();
         let threads = threads.min(total).max(1);
         let (eligible, tickets) = self.admit(mem, kernel, ndrange, args, threads);
         setup.tickets = tickets;
-        let prog = match lower(self.module, &setup) {
-            Ok(mut bc) => {
-                optimize(&mut bc, ndrange);
-                layout(&bc)
-            }
-            Err(_) => {
-                // Unsupported construct: the tree-walker implements its
-                // (error-path) semantics directly.
-                return self.run_kernel_parallel_with(mem, kernel, ndrange, args, threads);
-            }
-        };
+        if self.tier == ExecTier::TreeWalk {
+            return self.run_groups_seq(mem, &setup, ndrange, None);
+        }
+        let mut bc = lower(self.module, &setup);
+        optimize(&mut bc, ndrange);
+        let prog = layout(&bc);
         let step_limit = self.config.step_limit;
         let local_bytes = setup.local_bytes;
         let gmem = GlobalMem::new(mem);
@@ -1674,7 +1681,7 @@ mod tests {
         ];
         let interp = Interpreter::new(&m);
         let setup = interp.plan(&mem, "saxpy_n", nd, &args).unwrap();
-        let mut bc = lower(&m, &setup).unwrap();
+        let mut bc = lower(&m, &setup);
         let before: usize = bc.funcs[0]
             .blocks
             .iter()
@@ -1709,49 +1716,61 @@ mod tests {
     }
 
     #[test]
-    fn unknown_callee_falls_back_to_tree_walker() {
-        // A call to a function that does not exist only errors when
-        // executed; lowering must refuse so the fallback preserves that.
-        let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
-        let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
-        let gid = b.work_item(WiBuiltin::GlobalId, 0);
-        let zero = b.const_i32(0);
-        let is_zero = b.cmp(CmpOp::Eq, gid, gid);
-        let then_b = b.new_block();
-        let exit = b.new_block();
-        b.cond_br(is_zero, exit, then_b);
-        b.switch_to(then_b);
-        b.call("missing", vec![], Type::I32);
-        b.br(exit);
-        b.switch_to(exit);
-        let p = b.gep(out, gid);
-        b.store(p, zero);
-        b.ret(None);
-        let mut m = Module::new();
-        m.insert_function(b.finish());
+    fn unknown_callee_traps_only_when_reached() {
+        // A call to a function that does not exist lowers to a trap that
+        // survives optimization and raises the tree-walker's error only
+        // if a work item reaches it.
+        let run = |reached: bool| {
+            let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+            let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
+            let gid = b.work_item(WiBuiltin::GlobalId, 0);
+            let seven = b.const_i32(7);
+            let always = b.cmp(CmpOp::Eq, gid, gid);
+            let call_b = b.new_block();
+            let exit = b.new_block();
+            let (then_b, else_b) = if reached {
+                (call_b, exit)
+            } else {
+                (exit, call_b)
+            };
+            b.cond_br(always, then_b, else_b);
+            b.switch_to(call_b);
+            b.call("missing", vec![], Type::I32);
+            b.br(exit);
+            b.switch_to(exit);
+            let p = b.gep(out, gid);
+            b.store(p, seven);
+            b.ret(None);
+            let mut m = Module::new();
+            m.insert_function(b.finish());
 
-        let mut mem = DeviceMemory::new();
-        let buf = mem.alloc(16);
-        let mut interp = Interpreter::new(&m);
-        interp.set_exec_tier(ExecTier::BytecodeOpt);
-        assert!(!interp.bytecode_supported(
-            &mem,
-            "k",
-            NdRange::new_1d(4, 4),
-            &[ArgValue::Buffer(buf)]
-        ));
-        // The branch never takes the `missing` path, so the fallback
-        // tree-walker succeeds.
-        interp
-            .run_kernel_bytecode(
-                &mut mem,
-                "k",
-                NdRange::new_1d(4, 4),
-                &[ArgValue::Buffer(buf)],
-                1,
-            )
-            .expect("fallback executes");
-        assert_eq!(mem.read_i32(buf), vec![0, 0, 0, 0]);
+            let mut mem = DeviceMemory::new();
+            let buf = mem.alloc(16);
+            let args = [ArgValue::Buffer(buf)];
+            let nd = NdRange::new_1d(4, 4);
+            let mut interp = Interpreter::new(&m);
+            interp.set_exec_tier(ExecTier::BytecodeOpt);
+            assert!(interp.bytecode_supported(&mem, "k", nd, &args));
+            let text = interp.disassemble_kernel(&mem, "k", nd, &args).unwrap();
+            let optimized = &text[text.find("== optimized ==").unwrap()..];
+            assert!(optimized.contains("trap unknown function `missing`"));
+            let tree = Interpreter::new(&m).run_kernel(&mut mem.clone(), "k", nd, &args);
+            let vm = interp.run_kernel_bytecode(&mut mem, "k", nd, &args, 1);
+            assert_eq!(tree, vm);
+            vm.map(|_| mem.read_i32(buf))
+        };
+        assert_eq!(run(false), Ok(vec![7; 4]));
+        assert_eq!(
+            run(true),
+            Err(InterpError::UnknownFunction("missing".into()))
+        );
+    }
+
+    #[test]
+    fn trap_payload_is_boxed() {
+        // 32 bytes, as before the trap existed: an unboxed `InterpError`
+        // would widen every instruction of every program.
+        assert_eq!(std::mem::size_of::<BcInsn>(), 32);
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! kernel that is correct under OpenCL's execution model produces its
 //! intended result here (and kernels relying on cross-group scheduling order
 //! are detectably wrong).
+//!
+//! This tree-walker is the sequential reference: [`Interpreter::run_kernel`],
+//! the race oracle [`Interpreter::run_kernel_oracle`] and the
+//! [`crate::bytecode::ExecTier::TreeWalk`] tier run on it. Runtime launches
+//! run on the bytecode VM ([`crate::bytecode`]), the only executor that
+//! shards work groups across threads.
 
 use crate::error::InterpError;
 use crate::ir::{
@@ -509,7 +515,7 @@ impl OracleCell {
 
 /// Shadow state of one oracle run: a last-writer/last-reader cell per byte
 /// of global memory, populated while the launch executes sequentially.
-struct OracleState {
+pub(crate) struct OracleState {
     cells: Vec<Vec<OracleCell>>,
     report: OracleReport,
 }
@@ -1023,82 +1029,6 @@ impl<'m> Interpreter<'m> {
         Ok((stats, oracle.report))
     }
 
-    /// Execute `kernel` like [`run_kernel`](Self::run_kernel), sharding
-    /// independent work groups across up to `threads` OS threads when the
-    /// `accelcheck` race analysis proves the launch free of cross-group
-    /// races — provably disjoint global writes, deterministic atomic
-    /// contention, or a disjointness proof re-validated against the
-    /// concrete launch parameters (see
-    /// [`parallel_eligible`](Self::parallel_eligible)); falls back to the
-    /// sequential interpreter otherwise (and for single-group or
-    /// single-thread runs). Contended global atomics execute as true host
-    /// atomics, so histogram-style kernels parallelize too.
-    /// Threads repeatedly claim the next [`steal_claim`]-sized run of flat
-    /// work groups from an atomic cursor, so a thread stuck on an expensive
-    /// group (bfs's frontier, spmv's long rows) does not strand the rest.
-    ///
-    /// Successful runs are bit-identical to the sequential interpreter:
-    /// `DeviceMemory` contents, `insns_per_wg` and every `DynStats` counter
-    /// match exactly (work groups of a race-free kernel touch disjoint
-    /// global bytes, and per-group statistics are merged in flat group
-    /// order). A kernel whose work groups race on plain global stores —
-    /// already undefined under OpenCL's execution model — gets undefined
-    /// results here too, where the sequential interpreter at least yields
-    /// a deterministic (last-group-wins) answer; use `run_kernel` as the
-    /// arbiter for such kernels. On error, the lowest-numbered failing
-    /// group's error is
-    /// returned, but — unlike the sequential path, which stops at the first
-    /// failing group — groups after the failing one may already have
-    /// executed.
-    ///
-    /// A persistent-worker scheduling kernel whose
-    /// [`crate::ir::DequeueContract`] admits the launch (see
-    /// [`parallel_eligible_in`](Self::parallel_eligible_in)) takes its
-    /// dequeue tickets in the fixed round-robin order at every thread
-    /// count, one thread included: memory and the four `DynStats` totals
-    /// match `run_kernel`'s dequeue loop, while `insns_per_wg` splits the
-    /// work among workers by that order instead of the atomic counter's.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_kernel`](Self::run_kernel).
-    pub fn run_kernel_parallel_with(
-        &self,
-        mem: &mut DeviceMemory,
-        kernel: &str,
-        ndrange: NdRange,
-        args: &[ArgValue],
-        threads: usize,
-    ) -> Result<DynStats, InterpError> {
-        let mut setup = self.plan(mem, kernel, ndrange, args)?;
-        let total = ndrange.total_groups();
-        let threads = threads.min(total).max(1);
-        let (eligible, tickets) = self.admit(mem, kernel, ndrange, args, threads);
-        setup.tickets = tickets;
-        if threads <= 1 || !eligible {
-            return self.run_groups_seq(mem, &setup, ndrange, None);
-        }
-        self.run_groups_stealing(mem, &setup, ndrange, threads)
-    }
-
-    /// [`run_kernel_parallel_with`](Self::run_kernel_parallel_with) using
-    /// the host's available parallelism (overridable via the
-    /// `ACCELOS_INTERP_THREADS` environment variable, or the process-wide
-    /// `ACCELOS_THREADS` shared with the harness's sweep pool).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run_kernel`](Self::run_kernel).
-    pub fn run_kernel_parallel(
-        &self,
-        mem: &mut DeviceMemory,
-        kernel: &str,
-        ndrange: NdRange,
-        args: &[ArgValue],
-    ) -> Result<DynStats, InterpError> {
-        self.run_kernel_parallel_with(mem, kernel, ndrange, args, default_interp_threads())
-    }
-
     /// Whether `kernel` is statically eligible for cross-group parallel
     /// execution, independent of launch parameters: the race analysis
     /// proved every global write disjoint across work groups (`Safe`) or
@@ -1115,8 +1045,8 @@ impl<'m> Interpreter<'m> {
     /// residual assumptions (unit dimensions, scalar-dependent strides,
     /// buffer distinctness) against the concrete `ndrange` and `args`,
     /// rescuing kernels whose disjointness could only be decided per
-    /// launch: the gate [`run_kernel_parallel_with`](Self::run_kernel_parallel_with)
-    /// uses.
+    /// launch: the gate
+    /// [`run_kernel_bytecode`](Self::run_kernel_bytecode) shards by.
     ///
     /// For a scheduling kernel under a [`crate::ir::DequeueContract`] the
     /// gate checks the original kernel against the *virtual* range, whose
@@ -1372,7 +1302,7 @@ impl<'m> Interpreter<'m> {
     }
 
     /// Run every work group in flat order on the calling thread.
-    fn run_groups_seq(
+    pub(crate) fn run_groups_seq(
         &self,
         mem: &mut DeviceMemory,
         setup: &LaunchSetup<'_>,
@@ -1393,21 +1323,6 @@ impl<'m> Interpreter<'m> {
         })
     }
 
-    /// Shard work groups across `threads` OS threads with the atomic-cursor
-    /// dynamic schedule; see [`run_groups_stealing_sched`].
-    fn run_groups_stealing(
-        &self,
-        mem: &mut DeviceMemory,
-        setup: &LaunchSetup<'_>,
-        ndrange: NdRange,
-        threads: usize,
-    ) -> Result<DynStats, InterpError> {
-        let gmem = GlobalMem::new(mem);
-        run_groups_stealing_sched(ndrange, threads, |gid, scratch: &mut WgScratch, part| {
-            self.run_work_group(&gmem, setup, ndrange, gid, scratch, part, None)
-        })
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn run_work_group(
         &self,
@@ -1423,9 +1338,9 @@ impl<'m> Interpreter<'m> {
             func_idx,
             func,
             arg_plan,
-            static_local,
             local_bytes,
             tickets,
+            ..
         } = setup;
         let mut cursor = tickets.map(|t| t.worker(flat_index(ndrange.num_groups(), group_id)));
         let WgScratch { local, items, pool } = scratch;
@@ -1496,13 +1411,13 @@ impl<'m> Interpreter<'m> {
                     gmem,
                     local,
                     pool,
-                    static_local,
+                    setup,
                     ndrange,
                     item,
                     stats,
                     &mut wg_insns,
                     oracle.as_deref_mut(),
-                    tickets.as_ref().zip(cursor.as_mut()),
+                    cursor.as_mut(),
                 )?;
             }
             // After run_until_pause every item is Done or AtBarrier.
@@ -1527,13 +1442,13 @@ impl<'m> Interpreter<'m> {
         gmem: &GlobalMem<'_>,
         local: &mut [u8],
         pool: &mut RegsPool,
-        static_local: &[(BlockId, usize, usize)],
+        setup: &LaunchSetup<'_>,
         ndrange: NdRange,
         item: &mut WorkItem,
         stats: &mut DynStats,
         wg_insns: &mut u64,
         mut oracle: Option<&mut OracleState>,
-        mut tickets: Option<(&Tickets, &mut TicketCursor)>,
+        mut cursor: Option<&mut TicketCursor>,
     ) -> Result<(), InterpError> {
         // Flat group id for oracle attribution (same flat order as the
         // sequential group loop).
@@ -1588,8 +1503,9 @@ impl<'m> Interpreter<'m> {
 
             let inst = &block.insts[frame.ip];
             *wg_insns += 1;
-            let cur_ip = frame.ip;
-            let cur_block = frame.block;
+            // Static local slots and the dequeue site are coordinates in
+            // the kernel entry function; a helper's match none of them.
+            let here = (frame.func_idx, frame.block, frame.ip);
             frame.ip += 1;
 
             match &inst.op {
@@ -1652,9 +1568,10 @@ impl<'m> Interpreter<'m> {
                         }
                         AddressSpace::Local => {
                             // Pre-planned shared slot.
-                            let off = static_local
+                            let off = setup
+                                .static_local
                                 .iter()
-                                .find(|(b, ip, _)| *b == cur_block && *ip == cur_ip)
+                                .find(|&&(b, ip, _)| (setup.func_idx, b, ip) == here)
                                 .map(|(_, _, off)| *off)
                                 .ok_or_else(|| {
                                     InterpError::Invalid(
@@ -1827,11 +1744,8 @@ impl<'m> Interpreter<'m> {
                             true,
                         );
                     }
-                    let in_entry = item.frames.len() == 1;
-                    let old = match tickets.as_mut() {
-                        Some((t, cursor))
-                            if in_entry && (t.block, t.inst) == (cur_block, cur_ip) =>
-                        {
+                    let old = match (setup.tickets, cursor.as_deref_mut()) {
+                        (Some(t), Some(cursor)) if (setup.func_idx, t.block, t.inst) == here => {
                             cursor.take()
                         }
                         _ => old,
@@ -2066,10 +1980,9 @@ pub(crate) fn flat_index(groups: [usize; 3], gid: [usize; 3]) -> usize {
     gid[0] + groups[0] * (gid[1] + groups[1] * gid[2])
 }
 
-/// Decode a flat group id into 3-D group coordinates. Shared by the
-/// stealing schedule of both execution tiers so the flat ordering cannot
-/// drift: it is what bit-identity with the sequential `gz/gy/gx` loop
-/// rests on.
+/// Decode a flat group id into 3-D group coordinates: the stealing
+/// schedule's inverse of [`flat_index`], so the flat ordering cannot drift
+/// from the sequential `gz/gy/gx` loop that bit-identity rests on.
 pub(crate) fn flat_gid(groups: [usize; 3], flat: usize) -> [usize; 3] {
     [
         flat % groups[0],
@@ -2202,7 +2115,7 @@ where
     Ok(merged)
 }
 
-/// Worker threads for [`Interpreter::run_kernel_parallel`]:
+/// Worker threads for [`Interpreter::run_kernel_tiered`]:
 /// `ACCELOS_INTERP_THREADS` if set, else the host-wide `ACCELOS_THREADS`
 /// override (shared with the harness's sweep pool), else the host's
 /// available parallelism.
@@ -2462,6 +2375,21 @@ mod tests {
         }
         assert_verifies(&m);
         m
+    }
+
+    /// Run `kernel` on the bytecode VM's sharded path with `threads`
+    /// threads (the gate decides whether it actually shards).
+    fn run_sharded(
+        m: &Module,
+        mem: &mut DeviceMemory,
+        kernel: &str,
+        nd: NdRange,
+        args: &[ArgValue],
+        threads: usize,
+    ) -> Result<DynStats, InterpError> {
+        let mut interp = Interpreter::new(m);
+        interp.set_exec_tier(crate::bytecode::ExecTier::BytecodeOpt);
+        interp.run_kernel_bytecode(mem, kernel, nd, args, threads)
     }
 
     /// kernel void scale(global f32* buf, f32 k) { buf[gid] *= k; }
@@ -2788,9 +2716,7 @@ mod tests {
             let args = [ArgValue::Buffer(buf), ArgValue::Scalar(Value::F32(2.5))];
             let nd = NdRange::new_1d(64, 4);
             let stats = if parallel {
-                interp
-                    .run_kernel_parallel_with(&mut mem, "scale", nd, &args, 4)
-                    .unwrap()
+                run_sharded(&m, &mut mem, "scale", nd, &args, 4).unwrap()
             } else {
                 interp.run_kernel(&mut mem, "scale", nd, &args).unwrap()
             };
@@ -2841,9 +2767,7 @@ mod tests {
             let args = [ArgValue::Buffer(buf)];
             let stats = match threads {
                 None => interp.run_kernel(&mut mem, "tri", nd, &args).unwrap(),
-                Some(t) => interp
-                    .run_kernel_parallel_with(&mut mem, "tri", nd, &args, t)
-                    .unwrap(),
+                Some(t) => run_sharded(&m, &mut mem, "tri", nd, &args, t).unwrap(),
             };
             (mem, stats)
         };
@@ -2907,7 +2831,7 @@ mod tests {
             let nd = NdRange::new_1d(64, 1);
             let args = [ArgValue::Buffer(buf), ArgValue::Scalar(Value::F32(1.0))];
             if parallel {
-                interp.run_kernel_parallel_with(&mut mem, "scale", nd, &args, 4)
+                run_sharded(&m, &mut mem, "scale", nd, &args, 4)
             } else {
                 interp.run_kernel(&mut mem, "scale", nd, &args)
             }
@@ -2933,34 +2857,35 @@ mod tests {
             Interpreter::new(&m).can_parallelize("reduce"),
             "order-independent global atomic_add must parallelize"
         );
-        let run = |threads: usize| {
+        // `None` runs the sequential tree-walker.
+        let run = |threads: Option<usize>| {
             let mut mem = DeviceMemory::new();
             let input = mem.alloc(4 * 64);
             let out = mem.alloc(4);
             mem.write_i32(input, &(1..=64).collect::<Vec<_>>());
-            let stats = Interpreter::new(&m)
-                .run_kernel_parallel_with(
-                    &mut mem,
-                    "reduce",
-                    NdRange::new_1d(64, 16),
-                    &[
-                        ArgValue::Buffer(input),
-                        ArgValue::Buffer(out),
-                        ArgValue::Local { elems: 16 },
-                    ],
-                    threads,
-                )
-                .unwrap();
+            let nd = NdRange::new_1d(64, 16);
+            let args = [
+                ArgValue::Buffer(input),
+                ArgValue::Buffer(out),
+                ArgValue::Local { elems: 16 },
+            ];
+            let stats = match threads {
+                None => Interpreter::new(&m).run_kernel(&mut mem, "reduce", nd, &args),
+                Some(t) => run_sharded(&m, &mut mem, "reduce", nd, &args, t),
+            }
+            .unwrap();
             (mem.read_i32(out)[0], stats)
         };
-        let (seq_sum, seq_stats) = run(1);
+        let (seq_sum, seq_stats) = run(None);
         assert_eq!(seq_sum, (1..=64).sum::<i32>());
-        let (par_sum, par_stats) = run(4);
-        assert_eq!(par_sum, seq_sum);
-        assert_eq!(
-            seq_stats, par_stats,
-            "deterministic contention must keep stats bit-identical"
-        );
+        for threads in [1, 4] {
+            let (par_sum, par_stats) = run(Some(threads));
+            assert_eq!(par_sum, seq_sum);
+            assert_eq!(
+                seq_stats, par_stats,
+                "deterministic contention must keep stats bit-identical"
+            );
+        }
     }
 
     #[test]
@@ -2988,12 +2913,13 @@ mod tests {
         let out = mem.alloc(4 * 16);
         let args = [ArgValue::Buffer(ctr), ArgValue::Buffer(out)];
         assert!(!interp.parallel_eligible("rank", nd, &args));
-        interp
-            .run_kernel_parallel_with(&mut mem, "rank", nd, &args, 4)
-            .unwrap();
+        let mut seq_mem = mem.clone();
+        let seq_stats = interp.run_kernel(&mut seq_mem, "rank", nd, &args).unwrap();
+        let stats = run_sharded(&m, &mut mem, "rank", nd, &args, 4).unwrap();
         // Sequential fallback assigns ranks in flat group order.
         assert_eq!(mem.read_i32(out), (0..16).collect::<Vec<_>>());
         assert_eq!(mem.read_i32(ctr), vec![16]);
+        assert_eq!((mem, stats), (seq_mem, seq_stats));
     }
 
     #[test]
@@ -3119,7 +3045,7 @@ mod tests {
             if threads == 0 {
                 interp.run_kernel(&mut mem, "mis", nd, &args)
             } else {
-                interp.run_kernel_parallel_with(&mut mem, "mis", nd, &args, threads)
+                run_sharded(&m, &mut mem, "mis", nd, &args, threads)
             }
             .unwrap_err()
         };
@@ -3145,22 +3071,23 @@ mod tests {
         b.ret(None);
         let m = module_of(vec![b.finish()]);
         assert!(Interpreter::new(&m).can_parallelize("k"));
-        let run = |threads: usize| {
+        // `None` runs the sequential tree-walker.
+        let run = |threads: Option<usize>| {
             let mut mem = DeviceMemory::new();
             let buf = mem.alloc(4 * 16);
-            Interpreter::new(&m)
-                .run_kernel_parallel_with(
-                    &mut mem,
-                    "k",
-                    NdRange::new_1d(16, 4),
-                    &[ArgValue::Buffer(buf)],
-                    threads,
-                )
-                .unwrap();
-            mem.read_i32(buf)
+            let nd = NdRange::new_1d(16, 4);
+            let args = [ArgValue::Buffer(buf)];
+            let stats = match threads {
+                None => Interpreter::new(&m).run_kernel(&mut mem, "k", nd, &args),
+                Some(t) => run_sharded(&m, &mut mem, "k", nd, &args, t),
+            }
+            .unwrap();
+            (mem.read_i32(buf), stats)
         };
-        assert_eq!(run(1), vec![4; 16]);
-        assert_eq!(run(4), vec![4; 16]);
+        let seq = run(None);
+        assert_eq!(seq.0, vec![4; 16]);
+        assert_eq!(run(Some(1)), seq);
+        assert_eq!(run(Some(4)), seq);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //!    racy shapes, optional buffer aliasing, random launch geometry) are
 //!    run through the shadow-mode dynamic race oracle. The static gate must
 //!    be *sound*: whenever `parallel_eligible` admits a launch, the oracle
-//!    must observe zero cross-group conflicts AND the parallel interpreter
-//!    must be bit-identical to the sequential one.
+//!    must observe zero cross-group conflicts AND the bytecode VM's sharded
+//!    path must be bit-identical to the sequential tree-walker.
 //! 2. **Parboil sweep** — every bundled benchmark kernel at its real launch
 //!    shape: an admitted launch is never oracle-racy, and the kernels the
 //!    analyzer newly widened past the old `uses_global_atomics` gate
@@ -28,8 +28,8 @@ use parboil::KernelSpec;
 use proptest::prelude::*;
 
 /// One differential run: static verdict + launch gate vs the dynamic
-/// oracle vs bit-level parallel/sequential comparison — with every leg
-/// repeated on the bytecode tier.
+/// oracle vs bit-level comparison of the bytecode tier, sequential and
+/// sharded, against the sequential tree-walker.
 fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool, threads: usize) {
     let module = build_kernel(pattern, c);
     let interp = Interpreter::new(&module);
@@ -65,24 +65,14 @@ fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool
         oracle.conflicts.first(),
     );
 
-    // Bit-identity: parallel execution (which itself consults the gate and
-    // falls back when ineligible) must match sequential execution exactly.
     let mut seq_mem = mem.clone();
     let seq_stats = interp
         .run_kernel(&mut seq_mem, "k", nd, &args)
         .expect("sequential run succeeds");
-    let mut par_mem = mem.clone();
-    interp
-        .run_kernel_parallel_with(&mut par_mem, "k", nd, &args, threads)
-        .expect("parallel run succeeds");
-    assert_eq!(
-        seq_mem, par_mem,
-        "{pattern:?} c={c} local={local} groups={groups} alias={alias} diverged \
-         in parallel (eligible={eligible})"
-    );
 
-    // Bytecode tier, sequential and parallel, must be bit-identical to
-    // the tree-walker — memory bytes AND every DynStats counter (the
+    // Bytecode tier, sequential and sharded (which itself consults the
+    // gate and runs in flat order when ineligible), must be bit-identical
+    // to the tree-walker — memory bytes AND every DynStats counter (the
     // weight-preservation contract).
     let mut bc = Interpreter::new(&module);
     bc.set_exec_tier(ExecTier::BytecodeOpt);
@@ -226,17 +216,23 @@ fn widened_atomic_kernels_run_parallel_bit_identically() {
 
         let (mut ctx, nd, kernel) = prepare(spec);
         let args = kernel.resolved_args().expect("args resolved");
-        let interp = Interpreter::with_facts(kernel.module(), kernel.facts());
+        let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
+        assert!(
+            interp.parallel_eligible_in(ctx.memory_mut(), kernel.name(), nd, &args),
+            "`{name}` must be admitted at its launch shape"
+        );
         let mut seq_mem = ctx.memory_mut().clone();
-        interp
+        let seq_stats = interp
             .run_kernel(&mut seq_mem, kernel.name(), nd, &args)
             .expect("sequential run");
+        interp.set_exec_tier(ExecTier::BytecodeOpt);
         let mut par_mem = ctx.memory_mut().clone();
-        interp
-            .run_kernel_parallel_with(&mut par_mem, kernel.name(), nd, &args, 4)
+        let par_stats = interp
+            .run_kernel_bytecode(&mut par_mem, kernel.name(), nd, &args, 4)
             .expect("parallel run");
         assert_eq!(
-            seq_mem, par_mem,
+            (seq_mem, seq_stats),
+            (par_mem, par_stats),
             "`{name}` diverged under parallel execution"
         );
         widened += 1;

@@ -12,11 +12,13 @@
 //! planes (the shared `testgen` corpus — including the atomics-bearing
 //! kernels accelcheck admits into the parallel path — and minicl-compiled
 //! kernels with loops, barriers, local memory and helpers) plus directed
-//! endpoints for the fallback and trap-parity rules.
+//! endpoints for trap parity: each construct the verifier rejects lowers
+//! to a trap that fails only when reached, with the tree-walker's error.
 
 use kernel_ir::bytecode::ExecTier;
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
+use kernel_ir::InterpError;
 use proptest::prelude::*;
 
 /// Run `module`'s kernel `k` on the bytecode tier, sequentially and on
@@ -92,10 +94,10 @@ fn check_generated(
     ];
     let nd = NdRange::new_1d(items, local);
 
-    // The whole corpus lowers — no silent fallback hiding the comparison.
+    // The whole corpus runs on the VM.
     assert!(
         Interpreter::new(&module).bytecode_supported(&mem, "k", nd, &args),
-        "{pattern:?} c={c} unexpectedly refused by the lowering"
+        "{pattern:?} c={c} unexpectedly off the bytecode tier"
     );
     let what = format!("{pattern:?} c={c} local={local} groups={groups} n={n}");
     assert_tiers_agree(&module, &mem, nd, &args, threads, &what);
@@ -208,48 +210,170 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Directed endpoints: fallback and trap parity
+// Directed endpoints: trap parity
 // ---------------------------------------------------------------------------
 
-#[test]
-fn unsupported_kernels_fall_back_to_the_tree_walker() {
+/// The six constructs the verifier rejects and the lowering turns into
+/// traps.
+#[derive(Debug, Clone, Copy)]
+enum Unverified {
+    UnknownCallee,
+    GlobalAlloca,
+    HelperLocalAlloca,
+    LoadWithoutResult,
+    UnterminatedBlock,
+    GepThroughNonPointer,
+}
+
+const UNVERIFIED: [Unverified; 6] = [
+    Unverified::UnknownCallee,
+    Unverified::GlobalAlloca,
+    Unverified::HelperLocalAlloca,
+    Unverified::LoadWithoutResult,
+    Unverified::UnterminatedBlock,
+    Unverified::GepThroughNonPointer,
+];
+
+/// `kernel void k(global int* out)` storing each item's id to `out[gid]`,
+/// with `construct` in a side block that an always-true branch enters
+/// when `reached` and skips otherwise. The kernel's first instruction is a
+/// local alloca at the coordinates of the helper's, so a helper that
+/// borrowed the kernel's slot would run instead of trapping.
+fn unverified_kernel(construct: Unverified, reached: bool) -> kernel_ir::ir::Module {
     use kernel_ir::builder::FunctionBuilder;
     use kernel_ir::ir::{CmpOp, FunctionKind, Module, WiBuiltin};
     use kernel_ir::types::{AddressSpace, Type};
 
-    // A call to an unknown function is a *runtime* error in the tree-walker
-    // — and only if the call is actually reached. Lowering refuses the
-    // whole kernel so the fallback preserves that only-if-reached shape.
     let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
     let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
+    let _tile = b.alloca(Type::I32, 4, AddressSpace::Local);
     let gid = b.work_item(WiBuiltin::GlobalId, 0);
     let gid32 = b.cast(Type::I32, gid);
     let always = b.cmp(CmpOp::Eq, gid, gid);
-    let dead = b.new_block();
+    let side = b.new_block();
     let live = b.new_block();
-    b.cond_br(always, live, dead);
-    b.switch_to(dead);
-    b.call("missing", vec![], Type::I32);
+    if reached {
+        b.cond_br(always, side, live);
+    } else {
+        b.cond_br(always, live, side);
+    }
+    b.switch_to(side);
+    match construct {
+        Unverified::UnknownCallee => {
+            b.call("missing", vec![], Type::I32);
+        }
+        Unverified::GlobalAlloca => {
+            b.alloca(Type::I32, 1, AddressSpace::Global);
+        }
+        Unverified::HelperLocalAlloca => {
+            b.call("h", vec![], Type::Void);
+        }
+        Unverified::LoadWithoutResult => {
+            let p = b.gep(out, gid);
+            b.load(p);
+        }
+        Unverified::UnterminatedBlock => {}
+        Unverified::GepThroughNonPointer => {
+            b.gep(gid, gid);
+        }
+    }
     b.br(live);
     b.switch_to(live);
     let p = b.gep(out, gid);
     b.store(p, gid32);
     b.ret(None);
+    let mut kernel = b.finish();
+    let side = &mut kernel.blocks[side.index()];
+    match construct {
+        Unverified::LoadWithoutResult => side.insts.last_mut().unwrap().result = None,
+        Unverified::UnterminatedBlock => side.term = None,
+        _ => {}
+    }
     let mut module = Module::new();
-    module.insert_function(b.finish());
+    module.insert_function(kernel);
+    if let Unverified::HelperLocalAlloca = construct {
+        let mut h = FunctionBuilder::new("h", FunctionKind::Helper, Type::Void);
+        let _slot = h.alloca(Type::I32, 4, AddressSpace::Local);
+        h.ret(None);
+        module.insert_function(h.finish());
+    }
+    assert!(
+        kernel_ir::verify::verify_module(&module).is_err(),
+        "{construct:?} must be rejected by the verifier"
+    );
+    module
+}
 
+fn unverified_launch() -> (DeviceMemory, NdRange, [ArgValue; 1]) {
     let mut mem = DeviceMemory::new();
     let buf = mem.alloc(4 * 8);
-    let args = [ArgValue::Buffer(buf)];
-    let nd = NdRange::new_1d(8, 4);
+    (mem, NdRange::new_1d(8, 4), [ArgValue::Buffer(buf)])
+}
 
-    let interp = Interpreter::new(&module);
-    assert!(
-        !interp.bytecode_supported(&mem, "k", nd, &args),
-        "unknown callee must refuse to lower"
-    );
-    // Every tier still succeeds (via fallback) with identical results.
-    assert_tiers_agree(&module, &mem, nd, &args, 3, "unknown-callee fallback");
+#[test]
+fn unreached_traps_leave_the_tiers_identical() {
+    // A construct the verifier rejects fails only where a work item
+    // reaches it; skipped, it changes nothing on either tier.
+    for construct in UNVERIFIED {
+        let module = unverified_kernel(construct, false);
+        let (mem, nd, args) = unverified_launch();
+        assert!(
+            Interpreter::new(&module).bytecode_supported(&mem, "k", nd, &args),
+            "{construct:?}: every launch that plans lowers"
+        );
+        assert_tiers_agree(&module, &mem, nd, &args, 3, &format!("{construct:?}"));
+    }
+}
+
+#[test]
+fn reached_traps_raise_the_tree_walkers_error() {
+    // Where the tree-walker has an error for the construct, the VM's trap
+    // raises the same one, sequentially and sharded.
+    for construct in [
+        Unverified::UnknownCallee,
+        Unverified::GlobalAlloca,
+        Unverified::HelperLocalAlloca,
+    ] {
+        let module = unverified_kernel(construct, true);
+        let (mem, nd, args) = unverified_launch();
+        let tree_err = Interpreter::new(&module)
+            .run_kernel(&mut mem.clone(), "k", nd, &args)
+            .expect_err("tree-walker must fail")
+            .to_string();
+        let mut bc = Interpreter::new(&module);
+        bc.set_exec_tier(ExecTier::BytecodeOpt);
+        for threads in [1, 3] {
+            let bc_err = bc
+                .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, threads)
+                .expect_err("bytecode tier must fail")
+                .to_string();
+            assert_eq!(tree_err, bc_err, "{construct:?} x{threads}");
+        }
+    }
+}
+
+#[test]
+fn reached_traps_return_invalid_instead_of_panicking() {
+    // The runtime gives the tree-walker only verified modules: it panics
+    // on the first two and fails the gep with a value-dependent text. The
+    // VM returns `InterpError::Invalid` for all three.
+    for construct in [
+        Unverified::LoadWithoutResult,
+        Unverified::UnterminatedBlock,
+        Unverified::GepThroughNonPointer,
+    ] {
+        let module = unverified_kernel(construct, true);
+        let (mem, nd, args) = unverified_launch();
+        let mut bc = Interpreter::new(&module);
+        bc.set_exec_tier(ExecTier::BytecodeOpt);
+        for threads in [1, 3] {
+            let err = bc.run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, threads);
+            assert!(
+                matches!(err, Err(InterpError::Invalid(_))),
+                "{construct:?} x{threads}: {err:?}"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,11 +2,11 @@
 //!
 //! Two independent guarantees are asserted:
 //!
-//! 1. **Interpreter** — `run_kernel_parallel` produces byte-identical
-//!    `DeviceMemory` and identical `DynStats` to the sequential
-//!    interpreter across the bundled Parboil kernel set, auto-falling
-//!    back to sequential execution for kernels that use global-memory
-//!    atomics.
+//! 1. **Interpreter** — the bytecode VM's sharded path
+//!    (`run_kernel_bytecode`) produces byte-identical `DeviceMemory` and
+//!    identical `DynStats` to the sequential tree-walker across the
+//!    bundled Parboil kernel set, running groups in flat order for
+//!    launches the race analysis cannot prove race-free.
 //! 2. **Sweep** — the rayon-parallel sweep reproduces the sequential
 //!    sweep's metric tables exactly (bit-identical floats), because
 //!    per-repetition seeds derive from `(workload, rep)` rather than
@@ -17,13 +17,34 @@ use accel_harness::runner::Runner;
 use accel_harness::workloads::SweepConfig;
 use accelos::policy::PolicySet;
 use gpu_sim::DeviceConfig;
-use kernel_ir::interp::{DeviceMemory, DynStats, Interpreter, NdRange};
+use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange};
+use kernel_ir::{ExecTier, Module};
 use parboil::datasets::prepare_launch;
 use parboil::KernelSpec;
 
+/// Run `kernel` on `threads` threads: `None` runs the sequential
+/// tree-walker, `Some(threads)` the bytecode VM's sharded path.
+fn run_on(
+    module: &Module,
+    mem: &mut DeviceMemory,
+    kernel: &str,
+    nd: NdRange,
+    args: &[ArgValue],
+    threads: Option<usize>,
+) -> Result<DynStats, kernel_ir::InterpError> {
+    let mut interp = Interpreter::new(module);
+    match threads {
+        None => interp.run_kernel(mem, kernel, nd, args),
+        Some(t) => {
+            interp.set_exec_tier(ExecTier::BytecodeOpt);
+            interp.run_kernel_bytecode(mem, kernel, nd, args, t)
+        }
+    }
+}
+
 /// Run one Parboil kernel functionally on a fresh context; returns the
-/// final device memory and the dynamic statistics. `None` runs the
-/// sequential interpreter; `Some(threads)` the parallel one.
+/// final device memory and the dynamic statistics (see [`run_on`] for
+/// `threads`).
 fn run_functional(spec: &KernelSpec, threads: Option<usize>) -> (DeviceMemory, DynStats) {
     use clrt::{Context, Platform, Program};
     let mut ctx = Context::new(&Platform::nvidia());
@@ -31,12 +52,15 @@ fn run_functional(spec: &KernelSpec, threads: Option<usize>) -> (DeviceMemory, D
     let prepared = prepare_launch(spec, &mut ctx, &program, 1, 7).expect("prepare");
     let kernel = prepared.kernel;
     let args = kernel.resolved_args().expect("args resolved");
-    let interp = Interpreter::new(kernel.module());
     let nd: NdRange = prepared.ndrange;
-    let stats = match threads {
-        None => interp.run_kernel(ctx.memory_mut(), kernel.name(), nd, &args),
-        Some(t) => interp.run_kernel_parallel_with(ctx.memory_mut(), kernel.name(), nd, &args, t),
-    }
+    let stats = run_on(
+        kernel.module(),
+        ctx.memory_mut(),
+        kernel.name(),
+        nd,
+        &args,
+        threads,
+    )
     .unwrap_or_else(|e| panic!("`{}` failed: {e}", spec.name));
     (ctx.memory_mut().clone(), stats)
 }
@@ -120,7 +144,6 @@ fn tapered_stealing_covers_tiny_launches() {
     // with the sequential interpreter is structural either way — this
     // pins it across every 1–9-group shape at 1–8 threads.
     use clrt::{Arg, Context, Platform, Program};
-    use kernel_ir::interp::ArgValue;
     const SRC: &str = "kernel void fill(global float* b) {
         size_t i = get_global_id(0);
         b[i] = b[i] * 3.0f + 1.0f;
@@ -137,11 +160,14 @@ fn tapered_stealing_covers_tiny_launches() {
             ctx.write_f32(buf, &vec![2.0; items]).expect("write");
             kernel.set_arg(0, Arg::Buffer(buf)).expect("bind");
             let args: Vec<ArgValue> = kernel.resolved_args().expect("args resolved");
-            let interp = Interpreter::new(kernel.module());
-            let stats = match threads {
-                None => interp.run_kernel(ctx.memory_mut(), "fill", nd, &args),
-                Some(t) => interp.run_kernel_parallel_with(ctx.memory_mut(), "fill", nd, &args, t),
-            }
+            let stats = run_on(
+                kernel.module(),
+                ctx.memory_mut(),
+                "fill",
+                nd,
+                &args,
+                threads,
+            )
             .unwrap_or_else(|e| panic!("{groups}-group launch failed: {e}"));
             (ctx.read_f32(buf).expect("read"), stats)
         };
