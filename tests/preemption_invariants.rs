@@ -20,15 +20,16 @@
 //!   bit-identical to `accelos` through the whole preemptive pipeline
 //!   (cohort planning, estimates plumbing included);
 //! * golden snapshots of the mixed-priority and deadline scenarios'
-//!   `SimReport`s (regenerate with
+//!   `SimReport`s, and the engine-identity golden: one digest line per
+//!   seeded random episode on three devices (regenerate with
 //!   `BLESS=1 cargo test --test preemption_invariants`).
 
 use accel_harness::experiments::priority_workload;
 use accel_harness::runner::Runner;
 use accelos::policy::{AccelOsPolicy, DeadlinePolicy, PriorityPolicy, SchedulingPolicy, SlaPolicy};
 use gpu_sim::{
-    DeviceConfig, FaultEvent, FaultKind, FaultPlan, FaultSpec, KernelLaunch, LaunchId, LaunchPlan,
-    ReclaimCmd, ResumeCmd, Simulator, TraceKind, WorkGroupReq,
+    DeviceConfig, FailureDomain, FaultEvent, FaultKind, FaultPlan, FaultSpec, KernelLaunch,
+    KernelReport, LaunchId, LaunchPlan, ReclaimCmd, ResumeCmd, Simulator, TraceKind, WorkGroupReq,
 };
 use parboil::KernelSpec;
 use proptest::prelude::*;
@@ -116,14 +117,13 @@ fn random_episode(seed: u64) -> (Vec<KernelLaunch>, Vec<ReclaimCmd>, Vec<ResumeC
     (launches, reclaims, resumes)
 }
 
-/// Random fault schedule for the tiny device: CU failures (repairable and
-/// permanent — never permanently killing the last CU, matching the
-/// [`FaultPlan::from_spec`] guarantee), stragglers, and — when `aborts`
-/// is allowed — kernel aborts. Seeded separately from the episode so the
-/// two schedules decorrelate.
-fn random_faults(seed: u64, n_launches: usize, aborts: bool) -> FaultPlan {
+/// Random fault schedule for a device of `num_cus` compute units: CU
+/// failures (repairable and permanent — never permanently killing the
+/// last CU, matching the [`FaultPlan::from_spec`] guarantee), stragglers,
+/// and — when `aborts` is allowed — kernel aborts. Seeded separately from
+/// the episode so the two schedules decorrelate.
+fn random_faults(seed: u64, num_cus: usize, n_launches: usize, aborts: bool) -> FaultPlan {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xfa17);
-    let num_cus = DeviceConfig::test_tiny().num_cus;
     let mut events = Vec::new();
     let mut dead: Vec<usize> = Vec::new();
     for _ in 0..rng.random_range(0..3usize) {
@@ -366,7 +366,7 @@ proptest! {
     #[test]
     fn work_is_conserved_and_retried_exactly_once_under_faults(seed in 0u64..10_000) {
         let (launches, reclaims, resumes) = random_episode(seed);
-        let faults = random_faults(seed, launches.len(), false);
+        let faults = random_faults(seed, DeviceConfig::test_tiny().num_cus, launches.len(), false);
         let mut sim = Simulator::new(DeviceConfig::test_tiny()).with_trace();
         let ids: Vec<LaunchId> = launches.iter().cloned().map(|l| sim.add_launch(l)).collect();
         for r in &reclaims {
@@ -408,7 +408,7 @@ proptest! {
     #[test]
     fn no_cu_is_double_booked_under_faults(seed in 0u64..10_000) {
         let (launches, reclaims, resumes) = random_episode(seed);
-        let faults = random_faults(seed, launches.len(), true);
+        let faults = random_faults(seed, DeviceConfig::test_tiny().num_cus, launches.len(), true);
         let cfg = DeviceConfig::test_tiny();
         let run = |linear: bool| {
             let mut sim = Simulator::new(cfg.clone()).with_trace();
@@ -453,7 +453,7 @@ proptest! {
     fn same_seed_fault_runs_are_byte_identical(seed in 0u64..2_500) {
         let run = || {
             let (launches, reclaims, resumes) = random_episode(seed);
-            let faults = random_faults(seed, launches.len(), true);
+            let faults = random_faults(seed, DeviceConfig::test_tiny().num_cus, launches.len(), true);
             let mut sim = Simulator::new(DeviceConfig::test_tiny()).with_trace();
             for l in launches {
                 sim.add_launch(l);
@@ -645,4 +645,169 @@ fn faulty_harness_runs_are_deterministic_and_zero_fault_is_identity() {
     let plain = runner.preemptive_report(&ctx, &policy, &arrivals);
     assert_eq!(clean, plain, "zero faults must not perturb the timeline");
     assert_eq!(clean.faults_injected, 0);
+}
+
+/// The devices of the engine-identity golden: the tiny test device, the
+/// K20m preset, and a 130-CU K20m so CU sets span three 64-bit words.
+fn golden_devices() -> Vec<DeviceConfig> {
+    let mut wide = DeviceConfig::k20m();
+    wide.name = "wide-130".into();
+    wide.num_cus = 130;
+    vec![DeviceConfig::test_tiny(), DeviceConfig::k20m(), wide]
+}
+
+/// One seeded episode of the engine-identity golden on `cfg`: the
+/// [`random_episode`] launches, reclaims and resumes, plus a hardware
+/// launch wide enough to reach every CU, a static launch, a pressured
+/// reclaim with a chunk cap, [`random_faults`] over the whole device, and
+/// repairable failures of evenly split domains.
+fn golden_episode(cfg: &DeviceConfig, seed: u64, aborts: bool) -> Simulator {
+    let (mut launches, mut reclaims, resumes) = random_episode(seed);
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x601d);
+    let n = cfg.num_cus;
+    let req = |rng: &mut StdRng| WorkGroupReq {
+        threads: [64, 128][rng.random_range(0..2usize)],
+        local_mem: 0,
+        regs_per_thread: 1,
+    };
+    let hw_wgs = rng.random_range(1..(cfg.wg_slots_per_cu as usize + 1) * n);
+    launches.push(KernelLaunch {
+        name: "hw".into(),
+        arrival: rng.random_range(0..3_000u64),
+        req: req(&mut rng),
+        mem_intensity: rng.random_range(0..11u32) as f64 / 10.0,
+        plan: LaunchPlan::Hardware {
+            wg_costs: (0..hw_wgs)
+                .map(|_| rng.random_range(20..400u64))
+                .collect::<Vec<_>>()
+                .into(),
+        },
+        max_workers: None,
+    });
+    let static_workers = rng.random_range(1..n + 3);
+    launches.push(KernelLaunch {
+        name: "static".into(),
+        arrival: rng.random_range(0..3_000u64),
+        req: req(&mut rng),
+        mem_intensity: rng.random_range(0..11u32) as f64 / 10.0,
+        plan: LaunchPlan::PersistentStatic {
+            assignments: (0..static_workers)
+                .map(|_| {
+                    (0..rng.random_range(0..6usize))
+                        .map(|_| rng.random_range(10..200u64))
+                        .collect()
+                })
+                .collect(),
+            per_vg_overhead: 2,
+        },
+        max_workers: None,
+    });
+    if rng.random_range(0..2u32) == 0 {
+        reclaims.push(ReclaimCmd {
+            at: rng.random_range(0..6_000u64),
+            launch: LaunchId(0),
+            workers: rng.random_range(1..4u32),
+            pressure: Some(LaunchId(launches.len() as u32 - 2)),
+            chunk: Some(rng.random_range(1..3u32)),
+        });
+    }
+    let domains = FailureDomain::split_evenly(n, rng.random_range(1..4usize).min(n));
+    let mut plan = random_faults(seed, n, launches.len(), aborts);
+    for _ in 0..rng.random_range(0..2usize) {
+        let at = rng.random_range(0..10_000u64);
+        plan.events.push(FaultEvent {
+            at,
+            kind: FaultKind::DomainFailure {
+                domain: rng.random_range(0..domains.len()),
+                repair_at: Some(at + rng.random_range(500..4_000u64)),
+            },
+        });
+    }
+    let mut sim = Simulator::new(cfg.clone())
+        .with_trace()
+        .with_domains(domains);
+    for l in launches {
+        sim.add_launch(l);
+    }
+    for r in reclaims {
+        sim.add_reclaim(r);
+    }
+    for r in resumes {
+        sim.add_resume(r);
+    }
+    sim.with_faults(plan)
+}
+
+/// FNV-1a: a digest that is stable across toolchains and platforms.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The engine-identity golden: about 200 seeded episodes (every plan
+/// kind, reclaim/pause/resume, CU and domain failures with repair,
+/// stragglers, with and without aborts) on three devices, one line each
+/// with the makespan, the fault count, the placement counters and a
+/// digest of every [`KernelReport`] field and the full trace. Any change
+/// to event order, placement or contention arithmetic moves a line.
+#[test]
+fn engine_episodes_match_golden_digests() {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for cfg in golden_devices() {
+        for seed in 0..66u64 {
+            let aborts = seed % 2 == 1;
+            let (report, stats) = golden_episode(&cfg, seed, aborts).run_with_stats();
+            let mut canon = String::new();
+            for k in &report.kernels {
+                let KernelReport {
+                    id,
+                    name,
+                    arrival,
+                    first_start,
+                    end,
+                    busy_intervals,
+                    machine_wgs,
+                    groups_executed,
+                    preemptions,
+                    reclaimed_workers,
+                    pauses,
+                    resumes,
+                    resumed_workers,
+                    chunks_lost,
+                    groups_retried,
+                    aborted,
+                } = k;
+                writeln!(
+                    canon,
+                    "{id:?} {name} {arrival} {first_start:?} {end} {busy_intervals:?} \
+                     {machine_wgs} {groups_executed} {preemptions} {reclaimed_workers} \
+                     {pauses} {resumes} {resumed_workers} {chunks_lost} {groups_retried} \
+                     {aborted}"
+                )
+                .unwrap();
+            }
+            for e in &report.trace {
+                writeln!(canon, "{} {} {} {:?}", e.time, e.launch.0, e.cu, e.kind).unwrap();
+            }
+            writeln!(
+                out,
+                "{} seed={seed} aborts={aborts} makespan={} faults={} attempts={} \
+                 cu_visits={} trace={} digest={:016x}",
+                cfg.name,
+                report.makespan,
+                report.faults_injected,
+                stats.attempts,
+                stats.cu_visits,
+                report.trace.len(),
+                fnv1a(canon.as_bytes())
+            )
+            .unwrap();
+        }
+    }
+    assert_matches_golden(
+        &out,
+        concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_episodes.txt"),
+    );
 }
