@@ -54,8 +54,8 @@ use crate::config::{DeviceConfig, WorkGroupReq};
 use crate::fault::{FailureDomain, FaultEvent, FaultKind, FaultPlan};
 use crate::launch::{KernelLaunch, LaunchId, LaunchPlan, ReclaimCmd, ResumeCmd};
 use crate::report::{KernelReport, SimReport, TraceEvent, TraceKind};
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
+use std::cmp::Ordering;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Discrete-event simulator for one device executing a set of kernel
 /// launches.
@@ -125,6 +125,10 @@ struct Task {
     launch: usize,
     kind: TaskKind,
     cu: usize,
+    /// Index of this task in `cus[cu].resident` while it is resident, so
+    /// a completion or abort unlinks it without scanning the list. `u32`
+    /// fits in the padding after `lost`, keeping `Task` at 80 bytes.
+    rslot: u32,
     /// Index of this task among its launch's machine work groups, fixed at
     /// creation (avoids the O(tasks) rescans a positional lookup would
     /// need on every static-worker segment).
@@ -209,7 +213,7 @@ struct KernelRt {
     retried: usize,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Event {
     Arrival(usize),
     PhaseDone(usize),
@@ -225,6 +229,140 @@ enum Event {
     /// A failed CU comes back (scheduled by a
     /// [`crate::FaultKind::CuFailure`] with a repair time).
     Repair(usize),
+}
+
+/// One pending event, ordered by its packed `(time, seq)` key alone and
+/// reversed so `BinaryHeap` (a max-heap) yields the earliest key first.
+/// Sequence numbers are unique, so no two entries compare equal.
+#[derive(Debug)]
+struct QueueEntry {
+    key: u128,
+    ev: Event,
+}
+
+impl PartialEq for QueueEntry {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl Eq for QueueEntry {}
+
+impl PartialOrd for QueueEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for QueueEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// The pending-event queue: a binary min-heap on `(time, seq)` with a
+/// replace-top fast path. The run loop [`peek`](Self::peek)s the earliest
+/// event and handles it while it is still the root; the first event the
+/// handler [`push`](Self::push)es overwrites the root (one sift-down
+/// instead of a pop plus a push), and [`finish`](Self::finish) pops the
+/// root only if the handler pushed nothing. The pop order is the one a
+/// pop-then-push queue gives because every key pushed while the root is
+/// being handled is larger than the root's (`time >= now`, and `seq`
+/// only grows) and no handler reads the queue.
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<QueueEntry>,
+    /// The root was handed out by `peek` and is not yet replaced or
+    /// popped.
+    spent: bool,
+}
+
+impl EventQueue {
+    fn push(&mut self, time: u64, seq: u64, ev: Event) {
+        let entry = QueueEntry {
+            key: (time as u128) << 64 | seq as u128,
+            ev,
+        };
+        if self.spent {
+            self.spent = false;
+            let mut root = self.heap.peek_mut().expect("a spent root exists");
+            debug_assert!(entry.key > root.key, "event keys must grow");
+            *root = entry;
+        } else {
+            self.heap.push(entry);
+        }
+    }
+
+    /// The earliest pending event as `(time, seq, event)`; it stays in
+    /// the queue until the next `push` replaces it or `finish` pops it.
+    fn peek(&mut self) -> Option<(u64, u64, Event)> {
+        debug_assert!(!self.spent, "finish the previous event first");
+        let root = self.heap.peek()?;
+        self.spent = true;
+        Some(((root.key >> 64) as u64, root.key as u64, root.ev))
+    }
+
+    /// Retire the peeked event if no `push` replaced it.
+    fn finish(&mut self) {
+        if std::mem::take(&mut self.spent) {
+            self.heap.pop();
+        }
+    }
+}
+
+/// A set of CU indices as a bitset: O(1) insert and remove, iteration in
+/// ascending index order.
+#[derive(Debug)]
+struct CuSet {
+    words: Vec<u64>,
+}
+
+impl CuSet {
+    fn new(num_cus: usize) -> Self {
+        CuSet {
+            words: vec![0; num_cus.div_ceil(64)],
+        }
+    }
+
+    fn insert(&mut self, cu: usize) {
+        self.words[cu / 64] |= 1 << (cu % 64);
+    }
+
+    fn remove(&mut self, cu: usize) {
+        self.words[cu / 64] &= !(1 << (cu % 64));
+    }
+
+    fn iter(&self) -> CuSetIter<'_> {
+        CuSetIter {
+            words: &self.words,
+            base: 0,
+            word: self.words.first().copied().unwrap_or(0),
+        }
+    }
+}
+
+/// Ascending iterator over a [`CuSet`].
+#[derive(Debug, Clone)]
+struct CuSetIter<'a> {
+    words: &'a [u64],
+    /// CU index of bit 0 of `word`.
+    base: usize,
+    /// Bits of the current word not yet yielded.
+    word: u64,
+}
+
+impl Iterator for CuSetIter<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        while self.word == 0 {
+            self.base += 64;
+            self.word = *self.words.get(self.base / 64)?;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
 }
 
 impl Simulator {
@@ -262,7 +400,7 @@ impl Simulator {
     /// and resumed workers are placed round-robin/lowest-index with no
     /// regard for CU health history, exactly as the pre-health engine
     /// did. Zero-fault runs are identical either way (no CU ever turns
-    /// suspect); this knob exists so benchmarks can measure what health
+    /// suspect); this is a test oracle, so tests can check what health
     /// awareness buys under faults.
     pub fn with_blind_health(mut self) -> Self {
         self.health_blind = true;
@@ -271,8 +409,8 @@ impl Simulator {
 
     /// Force the historical linear CU scan for elastic-growth placement
     /// instead of the incremental ready-set index. Results are identical
-    /// (debug builds assert it on every placement); this knob exists so
-    /// benchmarks and differential tests can compare the two.
+    /// (debug builds assert it on every placement); this is a test
+    /// oracle, so differential tests can compare the two.
     pub fn with_linear_placement(mut self) -> Self {
         self.linear_placement = true;
         self
@@ -421,10 +559,11 @@ struct Engine {
     collect_trace: bool,
     now: u64,
     seq: u64,
-    /// Pending events keyed by (time, insertion sequence). Events are
-    /// small `Copy` payloads stored inline — no side table to grow
-    /// unboundedly or to indirect through on every pop.
-    heap: BinaryHeap<Reverse<(u64, u64, Event)>>,
+    /// Pending events keyed by (time, insertion sequence), with the
+    /// replace-top fast path of [`EventQueue`]. Events are small `Copy`
+    /// payloads stored inline — no side table to grow unboundedly or to
+    /// indirect through on every pop.
+    queue: EventQueue,
     cus: Vec<Cu>,
     tasks: Vec<Task>,
     kernels: Vec<KernelRt>,
@@ -436,9 +575,9 @@ struct Engine {
     /// placement can use. Maintained by `refresh_ready` at every
     /// start/finish/arrival/resume transition, so `rebalance` visits
     /// candidates instead of scanning every CU per growable launch.
-    /// `BTreeSet` iteration is ascending, which keeps the placement order
+    /// [`CuSet`] iteration is ascending, which keeps the placement order
     /// identical to the historical linear scan.
-    ready: BTreeSet<usize>,
+    ready: CuSet,
     /// Elastic-growth placement probe counters (reported by
     /// [`Simulator::run_with_stats`]).
     placement: PlacementStats,
@@ -449,6 +588,9 @@ struct Engine {
     resident_mem_load: f64,
     /// Sum over resident work groups of `threads * (1 - mem_intensity)`.
     resident_compute_load: f64,
+    /// The device pressures `(rho_m, rho_c)` derived from the two loads
+    /// above, computed on first use and cleared whenever a load changes.
+    rho: Option<(f64, f64)>,
     trace: Vec<TraceEvent>,
 }
 
@@ -553,9 +695,10 @@ impl Engine {
         }
         // Every CU starts empty with all its slots free (unless the device
         // has none), so the ready set starts full.
-        let ready = (0..config.num_cus)
-            .filter(|&c| cus[c].free_slots >= 1)
-            .collect();
+        let mut ready = CuSet::new(config.num_cus);
+        for c in (0..config.num_cus).filter(|&c| cus[c].free_slots >= 1) {
+            ready.insert(c);
+        }
         let num_launches = launches.len();
         let num_cus = config.num_cus;
         Engine {
@@ -575,7 +718,7 @@ impl Engine {
             collect_trace,
             now: 0,
             seq: 0,
-            heap: BinaryHeap::new(),
+            queue: EventQueue::default(),
             cus,
             tasks: Vec::new(),
             kernels,
@@ -586,13 +729,15 @@ impl Engine {
             rr_cursor: 0,
             resident_mem_load: 0.0,
             resident_compute_load: 0.0,
+            rho: None,
             trace: Vec::new(),
         }
     }
 
     fn schedule(&mut self, time: u64, ev: Event) {
+        debug_assert!(time >= self.now, "event scheduled in the past");
         self.seq += 1;
-        self.heap.push(Reverse((time, self.seq, ev)));
+        self.queue.push(time, self.seq, ev);
     }
 
     /// Schedule task `tid`'s next [`Event::PhaseDone`] and remember its
@@ -600,10 +745,8 @@ impl Engine {
     /// event (the run loop drops a `PhaseDone` whose sequence no longer
     /// matches the task's).
     fn schedule_phase(&mut self, time: u64, tid: usize) {
-        self.seq += 1;
+        self.schedule(time, Event::PhaseDone(tid));
         self.tasks[tid].phase_seq = self.seq;
-        self.heap
-            .push(Reverse((time, self.seq, Event::PhaseDone(tid))));
     }
 
     fn run(mut self) -> (SimReport, PlacementStats) {
@@ -616,7 +759,7 @@ impl Engine {
         for i in 0..self.faults.len() {
             self.schedule(self.faults[i].at, Event::Fault(i));
         }
-        while let Some(Reverse((time, seq, ev))) = self.heap.pop() {
+        while let Some((time, seq, ev)) = self.queue.peek() {
             self.now = time;
             match ev {
                 Event::Arrival(l) => self.on_arrival(l),
@@ -630,6 +773,7 @@ impl Engine {
                 Event::Fault(i) => self.on_fault(i),
                 Event::Repair(cu) => self.on_repair(cu),
             }
+            self.queue.finish();
         }
         let makespan = self.kernels.iter().map(|k| k.end).max().unwrap_or(0);
         let kernels = self
@@ -668,15 +812,14 @@ impl Engine {
 
     /// Re-derive CU `cu`'s membership in the ready-set index after any
     /// transition that touched its queue or slots (task start/finish,
-    /// arrival/resume enqueue). O(log CUs), called O(1) times per
-    /// transition — this is what keeps `rebalance` from rescanning the
-    /// whole device.
+    /// arrival/resume enqueue). O(1), called O(1) times per transition —
+    /// this is what keeps `rebalance` from rescanning the whole device.
     fn refresh_ready(&mut self, cu: usize) {
         let c = &self.cus[cu];
         if !c.failed && c.free_slots >= 1 && c.queue.is_empty() {
             self.ready.insert(cu);
         } else {
-            self.ready.remove(&cu);
+            self.ready.remove(cu);
         }
     }
 
@@ -746,7 +889,7 @@ impl Engine {
         let found = if self.linear_placement {
             self.place_scan(0..self.cus.len(), req, &mut visits)
         } else {
-            self.place_scan(self.ready.iter().copied(), req, &mut visits)
+            self.place_scan(self.ready.iter(), req, &mut visits)
         };
         self.placement.attempts += 1;
         self.placement.cu_visits += visits;
@@ -772,7 +915,7 @@ impl Engine {
             return;
         }
         let n = self.launches[l].plan.machine_wgs();
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for w in 0..n {
             let kind = match &self.launches[l].plan {
                 LaunchPlan::Hardware { wg_costs } => TaskKind::HardwareWg { cost: wg_costs[w] },
@@ -787,6 +930,7 @@ impl Engine {
                 launch: l,
                 kind,
                 cu,
+                rslot: 0,
                 wi: w,
                 phase_seq: 0,
                 in_flight: None,
@@ -845,13 +989,11 @@ impl Engine {
     }
 
     /// `try_start` each touched CU in ascending index order. The
-    /// ascending order (the historical order of the sorted `touched`
-    /// list) is observable and determinism-critical: each started task
-    /// snapshots the contention loads of its predecessors. Shared by
-    /// arrivals, resumes and fault migrations, which all enqueue
-    /// round-robin.
-    fn try_start_each(&mut self, touched: &BTreeSet<usize>) {
-        for &cu in touched {
+    /// ascending order is observable and determinism-critical: each
+    /// started task snapshots the contention loads of its predecessors.
+    /// Shared by arrivals, resumes, fault migrations and aborts.
+    fn try_start_each(&mut self, touched: &CuSet) {
+        for cu in touched.iter() {
             self.try_start(cu);
         }
     }
@@ -946,7 +1088,7 @@ impl Engine {
         if missing == 0 {
             return;
         }
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for _ in 0..missing {
             let cu = self.next_rr_cu_healthy();
             let tid = self.tasks.len();
@@ -955,6 +1097,7 @@ impl Engine {
                 launch: l,
                 kind: TaskKind::DynWorker,
                 cu,
+                rslot: 0,
                 wi,
                 phase_seq: 0,
                 in_flight: None,
@@ -1049,7 +1192,7 @@ impl Engine {
             return; // already dead; the injection found nothing to break
         }
         self.cus[cu].failed = true;
-        self.ready.remove(&cu);
+        self.ready.remove(cu);
         if let Some(t) = repair_at {
             let back = t.max(self.now);
             self.schedule(back, Event::Repair(cu));
@@ -1063,7 +1206,7 @@ impl Engine {
         for &tid in &residents {
             self.kill_resident(tid, cu, true);
         }
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for &tid in residents.iter().rev() {
             let dest = self.next_rr_cu_healthy();
             self.tasks[tid].cu = dest;
@@ -1092,7 +1235,7 @@ impl Engine {
             return;
         }
         self.aborted[l] = true;
-        let mut touched = BTreeSet::new();
+        let mut touched = CuSet::new(self.config.num_cus);
         for cu in 0..self.config.num_cus {
             let before = self.cus[cu].queue.len();
             self.cus[cu]
@@ -1109,12 +1252,7 @@ impl Engine {
                 .filter(|&t| self.tasks[t].launch == l)
                 .collect();
             for tid in mine {
-                let pos = self.cus[cu]
-                    .resident
-                    .iter()
-                    .position(|&t| t == tid)
-                    .expect("resident list is consistent");
-                self.cus[cu].resident.swap_remove(pos);
+                self.unlink_resident(cu, tid);
                 self.kill_resident(tid, cu, false);
                 touched.insert(cu);
             }
@@ -1148,6 +1286,7 @@ impl Engine {
         let mi = self.launches[l].mem_intensity;
         self.resident_mem_load -= req.threads as f64 * mi;
         self.resident_compute_load -= req.threads as f64 * (1.0 - mi);
+        self.rho = None;
         // Number of virtual groups (or hardware work groups) rolled back,
         // so the loss counter stays in the same unit the retry path books.
         let lost = match self.tasks[tid].kind {
@@ -1210,6 +1349,18 @@ impl Engine {
         }
     }
 
+    /// Remove resident task `tid` from CU `cu`'s resident list in O(1):
+    /// `swap_remove` at its slot, then re-point the task moved into it.
+    fn unlink_resident(&mut self, cu: usize, tid: usize) {
+        let slot = self.tasks[tid].rslot as usize;
+        let resident = &mut self.cus[cu].resident;
+        debug_assert_eq!(resident[slot], tid, "resident slot out of date");
+        resident.swap_remove(slot);
+        if let Some(&moved) = resident.get(slot) {
+            self.tasks[moved].rslot = slot as u32;
+        }
+    }
+
     fn fits(&self, cu: usize, tid: usize) -> bool {
         let req = self.launches[self.tasks[tid].launch].req;
         let c = &self.cus[cu];
@@ -1236,14 +1387,20 @@ impl Engine {
     /// Contention factor for a kernel with memory share `m`: the weighted
     /// pressure of the two device resources, never below 1 (nominal
     /// speed). A snapshot taken at segment start.
-    fn contention_factor(&self, mem_intensity: f64) -> f64 {
-        let t = self.config.total_threads() as f64;
-        let rho_m = self.resident_mem_load / (self.config.mem_capacity_frac * t);
-        let rho_c = self.resident_compute_load / (self.config.issue_capacity_frac * t);
+    fn contention_factor(&mut self, mem_intensity: f64) -> f64 {
+        let (rho_m, rho_c) = match self.rho {
+            Some(rho) => rho,
+            None => {
+                let t = self.config.total_threads() as f64;
+                let rho_m = self.resident_mem_load / (self.config.mem_capacity_frac * t);
+                let rho_c = self.resident_compute_load / (self.config.issue_capacity_frac * t);
+                *self.rho.insert((rho_m, rho_c))
+            }
+        };
         (mem_intensity * rho_m + (1.0 - mem_intensity) * rho_c).max(1.0)
     }
 
-    fn scaled(&self, cost: u64, launch: usize) -> u64 {
+    fn scaled(&mut self, cost: u64, launch: usize) -> u64 {
         let m = self.launches[launch].mem_intensity;
         (cost as f64 * self.contention_factor(m)).round() as u64
     }
@@ -1282,12 +1439,14 @@ impl Engine {
         let mi = self.launches[l].mem_intensity;
         self.resident_mem_load += req.threads as f64 * mi;
         self.resident_compute_load += req.threads as f64 * (1.0 - mi);
+        self.rho = None;
         let k = &mut self.kernels[l];
         k.first_start.get_or_insert(self.now);
         if k.resident == 0 {
             k.open_since = Some(self.now);
         }
         k.resident += 1;
+        self.tasks[tid].rslot = self.cus[cu].resident.len() as u32;
         self.cus[cu].resident.push(tid);
         if self.collect_trace {
             self.trace.push(TraceEvent {
@@ -1309,7 +1468,8 @@ impl Engine {
                     self.tasks[tid].lost = false;
                     self.kernels[l].retried += 1;
                 }
-                let d = dispatch + self.straggled(self.scaled(cost, l), cu);
+                let scaled = self.scaled(cost, l);
+                let d = dispatch + self.straggled(scaled, cu);
                 self.schedule_phase(self.now + d, tid);
             }
             TaskKind::StaticWorker { .. } => {
@@ -1347,7 +1507,8 @@ impl Engine {
                     self.kernels[l].retried += 1;
                 }
                 let cu = self.tasks[tid].cu;
-                let d = self.straggled(self.scaled(work, l), cu);
+                let scaled = self.scaled(work, l);
+                let d = self.straggled(scaled, cu);
                 self.tasks[tid].kind = TaskKind::StaticWorker { next: next + 1 };
                 self.tasks[tid].in_flight = Some((next, next + 1));
                 self.schedule_phase(ready_at + d, tid);
@@ -1429,7 +1590,8 @@ impl Engine {
         k.queue_free_at = deq_end;
         let work: u64 = vg_costs[start..end].iter().sum::<u64>() + per_vg * (end - start) as u64;
         let cu = self.tasks[tid].cu;
-        let exec = self.straggled(self.scaled(work, l), cu);
+        let scaled = self.scaled(work, l);
+        let exec = self.straggled(scaled, cu);
         self.tasks[tid].in_flight = Some((start, end));
         if self.collect_trace {
             self.trace.push(TraceEvent {
@@ -1499,16 +1661,12 @@ impl Engine {
             c.free_local += req.local_mem as i64;
             c.free_regs += req.regs_total() as i64;
             c.free_slots += 1;
-            let pos = c
-                .resident
-                .iter()
-                .position(|&t| t == tid)
-                .expect("completing task was resident");
-            c.resident.swap_remove(pos);
         }
+        self.unlink_resident(cu, tid);
         let mi = self.launches[l].mem_intensity;
         self.resident_mem_load -= req.threads as f64 * mi;
         self.resident_compute_load -= req.threads as f64 * (1.0 - mi);
+        self.rho = None;
         // A dynamic launch whose last worker retires with virtual groups
         // still queued (or fault-lost ranges still unclaimed) is *paused*,
         // not finished: `end` stays put and the launch waits for a resume
@@ -1581,6 +1739,7 @@ impl Engine {
                     launch: l,
                     kind: TaskKind::DynWorker,
                     cu,
+                    rslot: 0,
                     wi,
                     phase_seq: 0,
                     in_flight: None,
@@ -2958,5 +3117,86 @@ mod tests {
             .filter(|t| t.kind == TraceKind::WgEnd)
             .count();
         assert_eq!(starts, ends, "fault teardowns book their WgEnd");
+    }
+
+    #[test]
+    fn cu_set_matches_a_membership_model() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for num_cus in [13usize, 44, 64, 65, 130] {
+            let mut rng = StdRng::seed_from_u64(num_cus as u64);
+            let mut set = CuSet::new(num_cus);
+            let mut model = vec![false; num_cus];
+            for _ in 0..2_000 {
+                let cu = rng.random_range(0..num_cus);
+                let insert = rng.random_range(0..2u32) == 0;
+                if insert {
+                    set.insert(cu);
+                } else {
+                    set.remove(cu);
+                }
+                model[cu] = insert;
+                let expected: Vec<usize> = (0..num_cus).filter(|&c| model[c]).collect();
+                assert_eq!(set.iter().collect::<Vec<_>>(), expected, "{num_cus} CUs");
+            }
+            // The extremes: every CU present, then none.
+            for cu in 0..num_cus {
+                set.insert(cu);
+            }
+            assert!(set.iter().eq(0..num_cus));
+            for cu in 0..num_cus {
+                set.remove(cu);
+            }
+            assert_eq!(set.iter().next(), None);
+        }
+    }
+
+    #[test]
+    fn event_queue_pops_in_key_order_with_replace_top() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        for seed in 0..20u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = EventQueue::default();
+            let mut model: Vec<(u64, u64)> = Vec::new();
+            let mut seq = 0u64;
+            for _ in 0..rng.random_range(1..40usize) {
+                seq += 1;
+                let time = rng.random_range(0..50u64);
+                queue.push(time, seq, Event::Arrival(seq as usize));
+                model.push((time, seq));
+            }
+            let mut popped = 0;
+            while let Some((time, s, ev)) = queue.peek() {
+                model.sort_unstable_by(|a, b| b.cmp(a));
+                assert_eq!(Some((time, s)), model.pop(), "seed {seed}");
+                assert_eq!(ev, Event::Arrival(s as usize));
+                popped += 1;
+                // A handler schedules 0, 1 or 3 events, some at the
+                // current time, until the run has handled enough.
+                let n = if seq < 600 {
+                    [0, 1, 3][rng.random_range(0..3usize)]
+                } else {
+                    0
+                };
+                for _ in 0..n {
+                    seq += 1;
+                    let at = time + rng.random_range(0..3u64);
+                    queue.push(at, seq, Event::Arrival(seq as usize));
+                    model.push((at, seq));
+                }
+                queue.finish();
+            }
+            assert!(model.is_empty());
+            assert_eq!(popped, seq, "every event handled once");
+        }
+    }
+
+    /// `rslot` rides in the padding after `lost`: the work-group record
+    /// stays at 80 bytes (a `usize` slot would make it 88).
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn task_stays_80_bytes() {
+        assert_eq!(std::mem::size_of::<Task>(), 80);
     }
 }
