@@ -607,14 +607,11 @@ fn scale_survivors_to_capacity(
 /// and the differential tests rely on identical inputs producing identical
 /// decisions.
 pub trait SchedulingPolicy: fmt::Debug + Send + Sync {
-    /// Stable identifier used on the command line (`repro --policies`) and
-    /// as the cache key in the harness (e.g. `"accelos-naive"`).
-    ///
-    /// The name must identify the policy's *behaviour*, not just its
-    /// type: the harness caches per-policy results (isolated times) under
-    /// this string, so two instances that plan differently must report
-    /// different names (encode the configuration, as
-    /// `accelos-weighted:3:1` and `accelos-guided:<n>` do).
+    /// Stable identifier used on the command line (`repro --policies`)
+    /// and in reports (e.g. `"accelos-naive"`). A [`PolicySet`] rejects
+    /// duplicate names, so configurable policies encode their
+    /// configuration in it (as `accelos-weighted:3:1` and
+    /// `accelos-guided:<n>` do) to sit side by side in one set.
     fn name(&self) -> &str;
 
     /// Display label used in rendered figure tables (e.g. `"accelOS"`).
@@ -788,22 +785,19 @@ impl SchedulingPolicy for ElasticKernelsPolicy {
 
     fn plan(&self, ctx: &PlanCtx, requests: &[ExecRequest]) -> Vec<LaunchDecision> {
         assert!(!requests.is_empty(), "need at least one request");
-        let eks: Vec<elastic_kernels::EkKernel> = requests
+        requests
             .iter()
-            .map(|r| elastic_kernels::EkKernel {
-                wg_threads: r.demand.wg_threads,
-                original_wgs: r.demand.original_wgs,
-            })
-            .collect();
-        elastic_kernels::plan(ctx.device(), &eks)
-            .iter()
-            .zip(requests)
-            .map(|(d, req)| {
+            .map(|req| {
+                let ek = elastic_kernels::EkKernel {
+                    wg_threads: req.demand.wg_threads,
+                    original_wgs: req.demand.original_wgs,
+                };
+                let workers = elastic_kernels::workers(ctx.device(), &ek);
                 let v = VirtualNdRange::new(req.ndrange);
                 LaunchDecision {
                     kernel: req.kernel.clone(),
-                    workers: d.workers,
-                    hardware_range: v.hardware_range(d.workers),
+                    workers,
+                    hardware_range: v.hardware_range(workers),
                     descriptor: v.descriptor(),
                     chunk: 1,
                     kind: DecisionKind::StaticSlices,
@@ -901,8 +895,7 @@ pub struct GuidedPolicy {
 impl GuidedPolicy {
     /// Guided dequeues bounded at `max_chunk` groups per claim. The
     /// default bound keeps the registry name `accelos-guided`; other
-    /// bounds get `accelos-guided:<max_chunk>` so differently-configured
-    /// instances never collide in name-keyed caches (see
+    /// bounds get `accelos-guided:<max_chunk>` (see
     /// [`SchedulingPolicy::name`]).
     pub fn new(max_chunk: u32) -> Self {
         let max_chunk = max_chunk.max(1);
@@ -979,36 +972,21 @@ pub struct WeightedPolicy {
 
 impl WeightedPolicy {
     /// A weighted policy named after its weights
-    /// (`accelos-weighted:w1:w2:...`), so differently-weighted instances
-    /// never collide in name-keyed caches (see [`SchedulingPolicy::name`]).
+    /// (`accelos-weighted:w1:w2:...`; see [`SchedulingPolicy::name`]).
     ///
     /// # Panics
     ///
     /// Panics if `weights` is empty or contains a non-positive weight.
     pub fn new(weights: &[f64]) -> Self {
-        let name = format!(
-            "accelos-weighted:{}",
-            weights
-                .iter()
-                .map(f64::to_string)
-                .collect::<Vec<_>>()
-                .join(":")
-        );
-        WeightedPolicy::with_name(name, weights)
-    }
-
-    /// A weighted policy with an explicit name. The name is a cache key
-    /// in the harness, so it must change whenever the weights do — prefer
-    /// [`WeightedPolicy::new`], which encodes them automatically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `weights` is empty or contains a non-positive weight.
-    pub fn with_name(name: impl Into<String>, weights: &[f64]) -> Self {
         assert!(!weights.is_empty(), "need at least one weight");
         assert!(weights.iter().all(|&w| w > 0.0), "weights must be positive");
+        let name = weights
+            .iter()
+            .map(f64::to_string)
+            .collect::<Vec<_>>()
+            .join(":");
         WeightedPolicy {
-            name: name.into(),
+            name: format!("accelos-weighted:{name}"),
             weights: weights.to_vec(),
         }
     }
@@ -1079,8 +1057,7 @@ pub struct PriorityPolicy {
 impl PriorityPolicy {
     /// The first `premium` requests of a batch are high-priority. The
     /// default count of 1 keeps the registry name `accelos-priority`;
-    /// other counts get `accelos-priority:<n>` so differently-configured
-    /// instances never collide in name-keyed caches (see
+    /// other counts get `accelos-priority:<n>` (see
     /// [`SchedulingPolicy::name`]). `premium == 0` — nobody is premium —
     /// is allowed and behaves exactly like `accelos`.
     pub fn new(premium: usize) -> Self {
@@ -1233,8 +1210,7 @@ impl DeadlinePolicy {
     /// `slack ×` its isolated-time estimate, measured from the episode
     /// start. The default slack of 2 keeps the registry name
     /// `accelos-deadline`; other slacks get `accelos-deadline:<slack>`
-    /// (see [`SchedulingPolicy::name`] for why the configuration must be
-    /// in the name).
+    /// (see [`SchedulingPolicy::name`]).
     ///
     /// # Panics
     ///
@@ -1430,10 +1406,9 @@ pub struct SlaPolicy {
 }
 
 impl SlaPolicy {
-    /// An SLA policy named after its floors (`accelos-sla:f1:f2:...`),
-    /// so differently-configured instances never collide in name-keyed
-    /// caches; the default single floor of 2 keeps the registry name
-    /// `accelos-sla`.
+    /// An SLA policy named after its floors (`accelos-sla:f1:f2:...`; see
+    /// [`SchedulingPolicy::name`]); the default single floor of 2 keeps
+    /// the registry name `accelos-sla`.
     ///
     /// # Panics
     ///

@@ -93,9 +93,7 @@ pub fn plan(device: &DeviceConfig, kernels: &[EkKernel]) -> Vec<EkDecision> {
     kernels
         .iter()
         .map(|k| {
-            let target_threads = device.total_threads();
-            let workers = ((target_threads / k.wg_threads.max(1) as u64).max(1))
-                .min(k.original_wgs.max(1)) as u32;
+            let workers = workers(device, k);
             let assignments = (0..workers as u64)
                 .map(|w| (w..k.original_wgs).step_by(workers as usize).collect())
                 .collect();
@@ -105,6 +103,15 @@ pub fn plan(device: &DeviceConfig, kernels: &[EkKernel]) -> Vec<EkDecision> {
             }
         })
         .collect()
+}
+
+/// The elastic grid size [`plan`] gives `kernel`: a whole device's worth
+/// of resident threads, capped at the original group count. Callers that
+/// need only the width (not the slices) skip building the assignments.
+pub fn workers(device: &DeviceConfig, kernel: &EkKernel) -> u32 {
+    (device.total_threads() / kernel.wg_threads.max(1) as u64)
+        .max(1)
+        .min(kernel.original_wgs.max(1)) as u32
 }
 
 #[cfg(test)]

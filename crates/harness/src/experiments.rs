@@ -395,8 +395,8 @@ pub fn sweep(runner: &Runner, set: &PolicySet, cfg: &SweepConfig, request_size: 
     sweep_with_stats(runner, set, cfg, request_size).0
 }
 
-/// [`sweep`] plus the streaming fold's buffering counters (used by the
-/// perf-trajectory benches as a peak-memory proxy).
+/// [`sweep`] plus the streaming fold's buffering counters (perfbench
+/// reports them as a peak-memory proxy).
 pub fn sweep_with_stats(
     runner: &Runner,
     set: &PolicySet,
