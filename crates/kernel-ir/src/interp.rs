@@ -702,7 +702,7 @@ pub(crate) fn interp_size(ty: &Type) -> usize {
     }
 }
 
-pub(crate) fn encode_value(v: Value, out: &mut [u8]) {
+fn encode_value(v: Value, out: &mut [u8]) {
     match v {
         Value::Bool(b) => out[0] = b as u8,
         Value::I32(x) => out[..4].copy_from_slice(&x.to_le_bytes()),
@@ -723,7 +723,7 @@ pub(crate) fn encode_value(v: Value, out: &mut [u8]) {
     }
 }
 
-pub(crate) fn decode_value(ty: &Type, bytes: &[u8]) -> Value {
+fn decode_value(ty: &Type, bytes: &[u8]) -> Value {
     match ty {
         Type::Bool => Value::Bool(bytes[0] != 0),
         Type::I32 => Value::I32(i32::from_le_bytes(bytes[..4].try_into().unwrap())),
@@ -784,17 +784,17 @@ struct WorkItem {
 /// Free list of register files, recycled across frames and work groups so
 /// the hot loop stops allocating one `Vec<Option<Value>>` per call frame.
 #[derive(Debug, Default)]
-pub(crate) struct RegsPool(Vec<Vec<Option<Value>>>);
+struct RegsPool(Vec<Vec<Option<Value>>>);
 
 impl RegsPool {
-    pub(crate) fn take(&mut self, len: usize) -> Vec<Option<Value>> {
+    fn take(&mut self, len: usize) -> Vec<Option<Value>> {
         let mut regs = self.0.pop().unwrap_or_default();
         regs.clear();
         regs.resize(len, None);
         regs
     }
 
-    pub(crate) fn put(&mut self, regs: Vec<Option<Value>>) {
+    fn put(&mut self, regs: Vec<Option<Value>>) {
         self.0.push(regs);
     }
 }
@@ -1468,7 +1468,10 @@ impl<'m> Interpreter<'m> {
 
             if frame.ip >= block.insts.len() {
                 // Terminator.
-                match block.term.as_ref().expect("verified function") {
+                let Some(term) = block.term.as_ref() else {
+                    return Err(InterpError::Invalid("unterminated block".into()));
+                };
+                match term {
                     Terminator::Br(b) => {
                         frame.block = *b;
                         frame.ip = 0;
@@ -1591,11 +1594,12 @@ impl<'m> Interpreter<'m> {
                 }
                 Op::Load(p) => {
                     stats.mem_ops += 1;
+                    let Some(result) = inst.result else {
+                        return Err(InterpError::Invalid("load without a result".into()));
+                    };
                     let frame = item.frames.last().unwrap();
                     let ptr = get_reg(frame, *p)?.as_ptr()?;
-                    let ty = func
-                        .value_type(inst.result.expect("load has a result"))
-                        .clone();
+                    let ty = func.value_type(result).clone();
                     let size = interp_size(&ty);
                     let v = {
                         let bytes = self.arena_bytes(gmem, local, item, ptr, size)?;
@@ -1634,7 +1638,7 @@ impl<'m> Interpreter<'m> {
                     );
                     let v = Value::Ptr(PtrVal {
                         arena: p.arena,
-                        byte_off: p.byte_off + idx * stride as i64,
+                        byte_off: gep_offset(p.byte_off, idx, stride)?,
                     });
                     set_result(item, inst.result, v);
                 }
@@ -2150,6 +2154,14 @@ pub(crate) fn bounds(
     Ok(())
 }
 
+/// `byte_off + idx * stride`, the address a gep computes. An offset that
+/// overflows `i64` is an error on both tiers (never a wrapped address).
+pub(crate) fn gep_offset(byte_off: i64, idx: i64, stride: usize) -> Result<i64, InterpError> {
+    idx.checked_mul(stride as i64)
+        .and_then(|d| byte_off.checked_add(d))
+        .ok_or_else(|| InterpError::Invalid("gep offset overflows i64".into()))
+}
+
 fn get_reg(frame: &Frame, v: ValueId) -> Result<Value, InterpError> {
     frame.regs[v.index()]
         .ok_or_else(|| InterpError::Invalid(format!("read of undefined value {v}")))
@@ -2162,85 +2174,65 @@ fn set_result(item: &mut WorkItem, result: Option<ValueId>, v: Value) {
     }
 }
 
+macro_rules! int_bin {
+    ($name:ident, $t:ty) => {
+        /// `x <op> y` on one integer width: wrapping arithmetic, an error
+        /// only for a zero divisor.
+        pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> Result<$t, InterpError> {
+            use BinOp::*;
+            Ok(match op {
+                Add => x.wrapping_add(y),
+                Sub => x.wrapping_sub(y),
+                Mul => x.wrapping_mul(y),
+                Div | Rem if y == 0 => return Err(InterpError::DivideByZero),
+                Div => x.wrapping_div(y),
+                Rem => x.wrapping_rem(y),
+                And => x & y,
+                Or => x | y,
+                Xor => x ^ y,
+                Shl => x.wrapping_shl(y as u32),
+                Shr => x.wrapping_shr(y as u32),
+                Min => x.min(y),
+                Max => x.max(y),
+            })
+        }
+    };
+}
+
+macro_rules! float_bin {
+    ($name:ident, $t:ty) => {
+        /// `x <op> y` on one float width; integer-only ops are an error.
+        pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> Result<$t, InterpError> {
+            use BinOp::*;
+            Ok(match op {
+                Add => x + y,
+                Sub => x - y,
+                Mul => x * y,
+                Div => x / y,
+                Min => x.min(y),
+                Max => x.max(y),
+                other => {
+                    return Err(InterpError::Invalid(format!(
+                        "float op `{}` unsupported",
+                        other.mnemonic()
+                    )))
+                }
+            })
+        }
+    };
+}
+
+int_bin!(bin_i32, i32);
+int_bin!(bin_i64, i64);
+float_bin!(bin_f32, f32);
+float_bin!(bin_f64, f64);
+
 pub(crate) fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, InterpError> {
-    use BinOp::*;
     Ok(match (a, b) {
-        (Value::I32(x), Value::I32(y)) => Value::I32(match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(InterpError::DivideByZero);
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(InterpError::DivideByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            And => x & y,
-            Or => x | y,
-            Xor => x ^ y,
-            Shl => x.wrapping_shl(y as u32),
-            Shr => x.wrapping_shr(y as u32),
-            Min => x.min(y),
-            Max => x.max(y),
-        }),
-        (Value::I64(x), Value::I64(y)) => Value::I64(match op {
-            Add => x.wrapping_add(y),
-            Sub => x.wrapping_sub(y),
-            Mul => x.wrapping_mul(y),
-            Div => {
-                if y == 0 {
-                    return Err(InterpError::DivideByZero);
-                }
-                x.wrapping_div(y)
-            }
-            Rem => {
-                if y == 0 {
-                    return Err(InterpError::DivideByZero);
-                }
-                x.wrapping_rem(y)
-            }
-            And => x & y,
-            Or => x | y,
-            Xor => x ^ y,
-            Shl => x.wrapping_shl(y as u32),
-            Shr => x.wrapping_shr(y as u32),
-            Min => x.min(y),
-            Max => x.max(y),
-        }),
-        (Value::F32(x), Value::F32(y)) => Value::F32(match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
-            Div => x / y,
-            Min => x.min(y),
-            Max => x.max(y),
-            other => {
-                return Err(InterpError::Invalid(format!(
-                    "float op `{}` unsupported",
-                    other.mnemonic()
-                )))
-            }
-        }),
-        (Value::F64(x), Value::F64(y)) => Value::F64(match op {
-            Add => x + y,
-            Sub => x - y,
-            Mul => x * y,
-            Div => x / y,
-            Min => x.min(y),
-            Max => x.max(y),
-            other => {
-                return Err(InterpError::Invalid(format!(
-                    "float op `{}` unsupported",
-                    other.mnemonic()
-                )))
-            }
-        }),
+        (Value::I32(x), Value::I32(y)) => Value::I32(bin_i32(op, x, y)?),
+        (Value::I64(x), Value::I64(y)) => Value::I64(bin_i64(op, x, y)?),
+        (Value::F32(x), Value::F32(y)) => Value::F32(bin_f32(op, x, y)?),
+        (Value::F64(x), Value::F64(y)) => Value::F64(bin_f64(op, x, y)?),
         (a, b) => {
             return Err(InterpError::Invalid(format!(
                 "binop on mismatched values {a:?} and {b:?}"

@@ -11,9 +11,12 @@
 //! the sequential and the parallel schedule. Two proptest
 //! planes (the shared `testgen` corpus — including the atomics-bearing
 //! kernels accelcheck admits into the parallel path — and minicl-compiled
-//! kernels with loops, barriers, local memory and helpers) plus directed
-//! endpoints for trap parity: each construct the verifier rejects lowers
-//! to a trap that fails only when reached, with the tree-walker's error.
+//! kernels with loops, barriers, local memory, helpers and every kind of
+//! promoted private variable) plus directed endpoints: which compiled
+//! variables are promoted to registers; trap parity (each construct the
+//! verifier rejects lowers to a trap that fails only when reached, with
+//! the tree-walker's error); and an overflowing gep, an error on both
+//! tiers and through `ProxyCl`.
 
 use kernel_ir::bytecode::ExecTier;
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
@@ -167,6 +170,82 @@ const CL_KERNELS: &[(&str, &str)] = &[
             atomic_add(a + bin, 1);
         }",
     ),
+    // A promoted variable declared in a loop body starts at zero on every
+    // iteration, even when it is read before it is written.
+    (
+        "fresh_slot",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            int s = 0;
+            for (int j = 0; j < n; ++j) { int x; s = s * 3 + x; x = b[j]; s = s + x; }
+            a[i] = s;
+        }",
+    ),
+    (
+        "pointer_slot",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            global int* p = a;
+            if (n > 3) { p = b; }
+            p[i] = p[i] + n;
+            p = a;
+            a[i] = p[i] * 2;
+        }",
+    ),
+    // Pointer arithmetic on a private array keeps every variable of the
+    // program in memory.
+    (
+        "private_array",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            int t[4];
+            for (int j = 0; j < 4; ++j) { t[j] = b[i] + j; }
+            int x = t[n & 3];
+            a[i] = x + t[(n + 1) & 3];
+        }",
+    ),
+    (
+        "typed_slots",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            float f = (float)b[i] * 0.5f;
+            long l = (long)b[i] * (long)3;
+            bool c = f < (float)n;
+            double d = (double)f + 0.25;
+            if (c) { l = l + (long)n; }
+            a[i] = (int)l + (c ? 1 : 0) + (int)d;
+        }",
+    ),
+    // Items wait at barriers inside a helper, so their callee frames
+    // must survive while the other items of the group run.
+    (
+        "helper_barrier",
+        "int exchange(local int* tile, int v, size_t lid, size_t ls) {
+            tile[lid] = v;
+            barrier(0);
+            int w = tile[ls - 1 - lid];
+            barrier(0);
+            return w;
+        }
+        kernel void k(global int* a, global int* b, int n) {
+            local int tile[64];
+            size_t lid = get_local_id(0);
+            size_t ls = get_local_size(0);
+            int s = b[get_global_id(0)];
+            for (int j = 0; j < 2; ++j) { s = exchange(tile, s + n, lid, ls) + j; }
+            a[get_global_id(0)] = s;
+        }",
+    ),
+    (
+        "helper_locals",
+        "int acc(int x, int m) { int t = x * m; int u = t + 1; return u - m; }
+        kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            int s = b[i];
+            for (int j = 0; j < n; ++j) { s = acc(s, j) & 65535; }
+            a[i] = s;
+        }",
+    ),
 ];
 
 proptest! {
@@ -206,6 +285,36 @@ proptest! {
         let nd = NdRange::new_1d(items, wg);
         let what = format!("{name} nd={nd:?} n={n}");
         assert_tiers_agree(&module, &mem, nd, &args, threads, &what);
+    }
+}
+
+#[test]
+fn compiled_variables_are_promoted_unless_private_pointers_move() {
+    // Every variable of the kernels above lives in a register after
+    // optimization, except in the program that indexes a private array.
+    for (name, src) in CL_KERNELS {
+        let module = minicl::compile(src).expect("compile");
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * 16);
+        let b = mem.alloc(4 * 16);
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Buffer(b),
+            ArgValue::Scalar(Value::I32(5)),
+        ];
+        let text = Interpreter::new(&module)
+            .disassemble_kernel(&mem, "k", NdRange::new_1d(16, 4), &args)
+            .expect("disassembles");
+        let optimized = &text[text.find("== optimized ==").unwrap()..];
+        let (slots, cells) = (
+            optimized.matches("alloca.slot").count(),
+            optimized.matches("alloca.priv").count(),
+        );
+        if *name == "private_array" {
+            assert_eq!(slots, 0, "{name}:\n{optimized}");
+        } else {
+            assert!(slots > 0 && cells == 0, "{name}:\n{optimized}");
+        }
     }
 }
 
@@ -333,6 +442,8 @@ fn reached_traps_raise_the_tree_walkers_error() {
         Unverified::UnknownCallee,
         Unverified::GlobalAlloca,
         Unverified::HelperLocalAlloca,
+        Unverified::LoadWithoutResult,
+        Unverified::UnterminatedBlock,
     ] {
         let module = unverified_kernel(construct, true);
         let (mem, nd, args) = unverified_launch();
@@ -354,14 +465,9 @@ fn reached_traps_raise_the_tree_walkers_error() {
 
 #[test]
 fn reached_traps_return_invalid_instead_of_panicking() {
-    // The runtime gives the tree-walker only verified modules: it panics
-    // on the first two and fails the gep with a value-dependent text. The
-    // VM returns `InterpError::Invalid` for all three.
-    for construct in [
-        Unverified::LoadWithoutResult,
-        Unverified::UnterminatedBlock,
-        Unverified::GepThroughNonPointer,
-    ] {
+    // The tree-walker fails a gep through a non-pointer with a
+    // value-dependent text; the VM returns `InterpError::Invalid` too.
+    for construct in [Unverified::GepThroughNonPointer] {
         let module = unverified_kernel(construct, true);
         let (mem, nd, args) = unverified_launch();
         let mut bc = Interpreter::new(&module);
@@ -444,4 +550,52 @@ fn traps_are_identical_across_tiers() {
         .expect_err("bytecode tier must trap")
         .to_string();
     assert_eq!(tree_err, bc_err, "trap text diverged on the bytecode tier");
+}
+
+#[test]
+fn overflowing_gep_is_an_error_on_every_tier() {
+    // `a[i + n]` with `n = 2^62`: `(i + n) * 4` overflows `i64`. Both tiers
+    // raise the same error (never an overflow panic, never a wrapped
+    // address that lands back in the buffer), sequentially and sharded,
+    // and a tenant's enqueue through ProxyCl fails instead of aborting.
+    use accelos::chunk::Mode;
+    use accelos::proxycl::ProxyCl;
+    use clrt::{Arg, ClError, Platform};
+
+    let src = "kernel void k(global int* a, long n) {
+        size_t i = get_global_id(0);
+        a[i + n] = 1;
+    }";
+    let n = 1i64 << 62;
+    let module = minicl::compile(src).expect("compile");
+    let mut mem = DeviceMemory::new();
+    let a = mem.alloc(4 * 64);
+    let args = [ArgValue::Buffer(a), ArgValue::Scalar(Value::I64(n))];
+    let nd = NdRange::new_1d(64, 16);
+    let tree = Interpreter::new(&module).run_kernel(&mut mem.clone(), "k", nd, &args);
+    assert!(
+        matches!(&tree, Err(InterpError::Invalid(m)) if m.contains("overflow")),
+        "{tree:?}"
+    );
+    let mut bc = Interpreter::new(&module);
+    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    for threads in [1, 3] {
+        let mut bc_mem = mem.clone();
+        let vm = bc.run_kernel_bytecode(&mut bc_mem, "k", nd, &args, threads);
+        assert_eq!(tree, vm, "x{threads}");
+        assert_eq!(bc_mem, mem, "x{threads}: nothing may be written");
+    }
+
+    let mut os = ProxyCl::new(&Platform::nvidia(), Mode::Optimized);
+    let program = os.build_program(src).expect("build");
+    let buf = os.context_mut().create_buffer(4 * 64);
+    let mut kernel = program.create_kernel("k").unwrap();
+    kernel.set_arg(0, Arg::Buffer(buf)).unwrap();
+    kernel.set_arg(1, Arg::Scalar(Value::I64(n))).unwrap();
+    let err = os.enqueue(&program, &kernel, nd);
+    assert!(
+        matches!(&err, Err(ClError::ExecutionFailure(m)) if m.contains("overflow")),
+        "{err:?}"
+    );
+    assert_eq!(os.context_mut().read_i32(buf).unwrap(), vec![0; 64]);
 }
