@@ -29,7 +29,8 @@ use accel_harness::runner::Runner;
 use accelos::policy::{AccelOsPolicy, DeadlinePolicy, PriorityPolicy, SchedulingPolicy, SlaPolicy};
 use gpu_sim::{
     DeviceConfig, FailureDomain, FaultEvent, FaultKind, FaultPlan, FaultSpec, KernelLaunch,
-    KernelReport, LaunchId, LaunchPlan, ReclaimCmd, ResumeCmd, Simulator, TraceKind, WorkGroupReq,
+    KernelReport, LaunchId, LaunchPlan, PlacementStats, ReclaimCmd, ResumeCmd, SimReport,
+    Simulator, TraceKind, WorkGroupReq,
 };
 use parboil::KernelSpec;
 use proptest::prelude::*;
@@ -745,6 +746,55 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// One golden line's measurements of a finished run: the makespan, the
+/// fault count, the placement counters, the trace length and an FNV-1a
+/// digest of every [`KernelReport`] field (destructured exhaustively, so
+/// a new field cannot escape the digest) and the full trace.
+fn run_summary(report: &SimReport, stats: &PlacementStats) -> String {
+    use std::fmt::Write as _;
+    let mut canon = String::new();
+    for k in &report.kernels {
+        let KernelReport {
+            id,
+            name,
+            arrival,
+            first_start,
+            end,
+            busy_intervals,
+            machine_wgs,
+            groups_executed,
+            preemptions,
+            reclaimed_workers,
+            pauses,
+            resumes,
+            resumed_workers,
+            chunks_lost,
+            groups_retried,
+            aborted,
+        } = k;
+        writeln!(
+            canon,
+            "{id:?} {name} {arrival} {first_start:?} {end} {busy_intervals:?} \
+             {machine_wgs} {groups_executed} {preemptions} {reclaimed_workers} \
+             {pauses} {resumes} {resumed_workers} {chunks_lost} {groups_retried} \
+             {aborted}"
+        )
+        .unwrap();
+    }
+    for e in &report.trace {
+        writeln!(canon, "{} {} {} {:?}", e.time, e.launch.0, e.cu, e.kind).unwrap();
+    }
+    format!(
+        "makespan={} faults={} attempts={} cu_visits={} trace={} digest={:016x}",
+        report.makespan,
+        report.faults_injected,
+        stats.attempts,
+        stats.cu_visits,
+        report.trace.len(),
+        fnv1a(canon.as_bytes())
+    )
+}
+
 /// The engine-identity golden: about 200 seeded episodes (every plan
 /// kind, reclaim/pause/resume, CU and domain failures with repair,
 /// stragglers, with and without aborts) on three devices, one line each
@@ -759,49 +809,11 @@ fn engine_episodes_match_golden_digests() {
         for seed in 0..66u64 {
             let aborts = seed % 2 == 1;
             let (report, stats) = golden_episode(&cfg, seed, aborts).run_with_stats();
-            let mut canon = String::new();
-            for k in &report.kernels {
-                let KernelReport {
-                    id,
-                    name,
-                    arrival,
-                    first_start,
-                    end,
-                    busy_intervals,
-                    machine_wgs,
-                    groups_executed,
-                    preemptions,
-                    reclaimed_workers,
-                    pauses,
-                    resumes,
-                    resumed_workers,
-                    chunks_lost,
-                    groups_retried,
-                    aborted,
-                } = k;
-                writeln!(
-                    canon,
-                    "{id:?} {name} {arrival} {first_start:?} {end} {busy_intervals:?} \
-                     {machine_wgs} {groups_executed} {preemptions} {reclaimed_workers} \
-                     {pauses} {resumes} {resumed_workers} {chunks_lost} {groups_retried} \
-                     {aborted}"
-                )
-                .unwrap();
-            }
-            for e in &report.trace {
-                writeln!(canon, "{} {} {} {:?}", e.time, e.launch.0, e.cu, e.kind).unwrap();
-            }
             writeln!(
                 out,
-                "{} seed={seed} aborts={aborts} makespan={} faults={} attempts={} \
-                 cu_visits={} trace={} digest={:016x}",
+                "{} seed={seed} aborts={aborts} {}",
                 cfg.name,
-                report.makespan,
-                report.faults_injected,
-                stats.attempts,
-                stats.cu_visits,
-                report.trace.len(),
-                fnv1a(canon.as_bytes())
+                run_summary(&report, &stats)
             )
             .unwrap();
         }
@@ -809,5 +821,195 @@ fn engine_episodes_match_golden_digests() {
     assert_matches_golden(
         &out,
         concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sim_episodes.txt"),
+    );
+}
+
+/// A hardware launch of the targeted golden: `groups` work groups whose
+/// costs vary with the group index and `salt`, so groups finish out of
+/// order and the CU queue heads drain unevenly.
+fn hw_launch(
+    name: &str,
+    arrival: u64,
+    threads: u32,
+    mem: f64,
+    groups: usize,
+    salt: u64,
+) -> KernelLaunch {
+    KernelLaunch {
+        name: name.into(),
+        arrival,
+        req: WorkGroupReq {
+            threads,
+            local_mem: 0,
+            regs_per_thread: 1,
+        },
+        mem_intensity: mem,
+        plan: LaunchPlan::Hardware {
+            wg_costs: (0..groups as u64)
+                .map(|w| 40 + (w * 37 + salt * 101) % 211)
+                .collect::<Vec<_>>()
+                .into(),
+        },
+        max_workers: None,
+    }
+}
+
+/// The hardware-queue edge cases of the targeted golden on `cfg`, each a
+/// named simulator: co-arriving and staggered hardware launches whose
+/// groups interleave on every CU queue; hardware arrivals while one CU,
+/// all but one CU, and every CU is failed (on a busy and on an idle
+/// device), followed by repairs that adopt the parked work; CU failures
+/// that drain partly consumed queues (next to a dynamic launch's
+/// workers); a domain failure; and aborts of launches with groups still
+/// queued, one of them before it arrives. Every scenario ends with a
+/// mid-run probe arrival and a late one, so any drift of the round-robin
+/// cursor moves the probes' placement in the trace.
+fn hw_queue_scenarios(cfg: &DeviceConfig) -> Vec<(&'static str, Simulator)> {
+    let n = cfg.num_cus;
+    let slots = n * cfg.wg_slots_per_cu as usize;
+    let (big, mid, small) = (slots * 3 / 2 + 7, slots + 3, slots / 2 + 1);
+    let fail = |at: u64, cu: usize, repair_at: Option<u64>| FaultEvent {
+        at,
+        kind: FaultKind::CuFailure { cu, repair_at },
+    };
+    let scenario = |launches: Vec<KernelLaunch>, probe_at: u64, faults: Vec<FaultEvent>| {
+        let mut sim = Simulator::new(cfg.clone()).with_trace();
+        for l in launches {
+            sim.add_launch(l);
+        }
+        sim.add_launch(hw_launch("probe", probe_at, 64, 0.5, 2 * n + 3, 7));
+        sim.add_launch(hw_launch("late", 50_000_000, 128, 0.2, n + 2, 8));
+        for f in faults {
+            sim.add_fault(f);
+        }
+        sim
+    };
+    let trio = |at: [u64; 3]| {
+        vec![
+            hw_launch("big", at[0], 64, 0.3, big, 1),
+            hw_launch("mid", at[1], 128, 0.8, mid, 2),
+            hw_launch("small", at[2], 64, 0.0, small, 3),
+        ]
+    };
+    let every_cu = |except: Option<usize>, base: u64| -> Vec<FaultEvent> {
+        (0..n)
+            .filter(|&cu| Some(cu) != except)
+            .map(|cu| fail(10, cu, Some(base + 97 * ((cu * 7) % n) as u64)))
+            .collect()
+    };
+    let mut with_pre = trio([20, 20, 20]);
+    with_pre.insert(0, hw_launch("pre", 0, 64, 0.4, n / 2 + 2, 4));
+    let dyn_launch = |arrival: u64| KernelLaunch {
+        name: "dyn".into(),
+        arrival,
+        req: WorkGroupReq {
+            threads: 64,
+            local_mem: 0,
+            regs_per_thread: 1,
+        },
+        mem_intensity: 0.6,
+        plan: LaunchPlan::PersistentDynamic {
+            workers: n as u32 + 1,
+            vg_costs: (0..4 * n as u64)
+                .map(|v| 60 + v % 90)
+                .collect::<Vec<_>>()
+                .into(),
+            chunk: 2,
+            per_vg_overhead: 3,
+        },
+        max_workers: None,
+    };
+    let mut with_dyn = trio([0, 0, 0]);
+    with_dyn.insert(1, dyn_launch(0));
+    // An idle device fails whole, then a dynamic launch's workers and the
+    // trio park on the nominal CU `x` (the cursor after `pre`). The CU
+    // after `x` is repaired first, so it adopts `x`'s queue: which CU a
+    // launch parked on shows in the order its work starts.
+    let pre = n + n / 2 + 1;
+    let x = pre % n;
+    let mut idle_dead = trio([1_010, 1_010, 1_010]);
+    idle_dead.insert(0, hw_launch("pre", 0, 64, 0.4, pre, 6));
+    idle_dead.insert(1, dyn_launch(1_010));
+    let idle_faults = (0..n)
+        .map(|cu| {
+            let order = (cu + n - (x + 1) % n) % n;
+            fail(1_000, cu, Some(3_000 + 97 * order as u64))
+        })
+        .collect();
+    let mut with_ghost = trio([0, 0, 0]);
+    with_ghost.push(hw_launch("ghost", 800, 64, 0.1, mid, 5));
+    let abort = |at: u64, l: u32| FaultEvent {
+        at,
+        kind: FaultKind::KernelAbort {
+            launch: LaunchId(l),
+        },
+    };
+    let mut domain = scenario(
+        trio([0, 0, 0]),
+        800,
+        vec![FaultEvent {
+            at: 600,
+            kind: FaultKind::DomainFailure {
+                domain: 0,
+                repair_at: Some(2_600),
+            },
+        }],
+    );
+    domain = domain.with_domains(FailureDomain::split_evenly(n, 2));
+    vec![
+        ("co-arrive", scenario(trio([0, 0, 0]), 400, vec![])),
+        ("staggered", scenario(trio([0, 37, 151]), 420, vec![])),
+        (
+            "one-dead",
+            scenario(trio([20, 20, 20]), 600, vec![fail(10, n / 2, Some(2_500))]),
+        ),
+        (
+            "all-but-one-dead",
+            scenario(trio([20, 20, 20]), 1_000, every_cu(Some(n / 3), 2_000)),
+        ),
+        ("all-dead", scenario(with_pre, 1_000, every_cu(None, 3_000))),
+        ("all-dead-idle", scenario(idle_dead, 1_500, idle_faults)),
+        (
+            "drain-partial",
+            scenario(
+                with_dyn,
+                1_500,
+                vec![fail(700, n - 1, Some(4_000)), fail(1_300, 0, None)],
+            ),
+        ),
+        (
+            "abort-queued",
+            scenario(
+                with_ghost,
+                900,
+                vec![abort(5, 2), abort(300, 3), abort(500, 0)],
+            ),
+        ),
+        ("domain", domain),
+    ]
+}
+
+/// The hardware-queue golden: the [`hw_queue_scenarios`] on the three
+/// golden devices, one line each in the format of the engine-identity
+/// golden. The random episodes seldom build these queues (interleaved
+/// hardware launches on every CU, arrivals onto a partly or wholly
+/// failed device, drained and aborted queued groups), so this pins the
+/// round-robin hardware path on its own.
+#[test]
+fn hardware_queue_edge_cases_match_golden_digests() {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    for cfg in golden_devices() {
+        for (name, sim) in hw_queue_scenarios(&cfg) {
+            let (report, stats) = sim.run_with_stats();
+            writeln!(out, "{} {name} {}", cfg.name, run_summary(&report, &stats)).unwrap();
+        }
+    }
+    assert_matches_golden(
+        &out,
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/golden/sim_hw_queues.txt"
+        ),
     );
 }
