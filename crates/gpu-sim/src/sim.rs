@@ -4,9 +4,13 @@
 //!
 //! * Each compute unit (CU) owns a FIFO queue of machine work groups and a
 //!   pool of resources (threads, local memory, registers, WG slots). Work
-//!   groups are assigned to CU queues round-robin at arrival time — the
-//!   "hardwired heuristic" of the paper's §2.3 — and become resident when
-//!   they reach the queue head and their resources fit.
+//!   groups are assigned to CU queues round-robin — the "hardwired
+//!   heuristic" of the paper's §2.3 — and become resident when they reach
+//!   the queue head and their resources fit. The assignment is decided at
+//!   arrival, but a hardware launch's groups are materialised only as
+//!   they start: each CU queue holds one *run* per launch (every
+//!   `live`-th group from an offset), so arrival costs O(CUs) and the task
+//!   table holds the resident and fault-migrated groups, not the launch.
 //! * Resident work groups execute in parallel; a segment's duration is
 //!   fixed when the segment starts, scaled by a two-resource contention
 //!   snapshot. Each resident work group contributes `threads *
@@ -120,6 +124,37 @@ enum TaskKind {
     DynWorker,
 }
 
+/// One entry of a CU queue.
+#[derive(Debug, Clone, Copy)]
+enum Queued {
+    /// A materialised task: a persistent worker, or a hardware work group
+    /// displaced by a fault.
+    Task(usize),
+    /// Hardware work groups of one launch dealt to this CU at arrival and
+    /// not yet started.
+    Run(HwRun),
+}
+
+impl Queued {
+    /// The launch whose work this entry holds.
+    fn launch(self, tasks: &[Task]) -> usize {
+        match self {
+            Queued::Task(tid) => tasks[tid].launch,
+            Queued::Run(run) => run.launch,
+        }
+    }
+}
+
+/// The hardware work groups `next, next + stride, ...` (`left` of them,
+/// never 0) of `launch`, in the order they start on their CU.
+#[derive(Debug, Clone, Copy)]
+struct HwRun {
+    launch: usize,
+    next: usize,
+    stride: usize,
+    left: usize,
+}
+
 #[derive(Debug)]
 struct Task {
     launch: usize,
@@ -130,8 +165,10 @@ struct Task {
     /// fits in the padding after `lost`, keeping `Task` at 80 bytes.
     rslot: u32,
     /// Index of this task among its launch's machine work groups, fixed at
-    /// creation (avoids the O(tasks) rescans a positional lookup would
-    /// need on every static-worker segment).
+    /// creation: the flat group id of a hardware work group (materialised
+    /// from its run when it starts), the worker index of a persistent
+    /// worker (avoids the O(tasks) rescans a positional lookup would need
+    /// on every static-worker segment).
     wi: usize,
     /// Heap sequence number of this task's pending [`Event::PhaseDone`]
     /// (0 = none pending). A fault that tears the task down mid-segment
@@ -154,7 +191,9 @@ struct Cu {
     free_local: i64,
     free_regs: i64,
     free_slots: i64,
-    queue: VecDeque<usize>,
+    /// Waiting work in FIFO order: tasks, and hardware runs whose groups
+    /// become tasks one at a time as they reach the head and fit.
+    queue: VecDeque<Queued>,
     /// Tasks currently resident here (what a CU failure tears down).
     resident: Vec<usize>,
     /// Failed CUs reject placement and enqueues until repaired.
@@ -509,6 +548,12 @@ impl Simulator {
     /// counters (see [`PlacementStats`]); [`Simulator::run`] discards
     /// them. The report is identical either way.
     pub fn run_with_stats(self) -> (SimReport, PlacementStats) {
+        let mut engine = self.into_engine();
+        engine.run_events();
+        engine.into_report()
+    }
+
+    fn into_engine(self) -> Engine {
         Engine::new(
             self.config,
             self.launches,
@@ -520,7 +565,6 @@ impl Simulator {
             self.linear_placement,
             self.health_blind,
         )
-        .run()
     }
 }
 
@@ -565,7 +609,13 @@ struct Engine {
     /// indirect through on every pop.
     queue: EventQueue,
     cus: Vec<Cu>,
+    /// Task slots, indexed by task id. A task's slot returns to
+    /// `free_tasks` when it completes or is aborted, and the next task
+    /// reuses it, so the table holds the resident and queued tasks, not
+    /// every group a launch ever ran. A reused slot cannot match a stale
+    /// [`Event::PhaseDone`]: sequence numbers are unique and never 0.
     tasks: Vec<Task>,
+    free_tasks: Vec<usize>,
     kernels: Vec<KernelRt>,
     /// Launches eligible for elastic growth (precomputed so `rebalance`
     /// does not rescan every launch on every kernel retirement).
@@ -721,6 +771,7 @@ impl Engine {
             queue: EventQueue::default(),
             cus,
             tasks: Vec::new(),
+            free_tasks: Vec::new(),
             kernels,
             growable,
             ready,
@@ -749,7 +800,28 @@ impl Engine {
         self.tasks[tid].phase_seq = self.seq;
     }
 
-    fn run(mut self) -> (SimReport, PlacementStats) {
+    /// Put a task in a free slot and return its id.
+    fn alloc_task(&mut self, task: Task) -> usize {
+        match self.free_tasks.pop() {
+            Some(tid) => {
+                self.tasks[tid] = task;
+                tid
+            }
+            None => {
+                self.tasks.push(task);
+                self.tasks.len() - 1
+            }
+        }
+    }
+
+    /// Append `entry` to CU `cu`'s queue.
+    fn enqueue(&mut self, cu: usize, entry: Queued, touched: &mut CuSet) {
+        self.cus[cu].queue.push_back(entry);
+        self.refresh_ready(cu);
+        touched.insert(cu);
+    }
+
+    fn run_events(&mut self) {
         for i in 0..self.launches.len() {
             self.schedule(self.launches[i].arrival, Event::Arrival(i));
         }
@@ -775,6 +847,9 @@ impl Engine {
             }
             self.queue.finish();
         }
+    }
+
+    fn into_report(self) -> (SimReport, PlacementStats) {
         let makespan = self.kernels.iter().map(|k| k.end).max().unwrap_or(0);
         let kernels = self
             .kernels
@@ -916,29 +991,31 @@ impl Engine {
         }
         let n = self.launches[l].plan.machine_wgs();
         let mut touched = CuSet::new(self.config.num_cus);
-        for w in 0..n {
-            let kind = match &self.launches[l].plan {
-                LaunchPlan::Hardware { wg_costs } => TaskKind::HardwareWg { cost: wg_costs[w] },
-                LaunchPlan::PersistentDynamic { .. } | LaunchPlan::PersistentGuided { .. } => {
-                    TaskKind::DynWorker
+        let kind = match &self.launches[l].plan {
+            LaunchPlan::Hardware { .. } => None,
+            LaunchPlan::PersistentDynamic { .. } | LaunchPlan::PersistentGuided { .. } => {
+                Some(TaskKind::DynWorker)
+            }
+            LaunchPlan::PersistentStatic { .. } => Some(TaskKind::StaticWorker { next: 0 }),
+        };
+        match kind {
+            None => self.deal_hardware_runs(l, n, &mut touched),
+            Some(kind) => {
+                for w in 0..n {
+                    let cu = self.next_rr_cu();
+                    let tid = self.alloc_task(Task {
+                        launch: l,
+                        kind,
+                        cu,
+                        rslot: 0,
+                        wi: w,
+                        phase_seq: 0,
+                        in_flight: None,
+                        lost: false,
+                    });
+                    self.enqueue(cu, Queued::Task(tid), &mut touched);
                 }
-                LaunchPlan::PersistentStatic { .. } => TaskKind::StaticWorker { next: 0 },
-            };
-            let cu = self.next_rr_cu();
-            let tid = self.tasks.len();
-            self.tasks.push(Task {
-                launch: l,
-                kind,
-                cu,
-                rslot: 0,
-                wi: w,
-                phase_seq: 0,
-                in_flight: None,
-                lost: false,
-            });
-            self.cus[cu].queue.push_back(tid);
-            self.refresh_ready(cu);
-            touched.insert(cu);
+            }
         }
         // A launch with zero machine work groups completes immediately
         // (and still anchors any resumes waiting on its retirement).
@@ -948,6 +1025,50 @@ impl Engine {
             self.fire_resumes(l);
         }
         self.try_start_each(&touched);
+    }
+
+    /// Deal hardware launch `l`'s `n` work groups onto the CU queues
+    /// as one run per live CU, in O(CUs): group `w` lands where the `w`-th
+    /// of `n` calls of [`Engine::next_rr_cu`] would send it, and the cursor
+    /// ends where those calls would leave it. The first `live` calls name
+    /// the runs' CUs in ring order; after them the cursor sits just past a
+    /// live CU, so every further `live` calls advance it by one whole
+    /// ring, and the remainder is walked call by call. With every CU
+    /// failed each call returns the nominal CU after a whole ring, so the
+    /// launch parks there as one run.
+    fn deal_hardware_runs(&mut self, l: usize, n: usize, touched: &mut CuSet) {
+        if n == 0 {
+            return;
+        }
+        let num_cus = self.config.num_cus;
+        let live = self.cus.iter().filter(|c| !c.failed).count();
+        if live == 0 {
+            let cu = self.rr_cursor % num_cus;
+            self.rr_cursor += n * num_cus;
+            let run = HwRun {
+                launch: l,
+                next: 0,
+                stride: 1,
+                left: n,
+            };
+            self.enqueue(cu, Queued::Run(run), touched);
+            return;
+        }
+        for next in 0..n.min(live) {
+            let cu = self.next_rr_cu();
+            let run = HwRun {
+                launch: l,
+                next,
+                stride: live,
+                left: (n - next).div_ceil(live),
+            };
+            self.enqueue(cu, Queued::Run(run), touched);
+        }
+        let rest = n.saturating_sub(live);
+        self.rr_cursor += rest / live * num_cus;
+        for _ in 0..rest % live {
+            self.next_rr_cu();
+        }
     }
 
     /// Next CU of the round-robin enqueue ring, skipping failed CUs (a
@@ -1091,9 +1212,8 @@ impl Engine {
         let mut touched = CuSet::new(self.config.num_cus);
         for _ in 0..missing {
             let cu = self.next_rr_cu_healthy();
-            let tid = self.tasks.len();
             let wi = self.kernels[l].spawned;
-            self.tasks.push(Task {
+            let tid = self.alloc_task(Task {
                 launch: l,
                 kind: TaskKind::DynWorker,
                 cu,
@@ -1108,9 +1228,7 @@ impl Engine {
             k.tasks_left += 1;
             k.machine_wgs += 1;
             k.resumed += 1;
-            self.cus[cu].queue.push_back(tid);
-            self.refresh_ready(cu);
-            touched.insert(cu);
+            self.enqueue(cu, Queued::Task(tid), &mut touched);
             if self.collect_trace {
                 self.trace.push(TraceEvent {
                     time: self.now,
@@ -1162,18 +1280,20 @@ impl Engine {
 
     /// A failed CU comes back empty-handed: it re-enters placement, and
     /// elastic launches may grow into it immediately. It also adopts any
-    /// work stranded on still-failed queues — a task enqueued while every
-    /// CU was dead parked on a nominal (dead) queue, and the first repair
-    /// is its earliest legal start.
+    /// work stranded on still-failed queues — a task or hardware run
+    /// enqueued while every CU was dead parked on a nominal (dead) queue,
+    /// and the first repair is its earliest legal start. Runs move whole.
     fn on_repair(&mut self, cu: usize) {
         self.cus[cu].failed = false;
         for other in 0..self.config.num_cus {
             if other == cu || !self.cus[other].failed {
                 continue;
             }
-            while let Some(tid) = self.cus[other].queue.pop_front() {
-                self.tasks[tid].cu = cu;
-                self.cus[cu].queue.push_back(tid);
+            while let Some(entry) = self.cus[other].queue.pop_front() {
+                if let Queued::Task(tid) = entry {
+                    self.tasks[tid].cu = cu;
+                }
+                self.cus[cu].queue.push_back(entry);
             }
         }
         self.refresh_ready(cu);
@@ -1186,7 +1306,9 @@ impl Engine {
     /// and migrate the displaced tasks to surviving CUs — former
     /// residents at the queue *heads* (they were already running; they
     /// and their requeued chunks go first), queued tasks behind them,
-    /// both round-robin across the survivors.
+    /// both round-robin across the survivors. Queued hardware runs are
+    /// expanded into tasks first, in queue order, since their groups
+    /// migrate one by one.
     fn fail_cu(&mut self, cu: usize, repair_at: Option<u64>) {
         if self.cus[cu].failed {
             return; // already dead; the injection found nothing to break
@@ -1202,7 +1324,10 @@ impl Engine {
             self.suspect_until[cu] = back + (back - self.now);
         }
         let residents = std::mem::take(&mut self.cus[cu].resident);
-        let queued: Vec<usize> = self.cus[cu].queue.drain(..).collect();
+        let mut queued = Vec::new();
+        while !self.cus[cu].queue.is_empty() {
+            queued.push(self.pop_group(cu));
+        }
         for &tid in &residents {
             self.kill_resident(tid, cu, true);
         }
@@ -1210,16 +1335,14 @@ impl Engine {
         for &tid in residents.iter().rev() {
             let dest = self.next_rr_cu_healthy();
             self.tasks[tid].cu = dest;
-            self.cus[dest].queue.push_front(tid);
+            self.cus[dest].queue.push_front(Queued::Task(tid));
             self.refresh_ready(dest);
             touched.insert(dest);
         }
         for tid in queued {
             let dest = self.next_rr_cu_healthy();
             self.tasks[tid].cu = dest;
-            self.cus[dest].queue.push_back(tid);
-            self.refresh_ready(dest);
-            touched.insert(dest);
+            self.enqueue(dest, Queued::Task(tid), &mut touched);
         }
         self.try_start_each(&touched);
     }
@@ -1238,9 +1361,14 @@ impl Engine {
         let mut touched = CuSet::new(self.config.num_cus);
         for cu in 0..self.config.num_cus {
             let before = self.cus[cu].queue.len();
-            self.cus[cu]
-                .queue
-                .retain(|&tid| self.tasks[tid].launch != l);
+            let (tasks, free) = (&self.tasks, &mut self.free_tasks);
+            self.cus[cu].queue.retain(|&entry| {
+                let keep = entry.launch(tasks) != l;
+                if let (false, Queued::Task(tid)) = (keep, entry) {
+                    free.push(tid);
+                }
+                keep
+            });
             if self.cus[cu].queue.len() != before {
                 self.refresh_ready(cu);
                 touched.insert(cu);
@@ -1254,6 +1382,7 @@ impl Engine {
             for tid in mine {
                 self.unlink_resident(cu, tid);
                 self.kill_resident(tid, cu, false);
+                self.free_tasks.push(tid);
                 touched.insert(cu);
             }
         }
@@ -1361,8 +1490,9 @@ impl Engine {
         }
     }
 
-    fn fits(&self, cu: usize, tid: usize) -> bool {
-        let req = self.launches[self.tasks[tid].launch].req;
+    /// Whether a work group of launch `l` fits on CU `cu` right now.
+    fn fits(&self, cu: usize, l: usize) -> bool {
+        let req = self.launches[l].req;
         let c = &self.cus[cu];
         !c.failed
             && (req.threads as i64) <= c.free_threads
@@ -1416,14 +1546,51 @@ impl Engine {
     }
 
     fn try_start(&mut self, cu: usize) {
-        while let Some(&tid) = self.cus[cu].queue.front() {
-            if !self.fits(cu, tid) {
+        while let Some(&entry) = self.cus[cu].queue.front() {
+            if !self.fits(cu, entry.launch(&self.tasks)) {
                 break;
             }
-            self.cus[cu].queue.pop_front();
+            let tid = self.pop_group(cu);
             self.start_task(cu, tid);
         }
         self.refresh_ready(cu);
+    }
+
+    /// Pop the work group at the head of CU `cu`'s (non-empty) queue as a
+    /// task: a queued task as it is, or a hardware run's next group,
+    /// materialised into a free task slot.
+    fn pop_group(&mut self, cu: usize) -> usize {
+        let queue = &mut self.cus[cu].queue;
+        let run = match queue.front_mut().expect("queue is not empty") {
+            Queued::Task(tid) => {
+                let tid = *tid;
+                queue.pop_front();
+                return tid;
+            }
+            Queued::Run(run) => {
+                let taken = *run;
+                run.next += run.stride;
+                run.left -= 1;
+                if run.left == 0 {
+                    queue.pop_front();
+                }
+                taken
+            }
+        };
+        let LaunchPlan::Hardware { wg_costs } = &self.launches[run.launch].plan else {
+            unreachable!("runs only hold hardware work groups");
+        };
+        let cost = wg_costs[run.next];
+        self.alloc_task(Task {
+            launch: run.launch,
+            kind: TaskKind::HardwareWg { cost },
+            cu,
+            rslot: 0,
+            wi: run.next,
+            phase_seq: 0,
+            in_flight: None,
+            lost: false,
+        })
     }
 
     fn start_task(&mut self, cu: usize, tid: usize) {
@@ -1663,6 +1830,7 @@ impl Engine {
             c.free_slots += 1;
         }
         self.unlink_resident(cu, tid);
+        self.free_tasks.push(tid);
         let mi = self.launches[l].mem_intensity;
         self.resident_mem_load -= req.threads as f64 * mi;
         self.resident_compute_load -= req.threads as f64 * (1.0 - mi);
@@ -1733,9 +1901,8 @@ impl Engine {
                 let Some(cu) = self.find_placement(req) else {
                     continue;
                 };
-                let tid = self.tasks.len();
                 let wi = self.kernels[l].spawned;
-                self.tasks.push(Task {
+                let tid = self.alloc_task(Task {
                     launch: l,
                     kind: TaskKind::DynWorker,
                     cu,
@@ -3190,6 +3357,32 @@ mod tests {
             assert!(model.is_empty());
             assert_eq!(popped, seq, "every event handled once");
         }
+    }
+
+    /// Hardware groups become tasks only when they start, and a finished
+    /// task's slot is reused, so the task table is bounded by residency
+    /// (at most every slot of every CU), not by launch size.
+    #[test]
+    fn task_table_follows_residency_not_launch_size() {
+        let cfg = DeviceConfig::test_tiny();
+        let bound = cfg.num_cus * cfg.wg_slots_per_cu as usize;
+        let mut sim = Simulator::new(cfg);
+        let big = sim.add_launch(hw_launch("big", 200_000, 100));
+        sim.add_launch(hw_launch("b", 1_000, 70));
+        sim.add_launch(hw_launch("c", 777, 130));
+        let mut engine = sim.into_engine();
+        engine.run_events();
+        assert!(
+            engine.tasks.len() <= bound,
+            "task table grew to {} entries (bound {bound})",
+            engine.tasks.len()
+        );
+        let (report, _) = engine.into_report();
+        assert_eq!(report.kernel(big).groups_executed, 200_000);
+        assert!(report
+            .kernels
+            .iter()
+            .all(|k| k.groups_executed == k.machine_wgs));
     }
 
     /// `rslot` rides in the padding after `lost`: the work-group record
