@@ -142,16 +142,20 @@ fn run_indexed<F: Fn(usize) + Sync>(n: usize, f: F) {
         return;
     }
     let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                f(i);
-            });
+    let work = || loop {
+        let i = cursor.fetch_add(1, Ordering::Relaxed);
+        if i >= n {
+            break;
         }
+        f(i);
+    };
+    // The calling thread is one of the workers: it takes its share rather
+    // than idle in the scope's join.
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
 }
 

@@ -292,6 +292,10 @@ pub struct ModuleFacts {
     functions: BTreeMap<String, FunctionFacts>,
     races: BTreeMap<String, crate::races::KernelRaceReport>,
     dequeue: BTreeSet<String>,
+    /// Within-group proofs, computed on a kernel's first query (most
+    /// kernels of a program never launch in a given process).
+    lockstep:
+        BTreeMap<String, std::sync::OnceLock<Option<std::sync::Arc<crate::races::LockstepReport>>>>,
 }
 
 impl ModuleFacts {
@@ -313,7 +317,9 @@ impl ModuleFacts {
         }
         let mut races = BTreeMap::new();
         let mut dequeue = BTreeSet::new();
+        let mut lockstep = BTreeMap::new();
         for name in module.kernel_names() {
+            lockstep.insert(name.to_string(), std::sync::OnceLock::new());
             if let Some((report, contract)) = crate::races::gate_report(module, name) {
                 if contract.is_some() {
                     dequeue.insert(name.to_string());
@@ -325,7 +331,22 @@ impl ModuleFacts {
             functions,
             races,
             dequeue,
+            lockstep,
         }
+    }
+
+    /// Cached within-group proof for kernel `name`
+    /// ([`crate::races::lockstep_report`]), computed from `module` (the
+    /// module these facts were computed from) on first use.
+    pub fn lockstep_report(
+        &self,
+        module: &Module,
+        name: &str,
+    ) -> Option<&crate::races::LockstepReport> {
+        self.lockstep
+            .get(name)?
+            .get_or_init(|| crate::races::lockstep_report(module, name))
+            .as_deref()
     }
 
     /// Structural facts for `name`, if the function exists.

@@ -74,6 +74,57 @@
 //! `Option<Value>` registers, every variable in private memory) to
 //! 3.6–3.9 ns.
 //!
+//! ## Lockstep execution
+//!
+//! A launch the within-group proof admits
+//! ([`Interpreter::lockstep_eligible_in`], proof in
+//! [`crate::races::lockstep_report`]) runs each work group's items in
+//! lockstep: between barriers every quickened instruction is dispatched
+//! once per group and applied to all active items (Karrenberg and Hack's
+//! whole-function vectorisation; pocl's work-group loops). The proof asks
+//! that within every barrier interval no item writes bytes another item of
+//! the group reads or writes (atomics of one commuting kind with discarded
+//! results, and plain stores of one value by items that agree on what it
+//! depends on, excepted), and that every barrier sits outside all
+//! divergent branches. Then the items' interleaving within an interval
+//! cannot change memory, and lockstep is one more legal order. A used
+//! atomic result passes only where one item touches the bytes, as the
+//! JIT's master-only dequeue does; bfs and mri-gridding_reorder keep item
+//! order.
+//!
+//! - **Registers** are struct-of-arrays: a varying register holds one slot
+//!   per item, a group-uniform one a single slot (`lockstep::compile`).
+//!   A register is uniform when every write of it runs outside divergent
+//!   regions from uniform operands; a load through a uniform pointer into
+//!   shared memory qualifies, since all items read it at one instant and
+//!   the proof rules out a write by another item in between. Loop counters
+//!   and addresses such as sgemm's `tile[k]` and ComputeQ's `kx[k]` are
+//!   computed once per group.
+//! - **Masks and reconvergence.** A branch on a varying register checks
+//!   whether the active items agree. When they do not, they split: the
+//!   taken side runs, then the other, and they merge again at the branch's
+//!   immediate postdominator, computed once per launch (a mask stack with
+//!   postdominator reconvergence). A call takes its active items into the
+//!   callee together; they come back once the last of them returns.
+//! - **Steps and statistics** stay per item: a group clock minus a per-item
+//!   offset is each item's step count, so the step limit fires for the
+//!   item and at the instruction where it would in item order, and every
+//!   `DynStats` counter adds one per active item.
+//! - **Errors.** The result is the lowest-numbered item's first error in
+//!   the earliest failing barrier interval, as in item order: an item that
+//!   fails drops every higher item, lower items run on to the barrier (or
+//!   to their own error), and the group then stops. Memory after an error
+//!   follows the sharded path's rule, within a group too: items after the
+//!   failing one may have run part of the interval.
+//!
+//! The proof costs a few analysis passes, so answers are memoised per
+//! module (`races::LOCKSTEP_MEMO`). Measured on `perfbench` `tenants`
+//! (seed 1, three alternated traced passes per side, release build, 2-vCPU
+//! x86 host): `interp.ns_per_insn` fell from 2.0–2.3 ns (items one at a
+//! time) to 1.10–1.18 ns, over the same 104,957,853 instructions. Over one
+//! scale-1 launch of each of the 25 JIT-transformed Parboil kernels, 19
+//! kernels and 92.5% of the executed instructions run in lockstep.
+//!
 //! ## Trap rules
 //!
 //! Lowering is total. Six constructs have no ordinary instruction, and
@@ -118,6 +169,8 @@ use crate::interp::{
 };
 use crate::ir::{AtomicOp, BinOp, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin};
 use crate::types::{AddressSpace, Type};
+
+mod lockstep;
 
 /// Which execution tier the functional plane runs kernels on.
 ///
@@ -379,6 +432,9 @@ pub(crate) struct BcFuncBody {
     frame_regs: usize,
     /// Scalar kind of every register, from the function's value types.
     kinds: Vec<Kind>,
+    /// Registers holding a pointer into memory the work items of a group
+    /// share (global, constant or local).
+    shared: Vec<bool>,
     /// Blocks of instructions; `Jump`/`Branch` targets are block indices.
     blocks: Vec<Vec<BcInsn>>,
     /// Per-launch preamble: initial register file every frame of this
@@ -592,6 +648,11 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> BcModule {
             name: func.name.clone(),
             frame_regs: func.value_types.len(),
             kinds: func.value_types.iter().map(Kind::of).collect(),
+            shared: func
+                .value_types
+                .iter()
+                .map(|t| t.space().is_some_and(|s| s != AddressSpace::Private))
+                .collect(),
             blocks,
             template,
         });
@@ -1267,6 +1328,8 @@ struct VmFunc {
     entry_pc: u32,
     /// The function's registers plus its sink register.
     template: Box<[Slot]>,
+    /// First pc of each block.
+    block_pc: Box<[u32]>,
 }
 
 /// A resolved call: callee index and argument registers (kept out of
@@ -1365,6 +1428,7 @@ pub(crate) fn quicken(bc: &BcModule) -> VmProgram {
         funcs.push(VmFunc {
             entry_pc,
             template: template.into_boxed_slice(),
+            block_pc: block_pc.into_boxed_slice(),
         });
     }
     VmProgram {
@@ -1659,6 +1723,7 @@ pub(crate) struct BcScratch {
     local: Vec<u8>,
     items: Vec<BcItem>,
     call_stack: Vec<Slot>,
+    lockstep: lockstep::LsScratch,
 }
 
 fn bc_bytes<'a>(
@@ -1706,12 +1771,14 @@ fn gep(p: Slot, index: Slot, stride: u32) -> Result<Slot, InterpError> {
     })
 }
 
-/// Run one work group of the program (mirrors the tree-walker's
-/// `run_work_group`: same item order, same barrier round-robin, same
-/// divergence error).
+/// Run one work group of the program: in lockstep when `lockstep` lays
+/// the program out for it, otherwise item by item (mirroring the
+/// tree-walker's `run_work_group`: same item order, same barrier
+/// round-robin, same divergence error).
 #[allow(clippy::too_many_arguments)]
 fn run_bc_group(
     prog: &VmProgram,
+    lockstep: Option<&lockstep::LsProgram>,
     gmem: &GlobalMem<'_>,
     step_limit: u64,
     ndrange: NdRange,
@@ -1725,10 +1792,25 @@ fn run_bc_group(
         local,
         items,
         call_stack,
+        lockstep: ls_scratch,
     } = scratch;
     let mut cursor = tickets.map(|t| t.worker(flat_index(ndrange.num_groups(), group_id)));
     local.clear();
     local.resize(local_bytes, 0);
+    if let Some(ls) = lockstep {
+        return lockstep::run_group(
+            ls,
+            prog,
+            gmem,
+            step_limit,
+            ndrange,
+            local,
+            cursor.as_mut(),
+            group_id,
+            ls_scratch,
+            stats,
+        );
+    }
     let wg_size = ndrange.wg_size();
     items.truncate(wg_size);
 
@@ -1784,7 +1866,9 @@ fn run_bc_group(
             // Resume inside a call: bring the callee frames back onto the
             // (empty) call stack, at the bases its frames recorded.
             debug_assert!(call_stack.is_empty());
-            call_stack.append(&mut item.saved);
+            if !item.saved.is_empty() {
+                call_stack.append(&mut item.saved);
+            }
             run_bc_item(
                 prog,
                 gmem,
@@ -1798,7 +1882,9 @@ fn run_bc_group(
                 cursor.as_mut(),
             )?;
             // Paused inside a call: keep the callee frames with the item.
-            item.saved.append(call_stack);
+            if !call_stack.is_empty() {
+                item.saved.append(call_stack);
+            }
         }
         let done = items.iter().filter(|i| i.status == WiStatus::Done).count();
         if done == items.len() {
@@ -2506,13 +2592,18 @@ impl<'m> Interpreter<'m> {
     /// [`ExecTier::TreeWalk`] runs the reference tree-walker, always
     /// sequentially.
     ///
+    /// A launch [`lockstep_eligible_in`](Self::lockstep_eligible_in)
+    /// admits runs each group's items in lockstep (see the
+    /// [module docs](crate::bytecode)), sharded or not.
+    ///
     /// Successful runs are bit-identical to `run_kernel`: memory bytes and
     /// every `DynStats` counter (work groups of a race-free kernel touch
     /// disjoint global bytes, and per-group statistics are merged in flat
     /// group order). On error, the lowest-numbered failing group's error is
-    /// returned, but — unlike the sequential path, which stops at the first
-    /// failing group — groups after the failing one may already have
-    /// executed.
+    /// returned (within it, the lowest-numbered item's), but — unlike the
+    /// sequential path, which stops at the first failing group — groups
+    /// after the failing one, and in lockstep items after the failing one,
+    /// may already have executed.
     ///
     /// A persistent-worker scheduling kernel whose
     /// [`crate::ir::DequeueContract`] admits the launch takes its dequeue
@@ -2541,15 +2632,20 @@ impl<'m> Interpreter<'m> {
         if self.tier == ExecTier::TreeWalk {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
+        let lockstep = self.lockstep_eligible_in(mem, kernel, ndrange, args);
         let mut bc = lower(self.module, &setup);
         optimize(&mut bc, ndrange);
         let prog = quicken(&bc);
+        let ls = lockstep
+            .then(|| lockstep::compile(&bc, &prog, ndrange.wg_size()))
+            .flatten();
         let step_limit = self.config.step_limit;
         let local_bytes = setup.local_bytes;
         let gmem = GlobalMem::new(mem);
         let run = |gid: [usize; 3], scratch: &mut BcScratch, stats: &mut DynStats| {
             run_bc_group(
                 &prog,
+                ls.as_ref(),
                 &gmem,
                 step_limit,
                 ndrange,

@@ -895,6 +895,39 @@ fn eligible_for(
     })
 }
 
+/// The virtual range a scheduling kernel's workers dequeue from, read from
+/// its descriptor in `mem`: the dequeue counter's start, the virtual group
+/// counts, and the original kernel's scalar arguments. `None` when the
+/// descriptor is missing or inconsistent.
+fn virtual_range(
+    mem: &DeviceMemory,
+    c: &DequeueContract,
+    ndrange: NdRange,
+    args: &[ArgValue],
+) -> Option<(i64, [usize; 3], Vec<Option<i64>>)> {
+    let word = |slot: usize| -> Option<i64> {
+        let ArgValue::Buffer(rt) = args.get(c.descriptor)? else {
+            return None;
+        };
+        let bytes = mem.buffers.get(rt.0 as usize)?.bytes();
+        let w = bytes.get(8 * slot..8 * slot + 8)?;
+        Some(i64::from_le_bytes(w.try_into().ok()?))
+    };
+    let base = word(c.next_slot)?;
+    let total = word(c.total_slot)?;
+    let mut groups = [0usize; 3];
+    let mut product: i64 = 1;
+    for (d, g) in groups.iter_mut().enumerate() {
+        let n = word(c.dims_slot + d)?;
+        product = product.checked_mul(n).filter(|_| n >= 1)?;
+        *g = n as usize;
+    }
+    // The analysis enumerates up to every virtual work item.
+    (product as usize).checked_mul(ndrange.wg_size())?;
+    let scalars = launch_scalars(args.get(..c.descriptor)?);
+    (base >= 0 && (0..=product).contains(&total)).then_some((base, groups, scalars))
+}
+
 /// Whether the launch's buffer arguments are pairwise distinct.
 fn distinct_buffers(args: &[ArgValue]) -> bool {
     let mut buffers: Vec<BufferId> = args
@@ -1083,6 +1116,50 @@ impl<'m> Interpreter<'m> {
         self.admit(mem, kernel, ndrange, args, 2).0
     }
 
+    /// Whether [`run_kernel_bytecode`](Self::run_kernel_bytecode) runs the
+    /// launch's work items in lockstep: each instruction dispatched once
+    /// per group between barriers (see the
+    /// [bytecode module docs](crate::bytecode)). The within-group proof
+    /// ([`crate::races::lockstep_report`]) must hold for the launch's group
+    /// shape and scalar arguments; a scheduling kernel's original kernel is
+    /// checked against the virtual range read from its descriptor in
+    /// `mem`. Independent of the thread count and of the cross-group gate.
+    pub fn lockstep_eligible_in(
+        &self,
+        mem: &DeviceMemory,
+        kernel: &str,
+        ndrange: NdRange,
+        args: &[ArgValue],
+    ) -> bool {
+        let check = |report: &crate::races::LockstepReport| {
+            let contract = self
+                .module
+                .dequeue
+                .get(kernel)
+                .filter(|_| report.split_by_contract());
+            let (groups, scalars) = match contract {
+                Some(c) => match virtual_range(mem, c, ndrange, args) {
+                    Some((_, groups, scalars)) => (groups, scalars),
+                    None => return false,
+                },
+                None => (ndrange.num_groups(), launch_scalars(args)),
+            };
+            report.eligible_for_launch(&crate::races::LaunchEnv {
+                local: ndrange.local,
+                groups,
+                work_dim: ndrange.work_dim as u32,
+                args: &scalars,
+                distinct_buffers: distinct_buffers(args),
+            })
+        };
+        match self.facts {
+            Some(facts) => facts
+                .lockstep_report(self.module, kernel)
+                .is_some_and(check),
+            None => crate::races::lockstep_report(self.module, kernel).is_some_and(|r| check(&r)),
+        }
+    }
+
     /// Apply `f` to the report gating `kernel` and its holding dequeue
     /// contract (see [`crate::races::gate_report`]), from the facts cache
     /// when there is one. `None` for unknown kernels.
@@ -1128,35 +1205,9 @@ impl<'m> Interpreter<'m> {
             let Some(c) = contract else {
                 return (threads > 1 && eligible_for(report, ndrange, args), None);
             };
-            let word = |slot: usize| -> Option<i64> {
-                let ArgValue::Buffer(rt) = args.get(c.descriptor)? else {
-                    return None;
-                };
-                let bytes = mem.buffers.get(rt.0 as usize)?.bytes();
-                let w = bytes.get(8 * slot..8 * slot + 8)?;
-                Some(i64::from_le_bytes(w.try_into().ok()?))
-            };
-            let virtual_range = || -> Option<(i64, [usize; 3])> {
-                let base = word(c.next_slot)?;
-                let total = word(c.total_slot)?;
-                let mut groups = [0usize; 3];
-                let mut product: i64 = 1;
-                for (d, g) in groups.iter_mut().enumerate() {
-                    let n = word(c.dims_slot + d)?;
-                    product = product.checked_mul(n).filter(|_| n >= 1)?;
-                    *g = n as usize;
-                }
-                // The analysis enumerates up to every virtual work item.
-                (product as usize).checked_mul(ndrange.wg_size())?;
-                (base >= 0 && (0..=product).contains(&total)).then_some((base, groups))
-            };
-            let Some((base, groups)) = virtual_range() else {
+            let Some((base, groups, scalars)) = virtual_range(mem, c, ndrange, args) else {
                 return (false, None);
             };
-            let Some(own_args) = args.get(..c.descriptor) else {
-                return (false, None);
-            };
-            let scalars = launch_scalars(own_args);
             let env = crate::races::LaunchEnv {
                 local: ndrange.local,
                 groups,
@@ -1979,6 +2030,14 @@ impl<'a> GlobalMem<'a> {
 struct SyncPtr<T>(*mut T);
 unsafe impl<T: Send> Sync for SyncPtr<T> {}
 
+impl<T> SyncPtr<T> {
+    /// Accessor, so closures capture the `Sync` wrapper rather than its
+    /// raw pointer field.
+    fn get(&self) -> *mut T {
+        self.0
+    }
+}
+
 /// Encode 3-D group coordinates as the flat group id [`flat_gid`] decodes.
 pub(crate) fn flat_index(groups: [usize; 3], gid: [usize; 3]) -> usize {
     gid[0] + groups[0] * (gid[1] + groups[1] * gid[2])
@@ -2058,44 +2117,43 @@ where
     let cursor = AtomicUsize::new(0);
     let mut merged = DynStats::default();
     let mut first_err: Option<(usize, InterpError)> = None;
+    let worker = || {
+        let mut scratch = S::default();
+        let mut part = DynStats::default();
+        loop {
+            // Tapered claims need the size to depend on where the cursor
+            // stands, so the claim is a CAS update rather than a
+            // fixed-stride fetch_add; the size is a pure function of `lo`,
+            // so recomputing it after the update returns yields the same
+            // claim.
+            let claimed = cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |lo| {
+                (lo < total).then(|| lo + steal_claim(total, threads, lo))
+            });
+            let Ok(lo) = claimed else {
+                return Ok(part);
+            };
+            for flat in lo..(lo + steal_claim(total, threads, lo)).min(total) {
+                let gid = flat_gid(groups, flat);
+                match run(gid, &mut scratch, &mut part) {
+                    // SAFETY: `flat` lies in a range this thread claimed
+                    // exclusively; the buffer outlives the scope.
+                    Ok(n) => unsafe { *insns.get().add(flat) = n },
+                    Err(e) => return Err((flat, e)),
+                }
+            }
+        }
+    };
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cursor = &cursor;
-                let insns = &insns;
-                let run = &run;
-                scope.spawn(move || {
-                    let mut scratch = S::default();
-                    let mut part = DynStats::default();
-                    loop {
-                        // Tapered claims need the size to depend on where
-                        // the cursor stands, so the claim is a CAS update
-                        // rather than a fixed-stride fetch_add; the size
-                        // is a pure function of `lo`, so recomputing it
-                        // after the update returns yields the same claim.
-                        let claimed =
-                            cursor.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |lo| {
-                                (lo < total).then(|| lo + steal_claim(total, threads, lo))
-                            });
-                        let Ok(lo) = claimed else {
-                            return Ok(part);
-                        };
-                        for flat in lo..(lo + steal_claim(total, threads, lo)).min(total) {
-                            let gid = flat_gid(groups, flat);
-                            match run(gid, &mut scratch, &mut part) {
-                                // SAFETY: `flat` lies in a range this
-                                // thread claimed exclusively; the buffer
-                                // outlives the scope.
-                                Ok(n) => unsafe { *insns.0.add(flat) = n },
-                                Err(e) => return Err((flat, e)),
-                            }
-                        }
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            match handle.join().expect("interpreter worker panicked") {
+        // The calling thread is one of the `threads` workers.
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let own = worker();
+        let parts = std::iter::once(own).chain(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("interpreter worker panicked")),
+        );
+        for part in parts {
+            match part {
                 Ok(part) => {
                     merged.mem_ops += part.mem_ops;
                     merged.atomic_ops += part.atomic_ops;

@@ -267,6 +267,20 @@ pub enum ConstVal {
     F64(f64),
 }
 
+/// Floats hash by their bits: equal literals hash alike.
+impl std::hash::Hash for ConstVal {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        std::mem::discriminant(self).hash(state);
+        match *self {
+            ConstVal::Bool(b) => b.hash(state),
+            ConstVal::I32(x) => x.hash(state),
+            ConstVal::I64(x) => x.hash(state),
+            ConstVal::F32(x) => x.to_bits().hash(state),
+            ConstVal::F64(x) => x.to_bits().hash(state),
+        }
+    }
+}
+
 impl ConstVal {
     /// The IR type of the literal.
     pub fn ty(&self) -> Type {
@@ -293,7 +307,7 @@ impl fmt::Display for ConstVal {
 }
 
 /// A non-terminator instruction operation.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Op {
     /// Materialise a constant.
     Const(ConstVal),
@@ -406,8 +420,16 @@ impl PartialEq for Inst {
     }
 }
 
+/// Consistent with equality: the span is left out.
+impl std::hash::Hash for Inst {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.result.hash(state);
+        self.op.hash(state);
+    }
+}
+
 /// Block terminators.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(BlockId),
@@ -438,7 +460,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Block {
     /// Instructions in execution order.
     pub insts: Vec<Inst>,
@@ -472,7 +494,7 @@ pub enum FunctionKind {
 }
 
 /// A formal parameter.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Param {
     /// Source-level name (for diagnostics and printing).
     pub name: String,
@@ -483,7 +505,7 @@ pub struct Param {
 /// A function: parameters, typed value table, and a CFG of basic blocks.
 ///
 /// Block 0 is the entry block. Parameters occupy value ids `0..params.len()`.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct Function {
     /// Unique name within the module.
     pub name: String,
@@ -542,7 +564,7 @@ impl Function {
 /// one, and makes workers independent whenever the *original* kernel's
 /// virtual groups are. Only a contract that [`DequeueContract::holds_in`]
 /// the scheduling kernel counts; anything else runs the loop as written.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 pub struct DequeueContract {
     /// Block of the dequeue `atomic_add` in the scheduling kernel.
     pub block: BlockId,
@@ -626,7 +648,7 @@ impl DequeueContract {
 }
 
 /// A module: an ordered set of uniquely named functions.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Hash)]
 pub struct Module {
     /// Functions in definition order.
     pub functions: Vec<Function>,

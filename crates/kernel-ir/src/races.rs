@@ -23,6 +23,23 @@
 //!   behaviour; detected via postdominators + the uniformity lattice of the
 //!   same dataflow.
 //!
+//! * **Within-group proof** — [`lockstep_report`] licenses lockstep
+//!   execution of a work group's items. Within every *barrier interval*
+//!   (the code items run between two barriers, found by a dataflow over
+//!   barrier positions), no item may write bytes another item of the same
+//!   group reads or writes: the same affine offsets, now compared across
+//!   local ids with the group fixed, evaluated per item for the concrete
+//!   group shape (loop strides folded into one residue period, guards
+//!   such as `lid == 0` honoured). Atomics of one commuting kind with
+//!   discarded results may share bytes; so may plain stores of one value
+//!   (its local-id axes, tracked per SSA value, agree for the two items).
+//!   Every barrier must lie outside all divergent regions (the blocks a
+//!   branch on a varying condition reaches before its immediate
+//!   postdominator). Group-uniformity for that check is a small fixpoint:
+//!   a load is uniform when its address is and no item writes its bytes
+//!   within its intervals (the JIT's broadcast of the master's dequeue),
+//!   and a private variable stored under a divergent branch is not.
+//!
 //! The dynamic ground truth for all of this is the shadow-mode race oracle in
 //! [`crate::interp`] (`run_kernel_oracle`): proptests assert the static
 //! verdict is never `Safe`/`SafeViaAtomics` when the oracle observes a
@@ -43,6 +60,7 @@ use crate::types::{AddressSpace, Type};
 use crate::verify::{operands, successors};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Marker used as the parameter index of accesses whose base pointer could
 /// not be traced back to a kernel parameter.
@@ -447,6 +465,13 @@ impl CondVal {
         self.lhs.step_free() && self.rhs.step_free()
     }
 
+    /// Whether the condition reads a group id.
+    fn depends_on_group(&self) -> bool {
+        [&self.lhs, &self.rhs]
+            .iter()
+            .any(|a| a.coeffs.keys().any(|ax| matches!(ax, Axis::Grp(_))))
+    }
+
     fn eval_at(&self, env: &LaunchEnv<'_>, lid: [usize; 3], grp: [usize; 3]) -> Option<bool> {
         let l = self.lhs.eval_at(env, lid, grp)?;
         let r = self.rhs.eval_at(env, lid, grp)?;
@@ -840,6 +865,15 @@ struct Analyzer<'a> {
     used: Vec<bool>,
     aggressive: bool,
     changed: bool,
+    /// Loads the within-group proof showed group-uniform: a group-uniform
+    /// address that no work item writes within the load's barrier
+    /// intervals.
+    stable_loads: BTreeSet<(usize, usize)>,
+    /// Private cells stored under a divergent branch: their loads vary
+    /// across the group whatever the stored values.
+    demoted: BTreeSet<CellId>,
+    /// Shared-memory accesses for the within-group proof, when collected.
+    group: Option<Vec<GroupSite>>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -878,6 +912,9 @@ impl<'a> Analyzer<'a> {
             used,
             aggressive: false,
             changed: false,
+            stable_loads: BTreeSet::new(),
+            demoted: BTreeSet::new(),
+            group: None,
         }
     }
 
@@ -1033,8 +1070,13 @@ impl<'a> Analyzer<'a> {
                                 }) => (block, inst),
                                 _ => unreachable!(),
                             };
-                            cells.get(&cell).cloned().unwrap_or(AbsVal::Unknown)
+                            if self.demoted.contains(&cell) {
+                                AbsVal::Unknown
+                            } else {
+                                cells.get(&cell).cloned().unwrap_or(AbsVal::Unknown)
+                            }
                         }
+                        _ if self.stable_loads.contains(&(bid, iid)) => AbsVal::UnknownUniform,
                         _ => AbsVal::Unknown,
                     }
                 }
@@ -1102,8 +1144,11 @@ impl<'a> Analyzer<'a> {
                 Op::Call { callee, args } => {
                     let touches_global = self.callee_touches_global(callee);
                     let mut all_uniform = true;
-                    for a in args {
+                    for (j, a) in args.iter().enumerate() {
                         let av = self.reg(*a);
+                        if sites.is_some() {
+                            self.record_call_arg(callee, j, *a, bid, iid);
+                        }
                         all_uniform &= av.group_uniform();
                         if let AbsVal::Ptr(PtrVal { base, .. }) = &av {
                             match base {
@@ -1241,9 +1286,11 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    /// Record a global-memory access site if `ptr` reaches global memory.
+    /// Record a global-memory access site if `ptr` reaches global memory,
+    /// and, when the within-group proof collects them, a site for every
+    /// access that may reach memory shared by a work group.
     fn record_access(
-        &self,
+        &mut self,
         ptr: ValueId,
         kind: AccessKind,
         bid: usize,
@@ -1255,7 +1302,45 @@ impl<'a> Analyzer<'a> {
         let ty = self.func.value_type(ptr);
         let space = ty.space();
         let bytes = ty.pointee().map(interp_size).unwrap_or(1);
-        match self.reg(ptr) {
+        let pv = self.reg(ptr);
+        if let Some(group) = self.group.as_mut() {
+            let shared = |s: &AddressSpace| *s != AddressSpace::Private;
+            let (base, offset) = match &pv {
+                AbsVal::Ptr(PtrVal {
+                    base: PtrBase::Param(p),
+                    off,
+                }) if space.as_ref().is_some_and(shared) => {
+                    (Some(GroupBase::Param(*p)), off.clone())
+                }
+                AbsVal::Ptr(PtrVal {
+                    base:
+                        PtrBase::Cell {
+                            block,
+                            inst,
+                            space: cs,
+                            ..
+                        },
+                    off,
+                }) if shared(cs) => (Some(GroupBase::Cell((*block, *inst))), off.clone()),
+                AbsVal::Ptr(_) => (None, None),
+                _ => (Some(GroupBase::Unknown), None),
+            };
+            if let Some(base) = base {
+                group.push(GroupSite {
+                    base,
+                    kind,
+                    bytes,
+                    offset,
+                    guards: BTreeSet::new(),
+                    block: bid,
+                    inst: iid,
+                    intervals: 0,
+                    delegated: false,
+                    value_axes: None,
+                });
+            }
+        }
+        match pv {
             AbsVal::Ptr(PtrVal { base, off }) => match base {
                 PtrBase::Param(p) => {
                     // Constant space is read-only; only global can race.
@@ -1271,6 +1356,47 @@ impl<'a> Analyzer<'a> {
                 // Untraceable pointer: it may point at global memory.
                 sites.push(self.make_site(UNKNOWN_PARAM, kind, bid, iid, span, bytes, None));
             }
+        }
+    }
+
+    /// Record a call's pointer argument for the within-group proof: the
+    /// callee's accesses through it are proven on the dequeue contract's
+    /// original kernel, so the site only stands for them against the
+    /// caller's own accesses (see [`lockstep_report`]).
+    fn record_call_arg(&mut self, callee: &str, j: usize, arg: ValueId, bid: usize, iid: usize) {
+        let ty = self.func.value_type(arg);
+        if !ty.is_ptr() || ty.space() == Some(AddressSpace::Private) {
+            return;
+        }
+        let base = match self.reg(arg) {
+            AbsVal::Ptr(PtrVal {
+                base: PtrBase::Param(p),
+                ..
+            }) => GroupBase::Param(p),
+            AbsVal::Ptr(PtrVal {
+                base: PtrBase::Cell { block, inst, .. },
+                ..
+            }) => GroupBase::Cell((block, inst)),
+            _ => GroupBase::Unknown,
+        };
+        let kind = if callee_writes_param(self.module, callee, j, &mut BTreeSet::new()) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        if let Some(group) = self.group.as_mut() {
+            group.push(GroupSite {
+                base,
+                kind,
+                bytes: 1,
+                offset: None,
+                guards: BTreeSet::new(),
+                block: bid,
+                inst: iid,
+                intervals: 0,
+                delegated: true,
+                value_axes: None,
+            });
         }
     }
 
@@ -1942,25 +2068,13 @@ fn compute_verdict(routes: &BTreeMap<usize, Route>, sites: &[Site]) -> ParallelS
     }
 }
 
-/// Run the full race & divergence analysis on one kernel. Returns `None` if
-/// `name` is not a kernel of `module`.
-pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
-    let func = module.function(name)?;
-    if func.kind != FunctionKind::Kernel {
-        return None;
-    }
-    if func.blocks.is_empty() {
-        return Some(KernelRaceReport {
-            kernel: name.to_string(),
-            verdict: ParallelSafety::Safe,
-            sites: Vec::new(),
-            divergent_barriers: Vec::new(),
-            routes: BTreeMap::new(),
-        });
-    }
+/// Run the dataflow to its fixpoint, then one collection pass over the
+/// converged state that records the function's access sites (and, when
+/// `an.group` is set, its within-group sites).
+fn converge(an: &mut Analyzer<'_>) -> Vec<Site> {
+    let func = an.func;
     let n = func.blocks.len();
     let succs = successors(func);
-    let mut an = Analyzer::new(func, module);
     let mut block_in: Vec<Option<CellMap>> = vec![None; n];
     block_in[0] = Some(CellMap::new());
     let soft_cap = 4 * n + 16;
@@ -1987,7 +2101,6 @@ pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
             an.aggressive = true;
         }
     }
-    // Collection pass over the converged state.
     let mut sites: Vec<Site> = Vec::new();
     for (b, bin) in block_in.iter().enumerate().take(n) {
         let Some(cin) = bin.clone() else {
@@ -1996,6 +2109,27 @@ pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
         let mut cells = cin;
         an.transfer(b, &mut cells, Some(&mut sites));
     }
+    sites
+}
+
+/// Run the full race & divergence analysis on one kernel. Returns `None` if
+/// `name` is not a kernel of `module`.
+pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
+    let func = module.function(name)?;
+    if func.kind != FunctionKind::Kernel {
+        return None;
+    }
+    if func.blocks.is_empty() {
+        return Some(KernelRaceReport {
+            kernel: name.to_string(),
+            verdict: ParallelSafety::Safe,
+            sites: Vec::new(),
+            divergent_barriers: Vec::new(),
+            routes: BTreeMap::new(),
+        });
+    }
+    let mut an = Analyzer::new(func, module);
+    let mut sites = converge(&mut an);
     let guards = compute_guards(func, &an);
     for site in &mut sites {
         site.guards = guards[site.block.index()].clone();
@@ -2037,6 +2171,806 @@ pub fn gate_report<'m>(
         Some(c) if c.holds_in(kernel) => Some((analyze_kernel(&c.original, name)?, Some(c))),
         _ => Some((analyze_kernel(module, name)?, None)),
     }
+}
+
+// ---------------------------------------------------------------------------
+// Within-group proof: lockstep eligibility
+// ---------------------------------------------------------------------------
+
+/// Memory a within-group site reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GroupBase {
+    /// A kernel parameter's buffer (global, constant) or region (local).
+    Param(usize),
+    /// A `local` alloca of the analysed function.
+    Cell(CellId),
+    /// An untraceable pointer: any memory the group shares.
+    Unknown,
+}
+
+/// One access to memory the work items of a group share, for the
+/// within-group proof.
+#[derive(Debug, Clone)]
+struct GroupSite {
+    base: GroupBase,
+    kind: AccessKind,
+    bytes: usize,
+    offset: Option<Affine>,
+    guards: BTreeSet<CondVal>,
+    block: usize,
+    inst: usize,
+    /// Barrier intervals the access may run in: bit 0 is the one that
+    /// starts at function entry, bit `k` the one after the `k`-th barrier.
+    intervals: u64,
+    /// A call's pointer argument standing for the callee's accesses,
+    /// whose own within-group proof is the contract's original kernel.
+    delegated: bool,
+    /// For a plain store run at most once per item and interval: the local
+    /// id axes (bits 0–2) its stored value may depend on. Two items whose
+    /// stores land on the same bytes and agree on these axes store the same
+    /// value, in either order.
+    value_axes: Option<u8>,
+}
+
+/// Atomics whose effects commute with each other when their results are
+/// discarded: the final bytes do not depend on the items' order.
+fn commute(a: AccessKind, b: AccessKind) -> bool {
+    let class = |k: AccessKind| match k {
+        AccessKind::Atomic {
+            op,
+            result_used: false,
+        } => match op {
+            AtomicOp::Add | AtomicOp::Sub => Some(0),
+            AtomicOp::Min => Some(1),
+            AtomicOp::Max => Some(2),
+            AtomicOp::Xchg => None,
+        },
+        _ => None,
+    };
+    class(a).is_some() && class(a) == class(b)
+}
+
+/// Whether `callee` (or anything it calls) may write through its `j`-th
+/// parameter: a store or atomic through a pointer derived from it, the
+/// pointer stored to memory, or passed on to a callee that may.
+fn callee_writes_param(
+    module: &Module,
+    callee: &str,
+    j: usize,
+    visiting: &mut BTreeSet<(String, usize)>,
+) -> bool {
+    let Some(f) = module.function(callee) else {
+        return true;
+    };
+    if !visiting.insert((callee.to_string(), j)) {
+        return false;
+    }
+    if j >= f.params.len() {
+        return true;
+    }
+    let mut derived = vec![false; f.value_types.len()];
+    derived[j] = true;
+    loop {
+        let mut changed = false;
+        for inst in f.blocks.iter().flat_map(|b| &b.insts) {
+            let from = match &inst.op {
+                Op::Gep { ptr, .. } => derived[ptr.index()],
+                Op::Cast(_, a) => derived[a.index()],
+                Op::Select(_, a, b) => derived[a.index()] || derived[b.index()],
+                _ => false,
+            };
+            if let Some(r) = inst.result.filter(|r| from && !derived[r.index()]) {
+                derived[r.index()] = true;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    f.blocks
+        .iter()
+        .flat_map(|b| &b.insts)
+        .any(|inst| match &inst.op {
+            Op::Store { ptr, value } => derived[ptr.index()] || derived[value.index()],
+            Op::AtomicRmw { ptr, .. } | Op::AtomicCmpXchg { ptr, .. } => derived[ptr.index()],
+            Op::Call { callee, args } => args.iter().enumerate().any(|(k, a)| {
+                derived[a.index()] && callee_writes_param(module, callee, k, visiting)
+            }),
+            _ => false,
+        })
+}
+
+/// Immediate postdominators over a CFG given by successor lists; index
+/// `succs.len()` is the virtual exit every `exits` block (and every block
+/// that cannot reach an exit) falls to. Cooper, Harvey and Kennedy's
+/// iteration on the reverse graph.
+pub(crate) fn immediate_postdominators(succs: &[Vec<usize>], exits: &[bool]) -> Vec<usize> {
+    let n = succs.len();
+    let exit = n;
+    let mut preds = vec![Vec::new(); n + 1];
+    for (b, ss) in succs.iter().enumerate() {
+        for &s in ss {
+            preds[s].push(b);
+        }
+        if exits[b] {
+            preds[exit].push(b);
+        }
+    }
+    // Postorder of the reverse graph from the exit.
+    let mut po = vec![usize::MAX; n + 1];
+    let mut order = Vec::with_capacity(n + 1);
+    let mut seen = vec![false; n + 1];
+    let mut stack = vec![(exit, 0usize)];
+    seen[exit] = true;
+    while let Some((b, i)) = stack.pop() {
+        if let Some(&p) = preds[b].get(i) {
+            stack.push((b, i + 1));
+            if !seen[p] {
+                seen[p] = true;
+                stack.push((p, 0));
+            }
+        } else {
+            po[b] = order.len();
+            order.push(b);
+        }
+    }
+    let mut idom = vec![usize::MAX; n + 1];
+    idom[exit] = exit;
+    let intersect = |idom: &[usize], mut a: usize, mut b: usize| {
+        while a != b {
+            while po[a] < po[b] {
+                a = idom[a];
+            }
+            while po[b] < po[a] {
+                b = idom[b];
+            }
+        }
+        a
+    };
+    loop {
+        let mut changed = false;
+        for &b in order.iter().rev().filter(|&&b| b != exit) {
+            let mut new = None;
+            for s in succs[b].iter().copied().chain(exits[b].then_some(exit)) {
+                if idom[s] == usize::MAX {
+                    continue;
+                }
+                new = Some(match new {
+                    None => s,
+                    Some(x) => intersect(&idom, x, s),
+                });
+            }
+            if let Some(d) = new.filter(|&d| d != idom[b]) {
+                idom[b] = d;
+                changed = true;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    idom.truncate(n);
+    for d in &mut idom {
+        if *d == usize::MAX {
+            *d = exit;
+        }
+    }
+    idom
+}
+
+/// Blocks run under a split active set: those reachable from a divergent
+/// branch without passing its immediate postdominator, where the halves
+/// reconverge.
+fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<bool> {
+    let n = func.blocks.len();
+    let succs: Vec<Vec<usize>> = successors(func)
+        .iter()
+        .map(|ss| ss.iter().map(|s| s.index()).collect())
+        .collect();
+    let exits: Vec<bool> = func
+        .blocks
+        .iter()
+        .map(|b| !matches!(b.term, Some(Terminator::Br(_) | Terminator::CondBr { .. })))
+        .collect();
+    let ipdom = immediate_postdominators(&succs, &exits);
+    let mut divergent = vec![false; n];
+    for (d, block) in func.blocks.iter().enumerate() {
+        let Some(Terminator::CondBr {
+            cond,
+            then_bb,
+            else_bb,
+        }) = &block.term
+        else {
+            continue;
+        };
+        if then_bb == else_bb || an.reg(*cond).group_uniform() {
+            continue;
+        }
+        let mut stack: Vec<usize> = succs[d].clone();
+        let mut seen = vec![false; n];
+        while let Some(b) = stack.pop() {
+            if b == ipdom[d] || seen[b] {
+                continue;
+            }
+            seen[b] = true;
+            divergent[b] = true;
+            stack.extend(&succs[b]);
+        }
+    }
+    divergent
+}
+
+/// Barrier intervals reaching every instruction (see
+/// [`GroupSite::intervals`]); calls are not boundaries, so an interval
+/// running into a callee with barriers also covers the code after the
+/// call. Fails past 63 barriers.
+fn interval_bits(func: &Function) -> Result<Vec<Vec<u64>>, String> {
+    let mut ids: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+    for (b, block) in func.blocks.iter().enumerate() {
+        for (i, inst) in block.insts.iter().enumerate() {
+            if matches!(inst.op, Op::Barrier) {
+                let id = ids.len() as u32 + 1;
+                if id > 63 {
+                    return Err("more than 63 barriers".into());
+                }
+                ids.insert((b, i), id);
+            }
+        }
+    }
+    let succs = successors(func);
+    let n = func.blocks.len();
+    let mut block_in = vec![0u64; n];
+    block_in[0] = 1;
+    let walk = |b: usize, cur: &mut u64, mut at: Option<&mut Vec<u64>>| {
+        for i in 0..func.blocks[b].insts.len() {
+            if let Some(at) = at.as_deref_mut() {
+                at.push(*cur);
+            }
+            if let Some(id) = ids.get(&(b, i)) {
+                *cur = 1 << id;
+            }
+        }
+    };
+    loop {
+        let mut changed = false;
+        for b in 0..n {
+            let mut cur = block_in[b];
+            walk(b, &mut cur, None);
+            for s in &succs[b] {
+                let next = block_in[s.index()] | cur;
+                changed |= next != block_in[s.index()];
+                block_in[s.index()] = next;
+            }
+        }
+        if !changed {
+            break;
+        }
+    }
+    Ok((0..n)
+        .map(|b| {
+            let mut at = Vec::new();
+            walk(b, &mut block_in[b].clone(), Some(&mut at));
+            at
+        })
+        .collect())
+}
+
+/// Whether two sites' byte ranges are a constant, non-overlapping
+/// distance apart for every item.
+fn const_apart(a: &GroupSite, b: &GroupSite) -> bool {
+    let (Some(oa), Some(ob)) = (&a.offset, &b.offset) else {
+        return false;
+    };
+    if oa.coeffs != ob.coeffs || !oa.step_free() || !ob.step_free() {
+        return false;
+    }
+    match ob.base.sub(&oa.base).as_const() {
+        Some(d) => d >= a.bytes as i64 || d + b.bytes as i64 <= 0,
+        None => false,
+    }
+}
+
+/// Sites whose base may overlap.
+fn may_alias(a: &GroupSite, b: &GroupSite) -> bool {
+    a.base == b.base || a.base == GroupBase::Unknown || b.base == GroupBase::Unknown
+}
+
+/// The within-group proof of one function: its shared-memory sites with
+/// their barrier intervals, once every barrier (and every call to a
+/// function with barriers) is shown to sit outside all divergent
+/// regions. Group-uniformity is settled by a small fixpoint: a load is
+/// uniform when its address is and no item writes its bytes within its
+/// intervals, and a private variable stored under a divergent branch is
+/// not.
+fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String> {
+    if func.blocks.is_empty() {
+        return Ok(Vec::new());
+    }
+    let bits = interval_bits(func)?;
+    let mut plain = Analyzer::new(func, module);
+    plain.group = Some(Vec::new());
+    converge(&mut plain);
+    let guards = compute_guards(func, &plain);
+    let mut sites = plain.group.take().unwrap_or_default();
+    for site in &mut sites {
+        site.guards = guards[site.block].clone();
+        site.intervals = bits[site.block][site.inst];
+    }
+    // Loads no item's write can reach within their intervals; the
+    // fixpoint starts optimistic (every such load uniform, no private
+    // variable demoted) and stops at a self-consistent answer.
+    let unwritten: Vec<&GroupSite> = sites
+        .iter()
+        .filter(|l| {
+            matches!(func.blocks[l.block].insts[l.inst].op, Op::Load(_))
+                && l.base != GroupBase::Unknown
+                && !sites.iter().any(|w| {
+                    w.kind.is_write()
+                        && w.intervals & l.intervals != 0
+                        && may_alias(w, l)
+                        && !const_apart(w, l)
+                })
+        })
+        .collect();
+    let mut stable: BTreeSet<(usize, usize)> =
+        unwritten.iter().map(|l| (l.block, l.inst)).collect();
+    let mut demoted: BTreeSet<CellId> = BTreeSet::new();
+    for _ in 0..8 {
+        let mut an = Analyzer::new(func, module);
+        an.stable_loads = stable.clone();
+        an.demoted = demoted.clone();
+        converge(&mut an);
+        let next_stable: BTreeSet<(usize, usize)> = unwritten
+            .iter()
+            .filter(|l| match &func.blocks[l.block].insts[l.inst].op {
+                Op::Load(p) => an.reg(*p).group_uniform(),
+                _ => false,
+            })
+            .map(|l| (l.block, l.inst))
+            .collect();
+        let divergent = divergent_blocks(func, &an);
+        let mut next_demoted = BTreeSet::new();
+        for (_, block) in func
+            .blocks
+            .iter()
+            .enumerate()
+            .filter(|(b, _)| divergent[*b])
+        {
+            for inst in &block.insts {
+                if let Op::Store { ptr, .. } = &inst.op {
+                    if let AbsVal::Ptr(PtrVal {
+                        base:
+                            PtrBase::Cell {
+                                block,
+                                inst,
+                                tracked: true,
+                                ..
+                            },
+                        ..
+                    }) = an.reg(*ptr)
+                    {
+                        next_demoted.insert((block, inst));
+                    }
+                }
+            }
+        }
+        if next_stable == stable && next_demoted == demoted {
+            let axes = value_axes(func, &an, &unwritten);
+            let looping = barrier_free_cycles(func, module);
+            for site in &mut sites {
+                if let Op::Store { value, .. } = &func.blocks[site.block].insts[site.inst].op {
+                    let a = axes[value.index()];
+                    if a & ANY_AXIS == 0 && !looping[site.block] {
+                        site.value_axes = Some(a);
+                    }
+                }
+            }
+            for (b, block) in func
+                .blocks
+                .iter()
+                .enumerate()
+                .filter(|(b, _)| divergent[*b])
+            {
+                let at = block.insts.iter().find(|inst| match &inst.op {
+                    Op::Barrier => true,
+                    Op::Call { callee, .. } => module
+                        .function(callee)
+                        .is_none_or(|f| crate::analysis::uses_barrier(f, module)),
+                    _ => false,
+                });
+                if at.is_some() {
+                    return Err(format!(
+                        "`{}`: a barrier in bb{b} is reached under a divergent branch",
+                        func.name
+                    ));
+                }
+            }
+            // Keep what the launch check can use: sites some write may
+            // reach, and guards that tell the items of one group apart.
+            let kept: Vec<GroupSite> = sites
+                .iter()
+                .filter(|s| sites.iter().any(|w| w.kind.is_write() && may_alias(w, s)))
+                .cloned()
+                .map(|mut s| {
+                    s.guards.retain(|g| {
+                        !g.depends_on_group() && [&g.lhs, &g.rhs].iter().any(|a| !a.group_uniform())
+                    });
+                    s
+                })
+                .collect();
+            return Ok(kept);
+        }
+        stable = next_stable;
+        demoted = next_demoted;
+    }
+    Err(format!("`{}`: group-uniformity did not settle", func.name))
+}
+
+/// A value that may depend on anything, not just the local id axes.
+const ANY_AXIS: u8 = 1 << 3;
+
+/// Per SSA value, the local id axes it may depend on (bit `d` for axis
+/// `d`, [`ANY_AXIS`] for anything else): builtins and arithmetic by their
+/// operands, a load of shared memory no item writes within its intervals
+/// by its address, a private variable by everything stored to it (and by
+/// anything when it is stored under a divergent branch).
+fn value_axes(func: &Function, an: &Analyzer<'_>, unwritten: &[&GroupSite]) -> Vec<u8> {
+    let mut axes = vec![0u8; func.value_types.len()];
+    let mut cells: BTreeMap<CellId, u8> = BTreeMap::new();
+    let cell_of = |p: ValueId| match an.reg(p) {
+        AbsVal::Ptr(PtrVal {
+            base:
+                PtrBase::Cell {
+                    block,
+                    inst,
+                    tracked: true,
+                    ..
+                },
+            ..
+        }) => Some((block, inst)),
+        _ => None,
+    };
+    loop {
+        let mut changed = false;
+        for (b, block) in func.blocks.iter().enumerate() {
+            for (i, inst) in block.insts.iter().enumerate() {
+                let of = |vs: &[ValueId]| vs.iter().fold(0u8, |acc, v| acc | axes[v.index()]);
+                let a = match &inst.op {
+                    Op::Const(_) => 0,
+                    Op::Bin(_, x, y) | Op::Cmp(_, x, y) => of(&[*x, *y]),
+                    Op::Un(_, x) | Op::Cast(_, x) => of(&[*x]),
+                    Op::Select(c, x, y) => of(&[*c, *x, *y]),
+                    Op::Gep { ptr, index } => of(&[*ptr, *index]),
+                    Op::WorkItem { builtin, dim } => match builtin {
+                        WiBuiltin::LocalId | WiBuiltin::GlobalId => 1 << dim.min(&2),
+                        _ => 0,
+                    },
+                    Op::Load(p) => match cell_of(*p) {
+                        Some(c) if an.demoted.contains(&c) => ANY_AXIS,
+                        Some(c) => cells.get(&c).copied().unwrap_or(0),
+                        None if unwritten.iter().any(|l| (l.block, l.inst) == (b, i)) => of(&[*p]),
+                        None => ANY_AXIS,
+                    },
+                    Op::Store { ptr, value } => {
+                        if let Some(c) = cell_of(*ptr) {
+                            let e = cells.entry(c).or_insert(0);
+                            let next = *e | axes[value.index()];
+                            changed |= next != *e;
+                            *e = next;
+                        }
+                        0
+                    }
+                    Op::Alloca { .. } => 0,
+                    _ => ANY_AXIS,
+                };
+                if let Some(r) = inst.result {
+                    let next = axes[r.index()] | a;
+                    changed |= next != axes[r.index()];
+                    axes[r.index()] = next;
+                }
+            }
+        }
+        if !changed {
+            return axes;
+        }
+    }
+}
+
+/// Blocks on a control-flow cycle that passes no barrier (a block holding
+/// a barrier, or a call of a function with one, breaks every cycle
+/// through it).
+fn barrier_free_cycles(func: &Function, module: &Module) -> Vec<bool> {
+    let n = func.blocks.len();
+    let stops: Vec<bool> = func
+        .blocks
+        .iter()
+        .map(|b| {
+            b.insts.iter().any(|i| match &i.op {
+                Op::Barrier => true,
+                Op::Call { callee, .. } => module
+                    .function(callee)
+                    .is_none_or(|f| crate::analysis::uses_barrier(f, module)),
+                _ => false,
+            })
+        })
+        .collect();
+    let succs = successors(func);
+    (0..n)
+        .map(|b| {
+            if stops[b] {
+                return false;
+            }
+            let mut seen = vec![false; n];
+            let mut stack: Vec<usize> = succs[b].iter().map(|s| s.index()).collect();
+            while let Some(x) = stack.pop() {
+                if x == b {
+                    return true;
+                }
+                if stops[x] || seen[x] {
+                    continue;
+                }
+                seen[x] = true;
+                stack.extend(succs[x].iter().map(|s| s.index()));
+            }
+            false
+        })
+        .collect()
+}
+
+/// Items of one group the within-group check enumerates at most.
+const GROUP_ENUM_LIMIT: usize = 4096;
+
+/// Whether no item of a group touches bytes that another item of the same
+/// group writes through `a` or `b` (the same site included), in any
+/// order: evaluated per item over the concrete group shape, with loop
+/// strides folded into one residue period as in [`enumerate_disjoint`].
+/// Group-axis terms must agree (they shift both sites alike within one
+/// group); a guard that depends on the group counts as holding.
+fn group_pair_disjoint(a: &GroupSite, b: &GroupSite, env: &LaunchEnv<'_>) -> bool {
+    let (Some(oa), Some(ob)) = (&a.offset, &b.offset) else {
+        return false;
+    };
+    let grp = |o: &Affine| -> Vec<(Axis, Poly)> {
+        o.coeffs
+            .iter()
+            .filter(|(ax, _)| matches!(ax, Axis::Grp(_)))
+            .map(|(ax, p)| (*ax, p.clone()))
+            .collect()
+    };
+    if grp(oa) != grp(ob) {
+        return false;
+    }
+    let lid_coeffs = |o: &Affine| -> Option<[i64; 3]> {
+        let mut c = [0i64; 3];
+        for (d, c) in c.iter_mut().enumerate() {
+            if let Some(p) = o.coeffs.get(&Axis::Lid(d as u8)) {
+                *c = p.eval(env)?;
+            }
+        }
+        Some(c)
+    };
+    let (Some(ca), Some(cb), Some(rel)) = (
+        lid_coeffs(oa),
+        lid_coeffs(ob),
+        ob.base.sub(&oa.base).eval(env),
+    ) else {
+        return false;
+    };
+    let mut stride: Option<i64> = None;
+    for step in oa.steps.iter().chain(&ob.steps) {
+        match step.eval(env) {
+            Some(v) if v != 0 => {
+                stride = Some(stride.map_or(v.abs(), |g| gcd_i64(g, v.abs())));
+            }
+            _ => return false,
+        }
+    }
+    let same = std::ptr::eq(a, b);
+    // Same-value stores: a step-free store site whose value depends only
+    // on axes the two items agree on.
+    let same_value = match a.value_axes {
+        Some(axes) if same && a.kind == AccessKind::Write && oa.step_free() => Some(axes),
+        _ => None,
+    };
+    let mut spans: Vec<(i64, i64, usize, bool, [usize; 3])> = Vec::new();
+    let [l0, l1, l2] = env.local;
+    let mut item = 0usize;
+    for z in 0..l2 {
+        for y in 0..l1 {
+            for x in 0..l0 {
+                let lid = [x, y, z];
+                for (site, c, base, tag) in [(a, ca, 0, false), (b, cb, rel, true)] {
+                    if tag && same {
+                        continue;
+                    }
+                    let holds = site
+                        .guards
+                        .iter()
+                        .all(|g| g.eval_at(env, lid, [0; 3]).unwrap_or(true));
+                    if !holds {
+                        continue;
+                    }
+                    let off = (0..3).try_fold(base, |acc: i64, d| {
+                        acc.checked_add(c[d].checked_mul(lid[d] as i64)?)
+                    });
+                    let Some(mut off) = off else { return false };
+                    let w = site.bytes as i64;
+                    if let Some(st) = stride {
+                        off = off.rem_euclid(st);
+                        if off + w > st {
+                            return false;
+                        }
+                    }
+                    let key = same_value.map_or([0; 3], |axes| {
+                        [0, 1, 2].map(|d| if axes >> d & 1 != 0 { lid[d] } else { 0 })
+                    });
+                    spans.push((off, off + w, item, tag, key));
+                }
+                item += 1;
+            }
+        }
+    }
+    spans.sort_unstable();
+    let mut open: Vec<(i64, i64, usize, bool, [usize; 3])> = Vec::new();
+    for (start, end, item, tag, key) in spans {
+        open.retain(|o| o.1 > start);
+        let conflict = |&(s, _, i, t, k): &(i64, i64, usize, bool, [usize; 3])| {
+            i != item && (same || t != tag) && !(same_value.is_some() && s == start && k == key)
+        };
+        if open.iter().any(conflict) {
+            return false;
+        }
+        open.push((start, end, item, tag, key));
+    }
+    true
+}
+
+/// The within-group proof for one kernel: whether its work items may run
+/// in lockstep, dispatching each instruction once per group between
+/// barriers, with results identical to running them one after another.
+#[derive(Debug, Clone)]
+pub struct LockstepReport {
+    /// Kernel name.
+    pub kernel: String,
+    /// The sites of every analysed part, or why the kernel never runs in
+    /// lockstep.
+    parts: Result<Vec<Vec<GroupSite>>, String>,
+    contract: bool,
+}
+
+impl LockstepReport {
+    /// Why no launch of the kernel may run in lockstep, if that is so
+    /// whatever the launch.
+    pub fn refusal(&self) -> Option<&str> {
+        self.parts.as_ref().err().map(String::as_str)
+    }
+
+    /// Whether the proof was split by a dequeue contract, so a launch is
+    /// checked against the virtual range the workers dequeue from.
+    pub fn split_by_contract(&self) -> bool {
+        self.contract
+    }
+
+    /// Launch-time check: within every barrier interval, no item of a
+    /// group writes bytes another item of the same group reads or writes
+    /// (commuting atomics with discarded results excepted), evaluated for
+    /// the concrete group shape and scalar arguments.
+    pub fn eligible_for_launch(&self, env: &LaunchEnv<'_>) -> bool {
+        let items: usize = env.local.iter().product();
+        if items <= 1 {
+            return true; // one item has nobody to race with
+        }
+        let Ok(parts) = &self.parts else {
+            return false;
+        };
+        if items > GROUP_ENUM_LIMIT || !env.distinct_buffers {
+            return false;
+        }
+        parts.iter().all(|sites| {
+            sites.iter().enumerate().all(|(x, a)| {
+                sites[x..].iter().all(|b| {
+                    a.intervals & b.intervals == 0
+                        || !(a.kind.is_write() || b.kind.is_write())
+                        || (a.delegated && b.delegated)
+                        || !may_alias(a, b)
+                        || commute(a.kind, b.kind)
+                        || group_pair_disjoint(a, b, env)
+                })
+            })
+        })
+    }
+}
+
+/// `module` with every call of kernel `name` inlined (borrowed as is when
+/// the kernel calls nothing).
+fn inlined<'m>(module: &'m Module, name: &str) -> Result<std::borrow::Cow<'m, Module>, String> {
+    let calls = module.function(name).is_some_and(|f| {
+        f.blocks
+            .iter()
+            .flat_map(|b| &b.insts)
+            .any(|i| matches!(i.op, Op::Call { .. }))
+    });
+    if !calls {
+        return Ok(std::borrow::Cow::Borrowed(module));
+    }
+    let mut out = module.clone();
+    crate::inline::inline_module(&mut out).map_err(|e| format!("cannot inline: {e}"))?;
+    Ok(std::borrow::Cow::Owned(out))
+}
+
+/// Run the within-group proof on kernel `name`; `None` if it is not a
+/// kernel. Calls are inlined first, so barriers and accesses in helpers
+/// are judged in their callers' control flow.
+///
+/// A scheduling kernel whose dequeue contract
+/// [holds](DequeueContract::holds_in) is proven in two parts. Its own code
+/// (the master-only dequeue, the barrier that broadcasts the claim, the
+/// loop over the claimed groups) is analysed as it stands, its calls
+/// standing for accesses through their pointer arguments. The compute
+/// function those calls run is proven on the contract's original kernel,
+/// the code the sharding gate already judges it by.
+///
+/// The proof costs a few analysis passes, more than one launch of a small
+/// kernel saves by it, and a runtime that rebuilds the same program per
+/// tenant asks it again and again: the last [`LOCKSTEP_MEMO`] answers are
+/// kept process-wide, keyed by a 128-bit hash of the kernel's name and its
+/// whole module under two per-process random keys (a copy of each module
+/// would cost as much memory as the programs themselves).
+pub fn lockstep_report(module: &Module, name: &str) -> Option<Arc<LockstepReport>> {
+    use std::hash::BuildHasher;
+    type Memo = Vec<(u128, Option<Arc<LockstepReport>>)>;
+    static MEMO: std::sync::Mutex<Memo> = std::sync::Mutex::new(Vec::new());
+    static KEYS: std::sync::OnceLock<[std::collections::hash_map::RandomState; 2]> =
+        std::sync::OnceLock::new();
+    let key = KEYS
+        .get_or_init(Default::default)
+        .iter()
+        .fold(0u128, |acc, keys| {
+            acc << 64 | u128::from(keys.hash_one((name, module)))
+        });
+    let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(hit) = memo.iter().position(|(k, _)| *k == key) {
+        let entry = memo.remove(hit);
+        let report = entry.1.clone();
+        memo.push(entry);
+        return report;
+    }
+    drop(memo);
+    let report = prove_lockstep(module, name).map(Arc::new);
+    let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+    if memo.len() >= LOCKSTEP_MEMO {
+        memo.remove(0);
+    }
+    memo.push((key, report.clone()));
+    report
+}
+
+/// Within-group proofs [`lockstep_report`] keeps.
+pub const LOCKSTEP_MEMO: usize = 64;
+
+fn prove_lockstep(module: &Module, name: &str) -> Option<LockstepReport> {
+    let kernel = module.function(name)?;
+    if kernel.kind != FunctionKind::Kernel {
+        return None;
+    }
+    let original_part = |m: &Module| -> Result<Vec<GroupSite>, String> {
+        let m = inlined(m, name)?;
+        let f = m.function(name).ok_or("kernel lost in inlining")?;
+        group_part(&m, f)
+    };
+    let contract = module.dequeue.get(name).filter(|c| c.holds_in(kernel));
+    let parts = match contract {
+        Some(c) => {
+            group_part(module, kernel).and_then(|own| Ok(vec![own, original_part(&c.original)?]))
+        }
+        None => original_part(module).map(|p| vec![p]),
+    };
+    Some(LockstepReport {
+        kernel: name.to_string(),
+        parts,
+        contract: contract.is_some(),
+    })
 }
 
 impl KernelRaceReport {

@@ -271,3 +271,85 @@ fn lint_report_matches_golden_snapshot() {
         );
     }
 }
+
+// ---------------------------------------------------------------------------
+// Lockstep: the within-group proof under the JIT's tenant launch shape
+// ---------------------------------------------------------------------------
+
+/// Whether `spec`'s JIT-transformed scheduling kernel runs in lockstep at
+/// its scale-1 dataset, dequeuing the virtual range over four workers as a
+/// `tenants` launch does.
+fn jit_lockstep_verdict(spec: &KernelSpec) -> (bool, Option<String>) {
+    let module = minicl::compile(spec.source).expect("compile");
+    let transformed = accelos::jit::transform_module(&module, accelos::chunk::Mode::Optimized)
+        .expect("transform");
+    let program = Program::from_module(transformed.module, spec.source).expect("wrap");
+    let mut ctx = Context::new(&Platform::nvidia());
+    let p = prepare_launch(spec, &mut ctx, &program, 1, 7).expect("prepare");
+    let v = accelos::vrange::VirtualNdRange::new(p.ndrange);
+    let rt = ctx.create_buffer(8 * v.descriptor().len());
+    ctx.write_i64(rt, &v.descriptor()).expect("descriptor");
+    let mut kernel = p.kernel;
+    let rt_index = kernel.arity() - 1;
+    kernel
+        .set_arg(rt_index, clrt::Arg::Buffer(rt))
+        .expect("bind rt");
+    let args = kernel.resolved_args().expect("args");
+    let interp = Interpreter::with_facts(kernel.module(), kernel.facts());
+    let refusal = kernel
+        .facts()
+        .lockstep_report(kernel.module(), kernel.name())
+        .and_then(|r| r.refusal().map(str::to_string));
+    let hw = v.hardware_range(4);
+    (
+        interp.lockstep_eligible_in(ctx.memory_mut(), kernel.name(), hw, &args),
+        refusal,
+    )
+}
+
+/// Every Parboil kernel's lockstep verdict under its JIT-transformed
+/// tenant launch. The refusals: bfs and mri-gridding_reorder use the
+/// results of contended atomics; histo_prescan, scan_inter1, splitSort and
+/// splitRearrange read or write bytes another item of the group writes
+/// within the same barrier interval as far as the proof can tell.
+const LOCKSTEP: [(&str, bool); 25] = [
+    ("bfs", false),
+    ("cutcp", true),
+    ("histo_final", true),
+    ("histo_intermediates", true),
+    ("histo_main", true),
+    ("histo_prescan", false),
+    ("lbm", true),
+    ("mri-gridding_GPU", true),
+    ("mri-gridding_binning", true),
+    ("mri-gridding_reorder", false),
+    ("mri-gridding_scan_L1", true),
+    ("mri-gridding_scan_inter1", false),
+    ("mri-gridding_scan_inter2", true),
+    ("mri-gridding_splitRearrange", false),
+    ("mri-gridding_splitSort", false),
+    ("mri-gridding_uniformAdd", true),
+    ("mri-q_ComputePhiMag", true),
+    ("mri-q_ComputeQ", true),
+    ("sad_calc", true),
+    ("sad_calc_16", true),
+    ("sad_calc_8", true),
+    ("sgemm", true),
+    ("spmv", true),
+    ("stencil", true),
+    ("tpacf", true),
+];
+
+#[test]
+fn parboil_lockstep_verdicts_are_pinned() {
+    let specs = KernelSpec::all();
+    assert_eq!(specs.len(), LOCKSTEP.len());
+    for (spec, (name, lockstep)) in specs.iter().zip(LOCKSTEP) {
+        assert_eq!(spec.name, name);
+        let (verdict, refusal) = jit_lockstep_verdict(spec);
+        assert_eq!(verdict, lockstep, "`{name}`: {refusal:?}");
+        // The scheduling body itself (master-only dequeue, broadcast
+        // barrier, loop over the claimed groups) always passes.
+        assert_eq!(refusal, None, "`{name}`");
+    }
+}

@@ -246,6 +246,117 @@ const CL_KERNELS: &[(&str, &str)] = &[
             a[i] = s;
         }",
     ),
+    // Lockstep refusals: kernels whose items depend on one another within
+    // a barrier interval (see `LOCKSTEP_VERDICTS`).
+    (
+        "neighbour_local",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int t[64];
+            size_t lid = get_local_id(0);
+            t[lid] = b[get_global_id(0)];
+            int x = t[(lid + 1) % get_local_size(0)];
+            a[get_global_id(0)] = x + n;
+        }",
+    ),
+    (
+        "cross_item_global",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            a[i] = b[i] + n;
+            b[i + 1] = a[i] * 3;
+        }",
+    ),
+    // minicl accepts only integer atomics, so the order-dependent local
+    // atomic stands in for a float one: an exchange, whose final value is
+    // the last item's.
+    (
+        "xchg_local",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int cell[1];
+            size_t lid = get_local_id(0);
+            if (lid == 0) { cell[0] = n; }
+            barrier(0);
+            atomic_xchg(cell, b[get_global_id(0)]);
+            barrier(0);
+            a[get_global_id(0)] = cell[0];
+        }",
+    ),
+    // Every item takes the branch, but its condition reads the local id.
+    (
+        "divergent_barrier",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int t[64];
+            size_t lid = get_local_id(0);
+            t[lid] = b[get_global_id(0)] + n;
+            if (lid < get_local_size(0)) { barrier(0); }
+            a[get_global_id(0)] = t[get_local_size(0) - 1 - lid];
+        }",
+    ),
+    // Lockstep with real divergence: the items split and reconverge.
+    (
+        "row_lengths",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            int len = b[i] & 7;
+            int s = n;
+            for (int j = 0; j < len; ++j) { s = s * 3 + b[i + (size_t)j]; }
+            a[i] = s;
+        }",
+    ),
+    (
+        "early_break",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            int s = 0;
+            for (int j = 0; j < 8; ++j) {
+                int v = b[i + (size_t)j];
+                if ((v & 3) == (n & 3)) { break; }
+                s = s + v;
+            }
+            a[i] = s;
+        }",
+    ),
+    (
+        "nested_ifs",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int t[64];
+            size_t lid = get_local_id(0);
+            size_t ls = get_local_size(0);
+            int x = b[get_global_id(0)];
+            int r = 0;
+            if (x > n) {
+                if ((x & 1) == 1) { r = x * 2; } else { r = x - 3; }
+            } else {
+                if ((x & 3) == 2) { r = 7; }
+            }
+            t[lid] = r;
+            barrier(0);
+            a[get_global_id(0)] = t[ls - 1 - lid] + r;
+        }",
+    ),
+];
+
+/// Whether the within-group proof admits each kernel of [`CL_KERNELS`] at
+/// groups of several items.
+const LOCKSTEP_VERDICTS: &[(&str, bool)] = &[
+    ("loop", true),
+    ("tile", true),
+    ("helper", true),
+    ("hist", true),
+    ("fresh_slot", true),
+    // `p` may point at either buffer: an untraceable store.
+    ("pointer_slot", false),
+    ("private_array", true),
+    ("typed_slots", true),
+    ("helper_barrier", true),
+    ("helper_locals", true),
+    ("neighbour_local", false),
+    ("cross_item_global", false),
+    ("xchg_local", false),
+    ("divergent_barrier", false),
+    ("row_lengths", true),
+    ("early_break", true),
+    ("nested_ifs", true),
 ];
 
 proptest! {
@@ -285,6 +396,86 @@ proptest! {
         let nd = NdRange::new_1d(items, wg);
         let what = format!("{name} nd={nd:?} n={n}");
         assert_tiers_agree(&module, &mem, nd, &args, threads, &what);
+    }
+}
+
+#[test]
+fn lockstep_verdicts_are_pinned_and_both_paths_agree() {
+    assert_eq!(LOCKSTEP_VERDICTS.len(), CL_KERNELS.len());
+    for ((name, src), (vname, lockstep)) in CL_KERNELS.iter().zip(LOCKSTEP_VERDICTS) {
+        assert_eq!(name, vname);
+        let module = minicl::compile(src).expect("compile");
+        let (items, wg) = (32, 8);
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * (items + 8));
+        let b = mem.alloc(4 * (items + 8));
+        let fill: Vec<i32> = (0..items as i32 + 8)
+            .map(|i| (i * 7919) % 113 - 40)
+            .collect();
+        mem.write_i32(a, &fill);
+        mem.write_i32(b, &fill);
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Buffer(b),
+            ArgValue::Scalar(Value::I32(5)),
+        ];
+        let nd = NdRange::new_1d(items, wg);
+        assert_eq!(
+            Interpreter::new(&module).lockstep_eligible_in(&mem, "k", nd, &args),
+            *lockstep,
+            "`{name}`: lockstep verdict"
+        );
+        // A one-item group has nobody to race with.
+        let single = NdRange::new_1d(items, 1);
+        assert!(Interpreter::new(&module).lockstep_eligible_in(&mem, "k", single, &args));
+        assert_tiers_agree(&module, &mem, nd, &args, 3, name);
+    }
+}
+
+#[test]
+fn lockstep_reports_the_lowest_items_first_error() {
+    // Item `bad` divides by zero within a few steps; every other item
+    // loops until the step limit. Item order reports the lowest item's
+    // first error: item 0's step limit when `bad` > 0, the division when
+    // `bad` is 0. Lockstep meets the division first either way.
+    let src = "kernel void k(global int* a, global int* b, int n) {
+        size_t i = get_global_id(0);
+        if ((int)i == b[0]) { a[i] = b[i] / n; }
+        int s = 0;
+        for (int j = 0; j < 100000; ++j) { s = s + j; }
+        a[i] = s;
+    }";
+    let module = minicl::compile(src).expect("compile");
+    let config = kernel_ir::interp::InterpConfig {
+        step_limit: 500,
+        ..Default::default()
+    };
+    for bad in [0, 5, 13] {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * 16);
+        let b = mem.alloc(4 * 16);
+        mem.write_i32(b, &[bad; 16]);
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Buffer(b),
+            ArgValue::Scalar(Value::I32(0)),
+        ];
+        let nd = NdRange::new_1d(16, 8);
+        let tree =
+            Interpreter::with_config(&module, config).run_kernel(&mut mem.clone(), "k", nd, &args);
+        let mut vm = Interpreter::with_config(&module, config);
+        vm.set_exec_tier(ExecTier::BytecodeOpt);
+        assert!(vm.lockstep_eligible_in(&mem, "k", nd, &args));
+        for threads in [1, 3] {
+            let got = vm.run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, threads);
+            assert_eq!(got, tree, "bad item {bad}, {threads} threads");
+        }
+        let want_limit = bad != 0;
+        assert_eq!(
+            matches!(tree, Err(InterpError::StepLimitExceeded(500))),
+            want_limit,
+            "{tree:?}"
+        );
     }
 }
 
