@@ -12,6 +12,7 @@ use kernel_ir::interp::ArgValue;
 use kernel_ir::ir::Module;
 use kernel_ir::{KernelProfile, ModuleFacts, Value};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// A built program: an IR module plus per-kernel resource profiles.
 ///
@@ -26,7 +27,7 @@ use std::rc::Rc;
 #[derive(Debug, Clone)]
 pub struct Program {
     module: Rc<Module>,
-    facts: Rc<ModuleFacts>,
+    facts: Arc<ModuleFacts>,
     profiles: Vec<KernelProfile>,
     source: String,
 }
@@ -55,12 +56,9 @@ impl Program {
             .map_err(|e| ClError::BuildFailure(e.to_string()))?;
         let profiles =
             KernelProfile::all(&module).map_err(|e| ClError::BuildFailure(e.to_string()))?;
-        // Run the accelcheck analyses once at build time; every launch of
-        // every kernel in this program reuses the cached verdicts.
-        let facts = Rc::new(ModuleFacts::compute(&module));
         Ok(Program {
+            facts: ModuleFacts::compute(&module),
             module: Rc::new(module),
-            facts,
             profiles,
             source: source.to_string(),
         })
@@ -80,9 +78,10 @@ impl Program {
         &self.module
     }
 
-    /// Cached accelcheck analysis results (race verdicts and per-function
-    /// facts) computed at build time.
-    pub fn facts(&self) -> &Rc<ModuleFacts> {
+    /// The accelcheck cache of the module: each kernel's race verdict and
+    /// within-group proof, computed on first query and shared by every
+    /// build of the same program in this process.
+    pub fn facts(&self) -> &Arc<ModuleFacts> {
         &self.facts
     }
 
@@ -115,7 +114,7 @@ impl Program {
             .len();
         Ok(Kernel {
             module: Rc::clone(&self.module),
-            facts: Rc::clone(&self.facts),
+            facts: Arc::clone(&self.facts),
             name: name.to_string(),
             profile,
             args: vec![None; arity],
@@ -160,7 +159,7 @@ pub enum Arg {
 #[derive(Debug, Clone)]
 pub struct Kernel {
     module: Rc<Module>,
-    facts: Rc<ModuleFacts>,
+    facts: Arc<ModuleFacts>,
     name: String,
     profile: KernelProfile,
     args: Vec<Option<Arg>>,
@@ -179,7 +178,7 @@ impl Kernel {
 
     /// Cached accelcheck analysis results for the module (shared with the
     /// owning [`Program`]).
-    pub fn facts(&self) -> &Rc<ModuleFacts> {
+    pub fn facts(&self) -> &Arc<ModuleFacts> {
         &self.facts
     }
 
@@ -199,10 +198,12 @@ impl Kernel {
     ///
     /// Returns [`ClError::InvalidArgs`] if `index` is out of range.
     pub fn set_arg(&mut self, index: usize, arg: Arg) -> Result<(), ClError> {
-        let slot = self
-            .args
-            .get_mut(index)
-            .ok_or_else(|| ClError::InvalidArgs(format!("kernel takes {} arguments", index)))?;
+        let arity = self.args.len();
+        let slot = self.args.get_mut(index).ok_or_else(|| {
+            ClError::InvalidArgs(format!(
+                "argument index {index} out of range: kernel takes {arity} arguments"
+            ))
+        })?;
         *slot = Some(arg);
         Ok(())
     }
@@ -302,6 +303,14 @@ mod tests {
     fn out_of_range_arg_rejected() {
         let p = Program::build(SRC).unwrap();
         let mut k = p.create_kernel("k").unwrap();
-        assert!(k.set_arg(5, Arg::Local { elems: 1 }).is_err());
+        match k.set_arg(5, Arg::Local { elems: 1 }) {
+            Err(ClError::InvalidArgs(msg)) => {
+                assert_eq!(
+                    msg,
+                    "argument index 5 out of range: kernel takes 3 arguments"
+                );
+            }
+            other => panic!("expected InvalidArgs, got {other:?}"),
+        }
     }
 }

@@ -115,9 +115,9 @@ impl CommandQueue {
             return Err(ClError::OutOfResources(format!(
                 "work group needs {}B local / {} regs; device offers {}B / {}",
                 req.local_mem,
+                req.regs_total(),
                 dev.local_mem_per_cu,
-                dev.regs_per_cu,
-                req.regs_total()
+                dev.regs_per_cu
             )));
         }
 
@@ -126,8 +126,8 @@ impl CommandQueue {
         // work groups across host threads when the accelcheck race
         // analysis proves the launch free of cross-group races — with
         // bit-identical memory contents and statistics on every path.
-        // Verdicts come from the `ModuleFacts` cache computed once at
-        // program build time.
+        // Verdicts come from the program's `ModuleFacts`, computed on the
+        // kernel's first launch in this process.
         let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
         interp.set_exec_tier(kernel_ir::ExecTier::from_env());
         let stats = interp
@@ -174,7 +174,10 @@ pub fn launch_requirements(kernel: &Kernel, ndrange: NdRange) -> WorkGroupReq {
     let profile = kernel.profile();
     WorkGroupReq {
         threads: ndrange.wg_size() as u32,
-        local_mem: (profile.static_local_bytes + kernel.dynamic_local_bytes()) as u32,
+        // Saturate: a request past `u32::MAX` bytes must still exceed the
+        // device's local memory, not wrap below it.
+        local_mem: u32::try_from(profile.static_local_bytes + kernel.dynamic_local_bytes())
+            .unwrap_or(u32::MAX),
         regs_per_thread: profile.regs_per_item.max(1) as u32,
     }
 }
@@ -263,6 +266,35 @@ mod tests {
             );
         }
         assert_eq!(ctx.read_i32(buf).unwrap(), vec![0; 16], "nothing ran");
+    }
+
+    #[test]
+    fn oversized_dynamic_local_memory_is_out_of_resources() {
+        // 2^30 floats are 4 GiB, past `u32::MAX` bytes: the request must
+        // saturate and fail the device check, not wrap to 0 bytes.
+        let mut ctx = Context::new(&Platform::test_tiny());
+        let p = Program::build(
+            "kernel void k(global float* o, local float* tile) {
+                tile[get_local_id(0)] = 1.0f;
+                o[get_global_id(0)] = tile[get_local_id(0)];
+            }",
+        )
+        .unwrap();
+        let mut k = p.create_kernel("k").unwrap();
+        let buf = ctx.create_buffer(4 * 4);
+        k.set_arg(0, Arg::Buffer(buf)).unwrap();
+        k.set_arg(1, Arg::Local { elems: 1 << 30 }).unwrap();
+        assert_eq!(
+            launch_requirements(&k, NdRange::new_1d(4, 4)).local_mem,
+            u32::MAX
+        );
+        match CommandQueue::new().enqueue_nd_range(&mut ctx, &k, NdRange::new_1d(4, 4)) {
+            Err(ClError::OutOfResources(msg)) => {
+                assert!(msg.starts_with("work group needs 4294967295B local / "));
+                assert!(msg.ends_with(" regs; device offers 1024B / 4096"), "{msg}");
+            }
+            other => panic!("expected OutOfResources, got {other:?}"),
+        }
     }
 
     #[test]

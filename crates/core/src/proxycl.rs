@@ -556,7 +556,7 @@ impl ProxyCl {
         // across host threads; the accelcheck race analysis forces
         // launches it cannot prove race-free onto the sequential path
         // (bit-identical results either way). The verdicts are served
-        // from the program's build-time `ModuleFacts` cache.
+        // from the program's `ModuleFacts`, computed once per process.
         let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
         interp.set_exec_tier(kernel_ir::ExecTier::from_env());
         interp

@@ -15,7 +15,10 @@
 use crate::ir::{Function, Module, Op, Terminator, ValueId};
 use crate::types::AddressSpace;
 use crate::verify::{operands, successors};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Per-block liveness sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -269,70 +272,116 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
         .any(has)
 }
 
-/// Cached per-function structural facts (see [`ModuleFacts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FunctionFacts {
-    /// [`uses_barrier`] for this function.
-    pub uses_barrier: bool,
-    /// [`uses_global_atomics`] for this function.
-    pub uses_global_atomics: bool,
-    /// [`uses_atomics`] for this function.
-    pub uses_atomics: bool,
+/// The accelcheck cache: each kernel's gate report
+/// ([`crate::races::gate_report`]) and within-group proof
+/// ([`crate::races::lockstep_report`]), computed on the kernel's first
+/// query and kept for the life of the facts.
+///
+/// The interpreter gate, the `clrt` queue and `ProxyCl` all read the same
+/// facts. [`ModuleFacts::compute`] runs no analysis: it hashes the module
+/// and returns the shared facts of every equal module built in this
+/// process, so a runtime that rebuilds the same program per tenant
+/// analyses each kernel once. The facts hold no copy of the module; each
+/// query passes it in. They are `Send + Sync`, so the scoped worker
+/// threads of the parallel interpreter share them.
+#[derive(Debug)]
+pub struct ModuleFacts {
+    /// Per kernel of the module, by name (most modules have one).
+    kernels: Box<[(String, KernelFacts)]>,
 }
 
-/// One-shot analysis cache for a whole module.
-///
-/// The interpreter gate, the `clrt` queue, `ProxyCl`, and the `accelcheck`
-/// lint driver all consult the same facts; computing them once per compiled
-/// module (instead of per launch) keeps repeated launches off the analysis
-/// hot path. The cache is immutable and `Send + Sync`, so it can be shared
-/// across the scoped worker threads of the parallel interpreter.
-#[derive(Debug, Clone, Default)]
-pub struct ModuleFacts {
-    functions: BTreeMap<String, FunctionFacts>,
-    races: BTreeMap<String, crate::races::KernelRaceReport>,
-    dequeue: BTreeSet<String>,
-    /// Within-group proofs, computed on a kernel's first query (most
-    /// kernels of a program never launch in a given process).
-    lockstep:
-        BTreeMap<String, std::sync::OnceLock<Option<std::sync::Arc<crate::races::LockstepReport>>>>,
+/// One kernel's answers, each computed on its first query.
+#[derive(Debug, Default)]
+struct KernelFacts {
+    /// The gate report, cut to what the eligibility checks read, and
+    /// whether the kernel's dequeue contract holds.
+    gate: OnceLock<Option<(crate::races::KernelRaceReport, bool)>>,
+    lockstep: OnceLock<Option<crate::races::LockstepReport>>,
+}
+
+/// Modules whose facts [`ModuleFacts::compute`] keeps, least recently
+/// used first out.
+const MEMO_SIZE: usize = 64;
+
+/// Every instruction span of a module and of its contracts' original
+/// kernels. `Inst`'s `Hash` leaves spans out, but race reports carry them,
+/// so two sources that differ only in layout must not share facts.
+struct Spans<'a>(&'a Module);
+
+impl Hash for Spans<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for f in &self.0.functions {
+            for b in &f.blocks {
+                for i in &b.insts {
+                    i.span.hash(state);
+                }
+            }
+        }
+        for c in self.0.dequeue.values() {
+            Spans(&c.original).hash(state);
+        }
+    }
 }
 
 impl ModuleFacts {
-    /// Analyze every function (structural facts) and every kernel (race &
-    /// divergence report) of `module`. A kernel whose dequeue contract
-    /// holds is reported through its original kernel (see
-    /// [`crate::races::gate_report`]).
-    pub fn compute(module: &Module) -> Self {
-        let mut functions = BTreeMap::new();
-        for func in &module.functions {
-            functions.insert(
-                func.name.clone(),
-                FunctionFacts {
-                    uses_barrier: uses_barrier(func, module),
-                    uses_global_atomics: uses_global_atomics(func, module),
-                    uses_atomics: uses_atomics(func, module),
-                },
-            );
+    /// The facts of `module`, shared by every equal module (spans
+    /// included) while it stays among the last 64 modules asked for in
+    /// this process. The key is a 128-bit hash of the module under
+    /// two per-process random keys: a copy of each module would cost as
+    /// much memory as the programs themselves.
+    pub fn compute(module: &Module) -> Arc<ModuleFacts> {
+        type Memo = Vec<(u128, Arc<ModuleFacts>)>;
+        static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
+        static KEYS: OnceLock<[RandomState; 2]> = OnceLock::new();
+        let key = KEYS
+            .get_or_init(Default::default)
+            .iter()
+            .fold(0u128, |acc, keys| {
+                acc << 64 | u128::from(keys.hash_one((module, Spans(module))))
+            });
+        let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = memo.iter().position(|(k, _)| *k == key) {
+            let entry = memo.remove(hit);
+            let facts = Arc::clone(&entry.1);
+            memo.push(entry);
+            return facts;
         }
-        let mut races = BTreeMap::new();
-        let mut dequeue = BTreeSet::new();
-        let mut lockstep = BTreeMap::new();
-        for name in module.kernel_names() {
-            lockstep.insert(name.to_string(), std::sync::OnceLock::new());
-            if let Some((report, contract)) = crate::races::gate_report(module, name) {
-                if contract.is_some() {
-                    dequeue.insert(name.to_string());
-                }
-                races.insert(name.to_string(), report);
-            }
+        let facts = Arc::new(ModuleFacts {
+            kernels: module
+                .kernel_names()
+                .into_iter()
+                .map(|name| (name.to_string(), KernelFacts::default()))
+                .collect(),
+        });
+        if memo.len() >= MEMO_SIZE {
+            memo.remove(0);
         }
-        ModuleFacts {
-            functions,
-            races,
-            dequeue,
-            lockstep,
-        }
+        memo.push((key, Arc::clone(&facts)));
+        facts
+    }
+
+    /// The report gating cross-group parallel execution of kernel `name`
+    /// and its dequeue contract when one holds (see
+    /// [`crate::races::gate_report`]), computed from `module` (the module
+    /// these facts were computed from) on first use. The report keeps only
+    /// what the eligibility checks read: the verdict, and the sites of
+    /// the parameters re-checked per launch.
+    pub fn gate_report<'m>(
+        &self,
+        module: &'m Module,
+        name: &str,
+    ) -> Option<(
+        &crate::races::KernelRaceReport,
+        Option<&'m crate::ir::DequeueContract>,
+    )> {
+        let (report, contract) = self
+            .kernel(name)?
+            .gate
+            .get_or_init(|| {
+                crate::races::gate_report(module, name).map(|(r, c)| (r.into_gate(), c.is_some()))
+            })
+            .as_ref()?;
+        Some((report, module.dequeue.get(name).filter(|_| *contract)))
     }
 
     /// Cached within-group proof for kernel `name`
@@ -343,48 +392,14 @@ impl ModuleFacts {
         module: &Module,
         name: &str,
     ) -> Option<&crate::races::LockstepReport> {
-        self.lockstep
-            .get(name)?
+        self.kernel(name)?
+            .lockstep
             .get_or_init(|| crate::races::lockstep_report(module, name))
-            .as_deref()
+            .as_ref()
     }
 
-    /// Structural facts for `name`, if the function exists.
-    pub fn function(&self, name: &str) -> Option<&FunctionFacts> {
-        self.functions.get(name)
-    }
-
-    /// Cached [`uses_barrier`]; `false` for unknown functions.
-    pub fn uses_barrier(&self, name: &str) -> bool {
-        self.functions.get(name).is_some_and(|f| f.uses_barrier)
-    }
-
-    /// Cached [`uses_global_atomics`]; `false` for unknown functions.
-    pub fn uses_global_atomics(&self, name: &str) -> bool {
-        self.functions
-            .get(name)
-            .is_some_and(|f| f.uses_global_atomics)
-    }
-
-    /// Cached [`uses_atomics`]; `false` for unknown functions.
-    pub fn uses_atomics(&self, name: &str) -> bool {
-        self.functions.get(name).is_some_and(|f| f.uses_atomics)
-    }
-
-    /// Cached race report for kernel `name`.
-    pub fn race_report(&self, name: &str) -> Option<&crate::races::KernelRaceReport> {
-        self.races.get(name)
-    }
-
-    /// Whether kernel `name` has a dequeue contract that holds, so its
-    /// cached race report is the original kernel's.
-    pub fn has_dequeue_contract(&self, name: &str) -> bool {
-        self.dequeue.contains(name)
-    }
-
-    /// All cached race reports, keyed by kernel name.
-    pub fn race_reports(&self) -> &BTreeMap<String, crate::races::KernelRaceReport> {
-        &self.races
+    fn kernel(&self, name: &str) -> Option<&KernelFacts> {
+        self.kernels.iter().find(|(k, _)| k == name).map(|(_, f)| f)
     }
 }
 
@@ -520,23 +535,106 @@ mod tests {
     fn module_facts_match_uncached_analyses() {
         let (_, m) = simple_kernel();
         let facts = ModuleFacts::compute(&m);
-        for func in &m.functions {
-            let ff = facts.function(&func.name).expect("facts for every fn");
-            assert_eq!(ff.uses_barrier, uses_barrier(func, &m));
-            assert_eq!(ff.uses_global_atomics, uses_global_atomics(func, &m));
-            assert_eq!(ff.uses_atomics, uses_atomics(func, &m));
-            assert_eq!(facts.uses_barrier(&func.name), ff.uses_barrier);
-        }
         for name in m.kernel_names() {
-            let cached = facts.race_report(name).expect("report for every kernel");
-            let fresh = crate::races::analyze_kernel(&m, name).unwrap();
+            let (cached, contract) = facts.gate_report(&m, name).expect("report");
+            let (fresh, _) = crate::races::gate_report(&m, name).unwrap();
             assert_eq!(cached.verdict, fresh.verdict);
-            assert_eq!(cached.sites.len(), fresh.sites.len());
+            assert_eq!(cached.eligible_static(), fresh.eligible_static());
+            assert_eq!(
+                cached.eligible_for_any_groups(1, true),
+                fresh.eligible_for_any_groups(1, true)
+            );
+            assert!(contract.is_none());
+            let proof = facts.lockstep_report(&m, name).expect("proof");
+            let fresh = crate::races::lockstep_report(&m, name).unwrap();
+            assert_eq!(proof.refusal(), fresh.refusal());
         }
-        assert!(facts.function("missing").is_none());
-        assert!(!facts.uses_global_atomics("missing"));
+        assert!(facts.gate_report(&m, "missing").is_none());
+        assert!(facts.lockstep_report(&m, "missing").is_none());
         // The cache must be shareable across scoped worker threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ModuleFacts>();
+    }
+
+    /// A one-kernel module under a name no other test uses, so the
+    /// process-wide memo entry is this test's alone.
+    fn named_kernel(name: &str) -> Module {
+        let mut b = FunctionBuilder::new(name, FunctionKind::Kernel, Type::Void);
+        let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::F32));
+        let gid = b.work_item(WiBuiltin::GlobalId, 0);
+        let p = b.gep(out, gid);
+        let v = b.load(p);
+        b.store(p, v);
+        b.ret(None);
+        let mut m = Module::new();
+        m.insert_function(b.finish());
+        m
+    }
+
+    /// Held by the tests that fill the memo or need an entry to survive.
+    static MEMO_TESTS: Mutex<()> = Mutex::new(());
+
+    fn analysed(facts: &ModuleFacts) -> bool {
+        facts
+            .kernels
+            .iter()
+            .any(|(_, k)| k.gate.get().is_some() || k.lockstep.get().is_some())
+    }
+
+    #[test]
+    fn facts_analyse_each_kernel_once_on_first_query() {
+        let _serial = MEMO_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let m = named_kernel("facts_once");
+        let facts = ModuleFacts::compute(&m);
+        assert!(!analysed(&facts), "compute must run no race analysis");
+        let report: *const _ = facts.gate_report(&m, "facts_once").unwrap().0;
+        let proof: *const _ = facts.lockstep_report(&m, "facts_once").unwrap();
+        // An equal module (a second build) gets the same facts, whose
+        // answers are the ones already computed.
+        let again = ModuleFacts::compute(&m.clone());
+        assert!(Arc::ptr_eq(&facts, &again));
+        assert!(analysed(&again));
+        assert!(std::ptr::eq(
+            again.gate_report(&m, "facts_once").unwrap().0,
+            report
+        ));
+        assert!(std::ptr::eq(
+            again.lockstep_report(&m, "facts_once").unwrap(),
+            proof
+        ));
+    }
+
+    #[test]
+    fn evicted_facts_recompute_the_same_verdicts() {
+        let _serial = MEMO_TESTS.lock().unwrap_or_else(|e| e.into_inner());
+        let m = named_kernel("facts_evicted");
+        let first = ModuleFacts::compute(&m);
+        let verdict = first
+            .gate_report(&m, "facts_evicted")
+            .unwrap()
+            .0
+            .verdict
+            .clone();
+        for i in 0..MEMO_SIZE {
+            ModuleFacts::compute(&named_kernel(&format!("facts_filler_{i}")));
+        }
+        let second = ModuleFacts::compute(&m);
+        assert!(
+            !Arc::ptr_eq(&first, &second),
+            "the first module was evicted"
+        );
+        assert!(!analysed(&second));
+        let (report, _) = second.gate_report(&m, "facts_evicted").unwrap();
+        assert_eq!(report.verdict, verdict);
+        assert_eq!(
+            second
+                .lockstep_report(&m, "facts_evicted")
+                .unwrap()
+                .refusal(),
+            first
+                .lockstep_report(&m, "facts_evicted")
+                .unwrap()
+                .refusal()
+        );
     }
 }

@@ -12,7 +12,7 @@ use crate::interp::{
     TicketCursor,
 };
 use crate::ir::WiBuiltin;
-use crate::races::immediate_postdominators;
+use crate::races::{divergent_regions, immediate_postdominators};
 
 /// The pc of a function's virtual exit, where `ret` sends its items.
 const EXIT: u32 = u32::MAX;
@@ -56,36 +56,6 @@ fn cfg(func: &BcFuncBody) -> (Vec<Vec<usize>>, Vec<usize>) {
     (succs, ipdom)
 }
 
-/// Blocks run under a split active set: reachable from a branch on a
-/// varying register without passing its immediate postdominator.
-fn divergent(func: &BcFuncBody, succs: &[Vec<usize>], ipdom: &[usize], uni: &[bool]) -> Vec<bool> {
-    let mut out = vec![false; func.blocks.len()];
-    for (d, block) in func.blocks.iter().enumerate() {
-        let Some(BcInsn::Branch {
-            cond,
-            then_t,
-            else_t,
-        }) = block.last()
-        else {
-            continue;
-        };
-        if then_t == else_t || uni.get(*cond as usize).copied().unwrap_or(false) {
-            continue;
-        }
-        let mut stack = succs[d].clone();
-        let mut seen = vec![false; out.len()];
-        while let Some(b) = stack.pop() {
-            if b == ipdom[d] || seen[b] {
-                continue;
-            }
-            seen[b] = true;
-            out[b] = true;
-            stack.extend(&succs[b]);
-        }
-    }
-    out
-}
-
 /// Which registers of each function are group-uniform: written only
 /// outside divergent regions, by instructions whose result is the same for
 /// every item given uniform operands. A load qualifies only through a
@@ -100,7 +70,16 @@ fn uniform_registers(bc: &BcModule, cfgs: &[(Vec<Vec<usize>>, Vec<usize>)]) -> V
         let mut demote: Vec<(usize, u32)> = Vec::new();
         for (fi, func) in bc.funcs.iter().enumerate() {
             let u = |r: u32| uni[fi].get(r as usize).copied().unwrap_or(false);
-            let div = divergent(func, &cfgs[fi].0, &cfgs[fi].1, &uni[fi]);
+            // Blocks run under a split active set.
+            let div =
+                divergent_regions(&cfgs[fi].0, &cfgs[fi].1, |d| match func.blocks[d].last() {
+                    Some(BcInsn::Branch {
+                        cond,
+                        then_t,
+                        else_t,
+                    }) => then_t != else_t && !u(*cond),
+                    _ => false,
+                });
             for (b, block) in func.blocks.iter().enumerate() {
                 for insn in block {
                     let varying = match insn {
@@ -126,7 +105,7 @@ fn uniform_registers(bc: &BcModule, cfgs: &[(Vec<Vec<usize>>, Vec<usize>)]) -> V
                         BcInsn::StoreSlot { slot, .. } => *slot,
                         other => def_of(other),
                     };
-                    if dst != NO_REG && (varying || div[b]) && u(dst) {
+                    if dst != NO_REG && (varying || div[b].is_some()) && u(dst) {
                         demote.push((fi, dst));
                     }
                     if let BcInsn::Call { func, args, .. } = insn {

@@ -20,12 +20,14 @@
 //! run on the bytecode VM ([`crate::bytecode`]), the only executor that
 //! shards work groups across threads.
 
+use crate::analysis::ModuleFacts;
 use crate::error::InterpError;
 use crate::ir::{
     AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Module, Op,
     Terminator, UnOp, ValueId, WiBuiltin,
 };
 use crate::types::{AddressSpace, Type};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a device global-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -975,41 +977,50 @@ fn distinct_buffers(args: &[ArgValue]) -> bool {
 pub struct Interpreter<'m> {
     pub(crate) module: &'m Module,
     pub(crate) config: InterpConfig,
-    pub(crate) facts: Option<&'m crate::analysis::ModuleFacts>,
+    /// Facts passed in by [`with_facts`](Self::with_facts).
+    given_facts: Option<&'m ModuleFacts>,
+    /// Otherwise the memo's facts for `module`, fetched on the first gate
+    /// query.
+    memo_facts: OnceLock<Arc<ModuleFacts>>,
     pub(crate) tier: crate::bytecode::ExecTier,
 }
 
 impl<'m> Interpreter<'m> {
     /// Interpreter over `module` with default configuration.
     pub fn new(module: &'m Module) -> Self {
-        Interpreter {
-            module,
-            config: InterpConfig::default(),
-            facts: None,
-            tier: crate::bytecode::ExecTier::TreeWalk,
-        }
+        Self::with_config(module, InterpConfig::default())
     }
 
-    /// Interpreter with an explicit configuration.
+    /// Interpreter with an explicit configuration. Its gates read the
+    /// process-wide facts of `module` ([`ModuleFacts::compute`]), fetched
+    /// on the first query.
     pub fn with_config(module: &'m Module, config: InterpConfig) -> Self {
         Interpreter {
             module,
             config,
-            facts: None,
+            given_facts: None,
+            memo_facts: OnceLock::new(),
             tier: crate::bytecode::ExecTier::TreeWalk,
         }
     }
 
-    /// Interpreter that reuses a precomputed analysis cache instead of
-    /// re-running the race analysis on every launch. `facts` must have been
-    /// computed from `module` (a stale cache would gate launches on the
-    /// wrong verdicts).
-    pub fn with_facts(module: &'m Module, facts: &'m crate::analysis::ModuleFacts) -> Self {
+    /// Interpreter whose gates read `facts`, which must have been computed
+    /// from `module` (a stale cache would gate launches on the wrong
+    /// verdicts).
+    pub fn with_facts(module: &'m Module, facts: &'m ModuleFacts) -> Self {
         Interpreter {
-            module,
-            config: InterpConfig::default(),
-            facts: Some(facts),
-            tier: crate::bytecode::ExecTier::TreeWalk,
+            given_facts: Some(facts),
+            ..Self::new(module)
+        }
+    }
+
+    /// The analysis cache the gates read.
+    fn facts(&self) -> &ModuleFacts {
+        match self.given_facts {
+            Some(facts) => facts,
+            None => self
+                .memo_facts
+                .get_or_init(|| ModuleFacts::compute(self.module)),
         }
     }
 
@@ -1152,36 +1163,21 @@ impl<'m> Interpreter<'m> {
                 distinct_buffers: distinct_buffers(args),
             })
         };
-        match self.facts {
-            Some(facts) => facts
-                .lockstep_report(self.module, kernel)
-                .is_some_and(check),
-            None => crate::races::lockstep_report(self.module, kernel).is_some_and(|r| check(&r)),
-        }
+        self.facts()
+            .lockstep_report(self.module, kernel)
+            .is_some_and(check)
     }
 
     /// Apply `f` to the report gating `kernel` and its holding dequeue
-    /// contract (see [`crate::races::gate_report`]), from the facts cache
-    /// when there is one. `None` for unknown kernels.
+    /// contract (see [`crate::races::gate_report`]). `None` for unknown
+    /// kernels.
     fn with_gate<T>(
         &self,
         kernel: &str,
         f: impl FnOnce(&crate::races::KernelRaceReport, Option<&'m DequeueContract>) -> T,
     ) -> Option<T> {
-        match self.facts {
-            Some(facts) => {
-                let report = facts.race_report(kernel)?;
-                let contract = facts
-                    .has_dequeue_contract(kernel)
-                    .then(|| self.module.dequeue.get(kernel))
-                    .flatten();
-                Some(f(report, contract))
-            }
-            None => {
-                let (report, contract) = crate::races::gate_report(self.module, kernel)?;
-                Some(f(&report, contract))
-            }
-        }
+        let (report, contract) = self.facts().gate_report(self.module, kernel)?;
+        Some(f(report, contract))
     }
 
     /// The gate of the sharding entry points: whether the launch may run

@@ -93,7 +93,7 @@ pub mod testgen;
 pub mod types;
 pub mod verify;
 
-pub use analysis::{FunctionFacts, ModuleFacts};
+pub use analysis::ModuleFacts;
 pub use builder::FunctionBuilder;
 pub use bytecode::ExecTier;
 pub use error::{InterpError, IrError};

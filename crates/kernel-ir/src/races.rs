@@ -18,10 +18,12 @@
 //!   when they are commutative with unused results, so parallel execution is
 //!   bit-identical to sequential), or `Racy { site }` naming the offending
 //!   access.
-//! * **Barrier-divergence check** — a barrier control-dependent on a
-//!   condition that varies across the work items of one group is undefined
-//!   behaviour; detected via postdominators + the uniformity lattice of the
-//!   same dataflow.
+//! * **Barrier-divergence check** — a barrier reached under a condition
+//!   that varies across the work items of one group is undefined
+//!   behaviour; detected as a barrier in a divergent region (the blocks a
+//!   branch on a varying condition reaches before its immediate
+//!   postdominator, the same regions the within-group proof uses) under
+//!   the uniformity lattice of the same dataflow.
 //!
 //! * **Within-group proof** — [`lockstep_report`] licenses lockstep
 //!   execution of a work group's items. Within every *barrier interval*
@@ -60,7 +62,6 @@ use crate::types::{AddressSpace, Type};
 use crate::verify::{operands, successors};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// Marker used as the parameter index of accesses whose base pointer could
 /// not be traced back to a kernel parameter.
@@ -748,7 +749,10 @@ pub struct Site {
     /// Access width in bytes.
     pub bytes: usize,
     offset: Option<Affine>,
-    guards: BTreeSet<CondVal>,
+    /// Conditions that hold whenever the access runs, in set order. A
+    /// slice rather than a set: `ModuleFacts` keeps reports for the life
+    /// of the process, and a set node has room for eleven.
+    guards: Box<[CondVal]>,
 }
 
 impl Site {
@@ -1282,7 +1286,7 @@ impl<'a> Analyzer<'a> {
             span,
             bytes,
             offset,
-            guards: BTreeSet::new(),
+            guards: Box::default(),
         }
     }
 
@@ -1331,7 +1335,7 @@ impl<'a> Analyzer<'a> {
                     kind,
                     bytes,
                     offset,
-                    guards: BTreeSet::new(),
+                    guards: Box::default(),
                     block: bid,
                     inst: iid,
                     intervals: 0,
@@ -1390,7 +1394,7 @@ impl<'a> Analyzer<'a> {
                 kind,
                 bytes: 1,
                 offset: None,
-                guards: BTreeSet::new(),
+                guards: Box::default(),
                 block: bid,
                 inst: iid,
                 intervals: 0,
@@ -1490,69 +1494,6 @@ fn reachable_without_edge(func: &Function, cut: (usize, usize)) -> Vec<bool> {
         }
     }
     seen
-}
-
-/// Postdominator sets over the CFG augmented with a virtual exit node
-/// (index `n`); same u128-bitset iteration as `verify::dominators`.
-fn postdominators(func: &Function) -> Vec<u128> {
-    let n = func.blocks.len();
-    assert!(n < 128, "function has too many blocks for postdominators");
-    let exit = n;
-    let succs = successors(func);
-    let all: u128 = if n + 1 == 128 {
-        u128::MAX
-    } else {
-        (1u128 << (n + 1)) - 1
-    };
-    let mut pdom = vec![all; n + 1];
-    pdom[exit] = 1u128 << exit;
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for b in (0..n).rev() {
-            let mut meet = all;
-            let is_exit_pred = matches!(func.blocks[b].term, Some(Terminator::Ret(_)));
-            if is_exit_pred {
-                meet &= pdom[exit];
-            } else {
-                let mut any = false;
-                for s in &succs[b] {
-                    meet &= pdom[s.index()];
-                    any = true;
-                }
-                if !any {
-                    meet = pdom[exit]; // malformed/unterminated: treat as exiting
-                }
-            }
-            let next = meet | (1u128 << b);
-            if next != pdom[b] {
-                pdom[b] = next;
-                changed = true;
-            }
-        }
-    }
-    pdom
-}
-
-/// Blocks `B` control-dependent on branch block `D` (Ferrante et al.):
-/// `B` postdominates a successor of `D` but does not strictly postdominate
-/// `D` itself.
-fn control_dependent_on(func: &Function, pdom: &[u128], d: usize) -> u128 {
-    let mut deps = 0u128;
-    let succs: Vec<usize> = match &func.blocks[d].term {
-        Some(t) => t.successors().iter().map(|b| b.index()).collect(),
-        None => vec![],
-    };
-    for b in 0..func.blocks.len() {
-        let strictly_pdoms_d = b != d && pdom[d] & (1u128 << b) != 0;
-        if strictly_pdoms_d {
-            continue;
-        }
-        if succs.iter().any(|&s| pdom[s] & (1u128 << b) != 0) {
-            deps |= 1u128 << b;
-        }
-    }
-    deps
 }
 
 // ---------------------------------------------------------------------------
@@ -1892,18 +1833,16 @@ fn compute_guards(func: &Function, an: &Analyzer<'_>) -> Vec<BTreeSet<CondVal>> 
     guards
 }
 
-/// Collect barriers (including calls into barrier-using helpers) that are
-/// control-dependent on a non-uniform condition.
+/// Collect barriers (including calls into barrier-using helpers) in the
+/// divergent region of a branch whose condition `an` cannot prove
+/// group-uniform (see [`divergent_blocks`]).
 fn divergent_barriers(func: &Function, module: &Module, an: &Analyzer<'_>) -> Vec<BarrierSite> {
-    let n = func.blocks.len();
-    if n + 1 > 128 {
-        return Vec::new(); // beyond the bitset width; skip the check
-    }
-    let pdom = postdominators(func);
-    // Cache control-dependence sets per branch block.
-    let mut cd: Vec<Option<u128>> = vec![None; n];
+    let regions = divergent_blocks(func, an);
     let mut out = Vec::new();
     for (b, block) in func.blocks.iter().enumerate() {
+        let Some(d) = regions[b] else {
+            continue;
+        };
         for (iid, inst) in block.insts.iter().enumerate() {
             let is_barrier = match &inst.op {
                 Op::Barrier => true,
@@ -1916,33 +1855,27 @@ fn divergent_barriers(func: &Function, module: &Module, an: &Analyzer<'_>) -> Ve
             if !is_barrier {
                 continue;
             }
-            for (d, slot) in cd.iter_mut().enumerate() {
-                let Some(Terminator::CondBr { cond, .. }) = &func.blocks[d].term else {
-                    continue;
-                };
-                let deps = *slot.get_or_insert_with(|| control_dependent_on(func, &pdom, d));
-                if deps & (1u128 << b) == 0 {
-                    continue;
+            let varies = match &func.blocks[d].term {
+                Some(Terminator::CondBr { cond, .. }) => {
+                    matches!(an.reg(*cond), AbsVal::Cond(_) | AbsVal::Aff(_))
                 }
-                let cause = match an.reg(*cond) {
-                    AbsVal::Cond(c) if c.group_uniform() => continue,
-                    AbsVal::Aff(a) if a.group_uniform() => continue,
-                    AbsVal::UnknownUniform => continue,
-                    AbsVal::Cond(_) | AbsVal::Aff(_) => format!(
-                        "barrier depends on branch at bb{d} whose condition varies across the work items of a group"
-                    ),
-                    _ => format!(
-                        "barrier depends on branch at bb{d} whose condition could not be proven group-uniform"
-                    ),
-                };
-                out.push(BarrierSite {
-                    block: BlockId(b as u32),
-                    inst: iid,
-                    span: inst.span,
-                    cause,
-                });
-                break; // one diagnosis per barrier is enough
-            }
+                _ => false,
+            };
+            let cause = if varies {
+                format!(
+                    "barrier depends on branch at bb{d} whose condition varies across the work items of a group"
+                )
+            } else {
+                format!(
+                    "barrier depends on branch at bb{d} whose condition could not be proven group-uniform"
+                )
+            };
+            out.push(BarrierSite {
+                block: BlockId(b as u32),
+                inst: iid,
+                span: inst.span,
+                cause,
+            });
         }
     }
     out
@@ -2132,7 +2065,7 @@ pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
     let mut sites = converge(&mut an);
     let guards = compute_guards(func, &an);
     for site in &mut sites {
-        site.guards = guards[site.block.index()].clone();
+        site.guards = guards[site.block.index()].iter().cloned().collect();
     }
     let routes = compute_routes(&sites);
     let verdict = compute_verdict(&routes, &sites);
@@ -2196,7 +2129,7 @@ struct GroupSite {
     kind: AccessKind,
     bytes: usize,
     offset: Option<Affine>,
-    guards: BTreeSet<CondVal>,
+    guards: Box<[CondVal]>,
     block: usize,
     inst: usize,
     /// Barrier intervals the access may run in: bit 0 is the one that
@@ -2359,11 +2292,35 @@ pub(crate) fn immediate_postdominators(succs: &[Vec<usize>], exits: &[bool]) -> 
     idom
 }
 
-/// Blocks run under a split active set: those reachable from a divergent
-/// branch without passing its immediate postdominator, where the halves
-/// reconverge.
-fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<bool> {
-    let n = func.blocks.len();
+/// For each block, the first branch block `d` (in block order) with
+/// `varying(d)` whose divergent region holds it: the blocks reachable from
+/// `d` without passing its immediate postdominator, where the two sides
+/// reconverge and which no item enters on a split active set.
+pub(crate) fn divergent_regions(
+    succs: &[Vec<usize>],
+    ipdom: &[usize],
+    varying: impl Fn(usize) -> bool,
+) -> Vec<Option<usize>> {
+    let n = succs.len();
+    let mut regions = vec![None; n];
+    for d in (0..n).filter(|&d| varying(d)) {
+        let mut stack = succs[d].clone();
+        let mut seen = vec![false; n];
+        while let Some(b) = stack.pop() {
+            if b == ipdom[d] || seen[b] {
+                continue;
+            }
+            seen[b] = true;
+            regions[b].get_or_insert(d);
+            stack.extend(&succs[b]);
+        }
+    }
+    regions
+}
+
+/// [`divergent_regions`] of `func`, for the branches whose condition `an`
+/// cannot prove group-uniform.
+fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<Option<usize>> {
     let succs: Vec<Vec<usize>> = successors(func)
         .iter()
         .map(|ss| ss.iter().map(|s| s.index()).collect())
@@ -2374,31 +2331,14 @@ fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<bool> {
         .map(|b| !matches!(b.term, Some(Terminator::Br(_) | Terminator::CondBr { .. })))
         .collect();
     let ipdom = immediate_postdominators(&succs, &exits);
-    let mut divergent = vec![false; n];
-    for (d, block) in func.blocks.iter().enumerate() {
-        let Some(Terminator::CondBr {
+    divergent_regions(&succs, &ipdom, |d| match &func.blocks[d].term {
+        Some(Terminator::CondBr {
             cond,
             then_bb,
             else_bb,
-        }) = &block.term
-        else {
-            continue;
-        };
-        if then_bb == else_bb || an.reg(*cond).group_uniform() {
-            continue;
-        }
-        let mut stack: Vec<usize> = succs[d].clone();
-        let mut seen = vec![false; n];
-        while let Some(b) = stack.pop() {
-            if b == ipdom[d] || seen[b] {
-                continue;
-            }
-            seen[b] = true;
-            divergent[b] = true;
-            stack.extend(&succs[b]);
-        }
-    }
-    divergent
+        }) => then_bb != else_bb && !an.reg(*cond).group_uniform(),
+        _ => false,
+    })
 }
 
 /// Barrier intervals reaching every instruction (see
@@ -2494,7 +2434,7 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
     let guards = compute_guards(func, &plain);
     let mut sites = plain.group.take().unwrap_or_default();
     for site in &mut sites {
-        site.guards = guards[site.block].clone();
+        site.guards = guards[site.block].iter().cloned().collect();
         site.intervals = bits[site.block][site.inst];
     }
     // Loads no item's write can reach within their intervals; the
@@ -2535,7 +2475,7 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
             .blocks
             .iter()
             .enumerate()
-            .filter(|(b, _)| divergent[*b])
+            .filter(|(b, _)| divergent[*b].is_some())
         {
             for inst in &block.insts {
                 if let Op::Store { ptr, .. } = &inst.op {
@@ -2570,7 +2510,7 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
                 .blocks
                 .iter()
                 .enumerate()
-                .filter(|(b, _)| divergent[*b])
+                .filter(|(b, _)| divergent[*b].is_some())
             {
                 let at = block.insts.iter().find(|inst| match &inst.op {
                     Op::Barrier => true,
@@ -2593,9 +2533,15 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
                 .filter(|s| sites.iter().any(|w| w.kind.is_write() && may_alias(w, s)))
                 .cloned()
                 .map(|mut s| {
-                    s.guards.retain(|g| {
-                        !g.depends_on_group() && [&g.lhs, &g.rhs].iter().any(|a| !a.group_uniform())
-                    });
+                    s.guards = s
+                        .guards
+                        .iter()
+                        .filter(|g| {
+                            !g.depends_on_group()
+                                && [&g.lhs, &g.rhs].iter().any(|a| !a.group_uniform())
+                        })
+                        .cloned()
+                        .collect();
                     s
                 })
                 .collect();
@@ -2912,44 +2858,9 @@ fn inlined<'m>(module: &'m Module, name: &str) -> Result<std::borrow::Cow<'m, Mo
 /// the code the sharding gate already judges it by.
 ///
 /// The proof costs a few analysis passes, more than one launch of a small
-/// kernel saves by it, and a runtime that rebuilds the same program per
-/// tenant asks it again and again: the last [`LOCKSTEP_MEMO`] answers are
-/// kept process-wide, keyed by a 128-bit hash of the kernel's name and its
-/// whole module under two per-process random keys (a copy of each module
-/// would cost as much memory as the programs themselves).
-pub fn lockstep_report(module: &Module, name: &str) -> Option<Arc<LockstepReport>> {
-    use std::hash::BuildHasher;
-    type Memo = Vec<(u128, Option<Arc<LockstepReport>>)>;
-    static MEMO: std::sync::Mutex<Memo> = std::sync::Mutex::new(Vec::new());
-    static KEYS: std::sync::OnceLock<[std::collections::hash_map::RandomState; 2]> =
-        std::sync::OnceLock::new();
-    let key = KEYS
-        .get_or_init(Default::default)
-        .iter()
-        .fold(0u128, |acc, keys| {
-            acc << 64 | u128::from(keys.hash_one((name, module)))
-        });
-    let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
-    if let Some(hit) = memo.iter().position(|(k, _)| *k == key) {
-        let entry = memo.remove(hit);
-        let report = entry.1.clone();
-        memo.push(entry);
-        return report;
-    }
-    drop(memo);
-    let report = prove_lockstep(module, name).map(Arc::new);
-    let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
-    if memo.len() >= LOCKSTEP_MEMO {
-        memo.remove(0);
-    }
-    memo.push((key, report.clone()));
-    report
-}
-
-/// Within-group proofs [`lockstep_report`] keeps.
-pub const LOCKSTEP_MEMO: usize = 64;
-
-fn prove_lockstep(module: &Module, name: &str) -> Option<LockstepReport> {
+/// kernel saves by it; [`crate::ModuleFacts`] keeps each kernel's proof
+/// for every build of the same program in a process.
+pub fn lockstep_report(module: &Module, name: &str) -> Option<LockstepReport> {
     let kernel = module.function(name)?;
     if kernel.kind != FunctionKind::Kernel {
         return None;
@@ -3046,6 +2957,23 @@ impl KernelRaceReport {
     /// Whether any parameter is written at all (reads alone cannot race).
     pub fn has_writes(&self) -> bool {
         !self.routes.is_empty()
+    }
+
+    /// The report cut to what the eligibility checks read, for a cache
+    /// that keeps it for the life of the process: the verdict, the routes
+    /// and the sites of parameters re-checked per launch. Every other
+    /// site, and the divergent barriers, are dropped; every eligibility
+    /// answer stays the same.
+    pub(crate) fn into_gate(mut self) -> Self {
+        let routes = &self.routes;
+        self.sites.retain(|s| match routes.get(&s.param) {
+            Some(Route::Disjoint { unit_groups }) => !unit_groups.is_empty(),
+            Some(Route::NeedsLaunch) => true,
+            _ => false,
+        });
+        self.sites.shrink_to_fit();
+        self.divergent_barriers = Vec::new();
+        self
     }
 }
 

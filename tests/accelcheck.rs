@@ -16,16 +16,22 @@
 //! 3. **Golden lint report** — the `repro lint` report over the Parboil set
 //!    is pinned byte-for-byte (regenerate deliberately with
 //!    `BLESS=1 cargo test --test accelcheck`).
+//! 4. **The facts cache** — `ModuleFacts` answers equal fresh analyses on
+//!    every Parboil module, untransformed and JIT-transformed; equal
+//!    builds share one cache entry, and changed or re-laid-out sources do
+//!    not.
 
 use clrt::{Context, Platform, Program};
 use kernel_ir::bytecode::ExecTier;
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
+use kernel_ir::ir::{BlockId, CmpOp, WiBuiltin};
 use kernel_ir::races::analyze_kernel;
 use kernel_ir::testgen::{build_kernel, Pattern, PATTERNS};
-use kernel_ir::ParallelSafety;
+use kernel_ir::{AddressSpace, FunctionBuilder, FunctionKind, ParallelSafety, Type};
 use parboil::datasets::prepare_launch;
 use parboil::KernelSpec;
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One differential run: static verdict + launch gate vs the dynamic
 /// oracle vs bit-level comparison of the bytecode tier, sequential and
@@ -204,9 +210,9 @@ fn widened_atomic_kernels_run_parallel_bit_identically() {
     for name in ["histo_main", "histo_prescan", "tpacf"] {
         let spec = KernelSpec::by_name(name).expect("kernel exists");
         let module = spec.compile().expect("compiles");
-        let facts = kernel_ir::ModuleFacts::compute(&module);
+        let entry = module.function(spec.entry).expect("entry kernel");
         assert!(
-            facts.uses_global_atomics(spec.entry),
+            kernel_ir::analysis::uses_global_atomics(entry, &module),
             "`{name}` must use global atomics for this test to mean anything"
         );
         assert!(
@@ -270,6 +276,73 @@ fn lint_report_matches_golden_snapshot() {
             expected.lines().count()
         );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Barrier divergence: every block a varying branch reaches before its
+// immediate postdominator, at any function size
+// ---------------------------------------------------------------------------
+
+#[test]
+fn barrier_under_uniform_branch_inside_divergent_one_is_divergent() {
+    // if (lid < 4) { if (n > 0) { barrier(); } } -- the barrier is
+    // directly control-dependent only on the uniform inner branch, but
+    // only the items with lid < 4 reach it.
+    let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+    let _out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::F32));
+    let n = b.add_param("n", Type::I64);
+    let outer_bb = b.new_block();
+    let inner_bb = b.new_block();
+    let exit_bb = b.new_block();
+    let lid = b.work_item(WiBuiltin::LocalId, 0);
+    let four = b.const_i64(4);
+    let c = b.cmp(CmpOp::Lt, lid, four);
+    b.cond_br(c, outer_bb, exit_bb);
+    b.switch_to(outer_bb);
+    let zero = b.const_i64(0);
+    let c = b.cmp(CmpOp::Gt, n, zero);
+    b.cond_br(c, inner_bb, exit_bb);
+    b.switch_to(inner_bb);
+    b.barrier();
+    b.br(exit_bb);
+    b.switch_to(exit_bb);
+    b.ret(None);
+    let mut m = kernel_ir::Module::new();
+    m.insert_function(b.finish());
+    let r = analyze_kernel(&m, "k").expect("kernel analyzed");
+    assert_eq!(r.divergent_barriers.len(), 1, "{:?}", r.divergent_barriers);
+    assert_eq!(r.divergent_barriers[0].block, BlockId(2));
+    assert!(r.divergent_barriers[0].cause.contains("branch at bb0"));
+}
+
+#[test]
+fn divergent_barrier_is_found_past_128_blocks() {
+    // 130 straight-line blocks, then if (gid < n) { barrier(); }.
+    let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+    let _out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::F32));
+    let n = b.add_param("n", Type::I64);
+    for _ in 0..130 {
+        let next = b.new_block();
+        b.br(next);
+        b.switch_to(next);
+    }
+    let then_bb = b.new_block();
+    let exit_bb = b.new_block();
+    let gid = b.work_item(WiBuiltin::GlobalId, 0);
+    let c = b.cmp(CmpOp::Lt, gid, n);
+    b.cond_br(c, then_bb, exit_bb);
+    b.switch_to(then_bb);
+    b.barrier();
+    b.br(exit_bb);
+    b.switch_to(exit_bb);
+    b.ret(None);
+    let f = b.finish();
+    assert!(f.blocks.len() >= 128, "{} blocks", f.blocks.len());
+    let mut m = kernel_ir::Module::new();
+    m.insert_function(f);
+    let r = analyze_kernel(&m, "k").expect("kernel analyzed");
+    assert_eq!(r.divergent_barriers.len(), 1, "{:?}", r.divergent_barriers);
+    assert_eq!(r.divergent_barriers[0].block, then_bb);
 }
 
 // ---------------------------------------------------------------------------
@@ -352,4 +425,135 @@ fn parboil_lockstep_verdicts_are_pinned() {
         // barrier, loop over the claimed groups) always passes.
         assert_eq!(refusal, None, "`{name}`");
     }
+}
+
+// ---------------------------------------------------------------------------
+// The facts cache
+// ---------------------------------------------------------------------------
+
+/// Every kernel of `module`: the cached gate report keeps the fresh
+/// report's verdict and the sites of the parameters it re-checks per
+/// launch, and gives the same eligibility answers over a grid of
+/// launches; the cached within-group proof prints the same as a fresh one.
+fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module) {
+    let facts = kernel_ir::ModuleFacts::compute(module);
+    for name in module.kernel_names() {
+        let ctx = format!("`{what}`: `{name}`");
+        let (cached, contract) = facts.gate_report(module, name).expect("gate report");
+        let (fresh, fresh_contract) = kernel_ir::races::gate_report(module, name).expect("report");
+        assert_eq!(contract.is_some(), fresh_contract.is_some(), "{ctx}");
+        assert_eq!(cached.verdict, fresh.verdict, "{ctx}");
+        let debug = |sites: &mut dyn Iterator<Item = &kernel_ir::races::Site>| -> Vec<String> {
+            sites.map(|s| format!("{s:?}")).collect()
+        };
+        let kept = debug(
+            &mut fresh
+                .sites
+                .iter()
+                .filter(|s| cached.sites.iter().any(|c| c.param == s.param)),
+        );
+        assert_eq!(debug(&mut cached.sites.iter()), kept, "{ctx}");
+        assert_eq!(cached.eligible_static(), fresh.eligible_static(), "{ctx}");
+        for work_dim in 1..=3 {
+            for distinct in [true, false] {
+                assert_eq!(
+                    cached.eligible_for_any_groups(work_dim, distinct),
+                    fresh.eligible_for_any_groups(work_dim, distinct),
+                    "{ctx}"
+                );
+            }
+        }
+        for local in [1, 4, 16] {
+            for groups in [[1, 1, 1], [3, 1, 1], [8, 2, 1]] {
+                for arg in [None, Some(1), Some(64)] {
+                    let args = vec![arg; 32];
+                    let env = kernel_ir::LaunchEnv {
+                        local: [local, 1, 1],
+                        groups,
+                        work_dim: 2,
+                        args: &args,
+                        distinct_buffers: true,
+                    };
+                    assert_eq!(
+                        cached.eligible_for_launch(&env),
+                        fresh.eligible_for_launch(&env),
+                        "{ctx}: {env:?}"
+                    );
+                }
+            }
+        }
+        let cached = facts.lockstep_report(module, name).expect("proof");
+        let fresh = kernel_ir::races::lockstep_report(module, name).expect("proof");
+        assert_eq!(
+            format!("{cached:?}"),
+            format!("{fresh:?}"),
+            "{ctx}: within-group proof"
+        );
+    }
+}
+
+#[test]
+fn module_facts_match_uncached_analyses() {
+    assert_eq!(KernelSpec::all().len(), 25);
+    for spec in KernelSpec::all() {
+        let module = spec.compile().expect("compiles");
+        assert_facts_match_fresh(spec.name, &module);
+        let transformed = accelos::jit::transform_module(&module, accelos::chunk::Mode::Optimized)
+            .expect("transform");
+        assert!(
+            !transformed.module.dequeue.is_empty(),
+            "`{}` has a dequeue contract",
+            spec.name
+        );
+        assert_facts_match_fresh(spec.name, &transformed.module);
+    }
+}
+
+#[test]
+fn identical_builds_share_one_facts_entry() {
+    const SRC: &str = "kernel void facts_share(global float* o) { o[get_global_id(0)] = 1.0f; }";
+    let first = Program::build(SRC).expect("builds");
+    let second = Program::build(SRC).expect("builds");
+    assert!(Arc::ptr_eq(first.facts(), second.facts()));
+    // One more instruction: a barrier at the top of the kernel.
+    let mut changed = (**first.module()).clone();
+    let body = &mut changed.functions[0].blocks[0].insts;
+    body.insert(
+        0,
+        kernel_ir::ir::Inst::new(None, kernel_ir::ir::Op::Barrier),
+    );
+    let changed = Program::from_module(changed, SRC).expect("wraps");
+    assert!(!Arc::ptr_eq(first.facts(), changed.facts()));
+}
+
+#[test]
+fn whitespace_changes_keep_their_own_spans() {
+    // A scalar stride: the store is re-checked per launch, so the cached
+    // report keeps its site.
+    let one_line =
+        "kernel void facts_spans(global float* o, int s) { o[get_global_id(0) * s] = 1.0f; }";
+    let spread =
+        "kernel void facts_spans(global float* o, int s) {\n\n    o[get_global_id(0) * s] = 1.0f;\n}";
+    let a = Program::build(one_line).expect("builds");
+    let b = Program::build(spread).expect("builds");
+    // Equal as modules (`Inst` equality and hashing ignore spans) ...
+    assert_eq!(**a.module(), **b.module());
+    // ... but each keeps the spans of its own source.
+    assert!(!Arc::ptr_eq(a.facts(), b.facts()));
+    let spans = |p: &Program| -> Vec<Option<(u32, u32)>> {
+        let (report, _) = p
+            .facts()
+            .gate_report(p.module(), "facts_spans")
+            .expect("report");
+        let fresh = analyze_kernel(p.module(), "facts_spans").expect("report");
+        let spans: Vec<_> = report.sites.iter().map(|s| s.span).collect();
+        assert_eq!(
+            spans,
+            fresh.sites.iter().map(|s| s.span).collect::<Vec<_>>()
+        );
+        spans
+    };
+    let (sa, sb) = (spans(&a), spans(&b));
+    assert!(!sa.is_empty() && sa.iter().all(Option::is_some), "{sa:?}");
+    assert_ne!(sa, sb);
 }
