@@ -1,6 +1,6 @@
 //! Differential validation of the accelcheck static race analyzer.
 //!
-//! Three planes of evidence, strongest first:
+//! Planes of evidence, strongest first:
 //!
 //! 1. **Property-based differential testing** — hundreds of randomly
 //!    generated kernels (index patterns spanning safe, launch-dependent and
@@ -20,6 +20,10 @@
 //!    every Parboil module, untransformed and JIT-transformed; equal
 //!    builds share one cache entry, and changed or re-laid-out sources do
 //!    not.
+//! 5. **Golden gate answers** — every verdict and per-launch answer the
+//!    runtime reads (sharding and lockstep) over the Parboil kernels,
+//!    untransformed and under JIT tenant launches, and over the generated
+//!    patterns, pinned in `tests/golden/accelcheck_gates.txt`.
 
 use clrt::{Context, Platform, Program};
 use kernel_ir::bytecode::ExecTier;
@@ -524,6 +528,209 @@ fn identical_builds_share_one_facts_entry() {
     );
     let changed = Program::from_module(changed, SRC).expect("wraps");
     assert!(!Arc::ptr_eq(first.facts(), changed.facts()));
+}
+
+// ---------------------------------------------------------------------------
+// Golden gate answers
+// ---------------------------------------------------------------------------
+
+/// `args` with every buffer but the one at `keep` replaced by the first
+/// such buffer, so any two buffer parameters alias.
+fn aliased(args: &[ArgValue], keep: Option<usize>) -> Vec<ArgValue> {
+    let first = args.iter().enumerate().find_map(|(i, a)| match a {
+        ArgValue::Buffer(b) if Some(i) != keep => Some(*b),
+        _ => None,
+    });
+    args.iter()
+        .enumerate()
+        .map(|(i, a)| match (a, first) {
+            (ArgValue::Buffer(_), Some(b)) if Some(i) != keep => ArgValue::Buffer(b),
+            _ => *a,
+        })
+        .collect()
+}
+
+/// The launch-independent answers for `name`: the gate verdict (and
+/// whether a dequeue contract splits it), `can_parallelize` and the
+/// within-group proof's refusal.
+fn kernel_answers(
+    module: &kernel_ir::Module,
+    facts: &kernel_ir::ModuleFacts,
+    name: &str,
+) -> String {
+    let interp = Interpreter::with_facts(module, facts);
+    let (report, contract) = facts.gate_report(module, name).expect("gate report");
+    let refusal = facts
+        .lockstep_report(module, name)
+        .expect("proof")
+        .refusal()
+        .unwrap_or("-")
+        .to_string();
+    format!(
+        "verdict={} contract={} static={} refusal={refusal}",
+        report.verdict,
+        u8::from(contract.is_some()),
+        u8::from(interp.can_parallelize(name)),
+    )
+}
+
+/// The per-launch answers: `parallel_eligible`, `parallel_eligible_in`
+/// and `lockstep_eligible_in`.
+fn launch_answers(
+    interp: &Interpreter<'_>,
+    mem: &DeviceMemory,
+    name: &str,
+    nd: NdRange,
+    args: &[ArgValue],
+) -> String {
+    format!(
+        "pe={} in={} ls={}",
+        u8::from(interp.parallel_eligible(name, nd, args)),
+        u8::from(interp.parallel_eligible_in(mem, name, nd, args)),
+        u8::from(interp.lockstep_eligible_in(mem, name, nd, args)),
+    )
+}
+
+/// The distinct shapes of `dims` with the dimensions from `work_dim` up
+/// forced to one, in first-seen order.
+fn shapes(dims: &[[usize; 3]], work_dim: u8) -> Vec<[usize; 3]> {
+    let mut out: Vec<[usize; 3]> = Vec::new();
+    for s in dims {
+        let s = std::array::from_fn(|d| if d < work_dim as usize { s[d] } else { 1 });
+        if !out.contains(&s) {
+            out.push(s);
+        }
+    }
+    out
+}
+
+/// Every gate answer the runtime reads, pinned: the 25 Parboil kernels
+/// untransformed over a grid of group shapes, group counts and buffer
+/// aliasing; the same kernels JIT-transformed under a tenant launch whose
+/// virtual range is read from the descriptor; and the generated `Pattern`
+/// kernels over the differential suite's parameters (guarded rounded-up
+/// launches that only enumeration admits among them).
+#[test]
+fn gate_answers_match_golden() {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    writeln!(out, "# parboil, untransformed").unwrap();
+    for spec in KernelSpec::all() {
+        let (mut ctx, canon, kernel) = prepare(spec);
+        let (module, facts, name) = (kernel.module(), kernel.facts(), kernel.name());
+        let interp = Interpreter::with_facts(module, facts);
+        let args = kernel.resolved_args().expect("args resolved");
+        writeln!(out, "{} {}", spec.name, kernel_answers(module, facts, name)).unwrap();
+        let wd = canon.work_dim;
+        let locals = shapes(&[[1, 1, 1], [4, 1, 1], [4, 4, 1], canon.local], wd);
+        let groups = shapes(&[[1, 1, 1], [3, 1, 1], [8, 2, 1], canon.num_groups()], wd);
+        for local in &locals {
+            for grp in &groups {
+                let nd = NdRange {
+                    work_dim: wd,
+                    global: std::array::from_fn(|d| local[d] * grp[d]),
+                    local: *local,
+                };
+                for (tag, a) in [
+                    ("distinct", args.clone()),
+                    ("aliased", aliased(&args, None)),
+                ] {
+                    let answers = launch_answers(&interp, ctx.memory_mut(), name, nd, &a);
+                    writeln!(out, "  local={local:?} groups={grp:?} {tag} {answers}").unwrap();
+                }
+            }
+        }
+    }
+    writeln!(out, "# parboil, JIT-transformed tenant launches").unwrap();
+    for spec in KernelSpec::all() {
+        let module = minicl::compile(spec.source).expect("compile");
+        let transformed = accelos::jit::transform_module(&module, accelos::chunk::Mode::Optimized)
+            .expect("transform");
+        let program = Program::from_module(transformed.module, spec.source).expect("wrap");
+        let mut ctx = Context::new(&Platform::nvidia());
+        let p = prepare_launch(spec, &mut ctx, &program, 1, 7).expect("prepare");
+        let mut kernel = p.kernel;
+        let rt_index = kernel.arity() - 1;
+        let rt = ctx.create_buffer(8 * 5);
+        kernel
+            .set_arg(rt_index, clrt::Arg::Buffer(rt))
+            .expect("bind rt");
+        let args = kernel.resolved_args().expect("args");
+        let (module, facts, name) = (kernel.module(), kernel.facts(), kernel.name());
+        let interp = Interpreter::with_facts(module, facts);
+        writeln!(out, "{} {}", spec.name, kernel_answers(module, facts, name)).unwrap();
+        let wd = p.ndrange.work_dim;
+        for grp in shapes(&[[1, 1, 1], [5, 2, 1], p.ndrange.num_groups()], wd) {
+            let original = NdRange {
+                work_dim: wd,
+                global: std::array::from_fn(|d| p.ndrange.local[d] * grp[d]),
+                local: p.ndrange.local,
+            };
+            let v = accelos::vrange::VirtualNdRange::new(original);
+            ctx.write_i64(rt, &v.descriptor()).expect("descriptor");
+            for workers in [1, 4] {
+                let hw = v.hardware_range(workers);
+                for (tag, a) in [
+                    ("distinct", args.clone()),
+                    ("aliased", aliased(&args, Some(rt_index))),
+                ] {
+                    let answers = launch_answers(&interp, ctx.memory_mut(), name, hw, &a);
+                    writeln!(out, "  virtual={grp:?} workers={workers} {tag} {answers}").unwrap();
+                }
+            }
+        }
+    }
+    writeln!(out, "# generated patterns").unwrap();
+    for pattern in PATTERNS {
+        for c in [0, 1, 3] {
+            let module = build_kernel(pattern, c);
+            let facts = kernel_ir::ModuleFacts::compute(&module);
+            let interp = Interpreter::with_facts(&module, &facts);
+            let answers = kernel_answers(&module, &facts, "k");
+            writeln!(out, "{pattern:?} c={c} {answers}").unwrap();
+            let mut mem = DeviceMemory::new();
+            let a = mem.alloc(4 * 64);
+            let b = mem.alloc(4 * 64);
+            for local in [1, 2, 4] {
+                for groups in [1, 3, 8] {
+                    let items = local * groups;
+                    let nd = NdRange::new_1d(items, local);
+                    for (tag, second) in [("distinct", b), ("aliased", a)] {
+                        let args = [
+                            ArgValue::Buffer(a),
+                            ArgValue::Buffer(second),
+                            ArgValue::Scalar(Value::I32((items / 2) as i32)),
+                        ];
+                        let answers = launch_answers(&interp, &mem, "k", nd, &args);
+                        writeln!(out, "  local={local} groups={groups} {tag} {answers}").unwrap();
+                    }
+                }
+            }
+        }
+    }
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/accelcheck_gates.txt"
+    );
+    if std::env::var_os("BLESS").is_some() {
+        std::fs::write(path, &out).expect("write golden");
+        return;
+    }
+    let expected = std::fs::read_to_string(path)
+        .expect("golden file missing — run `BLESS=1 cargo test --test accelcheck` once");
+    for (i, (a, e)) in out.lines().zip(expected.lines()).enumerate() {
+        assert_eq!(
+            a,
+            e,
+            "gate answers drifted from the golden at line {}",
+            i + 1
+        );
+    }
+    assert_eq!(
+        out.lines().count(),
+        expected.lines().count(),
+        "golden length"
+    );
 }
 
 #[test]
