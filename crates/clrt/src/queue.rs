@@ -244,8 +244,10 @@ mod tests {
     fn malformed_ndrange_literals_are_rejected() {
         // Struct literals skip the constructors' validation: a zero local
         // size, a local size that does not divide the global size, a zero
-        // work_dim and an item count overflowing `usize` must each be an
-        // error, not a panic or a launch.
+        // work_dim, an item count overflowing `usize` and 2^40 one-item
+        // groups (past `MAX_GROUPS`: sizing per-group tables for them
+        // aborts the process) must each be an error, not a panic, an
+        // abort or a launch.
         let (mut ctx, k, buf) = setup();
         let mut q = CommandQueue::new();
         for (work_dim, global, local) in [
@@ -253,6 +255,7 @@ mod tests {
             (1, [10, 1, 1], [4, 1, 1]),
             (0, [8, 1, 1], [4, 1, 1]),
             (3, [1 << 32, 1 << 32, 4], [1, 1, 1]),
+            (1, [1 << 40, 1, 1], [1, 1, 1]),
         ] {
             let nd = NdRange {
                 work_dim,

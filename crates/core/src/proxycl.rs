@@ -725,8 +725,10 @@ mod tests {
         // The fields are public, so a tenant can skip the constructors'
         // validation: a zero local size (divide by zero in the group
         // count), a local size that does not divide the global size (the
-        // tail items would silently never run), a zero work_dim and an
-        // item count overflowing `usize`.
+        // tail items would silently never run), a zero work_dim, an item
+        // count overflowing `usize`, and 2^40 one-item groups (past
+        // `MAX_GROUPS`: sizing per-group tables for them aborts the
+        // process).
         let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
         let program = os.build_program(SRC).unwrap();
         let mut kernel = program.create_kernel("scale").unwrap();
@@ -740,6 +742,7 @@ mod tests {
             (1, [10, 1, 1], [4, 1, 1]),
             (0, [8, 1, 1], [4, 1, 1]),
             (3, [1 << 32, 1 << 32, 4], [1, 1, 1]),
+            (1, [1 << 40, 1, 1], [1, 1, 1]),
         ] {
             let nd = NdRange {
                 work_dim,

@@ -10,9 +10,10 @@
 //! * [`static_insn_count`] — the "kernel instructions in LLVM IR" measure
 //!   driving adaptive chunk selection.
 //! * [`callgraph`] / [`reachable_helpers`] — call-graph utilities used by the
-//!   JIT when cloning kernels and their callees.
+//!   JIT when cloning kernels and their callees; [`reaches`] — whether a
+//!   function or anything it calls has an instruction of some kind.
 
-use crate::ir::{Function, Module, Op, Terminator, ValueId};
+use crate::ir::{Function, Inst, Module, Op, Terminator, ValueId};
 use crate::types::AddressSpace;
 use crate::verify::{operands, successors};
 use std::collections::hash_map::RandomState;
@@ -201,20 +202,19 @@ pub fn reachable_helpers(func: &Function, module: &Module) -> Vec<String> {
     order
 }
 
+/// Whether `func`, or a function it calls (transitively), has an
+/// instruction `pred` holds for. Calls of functions the module does not
+/// define are not followed.
+pub fn reaches(func: &Function, module: &Module, pred: impl Fn(&Function, &Inst) -> bool) -> bool {
+    let helpers = reachable_helpers(func, module);
+    std::iter::once(func)
+        .chain(helpers.iter().filter_map(|n| module.function(n)))
+        .any(|f| f.blocks.iter().flat_map(|b| &b.insts).any(|i| pred(f, i)))
+}
+
 /// Whether the function (or any reachable callee) contains a barrier.
 pub fn uses_barrier(func: &Function, module: &Module) -> bool {
-    let has = |f: &Function| {
-        f.blocks
-            .iter()
-            .any(|b| b.insts.iter().any(|i| matches!(i.op, Op::Barrier)))
-    };
-    if has(func) {
-        return true;
-    }
-    reachable_helpers(func, module)
-        .iter()
-        .filter_map(|n| module.function(n))
-        .any(has)
+    reaches(func, module, |_, i| matches!(i.op, Op::Barrier))
 }
 
 /// Whether the function (or any reachable callee) performs atomics on
@@ -228,48 +228,20 @@ pub fn uses_barrier(func: &Function, module: &Module) -> bool {
 /// analysis ([`crate::races`]), which admits global atomics whose
 /// contention is deterministic.
 pub fn uses_global_atomics(func: &Function, module: &Module) -> bool {
-    let has = |f: &Function| {
-        f.blocks.iter().any(|b| {
-            b.insts.iter().any(|i| {
-                let ptr = match &i.op {
-                    Op::AtomicRmw { ptr, .. } | Op::AtomicCmpXchg { ptr, .. } => *ptr,
-                    _ => return false,
-                };
-                matches!(
-                    f.value_type(ptr),
-                    crate::types::Type::Ptr {
-                        space: AddressSpace::Global | AddressSpace::Constant,
-                        ..
-                    }
-                )
-            })
-        })
-    };
-    if has(func) {
-        return true;
-    }
-    reachable_helpers(func, module)
-        .iter()
-        .filter_map(|n| module.function(n))
-        .any(has)
+    reaches(func, module, |f, i| match &i.op {
+        Op::AtomicRmw { ptr, .. } | Op::AtomicCmpXchg { ptr, .. } => matches!(
+            f.value_type(*ptr).space(),
+            Some(AddressSpace::Global | AddressSpace::Constant)
+        ),
+        _ => false,
+    })
 }
 
 /// Whether the function (or any reachable callee) performs atomics.
 pub fn uses_atomics(func: &Function, module: &Module) -> bool {
-    let has = |f: &Function| {
-        f.blocks.iter().any(|b| {
-            b.insts
-                .iter()
-                .any(|i| matches!(i.op, Op::AtomicRmw { .. } | Op::AtomicCmpXchg { .. }))
-        })
-    };
-    if has(func) {
-        return true;
-    }
-    reachable_helpers(func, module)
-        .iter()
-        .filter_map(|n| module.function(n))
-        .any(has)
+    reaches(func, module, |_, i| {
+        matches!(i.op, Op::AtomicRmw { .. } | Op::AtomicCmpXchg { .. })
+    })
 }
 
 /// The accelcheck cache: each kernel's gate report

@@ -175,10 +175,9 @@ mod lockstep;
 
 /// Which execution tier the functional plane runs kernels on.
 ///
-/// The default for freshly constructed [`Interpreter`]s is
-/// [`ExecTier::TreeWalk`] (the historical behaviour); the runtime entry
-/// points (`clrt::queue`, `ProxyCl::run_functional`) select
-/// [`ExecTier::from_env`], which defaults to the optimized bytecode tier.
+/// Freshly constructed [`Interpreter`]s run [`ExecTier::BytecodeOpt`];
+/// the runtime entry points (`clrt::queue`, `ProxyCl::run_functional`)
+/// select [`ExecTier::from_env`], which defaults to it as well.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecTier {
     /// The original tree-walking interpreter.
@@ -2524,7 +2523,7 @@ pub(crate) fn disassemble(bc: &BcModule) -> String {
 impl<'m> Interpreter<'m> {
     /// Select which execution tier
     /// [`run_kernel_bytecode`](Self::run_kernel_bytecode) uses. Freshly
-    /// constructed interpreters default to [`ExecTier::TreeWalk`].
+    /// constructed interpreters default to [`ExecTier::BytecodeOpt`].
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
         self.tier = tier;
     }
@@ -2628,12 +2627,13 @@ impl<'m> Interpreter<'m> {
         let mut setup = self.plan(mem, kernel, ndrange, args)?;
         let total = ndrange.total_groups();
         let threads = threads.min(total).max(1);
-        let (eligible, tickets) = self.admit(mem, kernel, ndrange, args, threads);
+        let gate = self.gate(Some(mem), kernel, ndrange, args);
+        let (eligible, tickets) = gate.sharding();
         setup.tickets = tickets;
         if self.tier == ExecTier::TreeWalk {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
-        let lockstep = self.lockstep_eligible_in(mem, kernel, ndrange, args);
+        let lockstep = gate.lockstep();
         let mut bc = lower(self.module, &setup);
         optimize(&mut bc, ndrange);
         let prog = quicken(&bc);
@@ -2859,8 +2859,7 @@ mod tests {
             let buf = mem.alloc(16);
             let args = [ArgValue::Buffer(buf)];
             let nd = NdRange::new_1d(4, 4);
-            let mut interp = Interpreter::new(&m);
-            interp.set_exec_tier(ExecTier::BytecodeOpt);
+            let interp = Interpreter::new(&m);
             assert!(interp.bytecode_supported(&mem, "k", nd, &args));
             let text = interp.disassemble_kernel(&mem, "k", nd, &args).unwrap();
             let optimized = &text[text.find("== optimized ==").unwrap()..];
@@ -3068,8 +3067,7 @@ mod tests {
         assert_eq!(optimized.matches("alloca.slot").count(), 3, "{optimized}");
         let mut tree_mem = mem.clone();
         let tree = Interpreter::new(&m).run_kernel(&mut tree_mem, "k", nd, &args);
-        let mut vm = Interpreter::new(&m);
-        vm.set_exec_tier(ExecTier::BytecodeOpt);
+        let vm = Interpreter::new(&m);
         let mut vm_mem = mem.clone();
         let stats = vm.run_kernel_bytecode(&mut vm_mem, "k", nd, &args, 1);
         assert_eq!(tree, stats);

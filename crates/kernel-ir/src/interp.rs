@@ -26,6 +26,7 @@ use crate::ir::{
     AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Module, Op,
     Terminator, UnOp, ValueId, WiBuiltin,
 };
+use crate::races::{KernelRaceReport, LaunchEnv};
 use crate::types::{AddressSpace, Type};
 use std::sync::{Arc, OnceLock};
 
@@ -237,6 +238,13 @@ impl Value {
     }
 }
 
+/// Most work groups one launch may have ([`NdRange::check`]). The
+/// runtime sizes per-group tables by a launch's group count (the VM's
+/// per-group instruction counts, the timing plane's per-group costs), so
+/// a tenant's launch shape alone must not exhaust host memory. Parboil's
+/// largest canonical launch has 6,144 groups.
+pub const MAX_GROUPS: usize = 1 << 20;
+
 /// Kernel launch geometry (OpenCL NDRange).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NdRange {
@@ -303,11 +311,12 @@ impl NdRange {
     /// Check a range built as a struct literal (the fields are public, so
     /// the constructors' validation can be skipped): `work_dim` must be
     /// 1..=3, every local size positive and a divisor of its global
-    /// size, and the item counts ([`NdRange::total_items`],
-    /// [`NdRange::wg_size`]) must fit in `usize`. The runtime entry
-    /// points call this before a launch, so a malformed range is an error
-    /// rather than a divide-by-zero, an overflowing count or silently
-    /// unprocessed work items.
+    /// size, the item counts ([`NdRange::total_items`],
+    /// [`NdRange::wg_size`]) must fit in `usize`, and the group count may
+    /// not exceed [`MAX_GROUPS`]. The runtime entry points call this
+    /// before a launch, so a malformed range is an error rather than a
+    /// divide-by-zero, an overflowing count, silently unprocessed work
+    /// items or an allocation that aborts the process.
     ///
     /// # Errors
     ///
@@ -333,6 +342,12 @@ impl NdRange {
             return Err(format!(
                 "item count of global {:?} / local {:?} overflows usize",
                 self.global, self.local
+            ));
+        }
+        let groups = self.total_groups();
+        if groups > MAX_GROUPS {
+            return Err(format!(
+                "{groups} work groups exceed the limit of {MAX_GROUPS} per launch"
             ));
         }
         Ok(())
@@ -882,21 +897,6 @@ fn launch_scalars(args: &[ArgValue]) -> Vec<Option<i64>> {
         .collect()
 }
 
-/// The launch check of a kernel's own report against `ndrange`.
-fn eligible_for(
-    report: &crate::races::KernelRaceReport,
-    ndrange: NdRange,
-    args: &[ArgValue],
-) -> bool {
-    report.eligible_for_launch(&crate::races::LaunchEnv {
-        local: ndrange.local,
-        groups: ndrange.num_groups(),
-        work_dim: ndrange.work_dim as u32,
-        args: &launch_scalars(args),
-        distinct_buffers: distinct_buffers(args),
-    })
-}
-
 /// The virtual range a scheduling kernel's workers dequeue from, read from
 /// its descriptor in `mem`: the dequeue counter's start, the virtual group
 /// counts, and the original kernel's scalar arguments. `None` when the
@@ -928,6 +928,72 @@ fn virtual_range(
     (product as usize).checked_mul(ndrange.wg_size())?;
     let scalars = launch_scalars(args.get(..c.descriptor)?);
     (base >= 0 && (0..=product).contains(&total)).then_some((base, groups, scalars))
+}
+
+/// One launch as the accelcheck gates see it, read once: the kernel's
+/// gate report and holding dequeue contract, and the group counts and
+/// scalar arguments both proofs are checked against — the launch's own,
+/// or for a scheduling kernel under a contract the virtual range its
+/// workers dequeue from, read from the descriptor. Sharding, the dequeue
+/// tickets and lockstep all answer from it.
+pub(crate) struct LaunchGate<'a> {
+    facts: &'a ModuleFacts,
+    module: &'a Module,
+    kernel: &'a str,
+    /// `None` for an unknown kernel.
+    report: Option<(&'a KernelRaceReport, Option<&'a DequeueContract>)>,
+    /// The dequeue counter's start, the group counts and the scalar
+    /// arguments; `None` when a scheduling kernel's descriptor is missing,
+    /// inconsistent or not given.
+    range: Option<(i64, [usize; 3], Vec<Option<i64>>)>,
+    ndrange: NdRange,
+    distinct_buffers: bool,
+}
+
+impl LaunchGate<'_> {
+    fn env(&self) -> Option<LaunchEnv<'_>> {
+        let (_, groups, scalars) = self.range.as_ref()?;
+        Some(LaunchEnv {
+            local: self.ndrange.local,
+            groups: *groups,
+            work_dim: self.ndrange.work_dim as u32,
+            args: scalars,
+            distinct_buffers: self.distinct_buffers,
+        })
+    }
+
+    /// Whether the launch's work groups may run on several threads, and
+    /// for a scheduling kernel the round-robin dequeue order its workers
+    /// follow at every thread count, one included. Launches the gate
+    /// rejects take neither.
+    pub(crate) fn sharding(&self) -> (bool, Option<Tickets>) {
+        let (Some((report, contract)), Some(env), Some((base, ..))) =
+            (self.report, self.env(), &self.range)
+        else {
+            return (false, None);
+        };
+        if !report.eligible_for_launch(&env) {
+            return (false, None);
+        }
+        let tickets = contract.map(|c| Tickets {
+            block: c.block,
+            inst: c.inst,
+            base: *base,
+            chunk: i64::from(c.chunk),
+            workers: self.ndrange.total_groups() as i64,
+        });
+        (true, tickets)
+    }
+
+    /// Whether the within-group proof lets each group's items run in
+    /// lockstep.
+    pub(crate) fn lockstep(&self) -> bool {
+        self.env().is_some_and(|env| {
+            self.facts
+                .lockstep_report(self.module, self.kernel)
+                .is_some_and(|r| r.eligible_for_launch(&env))
+        })
+    }
 }
 
 /// Whether the launch's buffer arguments are pairwise distinct.
@@ -1000,7 +1066,7 @@ impl<'m> Interpreter<'m> {
             config,
             given_facts: None,
             memo_facts: OnceLock::new(),
-            tier: crate::bytecode::ExecTier::TreeWalk,
+            tier: crate::bytecode::ExecTier::BytecodeOpt,
         }
     }
 
@@ -1081,8 +1147,9 @@ impl<'m> Interpreter<'m> {
     /// may still run in parallel for specific launches — see
     /// [`parallel_eligible`](Self::parallel_eligible).
     pub fn can_parallelize(&self, kernel: &str) -> bool {
-        self.with_gate(kernel, |report, _| report.eligible_static())
-            .unwrap_or(false)
+        self.facts()
+            .gate_report(self.module, kernel)
+            .is_some_and(|(report, _)| report.eligible_static())
     }
 
     /// Launch-aware parallel-eligibility. Validates the static verdict's
@@ -1102,13 +1169,13 @@ impl<'m> Interpreter<'m> {
     /// [`parallel_eligible_in`](Self::parallel_eligible_in) gives their
     /// exact answer.
     pub fn parallel_eligible(&self, kernel: &str, ndrange: NdRange, args: &[ArgValue]) -> bool {
-        self.with_gate(kernel, |report, contract| match contract {
-            Some(_) => {
-                report.eligible_for_any_groups(ndrange.work_dim as u32, distinct_buffers(args))
+        let gate = self.gate(None, kernel, ndrange, args);
+        match gate.report {
+            Some((report, Some(_))) => {
+                report.eligible_for_any_groups(ndrange.work_dim as u32, gate.distinct_buffers)
             }
-            None => eligible_for(report, ndrange, args),
-        })
-        .unwrap_or(false)
+            _ => gate.sharding().0,
+        }
     }
 
     /// The gate exactly as the sharding entry points apply it, reading a
@@ -1124,7 +1191,7 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> bool {
-        self.admit(mem, kernel, ndrange, args, 2).0
+        self.gate(Some(mem), kernel, ndrange, args).sharding().0
     }
 
     /// Whether [`run_kernel_bytecode`](Self::run_kernel_bytecode) runs the
@@ -1142,88 +1209,34 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> bool {
-        let check = |report: &crate::races::LockstepReport| {
-            let contract = self
-                .module
-                .dequeue
-                .get(kernel)
-                .filter(|_| report.split_by_contract());
-            let (groups, scalars) = match contract {
-                Some(c) => match virtual_range(mem, c, ndrange, args) {
-                    Some((_, groups, scalars)) => (groups, scalars),
-                    None => return false,
-                },
-                None => (ndrange.num_groups(), launch_scalars(args)),
-            };
-            report.eligible_for_launch(&crate::races::LaunchEnv {
-                local: ndrange.local,
-                groups,
-                work_dim: ndrange.work_dim as u32,
-                args: &scalars,
-                distinct_buffers: distinct_buffers(args),
-            })
-        };
-        self.facts()
-            .lockstep_report(self.module, kernel)
-            .is_some_and(check)
+        self.gate(Some(mem), kernel, ndrange, args).lockstep()
     }
 
-    /// Apply `f` to the report gating `kernel` and its holding dequeue
-    /// contract (see [`crate::races::gate_report`]). `None` for unknown
-    /// kernels.
-    fn with_gate<T>(
-        &self,
-        kernel: &str,
-        f: impl FnOnce(&crate::races::KernelRaceReport, Option<&'m DequeueContract>) -> T,
-    ) -> Option<T> {
-        let (report, contract) = self.facts().gate_report(self.module, kernel)?;
-        Some(f(report, contract))
-    }
-
-    /// The gate of the sharding entry points: whether the launch may run
-    /// its work groups on up to `threads` threads and, for a scheduling
-    /// kernel whose original kernel admits the virtual range read from
-    /// its descriptor, the round-robin dequeue order its workers follow at
-    /// every thread count. Launches the gate rejects take neither.
-    pub(crate) fn admit(
-        &self,
-        mem: &DeviceMemory,
-        kernel: &str,
+    /// The per-launch gate: the kernel's analyses and, for a scheduling
+    /// kernel whose dequeue contract holds, the virtual range read once
+    /// from its descriptor in `mem` (none without memory).
+    pub(crate) fn gate<'a>(
+        &'a self,
+        mem: Option<&DeviceMemory>,
+        kernel: &'a str,
         ndrange: NdRange,
         args: &[ArgValue],
-        threads: usize,
-    ) -> (bool, Option<Tickets>) {
-        // Without a contract, a one-thread launch needs no verdict.
-        if threads <= 1 && !self.module.dequeue.contains_key(kernel) {
-            return (false, None);
+    ) -> LaunchGate<'a> {
+        let facts = self.facts();
+        let report = facts.gate_report(self.module, kernel);
+        let range = match report.and_then(|(_, c)| c) {
+            Some(c) => mem.and_then(|mem| virtual_range(mem, c, ndrange, args)),
+            None => Some((0, ndrange.num_groups(), launch_scalars(args))),
+        };
+        LaunchGate {
+            facts,
+            module: self.module,
+            kernel,
+            report,
+            range,
+            ndrange,
+            distinct_buffers: distinct_buffers(args),
         }
-        self.with_gate(kernel, |report, contract| {
-            let Some(c) = contract else {
-                return (threads > 1 && eligible_for(report, ndrange, args), None);
-            };
-            let Some((base, groups, scalars)) = virtual_range(mem, c, ndrange, args) else {
-                return (false, None);
-            };
-            let env = crate::races::LaunchEnv {
-                local: ndrange.local,
-                groups,
-                work_dim: ndrange.work_dim as u32,
-                args: &scalars,
-                distinct_buffers: distinct_buffers(args),
-            };
-            if !report.eligible_for_launch(&env) {
-                return (false, None);
-            }
-            let tickets = Tickets {
-                block: c.block,
-                inst: c.inst,
-                base,
-                chunk: i64::from(c.chunk),
-                workers: ndrange.total_groups() as i64,
-            };
-            (true, Some(tickets))
-        })
-        .unwrap_or((false, None))
     }
 
     /// Resolve the entry point, argument plan and local-memory layout.
@@ -2433,8 +2446,7 @@ mod tests {
         args: &[ArgValue],
         threads: usize,
     ) -> Result<DynStats, InterpError> {
-        let mut interp = Interpreter::new(m);
-        interp.set_exec_tier(crate::bytecode::ExecTier::BytecodeOpt);
+        let interp = Interpreter::new(m);
         interp.run_kernel_bytecode(mem, kernel, nd, args, threads)
     }
 

@@ -4,15 +4,29 @@
 //! parallel interpretation is safe *without seeing the source*. The historical
 //! gate was the single coarse [`crate::analysis::uses_global_atomics`] bit:
 //! atomics ⇒ sequential, no atomics ⇒ parallel on trust. This module replaces
-//! it with a real analysis:
+//! it with a real analysis.
 //!
-//! * **Global write-set race analysis** — a forward symbolic dataflow
-//!   classifies the byte offset of every `global`-space access as an *affine*
-//!   function of the work-item coordinates (`a·lid_d + b·grp_d + base`, with
-//!   an optional loop-widened stride set), then proves cross-group
-//!   disjointness of each written buffer either symbolically (tight-packing
-//!   chain over the launch axes) or concretely at launch time (evaluated
-//!   chain, or bounded enumeration for guarded/rounded-up launches).
+//! **One access model, two scopes.** Both proofs ask one question: can two
+//! work items of a launch touch the same bytes while one of them writes?
+//! A forward symbolic dataflow records one [`Site`] per access to memory
+//! items may share (private memory excluded), tagged with the memory it
+//! reaches (a parameter's buffer, a `local` alloca, or an untraceable
+//! pointer), with its byte offset as an *affine* function of the
+//! work-item coordinates (`a·lid_d + b·grp_d + base`, with an optional
+//! loop-widened stride set) and the path guards it runs under. A call's
+//! pointer arguments stand for the callee's accesses through them. The
+//! cross-group gate reads the sites that may reach global memory, the
+//! within-group proof all of them; when their symbolic arguments do not
+//! settle a launch, both fall back to one bounded enumerator over
+//! (item, site) byte spans, in *launch* scope (every item of every group,
+//! spans of different groups compared) or *group* scope (the items of one
+//! group, spans of different items compared), with loop strides folded
+//! into one residue period and guards such as `gid < n` honoured.
+//!
+//! * **Cross-group race analysis** — per written buffer, disjointness
+//!   across groups is proven symbolically (tight-packing chain over the
+//!   launch axes) or concretely at launch time (evaluated chain, or
+//!   launch-scope enumeration for guarded/rounded-up launches).
 //! * **Per-kernel verdict** — [`ParallelSafety`]: `Safe` (disjoint writes),
 //!   `SafeViaAtomics` (all contended accesses are atomic; `deterministic`
 //!   when they are commutative with unused results, so parallel execution is
@@ -23,24 +37,22 @@
 //!   behaviour; detected as a barrier in a divergent region (the blocks a
 //!   branch on a varying condition reaches before its immediate
 //!   postdominator, the same regions the within-group proof uses) under
-//!   the uniformity lattice of the same dataflow.
-//!
+//!   the uniformity lattice of the same dataflow. A call of a function
+//!   that has a barrier, or that the module does not define, counts as
+//!   one, here and in the within-group proof.
 //! * **Within-group proof** — [`lockstep_report`] licenses lockstep
 //!   execution of a work group's items. Within every *barrier interval*
 //!   (the code items run between two barriers, found by a dataflow over
 //!   barrier positions), no item may write bytes another item of the same
-//!   group reads or writes: the same affine offsets, now compared across
-//!   local ids with the group fixed, evaluated per item for the concrete
-//!   group shape (loop strides folded into one residue period, guards
-//!   such as `lid == 0` honoured). Atomics of one commuting kind with
-//!   discarded results may share bytes; so may plain stores of one value
-//!   (its local-id axes, tracked per SSA value, agree for the two items).
-//!   Every barrier must lie outside all divergent regions (the blocks a
-//!   branch on a varying condition reaches before its immediate
-//!   postdominator). Group-uniformity for that check is a small fixpoint:
-//!   a load is uniform when its address is and no item writes its bytes
-//!   within its intervals (the JIT's broadcast of the master's dequeue),
-//!   and a private variable stored under a divergent branch is not.
+//!   group reads or writes, checked by group-scope enumeration for the
+//!   concrete group shape. Atomics of one commuting kind with discarded
+//!   results may share bytes; so may plain stores of one value (its
+//!   local-id axes, tracked per SSA value, agree for the two items).
+//!   Every barrier must lie outside all divergent regions.
+//!   Group-uniformity for that check is a small fixpoint: a load is
+//!   uniform when its address is and no item writes its bytes within its
+//!   intervals (the JIT's broadcast of the master's dequeue), and a
+//!   private variable stored under a divergent branch is not.
 //!
 //! The dynamic ground truth for all of this is the shadow-mode race oracle in
 //! [`crate::interp`] (`run_kernel_oracle`): proptests assert the static
@@ -52,11 +64,11 @@
 //! (strong updates on store, joins at loop heads) and widens loop increments
 //! into the affine *step set* rather than losing them.
 
-use crate::analysis::reachable_helpers;
-use crate::interp::interp_size;
+use crate::analysis::{reaches, uses_barrier};
+use crate::interp::{flat_gid, interp_size};
 use crate::ir::{
-    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Module, Op,
-    Terminator, UnOp, ValueId, WiBuiltin,
+    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Inst,
+    Module, Op, Terminator, UnOp, ValueId, WiBuiltin,
 };
 use crate::types::{AddressSpace, Type};
 use crate::verify::{operands, successors};
@@ -729,14 +741,26 @@ impl fmt::Display for AccessKind {
     }
 }
 
-/// One global-memory access discovered by the analysis.
+/// The memory a site reaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Base {
+    /// A kernel parameter's buffer (global, constant) or region (local).
+    Param(usize),
+    /// A `local` alloca of the analysed function.
+    Cell(CellId),
+    /// An untraceable pointer: any memory.
+    Unknown,
+}
+
+/// One access to memory that work items may share, recorded once for
+/// both proofs: the sharding gate reads the sites that may reach global
+/// memory ([`KernelRaceReport::sites`]), the within-group proof every
+/// site.
 #[derive(Debug, Clone)]
 pub struct Site {
-    /// Index of the kernel parameter the pointer traces back to, or
-    /// [`UNKNOWN_PARAM`].
-    pub param: usize,
-    /// Source-level name of that parameter (`"<unknown>"` for untraceable
-    /// pointers).
+    /// Source-level name of the parameter the pointer traces back to
+    /// (`"<unknown>"` for untraceable pointers, `"<local>"` for local
+    /// allocas).
     pub param_name: String,
     /// How the site accesses memory.
     pub kind: AccessKind,
@@ -748,14 +772,39 @@ pub struct Site {
     pub span: Option<(u32, u32)>,
     /// Access width in bytes.
     pub bytes: usize,
+    base: Base,
+    /// Address space of the accessing pointer.
+    space: Option<AddressSpace>,
     offset: Option<Affine>,
     /// Conditions that hold whenever the access runs, in set order. A
     /// slice rather than a set: `ModuleFacts` keeps reports for the life
     /// of the process, and a set node has room for eleven.
     guards: Box<[CondVal]>,
+    /// For a call's pointer argument, which stands for the callee's
+    /// accesses through it at an unknown offset: whether the callee
+    /// touches global memory at all. The within-group proof judges such
+    /// a callee on the dequeue contract's original kernel.
+    call: Option<bool>,
+    /// Barrier intervals the access may run in: bit 0 is the one that
+    /// starts at function entry, bit `k` the one after the `k`-th barrier.
+    intervals: u64,
+    /// For a plain store run at most once per item and interval: the local
+    /// id axes (bits 0–2) its stored value may depend on. Two items whose
+    /// stores land on the same bytes and agree on these axes store the same
+    /// value, in either order.
+    value_axes: Option<u8>,
 }
 
 impl Site {
+    /// Index of the kernel parameter the pointer traces back to, or
+    /// [`UNKNOWN_PARAM`].
+    pub fn param(&self) -> usize {
+        match self.base {
+            Base::Param(p) => p,
+            Base::Cell(_) | Base::Unknown => UNKNOWN_PARAM,
+        }
+    }
+
     /// Coarse classification of the byte-offset expression: `"item-affine"`
     /// (varies with the local id), `"group-affine"` (varies only with the
     /// group id), `"uniform"` (same for all items) or `"unknown"`.
@@ -791,6 +840,33 @@ impl Site {
             self.location(),
             self.index_class()
         )
+    }
+
+    /// The site as the sharding gate counts it, if it may reach global
+    /// memory: an access through a global pointer, a write through a
+    /// constant one, an untraceable access, or a call passing a
+    /// parameter's buffer to a callee that touches global memory (a write
+    /// anywhere in the buffer).
+    fn global(mut self) -> Option<Site> {
+        let keep = match (self.base, self.call) {
+            (Base::Param(_), Some(touches)) => touches,
+            (Base::Param(_), None) => {
+                self.space == Some(AddressSpace::Global)
+                    || (self.space == Some(AddressSpace::Constant) && self.kind.is_write())
+            }
+            (Base::Unknown, call) => call.is_none(),
+            (Base::Cell(_), _) => false,
+        };
+        if self.call.is_some() {
+            self.kind = AccessKind::Write;
+        }
+        keep.then_some(self)
+    }
+
+    /// Whether the site may reach memory the items of a group share.
+    fn shared(&self) -> bool {
+        (self.base == Base::Unknown && self.call.is_none())
+            || self.space.is_some_and(|s| s != AddressSpace::Private)
     }
 }
 
@@ -876,8 +952,6 @@ struct Analyzer<'a> {
     /// Private cells stored under a divergent branch: their loads vary
     /// across the group whatever the stored values.
     demoted: BTreeSet<CellId>,
-    /// Shared-memory accesses for the within-group proof, when collected.
-    group: Option<Vec<GroupSite>>,
 }
 
 impl<'a> Analyzer<'a> {
@@ -918,7 +992,6 @@ impl<'a> Analyzer<'a> {
             changed: false,
             stable_loads: BTreeSet::new(),
             demoted: BTreeSet::new(),
-            group: None,
         }
     }
 
@@ -944,42 +1017,12 @@ impl<'a> Analyzer<'a> {
         *slot = Some(next);
     }
 
-    /// Whether a callee (transitively) touches global memory.
-    fn callee_touches_global(&self, callee: &str) -> bool {
-        let touches = |f: &Function| {
-            f.blocks.iter().any(|b| {
-                b.insts.iter().any(|i| {
-                    let ptr = match &i.op {
-                        Op::Load(p) => *p,
-                        Op::Store { ptr, .. } => *ptr,
-                        Op::AtomicRmw { ptr, .. } => *ptr,
-                        Op::AtomicCmpXchg { ptr, .. } => *ptr,
-                        _ => return false,
-                    };
-                    matches!(
-                        f.value_type(ptr).space(),
-                        Some(AddressSpace::Global | AddressSpace::Constant)
-                    )
-                })
-            })
-        };
-        let Some(f) = self.module.function(callee) else {
-            return true; // unknown callee: be conservative
-        };
-        if touches(f) {
-            return true;
-        }
-        reachable_helpers(f, self.module)
-            .iter()
-            .filter_map(|n| self.module.function(n))
-            .any(touches)
-    }
-
     /// Transfer one block: update cells/regs; when `sites` is given, record
-    /// global-memory accesses.
+    /// every access to memory work items may share.
     fn transfer(&mut self, bid: usize, cells: &mut CellMap, mut sites: Option<&mut Vec<Site>>) {
         let block = &self.func.blocks[bid];
         for (iid, inst) in block.insts.iter().enumerate() {
+            let at = (bid, iid, inst.span);
             let val = match &inst.op {
                 Op::Const(c) => match c {
                     ConstVal::Bool(_) | ConstVal::F32(_) | ConstVal::F64(_) => {
@@ -1054,14 +1097,7 @@ impl<'a> Analyzer<'a> {
                     })
                 }
                 Op::Load(p) => {
-                    self.record_access(
-                        *p,
-                        AccessKind::Read,
-                        bid,
-                        iid,
-                        inst.span,
-                        sites.as_deref_mut(),
-                    );
+                    self.record(sites.as_deref_mut(), *p, AccessKind::Read, at, None);
                     match self.reg(*p) {
                         AbsVal::Ptr(PtrVal {
                             base: PtrBase::Cell { tracked: true, .. },
@@ -1086,14 +1122,7 @@ impl<'a> Analyzer<'a> {
                 }
                 Op::Store { ptr, value } => {
                     let vv = self.reg(*value);
-                    self.record_access(
-                        *ptr,
-                        AccessKind::Write,
-                        bid,
-                        iid,
-                        inst.span,
-                        sites.as_deref_mut(),
-                    );
+                    self.record(sites.as_deref_mut(), *ptr, AccessKind::Write, at, None);
                     match self.reg(*ptr) {
                         AbsVal::Ptr(PtrVal {
                             base:
@@ -1146,42 +1175,24 @@ impl<'a> Analyzer<'a> {
                     _ => AbsVal::Unknown,
                 },
                 Op::Call { callee, args } => {
-                    let touches_global = self.callee_touches_global(callee);
+                    self.record_call(sites.as_deref_mut(), callee, args, at);
                     let mut all_uniform = true;
-                    for (j, a) in args.iter().enumerate() {
+                    for a in args {
                         let av = self.reg(*a);
-                        if sites.is_some() {
-                            self.record_call_arg(callee, j, *a, bid, iid);
-                        }
                         all_uniform &= av.group_uniform();
-                        if let AbsVal::Ptr(PtrVal { base, .. }) = &av {
-                            match base {
-                                PtrBase::Param(p) if touches_global => {
-                                    // The callee may read or write anywhere in
-                                    // this buffer.
-                                    if let Some(s) = sites.as_deref_mut() {
-                                        s.push(self.make_site(
-                                            *p,
-                                            AccessKind::Write,
-                                            bid,
-                                            iid,
-                                            inst.span,
-                                            1,
-                                            None,
-                                        ));
-                                    }
-                                }
+                        if let AbsVal::Ptr(PtrVal {
+                            base:
                                 PtrBase::Cell {
                                     block,
                                     inst: cinst,
                                     tracked: true,
                                     ..
-                                } => {
-                                    // The callee may store through the cell.
-                                    cells.insert((*block, *cinst), AbsVal::Unknown);
-                                }
-                                _ => {}
-                            }
+                                },
+                            ..
+                        }) = &av
+                        {
+                            // The callee may store through the cell.
+                            cells.insert((*block, *cinst), AbsVal::Unknown);
                         }
                     }
                     if all_uniform {
@@ -1228,28 +1239,26 @@ impl<'a> Analyzer<'a> {
                 }
                 Op::AtomicRmw { op, ptr, .. } => {
                     let result_used = inst.result.map(|r| self.used[r.index()]).unwrap_or(false);
-                    self.record_access(
+                    self.record(
+                        sites.as_deref_mut(),
                         *ptr,
                         AccessKind::Atomic {
                             op: *op,
                             result_used,
                         },
-                        bid,
-                        iid,
-                        inst.span,
-                        sites.as_deref_mut(),
+                        at,
+                        None,
                     );
                     AbsVal::Unknown
                 }
                 Op::AtomicCmpXchg { ptr, .. } => {
                     let result_used = inst.result.map(|r| self.used[r.index()]).unwrap_or(false);
-                    self.record_access(
+                    self.record(
+                        sites.as_deref_mut(),
                         *ptr,
                         AccessKind::Cas { result_used },
-                        bid,
-                        iid,
-                        inst.span,
-                        sites.as_deref_mut(),
+                        at,
+                        None,
                     );
                     AbsVal::Unknown
                 }
@@ -1261,146 +1270,86 @@ impl<'a> Analyzer<'a> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn make_site(
+    /// Record the access through `ptr` at `(block, inst, span)` into
+    /// `sites`, if given, unless it reaches private memory. A call's
+    /// pointer argument (`call` holds whether the callee touches global
+    /// memory) stands for the callee's accesses through it, one byte at an
+    /// unknown offset.
+    fn record(
         &self,
-        param: usize,
+        sites: Option<&mut Vec<Site>>,
+        ptr: ValueId,
         kind: AccessKind,
-        bid: usize,
-        iid: usize,
-        span: Option<(u32, u32)>,
-        bytes: usize,
-        offset: Option<Affine>,
-    ) -> Site {
-        let param_name = if param == UNKNOWN_PARAM {
-            "<unknown>".to_string()
-        } else {
-            self.func.params[param].name.clone()
+        (bid, iid, span): (usize, usize, Option<(u32, u32)>),
+        call: Option<bool>,
+    ) {
+        let Some(sites) = sites else { return };
+        let (base, offset) = match self.reg(ptr) {
+            AbsVal::Ptr(PtrVal {
+                base: PtrBase::Param(p),
+                off,
+            }) => (Base::Param(p), off),
+            AbsVal::Ptr(PtrVal {
+                base: PtrBase::Cell {
+                    block, inst, space, ..
+                },
+                off,
+            }) if space != AddressSpace::Private => (Base::Cell((block, inst)), off),
+            AbsVal::Ptr(_) => return,
+            _ => (Base::Unknown, None),
         };
-        Site {
-            param,
+        let param_name = match base {
+            Base::Param(p) => self.func.params[p].name.clone(),
+            Base::Cell(_) => "<local>".to_string(),
+            Base::Unknown => "<unknown>".to_string(),
+        };
+        let ty = self.func.value_type(ptr);
+        sites.push(Site {
             param_name,
             kind,
             block: BlockId(bid as u32),
             inst: iid,
             span,
-            bytes,
-            offset,
-            guards: Box::default(),
-        }
-    }
-
-    /// Record a global-memory access site if `ptr` reaches global memory,
-    /// and, when the within-group proof collects them, a site for every
-    /// access that may reach memory shared by a work group.
-    fn record_access(
-        &mut self,
-        ptr: ValueId,
-        kind: AccessKind,
-        bid: usize,
-        iid: usize,
-        span: Option<(u32, u32)>,
-        sites: Option<&mut Vec<Site>>,
-    ) {
-        let Some(sites) = sites else { return };
-        let ty = self.func.value_type(ptr);
-        let space = ty.space();
-        let bytes = ty.pointee().map(interp_size).unwrap_or(1);
-        let pv = self.reg(ptr);
-        if let Some(group) = self.group.as_mut() {
-            let shared = |s: &AddressSpace| *s != AddressSpace::Private;
-            let (base, offset) = match &pv {
-                AbsVal::Ptr(PtrVal {
-                    base: PtrBase::Param(p),
-                    off,
-                }) if space.as_ref().is_some_and(shared) => {
-                    (Some(GroupBase::Param(*p)), off.clone())
-                }
-                AbsVal::Ptr(PtrVal {
-                    base:
-                        PtrBase::Cell {
-                            block,
-                            inst,
-                            space: cs,
-                            ..
-                        },
-                    off,
-                }) if shared(cs) => (Some(GroupBase::Cell((*block, *inst))), off.clone()),
-                AbsVal::Ptr(_) => (None, None),
-                _ => (Some(GroupBase::Unknown), None),
-            };
-            if let Some(base) = base {
-                group.push(GroupSite {
-                    base,
-                    kind,
-                    bytes,
-                    offset,
-                    guards: Box::default(),
-                    block: bid,
-                    inst: iid,
-                    intervals: 0,
-                    delegated: false,
-                    value_axes: None,
-                });
-            }
-        }
-        match pv {
-            AbsVal::Ptr(PtrVal { base, off }) => match base {
-                PtrBase::Param(p) => {
-                    // Constant space is read-only; only global can race.
-                    if space == Some(AddressSpace::Global)
-                        || (space == Some(AddressSpace::Constant) && kind.is_write())
-                    {
-                        sites.push(self.make_site(p, kind, bid, iid, span, bytes, off));
-                    }
-                }
-                PtrBase::Cell { .. } => {} // local/private: never cross-group
+            bytes: match call {
+                Some(_) => 1,
+                None => ty.pointee().map(interp_size).unwrap_or(1),
             },
-            _ => {
-                // Untraceable pointer: it may point at global memory.
-                sites.push(self.make_site(UNKNOWN_PARAM, kind, bid, iid, span, bytes, None));
-            }
-        }
+            base,
+            space: ty.space(),
+            offset: offset.filter(|_| call.is_none()),
+            guards: Box::default(),
+            call,
+            intervals: 0,
+            value_axes: None,
+        });
     }
 
-    /// Record a call's pointer argument for the within-group proof: the
-    /// callee's accesses through it are proven on the dequeue contract's
-    /// original kernel, so the site only stands for them against the
-    /// caller's own accesses (see [`lockstep_report`]).
-    fn record_call_arg(&mut self, callee: &str, j: usize, arg: ValueId, bid: usize, iid: usize) {
-        let ty = self.func.value_type(arg);
-        if !ty.is_ptr() || ty.space() == Some(AddressSpace::Private) {
+    /// Record a call's pointer arguments (see [`Self::record`]), each a
+    /// write when the callee may write through it.
+    fn record_call(
+        &self,
+        mut sites: Option<&mut Vec<Site>>,
+        callee: &str,
+        args: &[ValueId],
+        at: (usize, usize, Option<(u32, u32)>),
+    ) {
+        if sites.is_none() {
             return;
         }
-        let base = match self.reg(arg) {
-            AbsVal::Ptr(PtrVal {
-                base: PtrBase::Param(p),
-                ..
-            }) => GroupBase::Param(p),
-            AbsVal::Ptr(PtrVal {
-                base: PtrBase::Cell { block, inst, .. },
-                ..
-            }) => GroupBase::Cell((block, inst)),
-            _ => GroupBase::Unknown,
-        };
-        let kind = if callee_writes_param(self.module, callee, j, &mut BTreeSet::new()) {
-            AccessKind::Write
-        } else {
-            AccessKind::Read
-        };
-        if let Some(group) = self.group.as_mut() {
-            group.push(GroupSite {
-                base,
-                kind,
-                bytes: 1,
-                offset: None,
-                guards: Box::default(),
-                block: bid,
-                inst: iid,
-                intervals: 0,
-                delegated: true,
-                value_axes: None,
-            });
+        let touches = self
+            .module
+            .function(callee)
+            .is_none_or(|f| reaches(f, self.module, touches_global));
+        for (j, &a) in args.iter().enumerate() {
+            if !self.func.value_type(a).is_ptr() {
+                continue;
+            }
+            let kind = if callee_writes_param(self.module, callee, j, &mut BTreeSet::new()) {
+                AccessKind::Write
+            } else {
+                AccessKind::Read
+            };
+            self.record(sites.as_deref_mut(), a, kind, at, Some(touches));
         }
     }
 
@@ -1471,6 +1420,31 @@ fn join_cells(into: &mut Option<CellMap>, from: &CellMap, aggressive: bool) -> b
             }
             changed
         }
+    }
+}
+
+/// Whether `inst` accesses global or constant memory.
+fn touches_global(func: &Function, inst: &Inst) -> bool {
+    let ptr = match &inst.op {
+        Op::Load(p) => *p,
+        Op::Store { ptr, .. } | Op::AtomicRmw { ptr, .. } | Op::AtomicCmpXchg { ptr, .. } => *ptr,
+        _ => return false,
+    };
+    matches!(
+        func.value_type(ptr).space(),
+        Some(AddressSpace::Global | AddressSpace::Constant)
+    )
+}
+
+/// Whether `inst` may execute a barrier: a barrier, or a call of a
+/// function that has one or that the module does not define.
+fn barrier_point(module: &Module, inst: &Inst) -> bool {
+    match &inst.op {
+        Op::Barrier => true,
+        Op::Call { callee, .. } => module
+            .function(callee)
+            .is_none_or(|f| uses_barrier(f, module)),
+        _ => false,
     }
 }
 
@@ -1706,88 +1680,159 @@ fn gcd_i64(a: i64, b: i64) -> i64 {
     a
 }
 
-/// Bounded whole-launch enumeration: evaluate every site's guards and offset
-/// for every work item and sweep the resulting byte intervals for
-/// cross-group overlaps involving a write. Rescues guarded rounded-up
-/// launches (`if (gid < n)`) the chain proof cannot handle.
-fn enumerate_disjoint(sites: &[&Site], env: &LaunchEnv<'_>) -> bool {
-    let items: usize = env.local.iter().product::<usize>() * env.groups.iter().product::<usize>();
-    if items == 0 || items > ENUM_LIMIT {
+/// Which work items an enumeration walks, and whose spans it compares.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Scope {
+    /// Every item of the launch; spans of different groups are compared.
+    Launch,
+    /// The items of one group; spans of different items are compared.
+    Group,
+}
+
+/// One work item's byte span through one site of an enumeration.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    start: i64,
+    end: i64,
+    /// The group ([`Scope::Launch`]) or item ([`Scope::Group`]) it
+    /// belongs to.
+    owner: u32,
+    /// Index of its site in the enumerated list.
+    site: u32,
+    write: bool,
+    /// The item's local ids on the site's value axes, flattened.
+    key: u32,
+}
+
+/// A site's byte offset evaluated for one launch: `base + Σ coeff · axis`
+/// over the listed axes, or `None` when it does not evaluate.
+type Linear = Option<(i64, Vec<(Axis, i64)>)>;
+
+/// `o`'s coefficients on the axes `keep` selects, evaluated for `env`.
+fn coefficients(
+    o: &Affine,
+    env: &LaunchEnv<'_>,
+    keep: fn(&Axis) -> bool,
+) -> Option<Vec<(Axis, i64)>> {
+    o.coeffs
+        .iter()
+        .filter(|(a, _)| keep(a))
+        .map(|(a, p)| Some((*a, p.eval(env)?)))
+        .collect()
+}
+
+/// Bounded enumeration: every work item of the scope, through every site
+/// whose guards hold for it (a guard that does not evaluate counts as
+/// holding), as a byte span at the site's [`Linear`] offset. When any
+/// site is loop-stepped, spans are folded into residue space modulo the
+/// gcd of all steps, and each must fit one period. Fails past the
+/// scope's item limit, or when an active site's offset does not
+/// evaluate; otherwise whether no two overlapping spans of different
+/// owners `conflict`.
+fn spans_disjoint(
+    sites: &[(&Site, Linear)],
+    env: &LaunchEnv<'_>,
+    scope: Scope,
+    conflict: impl Fn(&Span, &Span) -> bool,
+) -> bool {
+    let (groups, limit) = match scope {
+        Scope::Launch => (env.groups, ENUM_LIMIT),
+        Scope::Group => ([1; 3], GROUP_ENUM_LIMIT),
+    };
+    let items: usize = env.local.iter().product::<usize>() * groups.iter().product::<usize>();
+    if items == 0 || items > limit {
         return false;
     }
-    // If any site is loop-stepped, fold all intervals into residue space
-    // modulo the shared stride gcd; each footprint must fit one period.
     let mut stride: Option<i64> = None;
-    for s in sites {
+    for (s, _) in sites {
         let Some(o) = &s.offset else { return false };
         for step in &o.steps {
-            let Some(v) = step.eval(env) else {
-                return false;
-            };
-            if v == 0 {
-                return false;
+            match step.eval(env) {
+                Some(v) if v != 0 => stride = Some(stride.map_or(v.abs(), |g| gcd_i64(g, v.abs()))),
+                _ => return false,
             }
-            stride = Some(match stride {
-                None => v.abs(),
-                Some(g) => gcd_i64(g, v.abs()),
-            });
         }
     }
-    let mut intervals: Vec<(i64, i64, u32, bool)> = Vec::new();
-    for g2 in 0..env.groups[2] {
-        for g1 in 0..env.groups[1] {
-            for g0 in 0..env.groups[0] {
-                let grp = [g0, g1, g2];
-                let grp_lin = (g2 * env.groups[1] * env.groups[0] + g1 * env.groups[0] + g0) as u32;
-                for l2 in 0..env.local[2] {
-                    for l1 in 0..env.local[1] {
-                        for l0 in 0..env.local[0] {
-                            let lid = [l0, l1, l2];
-                            for s in sites {
-                                let active = s
-                                    .guards
-                                    .iter()
-                                    .all(|g| g.eval_at(env, lid, grp).unwrap_or(true));
-                                if !active {
-                                    continue;
-                                }
-                                let o = s.offset.as_ref().unwrap();
-                                let Some(v) = o.eval_at(env, lid, grp) else {
-                                    return false;
-                                };
-                                let w = s.bytes as i64;
-                                let v = match stride {
-                                    None => v,
-                                    Some(st) => {
-                                        let r = v.rem_euclid(st);
-                                        if r + w > st {
-                                            return false;
-                                        }
-                                        r
-                                    }
-                                };
-                                intervals.push((v, v + w, grp_lin, s.kind.is_write()));
-                            }
-                        }
+    let [l0, l1, _] = env.local;
+    let mut spans: Vec<Span> = Vec::new();
+    for g in 0..groups.iter().product() {
+        let grp = flat_gid(groups, g);
+        for i in 0..env.local.iter().product() {
+            let lid = flat_gid(env.local, i);
+            for (k, (site, linear)) in sites.iter().enumerate() {
+                let active = site
+                    .guards
+                    .iter()
+                    .all(|c| c.eval_at(env, lid, grp).unwrap_or(true));
+                if !active {
+                    continue;
+                }
+                let Some((base, coeffs)) = linear else {
+                    return false;
+                };
+                let off = coeffs.iter().try_fold(*base, |v, (a, c)| {
+                    let at = match a {
+                        Axis::Lid(d) => lid[*d as usize],
+                        Axis::Grp(d) => grp[*d as usize],
+                    };
+                    v.checked_add(c.checked_mul(at as i64)?)
+                });
+                let Some(mut off) = off else { return false };
+                let w = site.bytes as i64;
+                if let Some(st) = stride {
+                    off = off.rem_euclid(st);
+                    if off + w > st {
+                        return false;
                     }
                 }
+                let axes = site.value_axes.unwrap_or(0);
+                let on = |d: usize| if axes >> d & 1 != 0 { lid[d] } else { 0 };
+                spans.push(Span {
+                    start: off,
+                    end: off + w,
+                    owner: match scope {
+                        Scope::Launch => g,
+                        Scope::Group => i,
+                    } as u32,
+                    site: k as u32,
+                    write: site.kind.is_write(),
+                    key: (on(0) + l0 * (on(1) + l1 * on(2))) as u32,
+                });
             }
         }
     }
-    intervals.sort_unstable();
-    // Sweep: among intervals overlapping at any byte, a pair from different
-    // groups where at least one writes is a race.
-    let mut open: Vec<(i64, u32, bool)> = Vec::new(); // (end, group, write)
-    for (start, end, grp, write) in intervals {
-        open.retain(|(e, _, _)| *e > start);
-        for (_, og, ow) in &open {
-            if *og != grp && (*ow || write) {
-                return false;
-            }
+    // Sweep: every pair of overlapping spans meets once, when the later
+    // one opens.
+    spans.sort_unstable_by_key(|s| s.start);
+    let mut open: Vec<Span> = Vec::new();
+    for span in spans {
+        open.retain(|o| o.end > span.start);
+        if open
+            .iter()
+            .any(|o| o.owner != span.owner && conflict(o, &span))
+        {
+            return false;
         }
-        open.push((end, grp, write));
+        open.push(span);
     }
     true
+}
+
+/// Launch-time enumeration of one parameter's sites: a cross-group
+/// overlap involving a write is a race. Rescues guarded rounded-up
+/// launches (`if (gid < n)`) the chain proof cannot handle.
+fn enumerate_disjoint(sites: &[&Site], env: &LaunchEnv<'_>) -> bool {
+    let sites: Vec<(&Site, Linear)> = sites
+        .iter()
+        .map(|s| {
+            let linear = s
+                .offset
+                .as_ref()
+                .and_then(|o| Some((o.base.eval(env)?, coefficients(o, env, |_| true)?)));
+            (*s, linear)
+        })
+        .collect();
+    spans_disjoint(&sites, env, Scope::Launch, |a, b| a.write || b.write)
 }
 
 // ---------------------------------------------------------------------------
@@ -1833,9 +1878,9 @@ fn compute_guards(func: &Function, an: &Analyzer<'_>) -> Vec<BTreeSet<CondVal>> 
     guards
 }
 
-/// Collect barriers (including calls into barrier-using helpers) in the
-/// divergent region of a branch whose condition `an` cannot prove
-/// group-uniform (see [`divergent_blocks`]).
+/// Collect barriers (every [`barrier_point`]) in the divergent region of
+/// a branch whose condition `an` cannot prove group-uniform (see
+/// [`divergent_blocks`]).
 fn divergent_barriers(func: &Function, module: &Module, an: &Analyzer<'_>) -> Vec<BarrierSite> {
     let regions = divergent_blocks(func, an);
     let mut out = Vec::new();
@@ -1844,15 +1889,7 @@ fn divergent_barriers(func: &Function, module: &Module, an: &Analyzer<'_>) -> Ve
             continue;
         };
         for (iid, inst) in block.insts.iter().enumerate() {
-            let is_barrier = match &inst.op {
-                Op::Barrier => true,
-                Op::Call { callee, .. } => module
-                    .function(callee)
-                    .map(|f| crate::analysis::uses_barrier(f, module))
-                    .unwrap_or(false),
-                _ => false,
-            };
-            if !is_barrier {
+            if !barrier_point(module, inst) {
                 continue;
             }
             let varies = match &func.blocks[d].term {
@@ -1884,7 +1921,7 @@ fn divergent_barriers(func: &Function, module: &Module, an: &Analyzer<'_>) -> Ve
 fn group_sites(sites: &[Site]) -> BTreeMap<usize, Vec<&Site>> {
     let mut by_param: BTreeMap<usize, Vec<&Site>> = BTreeMap::new();
     for s in sites {
-        by_param.entry(s.param).or_default().push(s);
+        by_param.entry(s.param()).or_default().push(s);
     }
     by_param
 }
@@ -2002,8 +2039,7 @@ fn compute_verdict(routes: &BTreeMap<usize, Route>, sites: &[Site]) -> ParallelS
 }
 
 /// Run the dataflow to its fixpoint, then one collection pass over the
-/// converged state that records the function's access sites (and, when
-/// `an.group` is set, its within-group sites).
+/// converged state that records the function's access sites.
 fn converge(an: &mut Analyzer<'_>) -> Vec<Site> {
     let func = an.func;
     let n = func.blocks.len();
@@ -2045,6 +2081,17 @@ fn converge(an: &mut Analyzer<'_>) -> Vec<Site> {
     sites
 }
 
+/// The sites [`converge`] records that `keep` keeps, each with its path
+/// guards.
+fn guarded_sites(an: &mut Analyzer<'_>, keep: impl FnMut(Site) -> Option<Site>) -> Vec<Site> {
+    let mut sites: Vec<Site> = converge(an).into_iter().filter_map(keep).collect();
+    let guards = compute_guards(an.func, an);
+    for site in &mut sites {
+        site.guards = guards[site.block.index()].iter().cloned().collect();
+    }
+    sites
+}
+
 /// Run the full race & divergence analysis on one kernel. Returns `None` if
 /// `name` is not a kernel of `module`.
 pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
@@ -2062,11 +2109,7 @@ pub fn analyze_kernel(module: &Module, name: &str) -> Option<KernelRaceReport> {
         });
     }
     let mut an = Analyzer::new(func, module);
-    let mut sites = converge(&mut an);
-    let guards = compute_guards(func, &an);
-    for site in &mut sites {
-        site.guards = guards[site.block.index()].iter().cloned().collect();
-    }
+    let sites = guarded_sites(&mut an, Site::global);
     let routes = compute_routes(&sites);
     let verdict = compute_verdict(&routes, &sites);
     let divergent = divergent_barriers(func, module, &an);
@@ -2109,41 +2152,6 @@ pub fn gate_report<'m>(
 // ---------------------------------------------------------------------------
 // Within-group proof: lockstep eligibility
 // ---------------------------------------------------------------------------
-
-/// Memory a within-group site reaches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GroupBase {
-    /// A kernel parameter's buffer (global, constant) or region (local).
-    Param(usize),
-    /// A `local` alloca of the analysed function.
-    Cell(CellId),
-    /// An untraceable pointer: any memory the group shares.
-    Unknown,
-}
-
-/// One access to memory the work items of a group share, for the
-/// within-group proof.
-#[derive(Debug, Clone)]
-struct GroupSite {
-    base: GroupBase,
-    kind: AccessKind,
-    bytes: usize,
-    offset: Option<Affine>,
-    guards: Box<[CondVal]>,
-    block: usize,
-    inst: usize,
-    /// Barrier intervals the access may run in: bit 0 is the one that
-    /// starts at function entry, bit `k` the one after the `k`-th barrier.
-    intervals: u64,
-    /// A call's pointer argument standing for the callee's accesses,
-    /// whose own within-group proof is the contract's original kernel.
-    delegated: bool,
-    /// For a plain store run at most once per item and interval: the local
-    /// id axes (bits 0–2) its stored value may depend on. Two items whose
-    /// stores land on the same bytes and agree on these axes store the same
-    /// value, in either order.
-    value_axes: Option<u8>,
-}
 
 /// Atomics whose effects commute with each other when their results are
 /// discarded: the final bytes do not depend on the items' order.
@@ -2342,7 +2350,7 @@ fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<Option<usize>> {
 }
 
 /// Barrier intervals reaching every instruction (see
-/// [`GroupSite::intervals`]); calls are not boundaries, so an interval
+/// [`Site::intervals`]); calls are not boundaries, so an interval
 /// running into a callee with barriers also covers the code after the
 /// call. Fails past 63 barriers.
 fn interval_bits(func: &Function) -> Result<Vec<Vec<u64>>, String> {
@@ -2398,7 +2406,7 @@ fn interval_bits(func: &Function) -> Result<Vec<Vec<u64>>, String> {
 
 /// Whether two sites' byte ranges are a constant, non-overlapping
 /// distance apart for every item.
-fn const_apart(a: &GroupSite, b: &GroupSite) -> bool {
+fn const_apart(a: &Site, b: &Site) -> bool {
     let (Some(oa), Some(ob)) = (&a.offset, &b.offset) else {
         return false;
     };
@@ -2412,8 +2420,8 @@ fn const_apart(a: &GroupSite, b: &GroupSite) -> bool {
 }
 
 /// Sites whose base may overlap.
-fn may_alias(a: &GroupSite, b: &GroupSite) -> bool {
-    a.base == b.base || a.base == GroupBase::Unknown || b.base == GroupBase::Unknown
+fn may_alias(a: &Site, b: &Site) -> bool {
+    a.base == b.base || a.base == Base::Unknown || b.base == Base::Unknown
 }
 
 /// The within-group proof of one function: its shared-memory sites with
@@ -2423,28 +2431,24 @@ fn may_alias(a: &GroupSite, b: &GroupSite) -> bool {
 /// uniform when its address is and no item writes its bytes within its
 /// intervals, and a private variable stored under a divergent branch is
 /// not.
-fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String> {
+fn group_part(module: &Module, func: &Function) -> Result<Vec<Site>, String> {
     if func.blocks.is_empty() {
         return Ok(Vec::new());
     }
     let bits = interval_bits(func)?;
     let mut plain = Analyzer::new(func, module);
-    plain.group = Some(Vec::new());
-    converge(&mut plain);
-    let guards = compute_guards(func, &plain);
-    let mut sites = plain.group.take().unwrap_or_default();
+    let mut sites = guarded_sites(&mut plain, |s| s.shared().then_some(s));
     for site in &mut sites {
-        site.guards = guards[site.block].iter().cloned().collect();
-        site.intervals = bits[site.block][site.inst];
+        site.intervals = bits[site.block.index()][site.inst];
     }
     // Loads no item's write can reach within their intervals; the
     // fixpoint starts optimistic (every such load uniform, no private
     // variable demoted) and stops at a self-consistent answer.
-    let unwritten: Vec<&GroupSite> = sites
+    let unwritten: Vec<&Site> = sites
         .iter()
         .filter(|l| {
-            matches!(func.blocks[l.block].insts[l.inst].op, Op::Load(_))
-                && l.base != GroupBase::Unknown
+            matches!(func.blocks[l.block.index()].insts[l.inst].op, Op::Load(_))
+                && l.base != Base::Unknown
                 && !sites.iter().any(|w| {
                     w.kind.is_write()
                         && w.intervals & l.intervals != 0
@@ -2453,8 +2457,10 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
                 })
         })
         .collect();
-    let mut stable: BTreeSet<(usize, usize)> =
-        unwritten.iter().map(|l| (l.block, l.inst)).collect();
+    let mut stable: BTreeSet<(usize, usize)> = unwritten
+        .iter()
+        .map(|l| (l.block.index(), l.inst))
+        .collect();
     let mut demoted: BTreeSet<CellId> = BTreeSet::new();
     for _ in 0..8 {
         let mut an = Analyzer::new(func, module);
@@ -2463,11 +2469,11 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
         converge(&mut an);
         let next_stable: BTreeSet<(usize, usize)> = unwritten
             .iter()
-            .filter(|l| match &func.blocks[l.block].insts[l.inst].op {
+            .filter(|l| match &func.blocks[l.block.index()].insts[l.inst].op {
                 Op::Load(p) => an.reg(*p).group_uniform(),
                 _ => false,
             })
-            .map(|l| (l.block, l.inst))
+            .map(|l| (l.block.index(), l.inst))
             .collect();
         let divergent = divergent_blocks(func, &an);
         let mut next_demoted = BTreeSet::new();
@@ -2499,9 +2505,10 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
             let axes = value_axes(func, &an, &unwritten);
             let looping = barrier_free_cycles(func, module);
             for site in &mut sites {
-                if let Op::Store { value, .. } = &func.blocks[site.block].insts[site.inst].op {
+                let b = site.block.index();
+                if let Op::Store { value, .. } = &func.blocks[b].insts[site.inst].op {
                     let a = axes[value.index()];
-                    if a & ANY_AXIS == 0 && !looping[site.block] {
+                    if a & ANY_AXIS == 0 && !looping[b] {
                         site.value_axes = Some(a);
                     }
                 }
@@ -2512,14 +2519,7 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
                 .enumerate()
                 .filter(|(b, _)| divergent[*b].is_some())
             {
-                let at = block.insts.iter().find(|inst| match &inst.op {
-                    Op::Barrier => true,
-                    Op::Call { callee, .. } => module
-                        .function(callee)
-                        .is_none_or(|f| crate::analysis::uses_barrier(f, module)),
-                    _ => false,
-                });
-                if at.is_some() {
+                if block.insts.iter().any(|inst| barrier_point(module, inst)) {
                     return Err(format!(
                         "`{}`: a barrier in bb{b} is reached under a divergent branch",
                         func.name
@@ -2528,7 +2528,7 @@ fn group_part(module: &Module, func: &Function) -> Result<Vec<GroupSite>, String
             }
             // Keep what the launch check can use: sites some write may
             // reach, and guards that tell the items of one group apart.
-            let kept: Vec<GroupSite> = sites
+            let kept: Vec<Site> = sites
                 .iter()
                 .filter(|s| sites.iter().any(|w| w.kind.is_write() && may_alias(w, s)))
                 .cloned()
@@ -2561,7 +2561,7 @@ const ANY_AXIS: u8 = 1 << 3;
 /// operands, a load of shared memory no item writes within its intervals
 /// by its address, a private variable by everything stored to it (and by
 /// anything when it is stored under a divergent branch).
-fn value_axes(func: &Function, an: &Analyzer<'_>, unwritten: &[&GroupSite]) -> Vec<u8> {
+fn value_axes(func: &Function, an: &Analyzer<'_>, unwritten: &[&Site]) -> Vec<u8> {
     let mut axes = vec![0u8; func.value_types.len()];
     let mut cells: BTreeMap<CellId, u8> = BTreeMap::new();
     let cell_of = |p: ValueId| match an.reg(p) {
@@ -2595,7 +2595,12 @@ fn value_axes(func: &Function, an: &Analyzer<'_>, unwritten: &[&GroupSite]) -> V
                     Op::Load(p) => match cell_of(*p) {
                         Some(c) if an.demoted.contains(&c) => ANY_AXIS,
                         Some(c) => cells.get(&c).copied().unwrap_or(0),
-                        None if unwritten.iter().any(|l| (l.block, l.inst) == (b, i)) => of(&[*p]),
+                        None if unwritten
+                            .iter()
+                            .any(|l| (l.block.index(), l.inst) == (b, i)) =>
+                        {
+                            of(&[*p])
+                        }
                         None => ANY_AXIS,
                     },
                     Op::Store { ptr, value } => {
@@ -2624,22 +2629,13 @@ fn value_axes(func: &Function, an: &Analyzer<'_>, unwritten: &[&GroupSite]) -> V
 }
 
 /// Blocks on a control-flow cycle that passes no barrier (a block holding
-/// a barrier, or a call of a function with one, breaks every cycle
-/// through it).
+/// a [`barrier_point`] breaks every cycle through it).
 fn barrier_free_cycles(func: &Function, module: &Module) -> Vec<bool> {
     let n = func.blocks.len();
     let stops: Vec<bool> = func
         .blocks
         .iter()
-        .map(|b| {
-            b.insts.iter().any(|i| match &i.op {
-                Op::Barrier => true,
-                Op::Call { callee, .. } => module
-                    .function(callee)
-                    .is_none_or(|f| crate::analysis::uses_barrier(f, module)),
-                _ => false,
-            })
-        })
+        .map(|b| b.insts.iter().any(|i| barrier_point(module, i)))
         .collect();
     let succs = successors(func);
     (0..n)
@@ -2669,11 +2665,11 @@ const GROUP_ENUM_LIMIT: usize = 4096;
 
 /// Whether no item of a group touches bytes that another item of the same
 /// group writes through `a` or `b` (the same site included), in any
-/// order: evaluated per item over the concrete group shape, with loop
-/// strides folded into one residue period as in [`enumerate_disjoint`].
-/// Group-axis terms must agree (they shift both sites alike within one
-/// group); a guard that depends on the group counts as holding.
-fn group_pair_disjoint(a: &GroupSite, b: &GroupSite, env: &LaunchEnv<'_>) -> bool {
+/// order: [`spans_disjoint`] over the items of one group, with offsets
+/// taken relative to `a`'s base. Group-axis terms must agree (they shift
+/// both sites alike within one group); a guard that depends on the group
+/// counts as holding.
+fn group_pair_disjoint(a: &Site, b: &Site, env: &LaunchEnv<'_>) -> bool {
     let (Some(oa), Some(ob)) = (&a.offset, &b.offset) else {
         return false;
     };
@@ -2687,89 +2683,23 @@ fn group_pair_disjoint(a: &GroupSite, b: &GroupSite, env: &LaunchEnv<'_>) -> boo
     if grp(oa) != grp(ob) {
         return false;
     }
-    let lid_coeffs = |o: &Affine| -> Option<[i64; 3]> {
-        let mut c = [0i64; 3];
-        for (d, c) in c.iter_mut().enumerate() {
-            if let Some(p) = o.coeffs.get(&Axis::Lid(d as u8)) {
-                *c = p.eval(env)?;
-            }
-        }
-        Some(c)
-    };
-    let (Some(ca), Some(cb), Some(rel)) = (
-        lid_coeffs(oa),
-        lid_coeffs(ob),
-        ob.base.sub(&oa.base).eval(env),
-    ) else {
+    let lid = |o| coefficients(o, env, |a| matches!(a, Axis::Lid(_)));
+    let (Some(ca), Some(cb), Some(rel)) = (lid(oa), lid(ob), ob.base.sub(&oa.base).eval(env))
+    else {
         return false;
     };
-    let mut stride: Option<i64> = None;
-    for step in oa.steps.iter().chain(&ob.steps) {
-        match step.eval(env) {
-            Some(v) if v != 0 => {
-                stride = Some(stride.map_or(v.abs(), |g| gcd_i64(g, v.abs())));
-            }
-            _ => return false,
-        }
-    }
     let same = std::ptr::eq(a, b);
     // Same-value stores: a step-free store site whose value depends only
     // on axes the two items agree on.
-    let same_value = match a.value_axes {
-        Some(axes) if same && a.kind == AccessKind::Write && oa.step_free() => Some(axes),
-        _ => None,
-    };
-    let mut spans: Vec<(i64, i64, usize, bool, [usize; 3])> = Vec::new();
-    let [l0, l1, l2] = env.local;
-    let mut item = 0usize;
-    for z in 0..l2 {
-        for y in 0..l1 {
-            for x in 0..l0 {
-                let lid = [x, y, z];
-                for (site, c, base, tag) in [(a, ca, 0, false), (b, cb, rel, true)] {
-                    if tag && same {
-                        continue;
-                    }
-                    let holds = site
-                        .guards
-                        .iter()
-                        .all(|g| g.eval_at(env, lid, [0; 3]).unwrap_or(true));
-                    if !holds {
-                        continue;
-                    }
-                    let off = (0..3).try_fold(base, |acc: i64, d| {
-                        acc.checked_add(c[d].checked_mul(lid[d] as i64)?)
-                    });
-                    let Some(mut off) = off else { return false };
-                    let w = site.bytes as i64;
-                    if let Some(st) = stride {
-                        off = off.rem_euclid(st);
-                        if off + w > st {
-                            return false;
-                        }
-                    }
-                    let key = same_value.map_or([0; 3], |axes| {
-                        [0, 1, 2].map(|d| if axes >> d & 1 != 0 { lid[d] } else { 0 })
-                    });
-                    spans.push((off, off + w, item, tag, key));
-                }
-                item += 1;
-            }
-        }
+    let same_value =
+        same && a.value_axes.is_some() && a.kind == AccessKind::Write && oa.step_free();
+    let mut sites = vec![(a, Some((0, ca)))];
+    if !same {
+        sites.push((b, Some((rel, cb))));
     }
-    spans.sort_unstable();
-    let mut open: Vec<(i64, i64, usize, bool, [usize; 3])> = Vec::new();
-    for (start, end, item, tag, key) in spans {
-        open.retain(|o| o.1 > start);
-        let conflict = |&(s, _, i, t, k): &(i64, i64, usize, bool, [usize; 3])| {
-            i != item && (same || t != tag) && !(same_value.is_some() && s == start && k == key)
-        };
-        if open.iter().any(conflict) {
-            return false;
-        }
-        open.push((start, end, item, tag, key));
-    }
-    true
+    spans_disjoint(&sites, env, Scope::Group, |x, y| {
+        (same || x.site != y.site) && !(same_value && x.start == y.start && x.key == y.key)
+    })
 }
 
 /// The within-group proof for one kernel: whether its work items may run
@@ -2781,8 +2711,7 @@ pub struct LockstepReport {
     pub kernel: String,
     /// The sites of every analysed part, or why the kernel never runs in
     /// lockstep.
-    parts: Result<Vec<Vec<GroupSite>>, String>,
-    contract: bool,
+    parts: Result<Vec<Vec<Site>>, String>,
 }
 
 impl LockstepReport {
@@ -2790,12 +2719,6 @@ impl LockstepReport {
     /// whatever the launch.
     pub fn refusal(&self) -> Option<&str> {
         self.parts.as_ref().err().map(String::as_str)
-    }
-
-    /// Whether the proof was split by a dequeue contract, so a launch is
-    /// checked against the virtual range the workers dequeue from.
-    pub fn split_by_contract(&self) -> bool {
-        self.contract
     }
 
     /// Launch-time check: within every barrier interval, no item of a
@@ -2818,7 +2741,7 @@ impl LockstepReport {
                 sites[x..].iter().all(|b| {
                     a.intervals & b.intervals == 0
                         || !(a.kind.is_write() || b.kind.is_write())
-                        || (a.delegated && b.delegated)
+                        || (a.call.is_some() && b.call.is_some())
                         || !may_alias(a, b)
                         || commute(a.kind, b.kind)
                         || group_pair_disjoint(a, b, env)
@@ -2865,7 +2788,7 @@ pub fn lockstep_report(module: &Module, name: &str) -> Option<LockstepReport> {
     if kernel.kind != FunctionKind::Kernel {
         return None;
     }
-    let original_part = |m: &Module| -> Result<Vec<GroupSite>, String> {
+    let original_part = |m: &Module| -> Result<Vec<Site>, String> {
         let m = inlined(m, name)?;
         let f = m.function(name).ok_or("kernel lost in inlining")?;
         group_part(&m, f)
@@ -2880,7 +2803,6 @@ pub fn lockstep_report(module: &Module, name: &str) -> Option<LockstepReport> {
     Some(LockstepReport {
         kernel: name.to_string(),
         parts,
-        contract: contract.is_some(),
     })
 }
 
@@ -2966,7 +2888,7 @@ impl KernelRaceReport {
     /// answer stays the same.
     pub(crate) fn into_gate(mut self) -> Self {
         let routes = &self.routes;
-        self.sites.retain(|s| match routes.get(&s.param) {
+        self.sites.retain(|s| match routes.get(&s.param()) {
             Some(Route::Disjoint { unit_groups }) => !unit_groups.is_empty(),
             Some(Route::NeedsLaunch) => true,
             _ => false,
@@ -3029,7 +2951,7 @@ mod tests {
         assert!(r.has_writes());
         let w = r.sites.iter().find(|s| s.kind.is_write()).unwrap();
         assert_eq!(w.index_class(), "item-affine");
-        assert_eq!(w.param, 0);
+        assert_eq!(w.param(), 0);
         assert_eq!(w.param_name, "out");
         // A 1-D launch satisfies the implicit unit higher dimensions.
         assert!(r.eligible_for_launch(&env([8, 1, 1], [4, 1, 1], 1, &[None])));
@@ -3318,8 +3240,8 @@ mod tests {
         b.ret(None);
         let m = module_with(b.finish());
         let r = report(&m);
-        let site_a = r.sites.iter().find(|s| s.param == 0).unwrap();
-        let site_b = r.sites.iter().find(|s| s.param == 1).unwrap();
+        let site_a = r.sites.iter().find(|s| s.param() == 0).unwrap();
+        let site_b = r.sites.iter().find(|s| s.param() == 1).unwrap();
         assert_eq!(site_a.index_class(), "group-affine");
         assert_eq!(site_b.index_class(), "uniform");
     }

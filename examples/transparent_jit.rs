@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             nd
         };
         Interpreter::new(module)
-            .run_kernel(&mut mem, "blur", launch_nd, &args)
+            .run_kernel_tiered(&mut mem, "blur", launch_nd, &args)
             .expect("kernel runs");
         mem.read_f32(b)
     };

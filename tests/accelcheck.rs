@@ -26,7 +26,6 @@
 //!    patterns, pinned in `tests/golden/accelcheck_gates.txt`.
 
 use clrt::{Context, Platform, Program};
-use kernel_ir::bytecode::ExecTier;
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
 use kernel_ir::ir::{BlockId, CmpOp, WiBuiltin};
 use kernel_ir::races::analyze_kernel;
@@ -84,8 +83,7 @@ fn check_case(pattern: Pattern, c: i64, local: usize, groups: usize, alias: bool
     // gate and runs in flat order when ineligible), must be bit-identical
     // to the tree-walker — memory bytes AND every DynStats counter (the
     // weight-preservation contract).
-    let mut bc = Interpreter::new(&module);
-    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    let bc = Interpreter::new(&module);
     for bc_threads in [1, threads] {
         let mut bc_mem = mem.clone();
         let bc_stats = bc
@@ -226,7 +224,7 @@ fn widened_atomic_kernels_run_parallel_bit_identically() {
 
         let (mut ctx, nd, kernel) = prepare(spec);
         let args = kernel.resolved_args().expect("args resolved");
-        let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
+        let interp = Interpreter::with_facts(kernel.module(), kernel.facts());
         assert!(
             interp.parallel_eligible_in(ctx.memory_mut(), kernel.name(), nd, &args),
             "`{name}` must be admitted at its launch shape"
@@ -235,7 +233,6 @@ fn widened_atomic_kernels_run_parallel_bit_identically() {
         let seq_stats = interp
             .run_kernel(&mut seq_mem, kernel.name(), nd, &args)
             .expect("sequential run");
-        interp.set_exec_tier(ExecTier::BytecodeOpt);
         let mut par_mem = ctx.memory_mut().clone();
         let par_stats = interp
             .run_kernel_bytecode(&mut par_mem, kernel.name(), nd, &args, 4)
@@ -349,6 +346,46 @@ fn divergent_barrier_is_found_past_128_blocks() {
     assert_eq!(r.divergent_barriers[0].block, then_bb);
 }
 
+#[test]
+fn unknown_callee_under_divergent_branch_is_a_divergent_barrier() {
+    // if (lid < 4) { mystery(); } -- the module does not define `mystery`,
+    // so it may hold a barrier, which only some items of the group reach.
+    let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+    let _out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::F32));
+    let then_bb = b.new_block();
+    let exit_bb = b.new_block();
+    let lid = b.work_item(WiBuiltin::LocalId, 0);
+    let four = b.const_i64(4);
+    let c = b.cmp(CmpOp::Lt, lid, four);
+    b.cond_br(c, then_bb, exit_bb);
+    b.switch_to(then_bb);
+    b.call("mystery", vec![], Type::Void);
+    b.br(exit_bb);
+    b.switch_to(exit_bb);
+    b.ret(None);
+    let mut m = kernel_ir::Module::new();
+    m.insert_function(b.finish());
+    let r = analyze_kernel(&m, "k").expect("kernel analyzed");
+    assert_eq!(r.divergent_barriers.len(), 1, "{:?}", r.divergent_barriers);
+    assert_eq!(r.divergent_barriers[0].block, then_bb);
+    let lint: Vec<_> = kernel_ir::lint::lint_module(&m)
+        .into_iter()
+        .filter(|d| d.lint == "barrier-divergence")
+        .collect();
+    assert_eq!(lint.len(), 1, "{lint:?}");
+    assert_eq!(lint[0].severity, kernel_ir::Severity::Error);
+    let proof = kernel_ir::races::lockstep_report(&m, "k").expect("kernel");
+    assert!(proof.refusal().is_some());
+    let mut mem = DeviceMemory::new();
+    let out = mem.alloc(4 * 16);
+    assert!(!Interpreter::new(&m).lockstep_eligible_in(
+        &mem,
+        "k",
+        NdRange::new_1d(16, 8),
+        &[ArgValue::Buffer(out)],
+    ));
+}
+
 // ---------------------------------------------------------------------------
 // Lockstep: the within-group proof under the JIT's tenant launch shape
 // ---------------------------------------------------------------------------
@@ -454,7 +491,7 @@ fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module) {
             &mut fresh
                 .sites
                 .iter()
-                .filter(|s| cached.sites.iter().any(|c| c.param == s.param)),
+                .filter(|s| cached.sites.iter().any(|c| c.param() == s.param())),
         );
         assert_eq!(debug(&mut cached.sites.iter()), kept, "{ctx}");
         assert_eq!(cached.eligible_static(), fresh.eligible_static(), "{ctx}");

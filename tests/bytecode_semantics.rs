@@ -18,7 +18,6 @@
 //! the tree-walker's error); and an overflowing gep, an error on both
 //! tiers and through `ProxyCl`.
 
-use kernel_ir::bytecode::ExecTier;
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
 use kernel_ir::InterpError;
@@ -41,8 +40,7 @@ fn assert_tiers_agree(
         .run_kernel(&mut seq_mem, "k", nd, args)
         .unwrap_or_else(|e| panic!("{what}: tree-walk run failed: {e}"));
 
-    let mut bc = Interpreter::new(module);
-    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    let bc = Interpreter::new(module);
     for bc_threads in [1, threads] {
         let mut bc_mem = mem.clone();
         let bc_stats = bc
@@ -463,8 +461,7 @@ fn lockstep_reports_the_lowest_items_first_error() {
         let nd = NdRange::new_1d(16, 8);
         let tree =
             Interpreter::with_config(&module, config).run_kernel(&mut mem.clone(), "k", nd, &args);
-        let mut vm = Interpreter::with_config(&module, config);
-        vm.set_exec_tier(ExecTier::BytecodeOpt);
+        let vm = Interpreter::with_config(&module, config);
         assert!(vm.lockstep_eligible_in(&mem, "k", nd, &args));
         for threads in [1, 3] {
             let got = vm.run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, threads);
@@ -642,8 +639,7 @@ fn reached_traps_raise_the_tree_walkers_error() {
             .run_kernel(&mut mem.clone(), "k", nd, &args)
             .expect_err("tree-walker must fail")
             .to_string();
-        let mut bc = Interpreter::new(&module);
-        bc.set_exec_tier(ExecTier::BytecodeOpt);
+        let bc = Interpreter::new(&module);
         for threads in [1, 3] {
             let bc_err = bc
                 .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, threads)
@@ -661,8 +657,7 @@ fn reached_traps_return_invalid_instead_of_panicking() {
     for construct in [Unverified::GepThroughNonPointer] {
         let module = unverified_kernel(construct, true);
         let (mem, nd, args) = unverified_launch();
-        let mut bc = Interpreter::new(&module);
-        bc.set_exec_tier(ExecTier::BytecodeOpt);
+        let bc = Interpreter::new(&module);
         for threads in [1, 3] {
             let err = bc.run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, threads);
             assert!(
@@ -734,8 +729,7 @@ fn traps_are_identical_across_tiers() {
         .run_kernel(&mut mem.clone(), "k", nd, &args)
         .expect_err("tree-walker must trap")
         .to_string();
-    let mut bc = Interpreter::new(&module);
-    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    let bc = Interpreter::new(&module);
     let bc_err = bc
         .run_kernel_bytecode(&mut mem.clone(), "k", nd, &args, 1)
         .expect_err("bytecode tier must trap")
@@ -768,8 +762,7 @@ fn overflowing_gep_is_an_error_on_every_tier() {
         matches!(&tree, Err(InterpError::Invalid(m)) if m.contains("overflow")),
         "{tree:?}"
     );
-    let mut bc = Interpreter::new(&module);
-    bc.set_exec_tier(ExecTier::BytecodeOpt);
+    let bc = Interpreter::new(&module);
     for threads in [1, 3] {
         let mut bc_mem = mem.clone();
         let vm = bc.run_kernel_bytecode(&mut bc_mem, "k", nd, &args, threads);

@@ -18,7 +18,7 @@ use accel_harness::workloads::SweepConfig;
 use accelos::policy::PolicySet;
 use gpu_sim::DeviceConfig;
 use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange};
-use kernel_ir::{ExecTier, Module};
+use kernel_ir::Module;
 use parboil::datasets::prepare_launch;
 use parboil::KernelSpec;
 
@@ -32,13 +32,10 @@ fn run_on(
     args: &[ArgValue],
     threads: Option<usize>,
 ) -> Result<DynStats, kernel_ir::InterpError> {
-    let mut interp = Interpreter::new(module);
+    let interp = Interpreter::new(module);
     match threads {
         None => interp.run_kernel(mem, kernel, nd, args),
-        Some(t) => {
-            interp.set_exec_tier(ExecTier::BytecodeOpt);
-            interp.run_kernel_bytecode(mem, kernel, nd, args, t)
-        }
+        Some(t) => interp.run_kernel_bytecode(mem, kernel, nd, args, t),
     }
 }
 
