@@ -206,10 +206,12 @@ pub fn reachable_helpers(func: &Function, module: &Module) -> Vec<String> {
 /// instruction `pred` holds for. Calls of functions the module does not
 /// define are not followed.
 pub fn reaches(func: &Function, module: &Module, pred: impl Fn(&Function, &Inst) -> bool) -> bool {
-    let helpers = reachable_helpers(func, module);
-    std::iter::once(func)
-        .chain(helpers.iter().filter_map(|n| module.function(n)))
-        .any(|f| f.blocks.iter().flat_map(|b| &b.insts).any(|i| pred(f, i)))
+    let has = |f: &Function| f.blocks.iter().flat_map(|b| &b.insts).any(|i| pred(f, i));
+    has(func)
+        || reachable_helpers(func, module)
+            .iter()
+            .filter_map(|n| module.function(n))
+            .any(has)
 }
 
 /// Whether the function (or any reachable callee) contains a barrier.
