@@ -4,14 +4,14 @@
 
 use super::{
     bc_bytes, bc_bytes_mut, cmp_float, cmp_int, def_of, gep, BcFuncBody, BcInsn, BcModule,
-    CallSite, Slot, VmInsn, VmProgram, ARENA_PRIVATE, NO_REG,
+    CallSite, Conv, Kind, Slot, VmInsn, VmProgram, ARENA_PRIVATE, NO_REG,
 };
 use crate::error::InterpError;
 use crate::interp::{
     apply_atomic, bin_f32, bin_f64, bin_i32, bin_i64, eval_un, DynStats, GlobalMem, NdRange,
     TicketCursor,
 };
-use crate::ir::WiBuiltin;
+use crate::ir::{BinOp, WiBuiltin};
 use crate::races::{divergent_regions, immediate_postdominators};
 
 /// The pc of a function's virtual exit, where `ret` sends its items.
@@ -322,28 +322,96 @@ pub(super) fn run_group(
             active.truncate(i);
         }};
     }
+    // Expand `$body` once per value of `$x` (every variant listed), with
+    // `$x` rebound to that constant, so that a loop inside resolves `$x`
+    // before it starts.
+    macro_rules! hoist {
+        ($body:block) => {
+            $body
+        };
+        ($x:ident in $($v:path)|+, $body:block) => {
+            match $x {
+                $($v => {
+                    let $x = $v;
+                    $body
+                })+
+            }
+        };
+    }
     // Apply `$body` (a `Result`) for every running item, or once for the
-    // first when the result is uniform; an error fails its item.
+    // first when the result is uniform; an error fails its item. Under a
+    // full mask (`active` is `0..n`, so item `l` sits at index `l`) this
+    // is a plain loop over the items, resolving `$x`, when given, once
+    // before it.
     macro_rules! each {
-        ($once:expr, $l:ident => $body:expr) => {{
-            let count = if $once { 1 } else { active.len() };
-            for i in 0..count {
-                let $l = active[i] as usize;
-                let r: Result<(), InterpError> = $body;
-                if let Err(e) = r {
-                    fail!(i, e);
-                    break;
+        ($once:expr, $l:ident => $body:expr $(; $x:ident in $($v:path)|+)?) => {{
+            if !$once && active.len() == n {
+                hoist!($($x in $($v)|+,)? {
+                    for $l in 0..n {
+                        let r: Result<(), InterpError> = $body;
+                        if let Err(e) = r {
+                            fail!($l, e);
+                            break;
+                        }
+                    }
+                })
+            } else {
+                let count = if $once { 1 } else { active.len() };
+                for i in 0..count {
+                    let $l = active[i] as usize;
+                    let r: Result<(), InterpError> = $body;
+                    if let Err(e) = r {
+                        fail!(i, e);
+                        break;
+                    }
                 }
             }
         }};
     }
     macro_rules! each_ok {
-        ($once:expr, $l:ident => $body:expr) => {{
-            let count = if $once { 1 } else { active.len() };
-            for i in 0..count {
-                let $l = active[i] as usize;
-                $body;
+        ($once:expr, $l:ident => $body:expr $(; $x:ident in $($v:path)|+)?) => {{
+            if !$once && active.len() == n {
+                hoist!($($x in $($v)|+,)? {
+                    for $l in 0..n {
+                        $body;
+                    }
+                })
+            } else {
+                let count = if $once { 1 } else { active.len() };
+                for i in 0..count {
+                    let $l = active[i] as usize;
+                    $body;
+                }
             }
+        }};
+    }
+    // `$d = a <op> b` through `$eval`, one `each!` per operator.
+    macro_rules! bin {
+        ($eval:ident, $op:expr, $d:expr, $a:expr, $b:expr) => {{
+            let (op, d, a, b) = ($op, $d, $a, $b);
+            each!(d.1 == 0, l => $eval(op, Operand::read(reg!(a, l)), Operand::read(reg!(b, l)))
+                .map(|v| reg!(d, l) = v.slot());
+                op in BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem
+                    | BinOp::And | BinOp::Or | BinOp::Xor | BinOp::Shl | BinOp::Shr
+                    | BinOp::Min | BinOp::Max);
+        }};
+    }
+    // Load `$kind` through pointer `$p` into `$d`, or store `$v` through
+    // `$p`, for every running item, one `each!` per kind.
+    macro_rules! load {
+        ($once:expr, $kind:expr, $d:expr, $p:expr) => {{
+            let (kind, d, p) = ($kind, $d, $p);
+            each!($once, l => bc_bytes(gmem, local, &private[l], reg!(p, l), kind.size())
+                .map(|bytes| reg!(d, l) = Slot::decode(kind, bytes));
+                kind in Kind::Bool | Kind::I32 | Kind::I64 | Kind::F32 | Kind::F64 | Kind::Ptr);
+        }};
+    }
+    macro_rules! store {
+        ($kind:expr, $p:expr, $v:expr) => {{
+            let (kind, p, v) = ($kind, $p, $v);
+            each!(false, l => bc_bytes_mut(gmem, local, &mut private[l], reg!(p, l), kind.size())
+                .map(|bytes| reg!(v, l).encode(kind, bytes));
+                kind in Kind::Bool | Kind::I32 | Kind::I64 | Kind::F32 | Kind::F64 | Kind::Ptr);
         }};
     }
     macro_rules! park {
@@ -585,43 +653,30 @@ pub(super) fn run_group(
             VmInsn::BinI32 { op, dst, a, b } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (d, a, b) = (loc!(*dst), loc!(*a), loc!(*b));
-                each!(d.1 == 0, l => bin_i32(*op, reg!(a, l).bits as i32, reg!(b, l).bits as i32)
-                    .map(|v| reg!(d, l) = Slot::int(v as i64)));
+                bin!(bin_i32, *op, loc!(*dst), loc!(*a), loc!(*b));
             }
             VmInsn::BinI64 { op, dst, a, b } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (d, a, b) = (loc!(*dst), loc!(*a), loc!(*b));
-                each!(d.1 == 0, l => bin_i64(*op, reg!(a, l).bits as i64, reg!(b, l).bits as i64)
-                    .map(|v| reg!(d, l) = Slot::int(v)));
+                bin!(bin_i64, *op, loc!(*dst), loc!(*a), loc!(*b));
             }
             VmInsn::BinF32 { op, dst, a, b } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (d, a, b) = (loc!(*dst), loc!(*a), loc!(*b));
-                each!(d.1 == 0, l => {
-                    let (x, y) = (reg!(a, l).bits as u32, reg!(b, l).bits as u32);
-                    bin_f32(*op, f32::from_bits(x), f32::from_bits(y))
-                        .map(|v| reg!(d, l) = Slot::int(v.to_bits() as i64))
-                });
+                bin!(bin_f32, *op, loc!(*dst), loc!(*a), loc!(*b));
             }
             VmInsn::BinF64 { op, dst, a, b } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (d, a, b) = (loc!(*dst), loc!(*a), loc!(*b));
-                each!(d.1 == 0, l => {
-                    let (x, y) = (reg!(a, l).bits, reg!(b, l).bits);
-                    bin_f64(*op, f64::from_bits(x), f64::from_bits(y))
-                        .map(|v| reg!(d, l) = Slot::int(v.to_bits() as i64))
-                });
+                bin!(bin_f64, *op, loc!(*dst), loc!(*a), loc!(*b));
             }
             VmInsn::Un { op, kind, dst, a } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (d, a) = (loc!(*dst), loc!(*a));
-                each!(d.1 == 0, l => eval_un(*op, reg!(a, l).value(*kind))
-                    .map(|v| reg!(d, l) = Slot::of(v)));
+                let (kind, d, a) = (*kind, loc!(*dst), loc!(*a));
+                each!(d.1 == 0, l => eval_un(*op, reg!(a, l).value(kind))
+                    .map(|v| reg!(d, l) = Slot::of(v));
+                    kind in Kind::Bool | Kind::I32 | Kind::I64 | Kind::F32 | Kind::F64 | Kind::Ptr);
             }
             VmInsn::CmpInt { mask, dst, a, b } => {
                 tick!(1);
@@ -653,8 +708,11 @@ pub(super) fn run_group(
             VmInsn::Cast { conv, dst, a } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (d, a) = (loc!(*dst), loc!(*a));
-                each_ok!(d.1 == 0, l => reg!(d, l) = conv.apply(reg!(a, l)));
+                let (conv, d, a) = (*conv, loc!(*dst), loc!(*a));
+                each_ok!(d.1 == 0, l => reg!(d, l) = conv.apply(reg!(a, l));
+                    conv in Conv::Copy | Conv::IntToI32 | Conv::IntToF32 | Conv::IntToF64
+                        | Conv::F32ToI32 | Conv::F32ToI64 | Conv::F32ToF64 | Conv::F64ToI32
+                        | Conv::F64ToI64 | Conv::F64ToF32);
             }
             VmInsn::AllocaPriv { dst, bytes } => {
                 tick!(1);
@@ -683,17 +741,14 @@ pub(super) fn run_group(
                 tick!(1);
                 wg_insns += lanes;
                 stats.mem_ops += lanes;
-                let (d, p) = (loc!(*dst), loc!(*ptr));
-                each!(d.1 == 0, l => bc_bytes(gmem, local, &private[l], reg!(p, l), kind.size())
-                    .map(|bytes| reg!(d, l) = Slot::decode(*kind, bytes)));
+                let d = loc!(*dst);
+                load!(d.1 == 0, *kind, d, loc!(*ptr));
             }
             VmInsn::Store { kind, ptr, value } => {
                 tick!(1);
                 wg_insns += lanes;
                 stats.mem_ops += lanes;
-                let (p, v) = (loc!(*ptr), loc!(*value));
-                each!(false, l => bc_bytes_mut(gmem, local, &mut private[l], reg!(p, l), kind.size())
-                    .map(|bytes| reg!(v, l).encode(*kind, bytes)));
+                store!(*kind, loc!(*ptr), loc!(*value));
             }
             VmInsn::LoadSlot { dst, slot } => {
                 tick!(1);
@@ -740,8 +795,7 @@ pub(super) fn run_group(
                 tick!(1);
                 wg_insns += 2 * lanes;
                 stats.mem_ops += lanes;
-                each!(once, l => bc_bytes(gmem, local, &private[l], reg!(g, l), kind.size())
-                    .map(|bytes| reg!(d, l) = Slot::decode(*kind, bytes)));
+                load!(once, *kind, d, g);
             }
             VmInsn::GepStore {
                 kind,
@@ -760,8 +814,7 @@ pub(super) fn run_group(
                 tick!(1);
                 wg_insns += 2 * lanes;
                 stats.mem_ops += lanes;
-                each!(false, l => bc_bytes_mut(gmem, local, &mut private[l], reg!(g, l), kind.size())
-                    .map(|bytes| reg!(v, l).encode(*kind, bytes)));
+                store!(*kind, g, v);
             }
             VmInsn::Call { dst, site } => {
                 tick!(1);
@@ -890,6 +943,33 @@ pub(super) fn run_group(
         None => Ok(wg_insns),
     }
 }
+
+/// A register's value as an arithmetic operand of one width.
+trait Operand {
+    fn read(s: Slot) -> Self;
+    fn slot(self) -> Slot;
+}
+
+macro_rules! operand {
+    ($t:ty: $s:ident => $read:expr, $v:ident => $slot:expr) => {
+        impl Operand for $t {
+            #[inline(always)]
+            fn read($s: Slot) -> $t {
+                $read
+            }
+            #[inline(always)]
+            fn slot(self) -> Slot {
+                let $v = self;
+                $slot
+            }
+        }
+    };
+}
+
+operand!(i32: s => s.bits as i32, v => Slot::int(v as i64));
+operand!(i64: s => s.bits as i64, v => Slot::int(v));
+operand!(f32: s => f32::from_bits(s.bits as u32), v => Slot::int(v.to_bits() as i64));
+operand!(f64: s => f64::from_bits(s.bits), v => Slot::int(v.to_bits() as i64));
 
 /// One item's atomic read-modify-write (the item VM's semantics); the old
 /// value.

@@ -1961,6 +1961,7 @@ impl<'a> GlobalMem<'a> {
         }
     }
 
+    #[inline]
     fn span(&self, b: BufferId) -> Result<(*mut u8, usize), InterpError> {
         self.spans
             .get(b.0 as usize)
@@ -1968,6 +1969,7 @@ impl<'a> GlobalMem<'a> {
             .ok_or_else(|| InterpError::Invalid(format!("dangling buffer {b:?}")))
     }
 
+    #[inline]
     pub(crate) fn bytes(&self, b: BufferId, off: i64, size: usize) -> Result<&[u8], InterpError> {
         let (ptr, len) = self.span(b)?;
         bounds(len, off, size, "global buffer")?;
@@ -1978,6 +1980,7 @@ impl<'a> GlobalMem<'a> {
     }
 
     #[allow(clippy::mut_from_ref)] // interior-mutability view; see type docs
+    #[inline]
     pub(crate) fn bytes_mut(
         &self,
         b: BufferId,
@@ -2205,6 +2208,7 @@ pub fn default_interp_threads() -> usize {
         })
 }
 
+#[inline]
 pub(crate) fn bounds(
     storage_len: usize,
     off: i64,
@@ -2223,6 +2227,7 @@ pub(crate) fn bounds(
 
 /// `byte_off + idx * stride`, the address a gep computes. An offset that
 /// overflows `i64` is an error on both tiers (never a wrapped address).
+#[inline]
 pub(crate) fn gep_offset(byte_off: i64, idx: i64, stride: usize) -> Result<i64, InterpError> {
     idx.checked_mul(stride as i64)
         .and_then(|d| byte_off.checked_add(d))
@@ -2245,6 +2250,7 @@ macro_rules! int_bin {
     ($name:ident, $t:ty) => {
         /// `x <op> y` on one integer width: wrapping arithmetic, an error
         /// only for a zero divisor.
+        #[inline]
         pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> Result<$t, InterpError> {
             use BinOp::*;
             Ok(match op {
@@ -2269,6 +2275,7 @@ macro_rules! int_bin {
 macro_rules! float_bin {
     ($name:ident, $t:ty) => {
         /// `x <op> y` on one float width; integer-only ops are an error.
+        #[inline]
         pub(crate) fn $name(op: BinOp, x: $t, y: $t) -> Result<$t, InterpError> {
             use BinOp::*;
             Ok(match op {
@@ -2308,6 +2315,7 @@ pub(crate) fn eval_bin(op: BinOp, a: Value, b: Value) -> Result<Value, InterpErr
     })
 }
 
+#[inline]
 pub(crate) fn eval_un(op: UnOp, a: Value) -> Result<Value, InterpError> {
     Ok(match (op, a) {
         (UnOp::Neg, Value::I32(x)) => Value::I32(x.wrapping_neg()),

@@ -285,6 +285,43 @@ fn lint_report_matches_golden_snapshot() {
 // ---------------------------------------------------------------------------
 
 #[test]
+fn evaluated_chain_admits_launches_past_the_enumeration_limit() {
+    // The stride `s` is a launch argument, so the static proof leaves the
+    // store to the launch gate. Launch-scope enumeration stops at 65,536
+    // work items; past that only the evaluated chain (the scalar stride
+    // against the 4-byte span of one item's store) can admit the launch.
+    let src = "kernel void k(global int* a, int s) {
+        size_t i = get_global_id(0);
+        a[i * (size_t)s] = 1;
+    }";
+    let module = minicl::compile(src).expect("compile");
+    let interp = Interpreter::new(&module);
+    assert!(
+        !interp.can_parallelize("k"),
+        "a scalar stride is settled per launch"
+    );
+    for (items, stride, admitted) in [
+        (1 << 12, 1, true),
+        (1 << 17, 1, true),
+        (1 << 17, 3, true),
+        (1 << 17, 0, false),
+    ] {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * items * stride.max(1));
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Scalar(Value::I32(stride as i32)),
+        ];
+        let nd = NdRange::new_1d(items, 64);
+        assert_eq!(
+            interp.parallel_eligible_in(&mem, "k", nd, &args),
+            admitted,
+            "{items} items, stride {stride}"
+        );
+    }
+}
+
+#[test]
 fn barrier_under_uniform_branch_inside_divergent_one_is_divergent() {
     // if (lid < 4) { if (n > 0) { barrier(); } } -- the barrier is
     // directly control-dependent only on the uniform inner branch, but

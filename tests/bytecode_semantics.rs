@@ -15,10 +15,12 @@
 //! promoted private variable) plus directed endpoints: which compiled
 //! variables are promoted to registers; trap parity (each construct the
 //! verifier rejects lowers to a trap that fails only when reached, with
-//! the tree-walker's error); and an overflowing gep, an error on both
-//! tiers and through `ProxyCl`.
+//! the tree-walker's error); an overflowing gep, an error on both
+//! tiers and through `ProxyCl`; and lockstep groups running with every
+//! item active (a failing division at a middle item, the step limit in
+//! straight-line code, a full group again after a split reconverges).
 
-use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
+use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange, Value};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
 use kernel_ir::InterpError;
 use proptest::prelude::*;
@@ -473,6 +475,189 @@ fn lockstep_reports_the_lowest_items_first_error() {
             want_limit,
             "{tree:?}"
         );
+    }
+}
+
+/// One sequential run: its result and the memory it left.
+type Run = (Result<DynStats, InterpError>, DeviceMemory);
+
+/// Run `src`'s kernel `k` sequentially on both tiers under `config`,
+/// after checking that the VM runs the launch in lockstep: the
+/// tree-walker's run, then the VM's.
+fn run_lockstep_and_tree(
+    src: &str,
+    mem: &DeviceMemory,
+    nd: NdRange,
+    args: &[ArgValue],
+    config: kernel_ir::interp::InterpConfig,
+) -> (Run, Run) {
+    let module = minicl::compile(src).expect("compile");
+    let interp = Interpreter::with_config(&module, config);
+    assert!(interp.lockstep_eligible_in(mem, "k", nd, args));
+    let (mut tree_mem, mut vm_mem) = (mem.clone(), mem.clone());
+    let tree = interp.run_kernel(&mut tree_mem, "k", nd, args);
+    let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, args, 1);
+    ((tree, tree_mem), (vm, vm_mem))
+}
+
+#[test]
+fn full_mask_division_by_zero_fails_the_middle_item() {
+    // No branch precedes the division, so the whole group is active when
+    // it runs. The item holding the zero fails; lower items store, higher
+    // ones never reach the store, in lockstep as in item order.
+    let src = "kernel void k(global int* a, global int* b, int n) {
+        size_t i = get_global_id(0);
+        int x = b[i];
+        int q = n / x;
+        int r = n % (x + 1);
+        a[i] = q * 10 + r;
+    }";
+    let nd = NdRange::new_1d(16, 8);
+    // (item, value): a zero divisor, then a zero `x + 1` for the remainder.
+    for bad in [None, Some((3, 0)), Some((11, 0)), Some((12, -1))] {
+        let mut fill: Vec<i32> = (0..16).map(|i| i * 3 + 2).collect();
+        if let Some((i, v)) = bad {
+            fill[i] = v;
+        }
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * 16);
+        let b = mem.alloc(4 * 16);
+        mem.write_i32(b, &fill);
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Buffer(b),
+            ArgValue::Scalar(Value::I32(1000)),
+        ];
+        let config = Default::default();
+        let ((tree, tree_mem), (vm, vm_mem)) = run_lockstep_and_tree(src, &mem, nd, &args, config);
+        assert_eq!(vm, tree, "{bad:?}");
+        assert_eq!(vm_mem, tree_mem, "{bad:?}");
+        match bad {
+            None => assert!(tree.is_ok(), "{tree:?}"),
+            Some((i, _)) => {
+                assert_eq!(tree, Err(InterpError::DivideByZero));
+                let out = tree_mem.read_i32(a);
+                // Items of the failing group below the zero stored.
+                let first = i / 8 * 8;
+                assert!(out[first..i].iter().all(|&v| v != 0), "{out:?}");
+                assert!(out[i..].iter().all(|&v| v == 0), "{out:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn full_mask_step_limit_fires_inside_straight_line_code() {
+    // Straight-line code: every item of the group runs each instruction
+    // at the same step, so the limit fires for item 0 at the instruction
+    // where it does in item order, whatever that instruction is.
+    let src = "kernel void k(global int* a, global int* b, int n) {
+        size_t i = get_global_id(0);
+        int x = b[i];
+        float f = (float)x;
+        x = x * 3 + n;
+        f = f * 0.5f + (float)x;
+        x = x ^ (x >> 2);
+        f = f - (float)n;
+        x = x * 7 - 1;
+        f = f * f;
+        x = x + (int)f;
+        a[i] = x;
+    }";
+    let nd = NdRange::new_1d(16, 8);
+    let mut mem = DeviceMemory::new();
+    let a = mem.alloc(4 * 16);
+    let b = mem.alloc(4 * 16);
+    mem.write_i32(b, &(0..16).map(|i| i * 5 - 7).collect::<Vec<_>>());
+    let args = [
+        ArgValue::Buffer(a),
+        ArgValue::Buffer(b),
+        ArgValue::Scalar(Value::I32(3)),
+    ];
+    // Every item runs the same instructions (one more step each for the
+    // terminators); sweep the limit across all of them.
+    let (_, (run, _)) = run_lockstep_and_tree(src, &mem, nd, &args, Default::default());
+    let per_item = run.expect("unlimited run").total_insns / 16;
+    let (mut limited, mut finished, mut compared) = (0, 0, 0);
+    for step_limit in 1..per_item + 4 {
+        let config = kernel_ir::interp::InterpConfig {
+            step_limit,
+            ..Default::default()
+        };
+        let ((tree, tree_mem), (vm, vm_mem)) = run_lockstep_and_tree(src, &mem, nd, &args, config);
+        assert_eq!(vm, tree, "step limit {step_limit}");
+        match tree {
+            Ok(_) => finished += 1,
+            Err(InterpError::StepLimitExceeded(l)) => {
+                assert_eq!(l, step_limit);
+                limited += 1;
+            }
+            Err(e) => panic!("step limit {step_limit}: {e}"),
+        }
+        // Once item 0 has stored, the items after it may have run part of
+        // the interval in lockstep; before that nothing is written.
+        if tree.is_ok() || tree_mem == mem {
+            assert_eq!(vm_mem, tree_mem, "step limit {step_limit}");
+            compared += 1;
+        }
+    }
+    // Only the limit that fires on the return, after the store, skips the
+    // memory comparison.
+    assert!(
+        limited as u64 >= per_item && finished > 0 && compared + 1 >= limited + finished,
+        "{limited} limited, {finished} finished, {compared} compared"
+    );
+}
+
+#[test]
+fn full_mask_resumes_after_a_split_reconverges() {
+    // The group starts full, splits on varying branches (one of them
+    // inside a uniform loop) and is full again after each reconvergence
+    // point; operands mix uniform (`u`, `n`, `j`) and varying (`x`, `y`)
+    // registers, with integer, float, cast and fallible operations.
+    let src = "kernel void k(global int* a, global int* b, int n) {
+        size_t i = get_global_id(0);
+        int x = b[i];
+        int u = n * 3 + 1;
+        float f = (float)x * 0.25f + (float)u;
+        int y = x * u + n;
+        if (x > n) {
+            y = y - x * 2;
+            f = f * 2.0f;
+        } else {
+            y = y + u;
+        }
+        int z = y * u - x + (int)f;
+        if (n > 4) { z = z + u; }
+        int w = z / (u + 1) + z % 7;
+        for (int j = 0; j < 3; ++j) {
+            if ((x & 1) == j) { w = w + j; }
+            w = w * 3 - u;
+        }
+        a[i] = w;
+    }";
+    let module = minicl::compile(src).expect("compile");
+    let nd = NdRange::new_1d(32, 8);
+    for (n, fill) in [
+        (
+            5,
+            (0..40).map(|i| (i * 7919) % 23 - 6).collect::<Vec<i32>>(),
+        ),
+        (2, (0..40).map(|i| i % 3).collect()),
+        (9, vec![-4; 40]),
+        (0, (0..40).map(|i| i * 2 - 40).collect()),
+    ] {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * 40);
+        let b = mem.alloc(4 * 40);
+        mem.write_i32(b, &fill);
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Buffer(b),
+            ArgValue::Scalar(Value::I32(n)),
+        ];
+        assert!(Interpreter::new(&module).lockstep_eligible_in(&mem, "k", nd, &args));
+        assert_tiers_agree(&module, &mem, nd, &args, 3, &format!("n={n}"));
     }
 }
 
