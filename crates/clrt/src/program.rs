@@ -11,7 +11,6 @@ use crate::error::ClError;
 use kernel_ir::interp::ArgValue;
 use kernel_ir::ir::Module;
 use kernel_ir::{KernelProfile, ModuleFacts, Value};
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// A built program: an IR module plus per-kernel resource profiles.
@@ -26,26 +25,30 @@ use std::sync::Arc;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Program {
-    module: Rc<Module>,
+    module: Arc<Module>,
     facts: Arc<ModuleFacts>,
     profiles: Vec<KernelProfile>,
-    source: String,
+    source: Arc<str>,
 }
 
 impl Program {
-    /// Compile MiniCL source (`clBuildProgram`).
+    /// Compile MiniCL source (`clBuildProgram`). Each build is fresh,
+    /// with its own [`ModuleFacts`]; the accelOS runtime's
+    /// `ProxyCl::build_program` is the one that shares repeated builds.
     ///
     /// # Errors
     ///
     /// Returns [`ClError::BuildFailure`] with the front end's diagnostic on
-    /// any compile error.
+    /// any compile error, a source longer than
+    /// [`minicl::MAX_SOURCE_BYTES`] included.
     pub fn build(source: &str) -> Result<Program, ClError> {
         let module = minicl::compile(source).map_err(|e| ClError::BuildFailure(e.to_string()))?;
         Self::from_module(module, source)
     }
 
     /// Wrap an already-lowered module (used by the accelOS JIT, which
-    /// rewrites modules between interception and execution).
+    /// rewrites modules between interception and execution). The program
+    /// gets its own [`ModuleFacts`].
     ///
     /// # Errors
     ///
@@ -57,10 +60,10 @@ impl Program {
         let profiles =
             KernelProfile::all(&module).map_err(|e| ClError::BuildFailure(e.to_string()))?;
         Ok(Program {
-            facts: ModuleFacts::compute(&module),
-            module: Rc::new(module),
+            facts: Arc::new(ModuleFacts::new(&module)),
+            module: Arc::new(module),
             profiles,
-            source: source.to_string(),
+            source: source.into(),
         })
     }
 
@@ -74,13 +77,13 @@ impl Program {
     }
 
     /// The compiled module.
-    pub fn module(&self) -> &Rc<Module> {
+    pub fn module(&self) -> &Arc<Module> {
         &self.module
     }
 
     /// The accelcheck cache of the module: each kernel's race verdict and
     /// within-group proof, computed on first query and shared by every
-    /// build of the same program in this process.
+    /// clone of this program and every kernel created from it.
     pub fn facts(&self) -> &Arc<ModuleFacts> {
         &self.facts
     }
@@ -113,7 +116,7 @@ impl Program {
             .params
             .len();
         Ok(Kernel {
-            module: Rc::clone(&self.module),
+            module: Arc::clone(&self.module),
             facts: Arc::clone(&self.facts),
             name: name.to_string(),
             profile,
@@ -158,7 +161,7 @@ pub enum Arg {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Kernel {
-    module: Rc<Module>,
+    module: Arc<Module>,
     facts: Arc<ModuleFacts>,
     name: String,
     profile: KernelProfile,
@@ -172,12 +175,12 @@ impl Kernel {
     }
 
     /// The module the kernel lives in.
-    pub fn module(&self) -> &Rc<Module> {
+    pub fn module(&self) -> &Arc<Module> {
         &self.module
     }
 
-    /// Cached accelcheck analysis results for the module (shared with the
-    /// owning [`Program`]).
+    /// Cached accelcheck analysis results for the module, shared with the
+    /// [`Program`] the kernel was created from and its clones.
     pub fn facts(&self) -> &Arc<ModuleFacts> {
         &self.facts
     }

@@ -127,7 +127,7 @@ impl CommandQueue {
         // analysis proves the launch free of cross-group races — with
         // bit-identical memory contents and statistics on every path.
         // Verdicts come from the program's `ModuleFacts`, computed on the
-        // kernel's first launch in this process.
+        // kernel's first launch and kept with the program.
         let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
         interp.set_exec_tier(kernel_ir::ExecTier::from_env());
         let stats = interp

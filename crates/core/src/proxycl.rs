@@ -26,7 +26,7 @@ use clrt::{Arg, Buffer, ClError, Context, Event, Kernel, Platform, Program};
 use gpu_sim::{FaultKind, FaultPlan, KernelLaunch, SimReport};
 use kernel_ir::interp::{ArgValue, DynStats, Interpreter, NdRange};
 use sched_metrics::profile::ProfileStore;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 pub use crate::episode::RetryPolicy;
 
@@ -98,6 +98,13 @@ impl ProxyProgram {
         &self.program
     }
 }
+
+/// Programs [`ProxyCl::build_program`] keeps.
+const BUILD_CACHE_SIZE: usize = 64;
+
+/// The build cache: each program with the JIT mode it was built in, least
+/// recently used first. The program's source is the rest of the key.
+static BUILDS: Mutex<Vec<(Mode, ProxyProgram)>> = Mutex::new(Vec::new());
 
 /// One pending kernel execution request inside a batch.
 #[derive(Debug, Clone)]
@@ -260,18 +267,46 @@ impl ProxyCl {
     /// Intercepted program build (fig. 6 case (a)): compile, JIT-transform,
     /// and return a program whose kernels are scheduling kernels.
     ///
+    /// Builds go through one process-wide cache, so a runtime serving many
+    /// tenants the same program builds and analyses it once. The key is
+    /// the active [`Mode`] and the source text, compared as strings: a
+    /// source that differs only in layout is an entry of its own, with its
+    /// own spans. The cache keeps the last 64 programs built and evicts
+    /// the least recently used. A hit returns a clone of the built
+    /// program whose module and accelcheck facts ([`Program::facts`]) are
+    /// shared, so each kernel is analysed once for all its builds. Failed
+    /// builds are not cached.
+    ///
     /// # Errors
     ///
-    /// Returns [`ClError::BuildFailure`] on front-end or JIT errors.
+    /// Returns [`ClError::BuildFailure`] on front-end or JIT errors, a
+    /// source longer than [`minicl::MAX_SOURCE_BYTES`] included.
     pub fn build_program(&mut self, source: &str) -> Result<ProxyProgram, ClError> {
+        let mode = self.mode();
+        // Held through the build, so runtimes on two threads building the
+        // same source build it once. Every update leaves the list whole.
+        let mut builds = BUILDS.lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = builds
+            .iter()
+            .position(|(m, p)| *m == mode && p.program.source() == source)
+        {
+            let entry = builds.remove(hit);
+            let program = entry.1.clone();
+            builds.push(entry);
+            return Ok(program);
+        }
         let module = minicl::compile(source).map_err(|e| ClError::BuildFailure(e.to_string()))?;
-        let transformed = transform_module(&module, self.mode())
-            .map_err(|e| ClError::BuildFailure(e.to_string()))?;
-        let program = Program::from_module(transformed.module, source)?;
-        Ok(ProxyProgram {
-            program,
+        let transformed =
+            transform_module(&module, mode).map_err(|e| ClError::BuildFailure(e.to_string()))?;
+        let program = ProxyProgram {
+            program: Program::from_module(transformed.module, source)?,
             infos: transformed.kernels,
-        })
+        };
+        if builds.len() >= BUILD_CACHE_SIZE {
+            builds.remove(0);
+        }
+        builds.push((mode, program.clone()));
+        Ok(program)
     }
 
     /// Intercepted single-kernel enqueue (fig. 6 case (b)).
@@ -556,7 +591,8 @@ impl ProxyCl {
         // across host threads; the accelcheck race analysis forces
         // launches it cannot prove race-free onto the sequential path
         // (bit-identical results either way). The verdicts are served
-        // from the program's `ModuleFacts`, computed once per process.
+        // from the program's `ModuleFacts`, which every build of the same
+        // source and mode shares through the build cache.
         let mut interp = Interpreter::with_facts(kernel.module(), kernel.facts());
         interp.set_exec_tier(kernel_ir::ExecTier::from_env());
         interp

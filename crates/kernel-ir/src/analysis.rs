@@ -16,10 +16,8 @@
 use crate::ir::{Function, Inst, Module, Op, Terminator, ValueId};
 use crate::types::AddressSpace;
 use crate::verify::{operands, successors};
-use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::hash::{BuildHasher, Hash, Hasher};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Per-block liveness sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,13 +249,14 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
 /// ([`crate::races::lockstep_report`]), computed on the kernel's first
 /// query and kept for the life of the facts.
 ///
-/// The interpreter gate, the `clrt` queue and `ProxyCl` all read the same
-/// facts. [`ModuleFacts::compute`] runs no analysis: it hashes the module
-/// and returns the shared facts of every equal module built in this
-/// process, so a runtime that rebuilds the same program per tenant
-/// analyses each kernel once. The facts hold no copy of the module; each
-/// query passes it in. They are `Send + Sync`, so the scoped worker
-/// threads of the parallel interpreter share them.
+/// The interpreter gate, the `clrt` queue and `ProxyCl` all read the
+/// facts a program carries. [`ModuleFacts::new`] runs no analysis. A
+/// runtime that rebuilds the same program per tenant analyses each kernel
+/// once because it shares the built program: `ProxyCl::build_program`
+/// keeps the last 64 programs it built, keyed by source text and JIT mode.
+/// The facts hold no copy of the module; each query passes it in. They are
+/// `Send + Sync`, so the scoped worker threads of the parallel interpreter
+/// share them.
 #[derive(Debug)]
 pub struct ModuleFacts {
     /// Per kernel of the module, by name (most modules have one).
@@ -273,65 +272,17 @@ struct KernelFacts {
     lockstep: OnceLock<Option<crate::races::LockstepReport>>,
 }
 
-/// Modules whose facts [`ModuleFacts::compute`] keeps, least recently
-/// used first out.
-const MEMO_SIZE: usize = 64;
-
-/// Every instruction span of a module and of its contracts' original
-/// kernels. `Inst`'s `Hash` leaves spans out, but race reports carry them,
-/// so two sources that differ only in layout must not share facts.
-struct Spans<'a>(&'a Module);
-
-impl Hash for Spans<'_> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for f in &self.0.functions {
-            for b in &f.blocks {
-                for i in &b.insts {
-                    i.span.hash(state);
-                }
-            }
-        }
-        for c in self.0.dequeue.values() {
-            Spans(&c.original).hash(state);
-        }
-    }
-}
-
 impl ModuleFacts {
-    /// The facts of `module`, shared by every equal module (spans
-    /// included) while it stays among the last 64 modules asked for in
-    /// this process. The key is a 128-bit hash of the module under
-    /// two per-process random keys: a copy of each module would cost as
-    /// much memory as the programs themselves.
-    pub fn compute(module: &Module) -> Arc<ModuleFacts> {
-        type Memo = Vec<(u128, Arc<ModuleFacts>)>;
-        static MEMO: Mutex<Memo> = Mutex::new(Vec::new());
-        static KEYS: OnceLock<[RandomState; 2]> = OnceLock::new();
-        let key = KEYS
-            .get_or_init(Default::default)
-            .iter()
-            .fold(0u128, |acc, keys| {
-                acc << 64 | u128::from(keys.hash_one((module, Spans(module))))
-            });
-        let mut memo = MEMO.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = memo.iter().position(|(k, _)| *k == key) {
-            let entry = memo.remove(hit);
-            let facts = Arc::clone(&entry.1);
-            memo.push(entry);
-            return facts;
-        }
-        let facts = Arc::new(ModuleFacts {
+    /// Empty facts for the kernels of `module`: each answer is computed
+    /// on its first query.
+    pub fn new(module: &Module) -> ModuleFacts {
+        ModuleFacts {
             kernels: module
                 .kernel_names()
                 .into_iter()
                 .map(|name| (name.to_string(), KernelFacts::default()))
                 .collect(),
-        });
-        if memo.len() >= MEMO_SIZE {
-            memo.remove(0);
         }
-        memo.push((key, Arc::clone(&facts)));
-        facts
     }
 
     /// The report gating cross-group parallel execution of kernel `name`
@@ -508,7 +459,7 @@ mod tests {
     #[test]
     fn module_facts_match_uncached_analyses() {
         let (_, m) = simple_kernel();
-        let facts = ModuleFacts::compute(&m);
+        let facts = ModuleFacts::new(&m);
         for name in m.kernel_names() {
             let (cached, contract) = facts.gate_report(&m, name).expect("report");
             let (fresh, _) = crate::races::gate_report(&m, name).unwrap();
@@ -530,85 +481,21 @@ mod tests {
         assert_send_sync::<ModuleFacts>();
     }
 
-    /// A one-kernel module under a name no other test uses, so the
-    /// process-wide memo entry is this test's alone.
-    fn named_kernel(name: &str) -> Module {
-        let mut b = FunctionBuilder::new(name, FunctionKind::Kernel, Type::Void);
-        let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::F32));
-        let gid = b.work_item(WiBuiltin::GlobalId, 0);
-        let p = b.gep(out, gid);
-        let v = b.load(p);
-        b.store(p, v);
-        b.ret(None);
-        let mut m = Module::new();
-        m.insert_function(b.finish());
-        m
-    }
-
-    /// Held by the tests that fill the memo or need an entry to survive.
-    static MEMO_TESTS: Mutex<()> = Mutex::new(());
-
-    fn analysed(facts: &ModuleFacts) -> bool {
-        facts
-            .kernels
-            .iter()
-            .any(|(_, k)| k.gate.get().is_some() || k.lockstep.get().is_some())
-    }
-
     #[test]
     fn facts_analyse_each_kernel_once_on_first_query() {
-        let _serial = MEMO_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let m = named_kernel("facts_once");
-        let facts = ModuleFacts::compute(&m);
-        assert!(!analysed(&facts), "compute must run no race analysis");
-        let report: *const _ = facts.gate_report(&m, "facts_once").unwrap().0;
-        let proof: *const _ = facts.lockstep_report(&m, "facts_once").unwrap();
-        // An equal module (a second build) gets the same facts, whose
-        // answers are the ones already computed.
-        let again = ModuleFacts::compute(&m.clone());
-        assert!(Arc::ptr_eq(&facts, &again));
-        assert!(analysed(&again));
-        assert!(std::ptr::eq(
-            again.gate_report(&m, "facts_once").unwrap().0,
-            report
-        ));
-        assert!(std::ptr::eq(
-            again.lockstep_report(&m, "facts_once").unwrap(),
-            proof
-        ));
-    }
-
-    #[test]
-    fn evicted_facts_recompute_the_same_verdicts() {
-        let _serial = MEMO_TESTS.lock().unwrap_or_else(|e| e.into_inner());
-        let m = named_kernel("facts_evicted");
-        let first = ModuleFacts::compute(&m);
-        let verdict = first
-            .gate_report(&m, "facts_evicted")
-            .unwrap()
-            .0
-            .verdict
-            .clone();
-        for i in 0..MEMO_SIZE {
-            ModuleFacts::compute(&named_kernel(&format!("facts_filler_{i}")));
-        }
-        let second = ModuleFacts::compute(&m);
-        assert!(
-            !Arc::ptr_eq(&first, &second),
-            "the first module was evicted"
-        );
-        assert!(!analysed(&second));
-        let (report, _) = second.gate_report(&m, "facts_evicted").unwrap();
-        assert_eq!(report.verdict, verdict);
-        assert_eq!(
-            second
-                .lockstep_report(&m, "facts_evicted")
-                .unwrap()
-                .refusal(),
-            first
-                .lockstep_report(&m, "facts_evicted")
-                .unwrap()
-                .refusal()
-        );
+        let (_, m) = simple_kernel();
+        let facts = ModuleFacts::new(&m);
+        let analysed = |f: &ModuleFacts| {
+            f.kernels
+                .iter()
+                .any(|(_, k)| k.gate.get().is_some() || k.lockstep.get().is_some())
+        };
+        assert!(!analysed(&facts), "construction must run no race analysis");
+        let report: *const _ = facts.gate_report(&m, "k").unwrap().0;
+        let proof: *const _ = facts.lockstep_report(&m, "k").unwrap();
+        assert!(analysed(&facts));
+        // Later queries return the answers already computed.
+        assert!(std::ptr::eq(facts.gate_report(&m, "k").unwrap().0, report));
+        assert!(std::ptr::eq(facts.lockstep_report(&m, "k").unwrap(), proof));
     }
 }

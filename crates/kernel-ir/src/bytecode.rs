@@ -128,8 +128,8 @@
 //!   failing one may have run part of the interval.
 //!
 //! The proof costs a few analysis passes, so each kernel's answer is kept
-//! in the process-wide accelcheck cache ([`crate::ModuleFacts`]) and
-//! computed once for every build of the same program. Measured on `perfbench` `tenants`
+//! in its program's accelcheck cache ([`crate::ModuleFacts`]), which
+//! `ProxyCl::build_program` shares among every build of the same source. Measured on `perfbench` `tenants`
 //! (seed 1, three alternated traced passes per side, release build, 2-vCPU
 //! x86 host): `interp.ns_per_insn` fell from 2.0–2.3 ns (items one at a
 //! time) to 1.10–1.18 ns, over the same 104,957,853 instructions. Over one

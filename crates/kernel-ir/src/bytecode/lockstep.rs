@@ -861,19 +861,36 @@ pub(super) fn run_group(
                 wg_insns += lanes;
                 let d = loc!(*dst);
                 let k = *dim as usize;
-                each_ok!(d.1 == 0, l => {
-                    let lid = [l % ls0, (l / ls0) % ls1, l / (ls0 * ls1)];
-                    let v = match builtin {
-                        WiBuiltin::GlobalId => group_id[k] * ndrange.local[k] + lid[k],
-                        WiBuiltin::LocalId => lid[k],
-                        WiBuiltin::GroupId => group_id[k],
-                        WiBuiltin::GlobalSize => ndrange.global[k],
-                        WiBuiltin::LocalSize => ndrange.local[k],
-                        WiBuiltin::NumGroups => ndrange.num_groups()[k],
-                        WiBuiltin::WorkDim => ndrange.work_dim as usize,
-                    };
-                    reg!(d, l) = Slot::int(v as i64);
-                });
+                match builtin {
+                    WiBuiltin::GlobalId | WiBuiltin::LocalId => {
+                        // Past dimension 2 this panics, as in item order.
+                        let size = ndrange.local[k];
+                        let base = match builtin {
+                            WiBuiltin::GlobalId => group_id[k] * size,
+                            _ => 0,
+                        };
+                        // Dimension `k` of the item's local id only.
+                        each_ok!(d.1 == 0, l => {
+                            let lid = match k {
+                                0 => l % ls0,
+                                1 => (l / ls0) % ls1,
+                                _ => l / (ls0 * ls1),
+                            };
+                            reg!(d, l) = Slot::int((base + lid) as i64);
+                        });
+                    }
+                    _ => {
+                        // The same for every item: read once.
+                        let v = Slot::int(match builtin {
+                            WiBuiltin::GroupId => group_id[k],
+                            WiBuiltin::GlobalSize => ndrange.global[k],
+                            WiBuiltin::LocalSize => ndrange.local[k],
+                            WiBuiltin::NumGroups => ndrange.num_groups()[k],
+                            _ => ndrange.work_dim as usize,
+                        } as i64);
+                        each_ok!(d.1 == 0, l => reg!(d, l) = v);
+                    }
+                }
             }
             VmInsn::AtomicRmw {
                 op,

@@ -28,7 +28,7 @@ use crate::ir::{
 };
 use crate::races::{KernelRaceReport, LaunchEnv};
 use crate::types::{AddressSpace, Type};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 /// Identifier of a device global-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -1045,9 +1045,9 @@ pub struct Interpreter<'m> {
     pub(crate) config: InterpConfig,
     /// Facts passed in by [`with_facts`](Self::with_facts).
     given_facts: Option<&'m ModuleFacts>,
-    /// Otherwise the memo's facts for `module`, fetched on the first gate
-    /// query.
-    memo_facts: OnceLock<Arc<ModuleFacts>>,
+    /// Otherwise this interpreter's own facts for `module`, made on the
+    /// first gate query.
+    own_facts: OnceLock<ModuleFacts>,
     pub(crate) tier: crate::bytecode::ExecTier,
 }
 
@@ -1057,15 +1057,16 @@ impl<'m> Interpreter<'m> {
         Self::with_config(module, InterpConfig::default())
     }
 
-    /// Interpreter with an explicit configuration. Its gates read the
-    /// process-wide facts of `module` ([`ModuleFacts::compute`]), fetched
-    /// on the first query.
+    /// Interpreter with an explicit configuration. Its gates read facts
+    /// of `module` ([`ModuleFacts`]) that this interpreter makes on the
+    /// first query and keeps: each kernel is analysed once per
+    /// interpreter. [`with_facts`](Self::with_facts) shares a program's.
     pub fn with_config(module: &'m Module, config: InterpConfig) -> Self {
         Interpreter {
             module,
             config,
             given_facts: None,
-            memo_facts: OnceLock::new(),
+            own_facts: OnceLock::new(),
             tier: crate::bytecode::ExecTier::BytecodeOpt,
         }
     }
@@ -1084,9 +1085,7 @@ impl<'m> Interpreter<'m> {
     fn facts(&self) -> &ModuleFacts {
         match self.given_facts {
             Some(facts) => facts,
-            None => self
-                .memo_facts
-                .get_or_init(|| ModuleFacts::compute(self.module)),
+            None => self.own_facts.get_or_init(|| ModuleFacts::new(self.module)),
         }
     }
 

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identifier of a virtual register within one function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ValueId(pub u32);
 
 impl ValueId {
@@ -28,7 +28,7 @@ impl fmt::Display for ValueId {
 }
 
 /// Identifier of a basic block within one function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -45,7 +45,7 @@ impl fmt::Display for BlockId {
 }
 
 /// Integer/float binary operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum BinOp {
     /// Addition.
     Add,
@@ -102,7 +102,7 @@ impl BinOp {
 }
 
 /// Unary operations, including the transcendental math builtins of OpenCL C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum UnOp {
     /// Arithmetic negation.
     Neg,
@@ -145,7 +145,7 @@ impl UnOp {
 }
 
 /// Comparison predicates. Result type is always [`Type::Bool`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CmpOp {
     /// Equality.
     Eq,
@@ -180,7 +180,7 @@ impl CmpOp {
 /// These are the functions the accelOS JIT replaces with runtime-library
 /// equivalents (paper §6.2 step 3); keeping them as first-class ops makes the
 /// replacement pass a simple instruction rewrite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WiBuiltin {
     /// `get_global_id(dim)`.
     GlobalId,
@@ -225,7 +225,7 @@ impl WiBuiltin {
 }
 
 /// Atomic read-modify-write operations on global or local memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AtomicOp {
     /// Fetch-and-add, returns the old value.
     Add,
@@ -267,20 +267,6 @@ pub enum ConstVal {
     F64(f64),
 }
 
-/// Floats hash by their bits: equal literals hash alike.
-impl std::hash::Hash for ConstVal {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        std::mem::discriminant(self).hash(state);
-        match *self {
-            ConstVal::Bool(b) => b.hash(state),
-            ConstVal::I32(x) => x.hash(state),
-            ConstVal::I64(x) => x.hash(state),
-            ConstVal::F32(x) => x.to_bits().hash(state),
-            ConstVal::F64(x) => x.to_bits().hash(state),
-        }
-    }
-}
-
 impl ConstVal {
     /// The IR type of the literal.
     pub fn ty(&self) -> Type {
@@ -307,7 +293,7 @@ impl fmt::Display for ConstVal {
 }
 
 /// A non-terminator instruction operation.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Op {
     /// Materialise a constant.
     Const(ConstVal),
@@ -420,16 +406,8 @@ impl PartialEq for Inst {
     }
 }
 
-/// Consistent with equality: the span is left out.
-impl std::hash::Hash for Inst {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        self.result.hash(state);
-        self.op.hash(state);
-    }
-}
-
 /// Block terminators.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Terminator {
     /// Unconditional branch.
     Br(BlockId),
@@ -460,7 +438,7 @@ impl Terminator {
 }
 
 /// A basic block: straight-line instructions plus one terminator.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     /// Instructions in execution order.
     pub insts: Vec<Inst>,
@@ -485,7 +463,7 @@ impl Default for Block {
 }
 
 /// Whether a function is an entry-point kernel or a helper device function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FunctionKind {
     /// `kernel void` entry point launched over an NDRange.
     Kernel,
@@ -494,7 +472,7 @@ pub enum FunctionKind {
 }
 
 /// A formal parameter.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Param {
     /// Source-level name (for diagnostics and printing).
     pub name: String,
@@ -505,7 +483,7 @@ pub struct Param {
 /// A function: parameters, typed value table, and a CFG of basic blocks.
 ///
 /// Block 0 is the entry block. Parameters occupy value ids `0..params.len()`.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Function {
     /// Unique name within the module.
     pub name: String,
@@ -564,7 +542,7 @@ impl Function {
 /// one, and makes workers independent whenever the *original* kernel's
 /// virtual groups are. Only a contract that [`DequeueContract::holds_in`]
 /// the scheduling kernel counts; anything else runs the loop as written.
-#[derive(Debug, Clone, PartialEq, Hash)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DequeueContract {
     /// Block of the dequeue `atomic_add` in the scheduling kernel.
     pub block: BlockId,
@@ -648,7 +626,7 @@ impl DequeueContract {
 }
 
 /// A module: an ordered set of uniquely named functions.
-#[derive(Debug, Clone, Default, PartialEq, Hash)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Module {
     /// Functions in definition order.
     pub functions: Vec<Function>,

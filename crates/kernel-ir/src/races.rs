@@ -778,7 +778,7 @@ pub struct Site {
     offset: Option<Affine>,
     /// Conditions that hold whenever the access runs, in set order. A
     /// slice rather than a set: `ModuleFacts` keeps reports for the life
-    /// of the process, and a set node has room for eleven.
+    /// of the program, and a set node has room for eleven.
     guards: Box<[CondVal]>,
     /// For a call's pointer argument, which stands for the callee's
     /// accesses through it at an unknown offset: whether the callee
@@ -2782,7 +2782,7 @@ fn inlined<'m>(module: &'m Module, name: &str) -> Result<std::borrow::Cow<'m, Mo
 ///
 /// The proof costs a few analysis passes, more than one launch of a small
 /// kernel saves by it; [`crate::ModuleFacts`] keeps each kernel's proof
-/// for every build of the same program in a process.
+/// for the life of the program.
 pub fn lockstep_report(module: &Module, name: &str) -> Option<LockstepReport> {
     let kernel = module.function(name)?;
     if kernel.kind != FunctionKind::Kernel {

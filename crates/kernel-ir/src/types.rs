@@ -19,7 +19,7 @@ use std::fmt;
 /// assert_ne!(AddressSpace::Global, AddressSpace::Local);
 /// assert_eq!(AddressSpace::Global.to_string(), "global");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AddressSpace {
     /// Device global memory, visible to all work items of all work groups.
     Global,
@@ -54,7 +54,7 @@ impl fmt::Display for AddressSpace {
 /// assert_eq!(p.pointee(), Some(&Type::F32));
 /// assert_eq!(Type::I64.byte_size(), 8);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Type {
     /// No value; only valid as a function return type.
     Void,

@@ -59,11 +59,27 @@ use kernel_ir::ir::Module;
 ///
 /// # Errors
 ///
-/// Returns a [`CompileError`] on lexical, syntactic or type errors, on
+/// Returns a [`CompileError`] on a source longer than
+/// [`MAX_SOURCE_BYTES`], on lexical, syntactic or type errors, on
 /// nesting deeper than [`parser::MAX_NESTING`] levels, and an internal
 /// error if the produced IR fails verification (which would be a bug in
 /// the front end, not in the input).
 pub fn compile(src: &str) -> Result<Module, CompileError> {
+    if src.len() > MAX_SOURCE_BYTES {
+        let before = &src.as_bytes()[..MAX_SOURCE_BYTES];
+        let line_start = before
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |i| i + 1);
+        let pos = token::Pos {
+            line: 1 + before.iter().filter(|&&b| b == b'\n').count() as u32,
+            col: 1 + (MAX_SOURCE_BYTES - line_start) as u32,
+        };
+        return Err(CompileError::at(
+            pos,
+            format!("source longer than {MAX_SOURCE_BYTES} bytes"),
+        ));
+    }
     match parser::parse_within(src, INLINE_NESTING)? {
         Ok(prog) => lower_and_verify(&prog),
         // Parsing and lowering recurse once per level: a deeper source is
@@ -80,6 +96,12 @@ pub fn compile(src: &str) -> Result<Module, CompileError> {
         }),
     }
 }
+
+/// Longest source the front end accepts, in bytes. A tenant's source is
+/// compiled, and kept by the runtime's build cache, in full; beyond this
+/// length it is rejected at the first byte past the cap. The 25 bundled
+/// Parboil sources together are about 17 KB.
+pub const MAX_SOURCE_BYTES: usize = 1 << 20;
 
 /// Nesting compiled on the calling thread: deeper than any bundled
 /// kernel, shallow enough for a small thread stack.
@@ -152,6 +174,17 @@ mod tests {
             assert_eq!(err.pos.line, 1, "{err}");
             assert!(err.pos.col > 1, "{err}");
         }
+    }
+
+    #[test]
+    fn source_length_cap_reports_the_first_byte_past_it() {
+        let kernel = "kernel void k(global int* o) {\n o[0] = 1; }\n";
+        let at_cap = format!("{kernel}{}", " ".repeat(MAX_SOURCE_BYTES - kernel.len()));
+        assert!(compile(&at_cap).is_ok());
+        let err = compile(&format!("{at_cap} ")).unwrap_err();
+        let col = (MAX_SOURCE_BYTES - kernel.len() + 1) as u32;
+        assert_eq!(err.pos, token::Pos { line: 3, col });
+        assert!(err.message.contains("source longer than"), "{err}");
     }
 
     #[test]

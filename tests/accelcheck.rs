@@ -16,25 +16,29 @@
 //! 3. **Golden lint report** — the `repro lint` report over the Parboil set
 //!    is pinned byte-for-byte (regenerate deliberately with
 //!    `BLESS=1 cargo test --test accelcheck`).
-//! 4. **The facts cache** — `ModuleFacts` answers equal fresh analyses on
-//!    every Parboil module, untransformed and JIT-transformed; equal
-//!    builds share one cache entry, and changed or re-laid-out sources do
-//!    not.
+//! 4. **The facts and the build cache** — `ModuleFacts` answers equal
+//!    fresh analyses on every Parboil module, untransformed and
+//!    JIT-transformed. `ProxyCl::build_program`'s cache, keyed by source
+//!    text and JIT mode, gives equal builds one module and one set of
+//!    facts; changed or re-laid-out sources and the other mode get entries
+//!    of their own, and an evicted build recomputes the same verdicts.
 //! 5. **Golden gate answers** — every verdict and per-launch answer the
 //!    runtime reads (sharding and lockstep) over the Parboil kernels,
 //!    untransformed and under JIT tenant launches, and over the generated
 //!    patterns, pinned in `tests/golden/accelcheck_gates.txt`.
 
+use accelos::chunk::{chunk_for, Mode};
+use accelos::proxycl::{ProxyCl, ProxyProgram};
 use clrt::{Context, Platform, Program};
 use kernel_ir::interp::{ArgValue, DeviceMemory, Interpreter, NdRange, Value};
 use kernel_ir::ir::{BlockId, CmpOp, WiBuiltin};
-use kernel_ir::races::analyze_kernel;
+use kernel_ir::races::{analyze_kernel, KernelRaceReport, LockstepReport};
 use kernel_ir::testgen::{build_kernel, Pattern, PATTERNS};
 use kernel_ir::{AddressSpace, FunctionBuilder, FunctionKind, ParallelSafety, Type};
 use parboil::datasets::prepare_launch;
 use parboil::KernelSpec;
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// One differential run: static verdict + launch gate vs the dynamic
 /// oracle vs bit-level comparison of the bytecode tier, sequential and
@@ -514,7 +518,7 @@ fn parboil_lockstep_verdicts_are_pinned() {
 /// launch, and gives the same eligibility answers over a grid of
 /// launches; the cached within-group proof prints the same as a fresh one.
 fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module) {
-    let facts = kernel_ir::ModuleFacts::compute(module);
+    let facts = kernel_ir::ModuleFacts::new(module);
     for name in module.kernel_names() {
         let ctx = format!("`{what}`: `{name}`");
         let (cached, contract) = facts.gate_report(module, name).expect("gate report");
@@ -587,21 +591,144 @@ fn module_facts_match_uncached_analyses() {
     }
 }
 
+/// Held by the tests that fill the build cache or need an entry to
+/// survive.
+static BUILD_CACHE_TESTS: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    BUILD_CACHE_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn proxy_build(mode: Mode, source: &str) -> ProxyProgram {
+    ProxyCl::new(&Platform::test_tiny(), mode)
+        .build_program(source)
+        .expect("builds")
+}
+
+/// The cached gate report of `kernel` and its within-group proof.
+fn answers(program: &Program, kernel: &str) -> (*const KernelRaceReport, *const LockstepReport) {
+    let (module, facts) = (program.module(), program.facts());
+    (
+        facts.gate_report(module, kernel).expect("report").0,
+        facts.lockstep_report(module, kernel).expect("proof"),
+    )
+}
+
 #[test]
 fn identical_builds_share_one_facts_entry() {
+    let _serial = serial();
     const SRC: &str = "kernel void facts_share(global float* o) { o[get_global_id(0)] = 1.0f; }";
-    let first = Program::build(SRC).expect("builds");
-    let second = Program::build(SRC).expect("builds");
-    assert!(Arc::ptr_eq(first.facts(), second.facts()));
-    // One more instruction: a barrier at the top of the kernel.
-    let mut changed = (**first.module()).clone();
-    let body = &mut changed.functions[0].blocks[0].insts;
-    body.insert(
-        0,
-        kernel_ir::ir::Inst::new(None, kernel_ir::ir::Op::Barrier),
+    // Two runtimes, one build: the second shares the first's module and
+    // facts, whose answers are the ones already computed.
+    let first = proxy_build(Mode::Optimized, SRC);
+    let computed = answers(first.program(), "facts_share");
+    let second = proxy_build(Mode::Optimized, SRC);
+    assert!(Arc::ptr_eq(
+        first.program().module(),
+        second.program().module()
+    ));
+    assert!(Arc::ptr_eq(
+        first.program().facts(),
+        second.program().facts()
+    ));
+    assert_eq!(answers(second.program(), "facts_share"), computed);
+    // A changed source is a build of its own.
+    let changed = proxy_build(Mode::Optimized, &SRC.replace("1.0f", "2.0f"));
+    assert!(!Arc::ptr_eq(
+        first.program().facts(),
+        changed.program().facts()
+    ));
+    // `clrt` builds are fresh, each with its own facts.
+    let a = Program::build(SRC).expect("builds");
+    let b = Program::build(SRC).expect("builds");
+    assert!(!Arc::ptr_eq(a.facts(), b.facts()));
+}
+
+#[test]
+fn naive_and_optimized_builds_get_separate_entries() {
+    let _serial = serial();
+    const SRC: &str = "kernel void cache_modes(global float* o) { o[get_global_id(0)] = 1.0f; }";
+    let naive = proxy_build(Mode::Naive, SRC);
+    let optimized = proxy_build(Mode::Optimized, SRC);
+    assert!(!Arc::ptr_eq(
+        naive.program().facts(),
+        optimized.program().facts()
+    ));
+    let chunk = |p: &ProxyProgram| p.info("cache_modes").expect("info").chunk;
+    let insns = optimized.info("cache_modes").expect("info").original_insns;
+    assert_eq!(chunk(&naive), 1);
+    assert_eq!(chunk(&optimized), chunk_for(insns, Mode::Optimized));
+    assert!(chunk(&optimized) > 1);
+    // Each mode hits its own entry.
+    for (mode, built) in [(Mode::Naive, &naive), (Mode::Optimized, &optimized)] {
+        let again = proxy_build(mode, SRC);
+        assert!(Arc::ptr_eq(
+            built.program().module(),
+            again.program().module()
+        ));
+        assert_eq!(chunk(&again), chunk(built));
+    }
+}
+
+#[test]
+fn whitespace_changes_keep_their_own_spans() {
+    let _serial = serial();
+    // A scalar stride: the store is re-checked per launch, so the cached
+    // report keeps its site.
+    let one_line =
+        "kernel void facts_spans(global float* o, int s) { o[get_global_id(0) * s] = 1.0f; }";
+    let spread =
+        "kernel void facts_spans(global float* o, int s) {\n\n    o[get_global_id(0) * s] = 1.0f;\n}";
+    let a = proxy_build(Mode::Optimized, one_line);
+    let b = proxy_build(Mode::Optimized, spread);
+    // Equal as modules (`Inst` equality ignores spans) ...
+    assert_eq!(**a.program().module(), **b.program().module());
+    // ... but each keeps the spans of its own source.
+    assert!(!Arc::ptr_eq(a.program().facts(), b.program().facts()));
+    let spans = |p: &ProxyProgram| -> Vec<Option<(u32, u32)>> {
+        let (module, facts) = (p.program().module(), p.program().facts());
+        let (report, contract) = facts.gate_report(module, "facts_spans").expect("report");
+        assert!(contract.is_some(), "the report is the original kernel's");
+        let (fresh, _) = kernel_ir::races::gate_report(module, "facts_spans").expect("report");
+        let spans: Vec<_> = report.sites.iter().map(|s| s.span).collect();
+        assert_eq!(
+            spans,
+            fresh.sites.iter().map(|s| s.span).collect::<Vec<_>>()
+        );
+        spans
+    };
+    let (sa, sb) = (spans(&a), spans(&b));
+    assert!(!sa.is_empty() && sa.iter().all(Option::is_some), "{sa:?}");
+    assert_ne!(sa, sb);
+}
+
+#[test]
+fn evicted_facts_recompute_the_same_verdicts() {
+    let _serial = serial();
+    const SRC: &str = "kernel void facts_evicted(global float* o) { o[get_global_id(0)] = 1.0f; }";
+    let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+    let first = os.build_program(SRC).expect("builds");
+    let verdict = |p: &ProxyProgram| {
+        let (module, facts) = (p.program().module(), p.program().facts());
+        let (report, _) = facts.gate_report(module, "facts_evicted").expect("report");
+        let proof = facts
+            .lockstep_report(module, "facts_evicted")
+            .expect("proof");
+        (report.verdict.clone(), proof.refusal().map(str::to_string))
+    };
+    let before = verdict(&first);
+    for i in 0..64 {
+        os.build_program(&format!(
+            "kernel void facts_filler_{i}(global float* o) {{ o[get_global_id(0)] = {i}.0f; }}"
+        ))
+        .expect("builds");
+    }
+    let second = os.build_program(SRC).expect("builds");
+    assert!(
+        !Arc::ptr_eq(first.program().facts(), second.program().facts()),
+        "the first build was evicted"
     );
-    let changed = Program::from_module(changed, SRC).expect("wraps");
-    assert!(!Arc::ptr_eq(first.facts(), changed.facts()));
+    assert_eq!(verdict(&second), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -758,7 +885,7 @@ fn gate_answers_match_golden() {
     for pattern in PATTERNS {
         for c in [0, 1, 3] {
             let module = build_kernel(pattern, c);
-            let facts = kernel_ir::ModuleFacts::compute(&module);
+            let facts = kernel_ir::ModuleFacts::new(&module);
             let interp = Interpreter::with_facts(&module, &facts);
             let answers = kernel_answers(&module, &facts, "k");
             writeln!(out, "{pattern:?} c={c} {answers}").unwrap();
@@ -805,36 +932,4 @@ fn gate_answers_match_golden() {
         expected.lines().count(),
         "golden length"
     );
-}
-
-#[test]
-fn whitespace_changes_keep_their_own_spans() {
-    // A scalar stride: the store is re-checked per launch, so the cached
-    // report keeps its site.
-    let one_line =
-        "kernel void facts_spans(global float* o, int s) { o[get_global_id(0) * s] = 1.0f; }";
-    let spread =
-        "kernel void facts_spans(global float* o, int s) {\n\n    o[get_global_id(0) * s] = 1.0f;\n}";
-    let a = Program::build(one_line).expect("builds");
-    let b = Program::build(spread).expect("builds");
-    // Equal as modules (`Inst` equality and hashing ignore spans) ...
-    assert_eq!(**a.module(), **b.module());
-    // ... but each keeps the spans of its own source.
-    assert!(!Arc::ptr_eq(a.facts(), b.facts()));
-    let spans = |p: &Program| -> Vec<Option<(u32, u32)>> {
-        let (report, _) = p
-            .facts()
-            .gate_report(p.module(), "facts_spans")
-            .expect("report");
-        let fresh = analyze_kernel(p.module(), "facts_spans").expect("report");
-        let spans: Vec<_> = report.sites.iter().map(|s| s.span).collect();
-        assert_eq!(
-            spans,
-            fresh.sites.iter().map(|s| s.span).collect::<Vec<_>>()
-        );
-        spans
-    };
-    let (sa, sb) = (spans(&a), spans(&b));
-    assert!(!sa.is_empty() && sa.iter().all(Option::is_some), "{sa:?}");
-    assert_ne!(sa, sb);
 }

@@ -5,7 +5,7 @@
 
 use accelos::chunk::Mode;
 use accelos::proxycl::{PendingExec, ProxyCl};
-use clrt::{Arg, Platform};
+use clrt::{Arg, ClError, Platform, Program};
 use kernel_ir::interp::NdRange;
 use kernel_ir::Value;
 
@@ -144,4 +144,28 @@ fn harness_runs_are_reproducible() {
         assert_eq!(a.shared, b.shared, "{}", policy.name());
         assert_eq!(a.total_time, b.total_time, "{}", policy.name());
     }
+}
+
+/// The front end's source-length cap holds on both build paths: a source
+/// of exactly `minicl::MAX_SOURCE_BYTES` builds, one byte more is a build
+/// failure.
+#[test]
+fn sources_past_the_length_cap_fail_to_build() {
+    let kernel = "kernel void capped(global int* o) { o[get_global_id(0)] = 1; }\n";
+    let at_cap = format!(
+        "{kernel}{}",
+        " ".repeat(minicl::MAX_SOURCE_BYTES - kernel.len())
+    );
+    let over = format!("{at_cap} ");
+    let mut os = ProxyCl::new(&Platform::test_tiny(), Mode::Optimized);
+    assert!(Program::build(&at_cap).is_ok());
+    assert!(os.build_program(&at_cap).is_ok());
+    assert!(matches!(
+        Program::build(&over),
+        Err(ClError::BuildFailure(_))
+    ));
+    assert!(matches!(
+        os.build_program(&over),
+        Err(ClError::BuildFailure(_))
+    ));
 }
