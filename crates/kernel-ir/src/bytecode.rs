@@ -16,8 +16,9 @@
 //!    exactly one bytecode instruction of *weight* 1; terminators lower to
 //!    explicit `Jump`/`Branch`/`Ret` instructions of weight 0. Loads carry
 //!    their pre-resolved result type and size, geps their pointee stride,
-//!    calls their resolved callee index, and static local allocas their
-//!    pre-planned arena offset — the per-dispatch lookups the tree-walker
+//!    calls their resolved callee index, static local allocas their
+//!    pre-planned arena offset and private allocas their offset in the
+//!    function's private frame — the per-dispatch lookups the tree-walker
 //!    pays on every execution. Every register's scalar kind is resolved
 //!    from the function's value types.
 //! 2. **Optimization** (`optimize`) — a
@@ -39,12 +40,12 @@
 //!    becomes `alloca.slot`: its value lives in the alloca's own register,
 //!    `load.slot`/`store.slot` copy it, and each execution of the alloca
 //!    re-zeroes it (fresh zeroed memory on every execution, loops
-//!    included). The alloca still grows the private arena by the same
-//!    bytes, so every other allocation's offset and every `OutOfBounds`
-//!    size is unchanged, and slot accesses still count `mem_ops` and
-//!    weight 1. A program that does pointer arithmetic on (or casts)
-//!    a private pointer anywhere promotes nothing: such a pointer could
-//!    stray into a cell's bytes.
+//!    included). The cell keeps its offset in the frame layout, so every
+//!    other allocation's offset and every `OutOfBounds` size is
+//!    unchanged, and slot accesses still count `mem_ops` and weight 1. A
+//!    program that does pointer arithmetic on (or casts) a private
+//!    pointer anywhere promotes nothing: such a pointer could stray into
+//!    a cell's bytes.
 //! 4. **Quickening** (`quicken`) — the optimized blocks become one
 //!    program-wide array of `VmInsn`s (24 bytes each): arithmetic,
 //!    comparisons and casts are specialised by operand kind, loads and
@@ -67,6 +68,17 @@
 //! with it). Quickening sizes every frame one past every register its
 //! instructions name, so the VM reads registers through a frame pointer
 //! without bounds checks.
+//!
+//! Private memory is automatic storage, laid out once per launch
+//! (`interp::PrivateFrames`, shared with the tree-walker): every private
+//! alloca site has a fixed offset in its function's frame. An item's
+//! arena starts as the kernel's zeroed frame; a call appends the callee's
+//! zeroed frame and its return truncates the arena back. `alloca.priv`
+//! re-zeroes its site's bytes and yields frame base + offset;
+//! `alloca.slot` only zeroes its register. So an item's private memory is
+//! the sum of the frames on its call stack, however often a loop
+//! allocates, and a call nested deeper than
+//! [`crate::interp::MAX_CALL_DEPTH`] fails on every tier.
 //!
 //! Measured on `perfbench` `tenants` (seed 1, three alternated traced
 //! passes per side, release build, 2-vCPU x86 host): the interpreter's cost per executed
@@ -172,8 +184,10 @@
 //! declared kind. Divide-by-zero and other value-dependent traps are never
 //! folded or eliminated. Out of the contract are private pointers that
 //! leave their work item through memory (dereferenced by another item, or
-//! reloaded through a pointer of another type), which is undefined in
-//! OpenCL C.
+//! reloaded through a pointer of another type) or outlive their call
+//! frame (a helper's variable whose address is used after the helper
+//! returns, where another frame's promoted cell may now sit), which is
+//! undefined in OpenCL C.
 
 use crate::error::InterpError;
 use crate::interp::{
@@ -181,8 +195,11 @@ use crate::interp::{
     eval_cast, eval_cmp, eval_un, flat_index, gep_offset, interp_size, run_groups_seq_sched,
     run_groups_stealing_sched, Arena, ArgValue, BufferId, DeviceMemory, DynStats, GlobalMem,
     Interpreter, LaunchSetup, NdRange, PtrVal, TicketCursor, Tickets, Value, WiCtx, WiStatus,
+    MAX_CALL_DEPTH,
 };
-use crate::ir::{AtomicOp, BinOp, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin};
+use crate::ir::{
+    AtomicOp, BinOp, BlockId, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin,
+};
 use crate::types::{AddressSpace, Type};
 
 mod lockstep;
@@ -282,10 +299,11 @@ pub(crate) enum BcInsn {
     Select { dst: u32, cond: u32, a: u32, b: u32 },
     /// `dst = cast<ty>(a)`.
     Cast { dst: u32, ty: Box<Type>, a: u32 },
-    /// Grow the work item's private arena by `bytes`; `dst` = old top.
-    AllocaPriv { dst: u32, bytes: usize },
-    /// A promoted private variable: grow the private arena by `bytes`
-    /// like `AllocaPriv`, and zero the variable's register `dst`.
+    /// The site's `bytes` at offset `off` of the function's private
+    /// frame: re-zero them; `dst` = frame base + `off`.
+    AllocaPriv { dst: u32, off: usize, bytes: usize },
+    /// A promoted private variable: zero its register `dst`. The site
+    /// keeps its `bytes` in the frame layout, unused.
     AllocaSlot { dst: u32, bytes: usize },
     /// Pre-planned static local-memory slot at `off`.
     AllocaLocal { dst: u32, off: usize },
@@ -449,6 +467,8 @@ pub(crate) struct BcFuncBody {
     /// Registers holding a pointer into memory the work items of a group
     /// share (global, constant or local).
     shared: Vec<bool>,
+    /// Size of the function's private frame in bytes.
+    private_bytes: usize,
     /// Blocks of instructions; `Jump`/`Branch` targets are block indices.
     blocks: Vec<Vec<BcInsn>>,
     /// Per-launch preamble: initial register file every frame of this
@@ -555,6 +575,7 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> BcModule {
                     Op::Alloca { elem, count, space } => match space {
                         AddressSpace::Private => BcInsn::AllocaPriv {
                             dst,
+                            off: setup.private.offset(func_idx, BlockId(bid as u32), ip),
                             bytes: interp_size(elem) * (*count as usize),
                         },
                         // Only the entry function has planned slots.
@@ -667,6 +688,7 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> BcModule {
                 .iter()
                 .map(|t| t.space().is_some_and(|s| s != AddressSpace::Private))
                 .collect(),
+            private_bytes: setup.private.frame_bytes(func_idx),
             blocks,
             template,
         });
@@ -790,7 +812,7 @@ fn fold_function(func: &mut BcFuncBody, ndrange: NdRange) {
                             byte_off: *off as i64,
                         }),
                     )),
-                    // AllocaPriv grows the private arena (a side effect);
+                    // AllocaPriv re-zeroes its bytes (a side effect);
                     // loads, stores, calls, atomics and barriers are never
                     // folded.
                     _ => None,
@@ -831,10 +853,10 @@ fn dce_function(func: &mut BcFuncBody) {
             for insn in block.iter_mut() {
                 let dead_dst = match insn {
                     // Pure and trap-free on well-typed IR. Div/Rem (divide
-                    // by zero), geps (offset overflow), AllocaPriv (arena
-                    // growth), memory ops, calls, atomics and barriers are
-                    // excluded; WorkItem with dim > 2 panics when
-                    // executed, so it stays.
+                    // by zero), geps (offset overflow), AllocaPriv (it
+                    // zeroes its bytes), memory ops, calls, atomics and
+                    // barriers are excluded; WorkItem with dim > 2 panics
+                    // when executed, so it stays.
                     BcInsn::Const { dst, .. }
                     | BcInsn::Select { dst, .. }
                     | BcInsn::Un { dst, .. }
@@ -921,7 +943,7 @@ fn promote_slots(func: &mut BcFuncBody) {
     }
     let mut promoted = vec![false; func.frame_regs];
     for insn in func.blocks.iter_mut().flatten() {
-        if let BcInsn::AllocaPriv { dst, bytes } = *insn {
+        if let BcInsn::AllocaPriv { dst, bytes, .. } = *insn {
             if matches!(access.get(dst as usize), Some(Access::Addr(k)) if k.size() == bytes) {
                 promoted[dst as usize] = true;
                 *insn = BcInsn::AllocaSlot { dst, bytes };
@@ -1228,11 +1250,11 @@ enum VmInsn {
     },
     AllocaPriv {
         dst: u32,
+        off: u32,
         bytes: u32,
     },
     AllocaSlot {
         dst: u32,
-        bytes: u32,
     },
     Load {
         kind: Kind,
@@ -1342,6 +1364,8 @@ enum VmInsn {
 #[derive(Debug)]
 struct VmFunc {
     entry_pc: u32,
+    /// Size of the function's private frame in bytes.
+    private_bytes: usize,
     /// The function's registers plus its sink register.
     template: Box<[Slot]>,
     /// First pc of each block.
@@ -1443,6 +1467,7 @@ pub(crate) fn quicken(bc: &BcModule) -> VmProgram {
         template.resize(sink as usize + 1, Slot::default());
         funcs.push(VmFunc {
             entry_pc,
+            private_bytes: func.private_bytes,
             template: template.into_boxed_slice(),
             block_pc: block_pc.into_boxed_slice(),
         });
@@ -1595,14 +1620,13 @@ fn quicken_one(
             },
             None => ill_typed("cast between incompatible kinds"),
         },
-        BcInsn::AllocaPriv { dst, bytes } => VmInsn::AllocaPriv {
+        // `PrivateFrames` keeps every frame within 32-bit offsets.
+        BcInsn::AllocaPriv { dst, off, bytes } => VmInsn::AllocaPriv {
             dst: reg(*dst),
+            off: *off as u32,
             bytes: *bytes as u32,
         },
-        BcInsn::AllocaSlot { dst, bytes } => VmInsn::AllocaSlot {
-            dst: *dst,
-            bytes: *bytes as u32,
-        },
+        BcInsn::AllocaSlot { dst, .. } => VmInsn::AllocaSlot { dst: *dst },
         BcInsn::AllocaLocal { dst, off } => VmInsn::Const {
             dst: reg(*dst),
             val: Slot::of(Value::Ptr(PtrVal {
@@ -1709,6 +1733,8 @@ struct VmFrame {
     base: u32,
     /// Caller register receiving the return value.
     ret_dst: u32,
+    /// Where the caller's private frame starts in the item's arena.
+    private_base: usize,
 }
 
 /// A work item's execution state (mirrors the tree-walker's `WorkItem`).
@@ -1722,12 +1748,16 @@ struct BcItem {
     saved: Vec<Slot>,
     /// Suspended callers, innermost last (empty in the kernel's frame).
     frames: Vec<VmFrame>,
+    /// The private frames of the kernel and of every active call (see
+    /// the tree-walker's `WorkItem`).
     private: Vec<u8>,
     status: WiStatus,
     steps: u64,
-    /// Where the item resumes after a barrier, and its frame's base.
+    /// Where the item resumes after a barrier, its frame's base and its
+    /// private frame's base.
     pc: u32,
     base: u32,
+    private_base: usize,
 }
 
 /// Reusable per-work-group VM state: the shared local arena, the work
@@ -1857,6 +1887,7 @@ fn run_bc_group(
                         steps: 0,
                         pc: 0,
                         base: 0,
+                        private_base: 0,
                     });
                 }
                 let item = &mut items[idx];
@@ -1864,11 +1895,13 @@ fn run_bc_group(
                 item.status = WiStatus::Running;
                 item.steps = 0;
                 item.private.clear();
+                item.private.resize(entry.private_bytes, 0);
                 item.frames.clear();
                 item.root.clear();
                 item.root.extend_from_slice(&entry.template);
                 item.pc = entry.entry_pc;
                 item.base = 0;
+                item.private_base = 0;
                 idx += 1;
             }
         }
@@ -1944,11 +1977,13 @@ fn run_bc_item(
         steps: saved_steps,
         pc: saved_pc,
         base: saved_base,
+        private_base: saved_private_base,
         ..
     } = item;
     let code = &prog.insns[..];
     let mut pc = *saved_pc as usize;
     let mut base = *saved_base as usize;
+    let mut private_base = *saved_private_base;
     let mut steps = *saved_steps;
     // Counters kept in registers and published when the item pauses or
     // finishes (an error discards the launch's statistics).
@@ -1989,6 +2024,7 @@ fn run_bc_item(
         () => {
             *saved_pc = pc as u32;
             *saved_base = base as u32;
+            *saved_private_base = private_base;
             *saved_steps = steps;
             *wg_insns += insns;
             stats.mem_ops += mem_ops;
@@ -2061,8 +2097,10 @@ fn run_bc_item(
                     return Ok(());
                 };
                 call_stack.truncate(base);
+                private.truncate(private_base);
                 pc = caller.ret_pc as usize;
                 base = caller.base as usize;
+                private_base = caller.private_base;
                 fp = frame_ptr!();
                 if let Some(v) = rv {
                     r!(caller.ret_dst) = v;
@@ -2120,18 +2158,17 @@ fn run_bc_item(
                 insns += 1;
                 r!(*dst) = conv.apply(r!(*a));
             }
-            VmInsn::AllocaPriv { dst, bytes } => {
+            VmInsn::AllocaPriv { dst, off, bytes } => {
                 insns += 1;
-                let off = private.len();
-                private.resize(off + *bytes as usize, 0);
+                let at = private_base + *off as usize;
+                private[at..at + *bytes as usize].fill(0);
                 r!(*dst) = Slot {
-                    bits: off as u64,
+                    bits: at as u64,
                     arena: ARENA_PRIVATE,
                 };
             }
-            VmInsn::AllocaSlot { dst, bytes } => {
+            VmInsn::AllocaSlot { dst } => {
                 insns += 1;
-                private.resize(private.len() + *bytes as usize, 0);
                 r!(*dst) = Slot::default();
             }
             VmInsn::Load { kind, dst, ptr } => {
@@ -2203,6 +2240,9 @@ fn run_bc_item(
             }
             VmInsn::Call { dst, site } => {
                 insns += 1;
+                if frames.len() == MAX_CALL_DEPTH {
+                    return Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH));
+                }
                 let CallSite { func, args } = &prog.calls[*site as usize];
                 let callee = &prog.funcs[*func as usize];
                 let callee_base = call_stack.len();
@@ -2220,7 +2260,10 @@ fn run_bc_item(
                     ret_pc: pc as u32,
                     base: base as u32,
                     ret_dst: *dst,
+                    private_base,
                 });
+                private_base = private.len();
+                private.resize(private_base + callee.private_bytes, 0);
                 pc = callee.entry_pc as usize;
                 base = callee_base;
                 fp = frame_ptr!();
@@ -2446,7 +2489,7 @@ pub(crate) fn disassemble(bc: &BcModule) -> String {
                     BcInsn::Cast { dst, ty, a } => {
                         format!("{} = cast {ty}, {}", fmt_reg(*dst), fmt_reg(*a))
                     }
-                    BcInsn::AllocaPriv { dst, bytes } => {
+                    BcInsn::AllocaPriv { dst, bytes, .. } => {
                         format!("{} = alloca.priv {bytes}", fmt_reg(*dst))
                     }
                     BcInsn::AllocaSlot { dst, bytes } => {
@@ -3030,7 +3073,8 @@ mod tests {
         // every iteration reads zero, as in the tree-walker. A variable
         // allocated after the loop stays in memory (its pointer is stored
         // to `cells`), and that stored pointer shows it at the same arena
-        // offset as in the tree-walker: after 3 + 2 promoted cells.
+        // offset as in the tree-walker: its site's slot after the three
+        // promoted cells' slots, however often the loop ran.
         let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
         let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
         let pi32 = Type::ptr(AddressSpace::Private, Type::I32);
@@ -3093,7 +3137,78 @@ mod tests {
         assert_eq!(vm_mem.read_i32(buf), vec![21; 4]);
         let cell = &vm_mem.bytes(cell_buf)[..16];
         assert_eq!(cell[0], 2, "a private pointer");
-        assert_eq!(i64::from_le_bytes(cell[8..].try_into().unwrap()), 20);
+        assert_eq!(i64::from_le_bytes(cell[8..].try_into().unwrap()), 12);
+    }
+
+    #[test]
+    fn lockstep_caps_the_call_depth_like_item_order() {
+        // `f(d) = d <= 0 ? 0 : f(d - 1) + d`, recursive, run in lockstep
+        // although the within-group proof refuses recursion: `d` is the
+        // same for every item, so the group never splits. The deepest
+        // legal nesting succeeds, one more call fails as in item order.
+        let mut f = FunctionBuilder::new("f", FunctionKind::Helper, Type::I32);
+        let d = f.add_param("d", Type::I32);
+        let zero = f.const_i32(0);
+        let done = f.cmp(CmpOp::Le, d, zero);
+        let (base, step) = (f.new_block(), f.new_block());
+        f.cond_br(done, base, step);
+        f.switch_to(base);
+        f.ret(Some(zero));
+        f.switch_to(step);
+        let one = f.const_i32(1);
+        let d1 = f.bin(BinOp::Sub, d, one);
+        let inner = f.call("f", vec![d1], Type::I32).unwrap();
+        let sum = f.bin(BinOp::Add, inner, d);
+        f.ret(Some(sum));
+        let mut k = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+        let out = k.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
+        let d = k.add_param("d", Type::I32);
+        let v = k.call("f", vec![d], Type::I32).unwrap();
+        let gid = k.work_item(WiBuiltin::GlobalId, 0);
+        let at = k.gep(out, gid);
+        k.store(at, v);
+        k.ret(None);
+        let m = module_of(vec![k.finish(), f.finish()]);
+
+        let nd = NdRange::new_1d(4, 2);
+        let deepest = MAX_CALL_DEPTH as i32 - 1;
+        for d in [deepest, deepest + 1] {
+            let mut mem = DeviceMemory::new();
+            let buf = mem.alloc(16);
+            let args = [ArgValue::Buffer(buf), ArgValue::Scalar(Value::I32(d))];
+            let interp = Interpreter::new(&m);
+            let mut tree_mem = mem.clone();
+            let tree = interp.run_kernel(&mut tree_mem, "k", nd, &args);
+            let setup = interp.plan(&mem, "k", nd, &args).unwrap();
+            let mut bc = lower(&m, &setup);
+            optimize(&mut bc, nd);
+            let prog = quicken(&bc);
+            let ls = lockstep::compile(&bc, &prog, nd.wg_size()).unwrap();
+            let mut ls_mem = mem.clone();
+            let gmem = GlobalMem::new(&mut ls_mem);
+            let (limit, local) = (interp.config.step_limit, setup.local_bytes);
+            let got = run_groups_seq_sched(nd, |gid, scratch: &mut BcScratch, stats| {
+                run_bc_group(
+                    &prog,
+                    Some(&ls),
+                    &gmem,
+                    limit,
+                    nd,
+                    local,
+                    None,
+                    gid,
+                    scratch,
+                    stats,
+                )
+            });
+            assert_eq!(got, tree, "d = {d}");
+            if d == deepest {
+                assert_eq!(ls_mem, tree_mem);
+                assert_eq!(tree_mem.read_i32(buf), vec![deepest * (deepest + 1) / 2; 4]);
+            } else {
+                assert_eq!(tree, Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH)));
+            }
+        }
     }
 
     #[test]

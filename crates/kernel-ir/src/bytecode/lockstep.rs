@@ -9,7 +9,7 @@ use super::{
 use crate::error::InterpError;
 use crate::interp::{
     apply_atomic, bin_f32, bin_f64, bin_i32, bin_i64, eval_un, DynStats, GlobalMem, NdRange,
-    TicketCursor,
+    TicketCursor, MAX_CALL_DEPTH,
 };
 use crate::ir::{BinOp, WiBuiltin};
 use crate::races::{divergent_regions, immediate_postdominators};
@@ -193,14 +193,16 @@ struct Entry {
 }
 
 /// A call frame: its function, first register, the mask-stack height
-/// below its own entries, and the caller register the call result goes
-/// to.
+/// below its own entries, the caller register the call result goes to,
+/// and where its private frame starts in each of its items' arenas (the
+/// same for all of them: they made the same calls).
 #[derive(Clone, Copy)]
 struct Frame {
     func: u32,
     base: u32,
     depth: u32,
     ret_dst: u32,
+    private_base: usize,
 }
 
 /// Reusable lockstep state of one work group.
@@ -263,6 +265,7 @@ pub(super) fn run_group(
         base: 0,
         depth: 0,
         ret_dst: NO_REG,
+        private_base: 0,
     });
     stack.clear();
     parked.clear();
@@ -273,7 +276,10 @@ pub(super) fn run_group(
     steps.clear();
     steps.resize(n, 0);
     private.resize_with(n.max(private.len()), Vec::new);
-    private.iter_mut().for_each(Vec::clear);
+    for p in &mut private[..n] {
+        p.clear();
+        p.resize(prog.funcs[0].private_bytes, 0);
+    }
     finished.clear();
     finished.resize(n, false);
 
@@ -464,6 +470,11 @@ pub(super) fn run_group(
                         }
                         frames.pop();
                         regs.truncate(frame.base as usize);
+                        // Release the callee's private frame (a no-op for
+                        // items that did not make the call).
+                        for p in &mut private[..n] {
+                            p.truncate(frame.private_base);
+                        }
                         let caller = frames.last().expect("a caller frame");
                         table = &ls.funcs[caller.func as usize].regs;
                         // SAFETY: the caller's frame lies inside `regs`.
@@ -714,28 +725,26 @@ pub(super) fn run_group(
                         | Conv::F32ToI32 | Conv::F32ToI64 | Conv::F32ToF64 | Conv::F64ToI32
                         | Conv::F64ToI64 | Conv::F64ToF32);
             }
-            VmInsn::AllocaPriv { dst, bytes } => {
+            VmInsn::AllocaPriv { dst, off, bytes } => {
                 tick!(1);
                 wg_insns += lanes;
                 let d = loc!(*dst);
+                let at = frames.last().expect("a frame").private_base + *off as usize;
+                let end = at + *bytes as usize;
+                let ptr = Slot {
+                    bits: at as u64,
+                    arena: ARENA_PRIVATE,
+                };
                 each_ok!(false, l => {
-                    let at = private[l].len();
-                    private[l].resize(at + *bytes as usize, 0);
-                    reg!(d, l) = Slot {
-                        bits: at as u64,
-                        arena: ARENA_PRIVATE,
-                    };
+                    private[l][at..end].fill(0);
+                    reg!(d, l) = ptr;
                 });
             }
-            VmInsn::AllocaSlot { dst, bytes } => {
+            VmInsn::AllocaSlot { dst } => {
                 tick!(1);
                 wg_insns += lanes;
                 let d = loc!(*dst);
-                each_ok!(false, l => {
-                    let at = private[l].len();
-                    private[l].resize(at + *bytes as usize, 0);
-                    reg!(d, l) = Slot::default();
-                });
+                each_ok!(d.1 == 0, l => reg!(d, l) = Slot::default());
             }
             VmInsn::Load { kind, dst, ptr } => {
                 tick!(1);
@@ -819,6 +828,11 @@ pub(super) fn run_group(
             VmInsn::Call { dst, site } => {
                 tick!(1);
                 wg_insns += lanes;
+                // The kernel's frame is not a call.
+                if frames.len() > MAX_CALL_DEPTH {
+                    fail!(0, InterpError::CallDepthExceeded(MAX_CALL_DEPTH));
+                    continue;
+                }
                 let CallSite { func, args } = &prog.calls[*site as usize];
                 let callee = &ls.funcs[*func as usize];
                 // The callers resume after the call once the callee's last
@@ -845,11 +859,16 @@ pub(super) fn run_group(
                         }
                     }
                 }
+                let private_base =
+                    caller.private_base + prog.funcs[caller.func as usize].private_bytes;
+                let private_end = private_base + prog.funcs[*func as usize].private_bytes;
+                each_ok!(false, l => private[l].resize(private_end, 0));
                 frames.push(Frame {
                     func: *func,
                     base: base as u32,
                     depth: stack.len() as u32,
                     ret_dst: *dst,
+                    private_base,
                 });
                 table = &callee.regs;
                 fp = callee_fp;

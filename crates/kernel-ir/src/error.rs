@@ -65,6 +65,9 @@ pub enum InterpError {
     /// The work item executed more than the configured instruction budget
     /// (runaway loop guard).
     StepLimitExceeded(u64),
+    /// A call would nest more calls than this limit
+    /// ([`crate::interp::MAX_CALL_DEPTH`]).
+    CallDepthExceeded(usize),
     /// Any other dynamic violation (bad cast, call of a kernel, ...).
     Invalid(String),
 }
@@ -84,6 +87,9 @@ impl fmt::Display for InterpError {
             InterpError::BarrierDivergence(m) => write!(f, "barrier divergence: {m}"),
             InterpError::StepLimitExceeded(n) => {
                 write!(f, "work item exceeded the step limit of {n} instructions")
+            }
+            InterpError::CallDepthExceeded(n) => {
+                write!(f, "work item exceeded the call depth of {n}")
             }
             InterpError::Invalid(m) => write!(f, "invalid operation: {m}"),
         }

@@ -245,6 +245,13 @@ impl Value {
 /// largest canonical launch has 6,144 groups.
 pub const MAX_GROUPS: usize = 1 << 20;
 
+/// Most calls one work item may have active at once. OpenCL C forbids
+/// recursion, and no Parboil kernel nests deeper than the JIT's one call
+/// of the original body; a deeper call fails with
+/// [`InterpError::CallDepthExceeded`] on every tier, so that a recursive
+/// kernel cannot stack frames until the step limit.
+pub const MAX_CALL_DEPTH: usize = 256;
+
 /// Kernel launch geometry (OpenCL NDRange).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NdRange {
@@ -781,6 +788,8 @@ struct Frame {
     regs: Vec<Option<Value>>,
     /// Register in the *caller* frame to receive our return value.
     ret_dst: Option<ValueId>,
+    /// Where this frame's private memory starts in the item's arena.
+    private_base: usize,
 }
 
 #[derive(Debug, PartialEq, Eq, Clone, Copy)]
@@ -790,6 +799,11 @@ pub(crate) enum WiStatus {
     Done,
 }
 
+/// One work item's state: its call frames and its private arena. The
+/// arena holds the private frame of every function on the call stack,
+/// the kernel's first: a call appends the callee's zeroed frame and its
+/// return truncates the arena back ([`PrivateFrames`]), so the arena's
+/// size depends only on the call stack, never on how often an alloca ran.
 struct WorkItem {
     ctx: WiCtx,
     frames: Vec<Frame>,
@@ -837,7 +851,76 @@ pub(crate) struct LaunchSetup<'m> {
     pub(crate) arg_plan: Vec<ArgPlan>,
     pub(crate) static_local: Vec<(BlockId, usize, usize)>,
     pub(crate) local_bytes: usize,
+    pub(crate) private: PrivateFrames,
     pub(crate) tickets: Option<Tickets>,
+}
+
+/// Private memory as automatic storage: every private `alloca` site of
+/// the module has a fixed byte offset in its function's private frame
+/// (sizes from `interp_size`). A call pushes the callee's zeroed frame
+/// onto the work item's private arena and its return truncates the arena
+/// back; an alloca re-zeroes its own bytes and points at them. One layout
+/// per launch, read by the tree-walker and by the bytecode lowering.
+pub(crate) struct PrivateFrames {
+    /// Per function: `(block, ip, offset)` of each private alloca, in
+    /// instruction order.
+    sites: Vec<Vec<(BlockId, usize, u32)>>,
+    /// Per function: its frame's size in bytes.
+    bytes: Vec<u32>,
+}
+
+impl PrivateFrames {
+    /// Lay out every function of `module`; an error when a frame would
+    /// not fit 32-bit offsets.
+    fn new(module: &Module) -> Result<PrivateFrames, InterpError> {
+        let mut sites = Vec::with_capacity(module.functions.len());
+        let mut bytes = Vec::with_capacity(module.functions.len());
+        for func in &module.functions {
+            let mut own = Vec::new();
+            let mut top = 0u32;
+            for (bid, block) in func.iter_blocks() {
+                for (ip, inst) in block.insts.iter().enumerate() {
+                    if let Op::Alloca {
+                        elem,
+                        count,
+                        space: AddressSpace::Private,
+                    } = &inst.op
+                    {
+                        own.push((bid, ip, top));
+                        let size = interp_size(elem) as u64 * *count as u64;
+                        top = u32::try_from(top as u64 + size).map_err(|_| {
+                            InterpError::Invalid(format!(
+                                "function `{}` needs more than {} bytes of private memory",
+                                func.name,
+                                u32::MAX
+                            ))
+                        })?;
+                    }
+                }
+            }
+            sites.push(own);
+            bytes.push(top);
+        }
+        Ok(PrivateFrames { sites, bytes })
+    }
+
+    /// Offset of the private alloca at `(block, ip)` in function `func`'s
+    /// frame.
+    pub(crate) fn offset(&self, func: usize, block: BlockId, ip: usize) -> usize {
+        let sites = &self.sites[func];
+        let k = sites.partition_point(|&(b, i, _)| (b, i) < (block, ip));
+        debug_assert_eq!(
+            (sites[k].0, sites[k].1),
+            (block, ip),
+            "not a private alloca"
+        );
+        sites[k].2 as usize
+    }
+
+    /// Size in bytes of function `func`'s private frame.
+    pub(crate) fn frame_bytes(&self, func: usize) -> usize {
+        self.bytes[func] as usize
+    }
 }
 
 /// The round-robin dequeue order of a launch admitted under a
@@ -1356,6 +1439,7 @@ impl<'m> Interpreter<'m> {
             arg_plan,
             static_local,
             local_bytes,
+            private: PrivateFrames::new(self.module)?,
             tickets: None,
         })
     }
@@ -1398,9 +1482,11 @@ impl<'m> Interpreter<'m> {
             func,
             arg_plan,
             local_bytes,
+            private,
             tickets,
             ..
         } = setup;
+        let entry_frame = private.frame_bytes(*func_idx);
         let mut cursor = tickets.map(|t| t.worker(flat_index(ndrange.num_groups(), group_id)));
         let WgScratch { local, items, pool } = scratch;
         // Zero the shared arena (resize-from-empty reuses the allocation).
@@ -1433,6 +1519,7 @@ impl<'m> Interpreter<'m> {
                         ip: 0,
                         regs,
                         ret_dst: None,
+                        private_base: 0,
                     };
                     match items.get_mut(idx) {
                         Some(item) => {
@@ -1441,6 +1528,7 @@ impl<'m> Interpreter<'m> {
                             item.status = WiStatus::Running;
                             item.steps = 0;
                             item.private.clear();
+                            item.private.resize(entry_frame, 0);
                             while let Some(f) = item.frames.pop() {
                                 pool.put(f.regs);
                             }
@@ -1449,7 +1537,7 @@ impl<'m> Interpreter<'m> {
                         None => items.push(WorkItem {
                             ctx,
                             frames: vec![root],
-                            private: Vec::new(),
+                            private: vec![0; entry_frame],
                             status: WiStatus::Running,
                             steps: 0,
                         }),
@@ -1551,6 +1639,7 @@ impl<'m> Interpreter<'m> {
                         };
                         let ret_dst = frame.ret_dst;
                         if let Some(f) = item.frames.pop() {
+                            item.private.truncate(f.private_base);
                             pool.put(f.regs);
                         }
                         if let (Some(dst), Some(val)) = (ret_dst, rv) {
@@ -1621,8 +1710,12 @@ impl<'m> Interpreter<'m> {
                     let bytes = interp_size(elem) * (*count as usize);
                     let ptr = match space {
                         AddressSpace::Private => {
-                            let off = item.private.len();
-                            item.private.resize(off + bytes, 0);
+                            // The site's fixed slot in this frame, zeroed
+                            // afresh on every execution.
+                            let frame = item.frames.last().unwrap();
+                            let off =
+                                frame.private_base + setup.private.offset(here.0, here.1, here.2);
+                            item.private[off..off + bytes].fill(0);
                             PtrVal {
                                 arena: Arena::Private,
                                 byte_off: off as i64,
@@ -1709,17 +1802,25 @@ impl<'m> Interpreter<'m> {
                         .enumerate()
                         .find(|(_, f)| f.name == *callee)
                         .ok_or_else(|| InterpError::UnknownFunction(callee.clone()))?;
+                    // The kernel's frame is not a call.
+                    if item.frames.len() > MAX_CALL_DEPTH {
+                        return Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH));
+                    }
                     let frame = item.frames.last().unwrap();
                     let mut regs = pool.take(callee_fn.value_types.len());
                     for (i, a) in args.iter().enumerate() {
                         regs[i] = Some(get_reg(frame, *a)?);
                     }
+                    let private_base = item.private.len();
+                    item.private
+                        .resize(private_base + setup.private.frame_bytes(callee_idx), 0);
                     item.frames.push(Frame {
                         func_idx: callee_idx,
                         block: BlockId(0),
                         ip: 0,
                         regs,
                         ret_dst: inst.result,
+                        private_base,
                     });
                 }
                 Op::WorkItem { builtin, dim } => {

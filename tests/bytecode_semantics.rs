@@ -16,9 +16,12 @@
 //! variables are promoted to registers; trap parity (each construct the
 //! verifier rejects lowers to a trap that fails only when reached, with
 //! the tree-walker's error); an overflowing gep, an error on both
-//! tiers and through `ProxyCl`; and lockstep groups running with every
+//! tiers and through `ProxyCl`; lockstep groups running with every
 //! item active (a failing division at a middle item, the step limit in
-//! straight-line code, a full group again after a split reconverges).
+//! straight-line code, a full group again after a split reconverges);
+//! and private memory as automatic storage (one slot per alloca site in
+//! its function's frame, frames released on return, a fresh zero on
+//! every execution) with the call-depth cap.
 
 use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange, Value};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
@@ -967,4 +970,222 @@ fn overflowing_gep_is_an_error_on_every_tier() {
         "{err:?}"
     );
     assert_eq!(os.context_mut().read_i32(buf).unwrap(), vec![0; 64]);
+}
+
+// ---------------------------------------------------------------------------
+// Private memory as automatic storage, and the call-depth cap
+// ---------------------------------------------------------------------------
+
+/// Run `module`'s kernel `k` on the tree-walker and on the VM at 1 and 3
+/// threads, after checking whether the VM runs the launch in lockstep
+/// (`lockstep`); the results must agree, and the memory too when the
+/// launch succeeds. The tree-walker's result and memory.
+fn agreed_run(
+    module: &kernel_ir::ir::Module,
+    mem: &DeviceMemory,
+    nd: NdRange,
+    args: &[ArgValue],
+    lockstep: bool,
+) -> Run {
+    let interp = Interpreter::new(module);
+    assert_eq!(interp.lockstep_eligible_in(mem, "k", nd, args), lockstep);
+    let mut tree_mem = mem.clone();
+    let tree = interp.run_kernel(&mut tree_mem, "k", nd, args);
+    for threads in [1, 3] {
+        let mut vm_mem = mem.clone();
+        let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, args, threads);
+        assert_eq!(vm, tree, "x{threads}");
+        if tree.is_ok() {
+            assert_eq!(vm_mem, tree_mem, "x{threads}");
+        }
+    }
+    (tree, tree_mem)
+}
+
+/// The private arena's size in an out-of-bounds error.
+fn private_arena_size(result: &Result<DynStats, InterpError>) -> usize {
+    match result {
+        Err(InterpError::OutOfBounds { what, size, .. }) if what == "private memory" => *size,
+        other => panic!("expected a private out-of-bounds access, got {other:?}"),
+    }
+}
+
+#[test]
+fn loop_body_variables_keep_one_slot_per_site() {
+    // `x` is allocated on every iteration, but it has one slot in the
+    // kernel's frame: `t[n]` reports the frame (`a` 16 bytes, then `n`,
+    // `j`, `x` and `t` 4 each) as the arena at every trip count. The
+    // first kernel runs one item; the second, indexed by item (`i` adds
+    // 8 bytes), four in one lockstep group.
+    let one = "kernel void k(global int* a, int n) {
+        for (int j = 0; j < n; ++j) { int x = j; a[0] = x; }
+        int t[1];
+        a[1] = t[n];
+    }";
+    let four = "kernel void k(global int* a, int n) {
+        size_t i = get_global_id(0);
+        for (int j = 0; j < n; ++j) { int x = j; a[i] = x; }
+        int t[1];
+        a[i] = t[n];
+    }";
+    for (src, items, frame) in [(one, 1, 32), (four, 4, 40)] {
+        let module = minicl::compile(src).expect("compile");
+        for n in [10, 1_000, 100_000] {
+            let mut mem = DeviceMemory::new();
+            let a = mem.alloc(4 * 4);
+            let args = [ArgValue::Buffer(a), ArgValue::Scalar(Value::I32(n))];
+            let nd = NdRange::new_1d(items, items);
+            let (got, _) = agreed_run(&module, &mem, nd, &args, true);
+            assert_eq!(private_arena_size(&got), frame, "{items} items, n = {n}");
+        }
+    }
+}
+
+#[test]
+fn helper_frames_are_released_on_return() {
+    // Each call of `h` pushes its frame (`v`, then `t[8]`) and its return
+    // releases it, so after 1 or 1,000 calls the kernel's out-of-bounds
+    // probe sees only the kernel's frame (`a` 16 bytes, `i` 8, and `n`,
+    // `s`, `j`, `p` 4 each) and fails the same way. Every item storing
+    // its own id to `a[0]` keeps the launch out of lockstep, so the VM
+    // runs it in item order.
+    for (race, lockstep) in [("", true), ("a[0] = (int)i;", false)] {
+        let src = format!(
+            "int h(int v) {{
+                int t[8];
+                t[v & 7] = v;
+                return t[(v + 1) & 7] + t[v & 7];
+            }}
+            kernel void k(global int* a, int n) {{
+                size_t i = get_global_id(0);
+                int s = 0;
+                for (int j = 0; j < n; ++j) {{ s = s + h(j + (int)i); }}
+                {race}
+                int p[1];
+                a[i] = s + p[64];
+            }}"
+        );
+        let module = minicl::compile(&src).expect("compile");
+        let [once, often] = [1, 1_000].map(|n| {
+            let mut mem = DeviceMemory::new();
+            let a = mem.alloc(4 * 8);
+            let args = [ArgValue::Buffer(a), ArgValue::Scalar(Value::I32(n))];
+            let nd = NdRange::new_1d(8, 4);
+            let (got, _) = agreed_run(&module, &mem, nd, &args, lockstep);
+            assert_eq!(private_arena_size(&got), 40, "n = {n}");
+            got
+        });
+        assert_eq!(once, often);
+    }
+}
+
+#[test]
+fn address_taken_loop_variable_is_fresh_each_iteration() {
+    // `x` is allocated in the loop body and its address goes to `bump`,
+    // so it stays in private memory (`alloca.priv`) while `s` and `j` are
+    // promoted to registers. Each iteration reads it as zero before the
+    // call, and `bump` makes it `j + 1`: `s = s · 10 + stale + x`. Run in
+    // lockstep, and in item order once every item also stores to `out[0]`.
+    for race in [false, true] {
+        let module = address_taken_kernel(race);
+        let mut mem = DeviceMemory::new();
+        let out_buf = mem.alloc(4 * 8);
+        let args = [ArgValue::Buffer(out_buf), ArgValue::Scalar(Value::I32(4))];
+        let nd = NdRange::new_1d(8, 4);
+        let text = Interpreter::new(&module)
+            .disassemble_kernel(&mem, "k", nd, &args)
+            .expect("lowers");
+        let optimized = &text[text.find("== optimized ==").expect("optimized section")..];
+        assert_eq!(optimized.matches("alloca.priv").count(), 1, "{optimized}");
+        assert_eq!(optimized.matches("alloca.slot").count(), 2, "{optimized}");
+        let (got, out) = agreed_run(&module, &mem, nd, &args, !race);
+        got.expect("runs");
+        assert_eq!(out.read_i32(out_buf), vec![1234; 8]);
+    }
+}
+
+/// The kernel of `address_taken_loop_variable_is_fresh_each_iteration`;
+/// with `race`, every item also stores its total to `out[0]` first.
+fn address_taken_kernel(race: bool) -> kernel_ir::ir::Module {
+    use kernel_ir::builder::FunctionBuilder;
+    use kernel_ir::ir::{BinOp, CmpOp, FunctionKind, Module, WiBuiltin};
+    use kernel_ir::types::{AddressSpace, Type};
+
+    let pi32 = Type::ptr(AddressSpace::Private, Type::I32);
+    let mut h = FunctionBuilder::new("bump", FunctionKind::Helper, Type::Void);
+    let p = h.add_param("p", pi32);
+    let v = h.add_param("v", Type::I32);
+    let old = h.load(p);
+    let new = h.bin(BinOp::Add, old, v);
+    h.store(p, new);
+    h.ret(None);
+
+    let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+    let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
+    let n = b.add_param("n", Type::I32);
+    let s = b.alloca(Type::I32, 1, AddressSpace::Private);
+    let j = b.alloca(Type::I32, 1, AddressSpace::Private);
+    let zero = b.const_i32(0);
+    b.store(s, zero);
+    b.store(j, zero);
+    let (header, body, exit) = (b.new_block(), b.new_block(), b.new_block());
+    b.br(header);
+    b.switch_to(header);
+    let jv = b.load(j);
+    let more = b.cmp(CmpOp::Lt, jv, n);
+    b.cond_br(more, body, exit);
+    b.switch_to(body);
+    let x = b.alloca(Type::I32, 1, AddressSpace::Private);
+    let stale = b.load(x);
+    let one = b.const_i32(1);
+    let j1 = b.bin(BinOp::Add, jv, one);
+    b.call("bump", vec![x, j1], Type::Void);
+    let xv = b.load(x);
+    let sv = b.load(s);
+    let ten = b.const_i32(10);
+    let s10 = b.bin(BinOp::Mul, sv, ten);
+    let s1 = b.bin(BinOp::Add, s10, stale);
+    let s2 = b.bin(BinOp::Add, s1, xv);
+    b.store(s, s2);
+    b.store(j, j1);
+    b.br(header);
+    b.switch_to(exit);
+    let gid = b.work_item(WiBuiltin::GlobalId, 0);
+    let total = b.load(s);
+    if race {
+        b.store(out, total);
+    }
+    let at = b.gep(out, gid);
+    b.store(at, total);
+    b.ret(None);
+    let mut module = Module::new();
+    module.insert_function(b.finish());
+    module.insert_function(h.finish());
+    kernel_ir::verify::verify_module(&module).expect("verifies");
+    module
+}
+
+#[test]
+fn calls_nest_at_most_max_call_depth_deep() {
+    // OpenCL C forbids recursion. A recursive kernel runs until its calls
+    // nest `MAX_CALL_DEPTH` deep; the next call fails with the same error
+    // on both tiers. The within-group proof refuses recursion, so the
+    // lockstep side of the cap is a unit test in `kernel_ir::bytecode`.
+    use kernel_ir::interp::MAX_CALL_DEPTH;
+    let src = "int f(int d) { int x = d; if (d <= 0) { return 0; } return f(d - 1) + x; }
+    kernel void k(global int* a, int d) { a[get_global_id(0)] = f(d); }";
+    let module = minicl::compile(src).expect("compile");
+    let deepest = MAX_CALL_DEPTH as i32 - 1;
+    for d in [10, deepest, deepest + 1, 100_000] {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * 4);
+        let args = [ArgValue::Buffer(a), ArgValue::Scalar(Value::I32(d))];
+        let (got, out) = agreed_run(&module, &mem, NdRange::new_1d(4, 2), &args, false);
+        if d <= deepest {
+            assert!(got.is_ok(), "d = {d}: {got:?}");
+            assert_eq!(out.read_i32(a), vec![d * (d + 1) / 2; 4], "d = {d}");
+        } else {
+            assert_eq!(got, Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH)));
+        }
+    }
 }
