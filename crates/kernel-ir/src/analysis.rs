@@ -14,10 +14,11 @@
 //!   function or anything it calls has an instruction of some kind.
 
 use crate::ir::{Function, Inst, Module, Op, Terminator, ValueId};
+use crate::races::LaunchEnv;
 use crate::types::AddressSpace;
 use crate::verify::{operands, successors};
-use std::collections::{BTreeMap, BTreeSet, HashSet};
-use std::sync::OnceLock;
+use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Per-block liveness sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,7 +248,8 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
 /// The accelcheck cache: each kernel's gate report
 /// ([`crate::races::gate_report`]) and within-group proof
 /// ([`crate::races::lockstep_report`]), computed on the kernel's first
-/// query and kept for the life of the facts.
+/// query and kept for the life of the facts, and the two per-launch
+/// answers they give for the last [`LAUNCH_MEMO`] launch shapes.
 ///
 /// The interpreter gate, the `clrt` queue and `ProxyCl` all read the
 /// facts a program carries. [`ModuleFacts::new`] runs no analysis. A
@@ -263,6 +265,10 @@ pub struct ModuleFacts {
     kernels: Box<[(String, KernelFacts)]>,
 }
 
+/// Launch shapes whose answers each kernel's facts keep; the oldest is
+/// evicted first.
+pub const LAUNCH_MEMO: usize = 8;
+
 /// One kernel's answers, each computed on its first query.
 #[derive(Debug, Default)]
 struct KernelFacts {
@@ -270,6 +276,31 @@ struct KernelFacts {
     /// whether the kernel's dequeue contract holds.
     gate: OnceLock<Option<(crate::races::KernelRaceReport, bool)>>,
     lockstep: OnceLock<Option<crate::races::LockstepReport>>,
+    /// The per-launch answers of the last launch shapes, oldest first.
+    launches: Mutex<VecDeque<LaunchAnswers>>,
+}
+
+/// The sharding and lockstep answers for one launch, keyed by everything
+/// both `eligible_for_launch`s read: the complete [`LaunchEnv`].
+#[derive(Debug)]
+struct LaunchAnswers {
+    local: [usize; 3],
+    groups: [usize; 3],
+    work_dim: u32,
+    args: Box<[Option<i64>]>,
+    distinct_buffers: bool,
+    sharding: Option<bool>,
+    lockstep: Option<bool>,
+}
+
+impl LaunchAnswers {
+    fn is_for(&self, env: &LaunchEnv<'_>) -> bool {
+        self.local == env.local
+            && self.groups == env.groups
+            && self.work_dim == env.work_dim
+            && *self.args == *env.args
+            && self.distinct_buffers == env.distinct_buffers
+    }
 }
 
 impl ModuleFacts {
@@ -321,6 +352,89 @@ impl ModuleFacts {
             .lockstep
             .get_or_init(|| crate::races::lockstep_report(module, name))
             .as_ref()
+    }
+
+    /// Whether the launch `env` of kernel `name` may shard its groups
+    /// across threads: the gate report's
+    /// [`eligible_for_launch`](crate::races::KernelRaceReport::eligible_for_launch),
+    /// decided once per launch shape ([`LAUNCH_MEMO`]). False for an
+    /// unknown kernel.
+    pub fn sharding_for_launch(&self, module: &Module, name: &str, env: &LaunchEnv<'_>) -> bool {
+        self.launch_answer(
+            name,
+            env,
+            |a| &mut a.sharding,
+            || {
+                self.gate_report(module, name)
+                    .is_some_and(|(r, _)| r.eligible_for_launch(env))
+            },
+        )
+    }
+
+    /// Whether the launch `env` of kernel `name` may run each group's
+    /// items in lockstep: the within-group proof's
+    /// [`eligible_for_launch`](crate::races::LockstepReport::eligible_for_launch),
+    /// decided once per launch shape ([`LAUNCH_MEMO`]). False for an
+    /// unknown kernel.
+    pub fn lockstep_for_launch(&self, module: &Module, name: &str, env: &LaunchEnv<'_>) -> bool {
+        self.launch_answer(
+            name,
+            env,
+            |a| &mut a.lockstep,
+            || {
+                self.lockstep_report(module, name)
+                    .is_some_and(|r| r.eligible_for_launch(env))
+            },
+        )
+    }
+
+    /// The answer `slot` picks for `env`, from the memo or else computed
+    /// (outside the lock) and kept.
+    fn launch_answer(
+        &self,
+        name: &str,
+        env: &LaunchEnv<'_>,
+        slot: fn(&mut LaunchAnswers) -> &mut Option<bool>,
+        compute: impl FnOnce() -> bool,
+    ) -> bool {
+        let Some(kernel) = self.kernel(name) else {
+            return false;
+        };
+        let lock = || {
+            kernel
+                .launches
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+        };
+        if let Some(answer) = lock()
+            .iter_mut()
+            .find(|a| a.is_for(env))
+            .and_then(|a| *slot(a))
+        {
+            return answer;
+        }
+        let answer = compute();
+        let mut memo = lock();
+        let entry = match memo.iter().position(|a| a.is_for(env)) {
+            Some(i) => &mut memo[i],
+            None => {
+                if memo.len() == LAUNCH_MEMO {
+                    memo.pop_front();
+                }
+                memo.push_back(LaunchAnswers {
+                    local: env.local,
+                    groups: env.groups,
+                    work_dim: env.work_dim,
+                    args: env.args.into(),
+                    distinct_buffers: env.distinct_buffers,
+                    sharding: None,
+                    lockstep: None,
+                });
+                memo.back_mut().expect("just pushed")
+            }
+        };
+        *slot(entry) = Some(answer);
+        answer
     }
 
     fn kernel(&self, name: &str) -> Option<&KernelFacts> {
@@ -479,6 +593,53 @@ mod tests {
         // The cache must be shareable across scoped worker threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ModuleFacts>();
+    }
+
+    #[test]
+    fn launch_memo_keeps_its_bound_per_kernel() {
+        let (_, m) = simple_kernel();
+        let facts = ModuleFacts::new(&m);
+        let kept = |f: &ModuleFacts| f.kernel("k").unwrap().launches.lock().unwrap().len();
+        let (report, _) = facts.gate_report(&m, "k").unwrap();
+        let proof = facts.lockstep_report(&m, "k").unwrap();
+        for round in 0..2 {
+            for groups in 1..=3 * LAUNCH_MEMO {
+                let env = LaunchEnv {
+                    local: [4, 1, 1],
+                    groups: [groups, 1, 1],
+                    work_dim: 1,
+                    args: &[None],
+                    distinct_buffers: groups % 2 == 0,
+                };
+                assert_eq!(
+                    facts.sharding_for_launch(&m, "k", &env),
+                    report.eligible_for_launch(&env),
+                    "round {round}: {env:?}"
+                );
+                assert_eq!(
+                    facts.lockstep_for_launch(&m, "k", &env),
+                    proof.eligible_for_launch(&env),
+                    "round {round}: {env:?}"
+                );
+                assert!(kept(&facts) <= LAUNCH_MEMO);
+            }
+        }
+        assert_eq!(kept(&facts), LAUNCH_MEMO);
+        // Both answers of one launch share its entry.
+        let memo = facts.kernel("k").unwrap().launches.lock().unwrap();
+        assert!(memo
+            .iter()
+            .all(|a| a.sharding.is_some() && a.lockstep.is_some()));
+        drop(memo);
+        let unknown = LaunchEnv {
+            local: [4, 1, 1],
+            groups: [1, 1, 1],
+            work_dim: 1,
+            args: &[],
+            distinct_buffers: true,
+        };
+        assert!(!facts.sharding_for_launch(&m, "missing", &unknown));
+        assert!(!facts.lockstep_for_launch(&m, "missing", &unknown));
     }
 
     #[test]

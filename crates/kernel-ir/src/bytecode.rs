@@ -102,7 +102,10 @@
 //! cannot change memory, and lockstep is one more legal order. A used
 //! atomic result passes only where one item touches the bytes, as the
 //! JIT's master-only dequeue does; bfs and mri-gridding_reorder keep item
-//! order.
+//! order. Barrier loops over uniform counters (histo_prescan's halving
+//! stride, splitSort's `k` and `j` with its `lid ^ j` partner) pass by
+//! the launch-time evaluation, which runs every interval instance at the
+//! launch's concrete shape (see the `races` module docs).
 //!
 //! - **Registers** are struct-of-arrays: a varying register holds one slot
 //!   per item, a group-uniform one a single slot (`lockstep::compile`).
@@ -139,14 +142,18 @@
 //!   follows the sharded path's rule, within a group too: items after the
 //!   failing one may have run part of the interval.
 //!
-//! The proof costs a few analysis passes, so each kernel's answer is kept
+//! The proof costs a few analysis passes, so each kernel's proof is kept
 //! in its program's accelcheck cache ([`crate::ModuleFacts`]), which
-//! `ProxyCl::build_program` shares among every build of the same source. Measured on `perfbench` `tenants`
+//! `ProxyCl::build_program` shares among every build of the same source,
+//! and so is its answer for each of the last few launch shapes
+//! ([`crate::analysis::LAUNCH_MEMO`]): the per-launch check, the
+//! evaluation included, runs once per shape. Measured on `perfbench` `tenants`
 //! (seed 1, three alternated traced passes per side, release build, 2-vCPU
 //! x86 host): `interp.ns_per_insn` fell from 2.0–2.3 ns (items one at a
 //! time) to 1.10–1.18 ns, over the same 104,957,853 instructions. Over one
-//! scale-1 launch of each of the 25 JIT-transformed Parboil kernels, 19
-//! kernels and 92.5% of the executed instructions run in lockstep.
+//! scale-1 launch of each of the 25 JIT-transformed Parboil kernels, 22
+//! kernels and 98.85% of the executed instructions run in lockstep (19
+//! kernels and 92.5% before the launch-time evaluation).
 //! Measured the same way (six alternated pairs of traced passes), the
 //! full-mask loops took `interp.ns_per_insn` from 1.23–2.08 ns (median
 //! 1.82) to 0.93–1.63 ns (median 1.35), lower in every pair, over the

@@ -1050,12 +1050,15 @@ impl LaunchGate<'_> {
     /// follow at every thread count, one included. Launches the gate
     /// rejects take neither.
     pub(crate) fn sharding(&self) -> (bool, Option<Tickets>) {
-        let (Some((report, contract)), Some(env), Some((base, ..))) =
+        let (Some((_, contract)), Some(env), Some((base, ..))) =
             (self.report, self.env(), &self.range)
         else {
             return (false, None);
         };
-        if !report.eligible_for_launch(&env) {
+        if !self
+            .facts
+            .sharding_for_launch(self.module, self.kernel, &env)
+        {
             return (false, None);
         }
         let tickets = contract.map(|c| Tickets {
@@ -1073,8 +1076,7 @@ impl LaunchGate<'_> {
     pub(crate) fn lockstep(&self) -> bool {
         self.env().is_some_and(|env| {
             self.facts
-                .lockstep_report(self.module, self.kernel)
-                .is_some_and(|r| r.eligible_for_launch(&env))
+                .lockstep_for_launch(self.module, self.kernel, &env)
         })
     }
 }

@@ -53,6 +53,32 @@
 //!   uniform when its address is and no item writes its bytes within its
 //!   intervals (the JIT's broadcast of the master's dequeue), and a
 //!   private variable stored under a divergent branch is not.
+//! * **Launch-time evaluation** — a pair of sites the symbolic check
+//!   cannot settle for a launch (an offset over a uniform loop counter
+//!   the dataflow only knows as uniform, such as `lo[lid + stride]` with
+//!   a halving `stride`, or one that is not affine, such as `tile[lid ^
+//!   j]`) is decided by running every item of a group through the
+//!   function for that launch: the group shape, the group counts, the
+//!   integer scalars and the work-item ids are known, so is every private
+//!   scalar the item computes from them (loop counters included, so each
+//!   counter value is enumerated); a value read from shared memory is
+//!   unknown. A branch on an unknown value (splitSort's `up && a > b`)
+//!   may go either way: both sides run from the same state to the
+//!   branch's immediate postdominator, where their values join, so a
+//!   guard that does not evaluate counts as may-execute; a barrier
+//!   between, or a loop whose exit is unknown, refuses. Each item's byte
+//!   span through the pair's sites is recorded per *interval instance*
+//!   (the barriers it has passed), and a site whose address does not
+//!   evaluate, or that reaches past its `local` array, refuses. Two items
+//!   whose spans meet in one instance, one writing, refuse, unless both
+//!   store one value (a known integer, or by the value-axes rule above).
+//!   Group ids of dimensions with several groups start unknown, which
+//!   covers every group at once; if that fails after reading one, each
+//!   group is evaluated in turn. The work (instructions stepped, spans
+//!   compared) is bounded by `GROUP_EVAL_LIMIT` per launch, past which
+//!   the launch is refused. The evaluation only ever admits a launch the
+//!   symbolic check refused; `ModuleFacts` keeps its answer per launch
+//!   shape.
 //!
 //! The dynamic ground truth for all of this is the shadow-mode race oracle in
 //! [`crate::interp`] (`run_kernel_oracle`): proptests assert the static
@@ -65,7 +91,9 @@
 //! into the affine *step set* rather than losing them.
 
 use crate::analysis::{reaches, uses_barrier};
-use crate::interp::{flat_gid, interp_size};
+use crate::interp::{
+    eval_bin, eval_cast, eval_cmp, eval_un, flat_gid, gep_offset, interp_size, Value,
+};
 use crate::ir::{
     AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Inst,
     Module, Op, Terminator, UnOp, ValueId, WiBuiltin,
@@ -74,6 +102,7 @@ use crate::types::{AddressSpace, Type};
 use crate::verify::{operands, successors};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 /// Marker used as the parameter index of accesses whose base pointer could
 /// not be traced back to a kernel parameter.
@@ -936,7 +965,10 @@ pub struct KernelRaceReport {
 // ---------------------------------------------------------------------------
 
 type CellId = (u32, u32);
-type CellMap = BTreeMap<CellId, AbsVal>;
+/// Tracked cells' values, shared between the block states they flow
+/// through: a block's state is cloned per transfer, and a long inlined
+/// call chain keeps hundreds of cells live.
+type CellMap = BTreeMap<CellId, Rc<AbsVal>>;
 
 struct Analyzer<'a> {
     func: &'a Function,
@@ -945,6 +977,10 @@ struct Analyzer<'a> {
     used: Vec<bool>,
     aggressive: bool,
     changed: bool,
+    /// Transfers run so far, and per register the transfer that last
+    /// changed it: [`converge`] skips a block none of whose inputs moved.
+    clock: u64,
+    stamps: Vec<u64>,
     /// Loads the within-group proof showed group-uniform: a group-uniform
     /// address that no work item writes within the load's barrier
     /// intervals.
@@ -990,6 +1026,8 @@ impl<'a> Analyzer<'a> {
             used,
             aggressive: false,
             changed: false,
+            clock: 0,
+            stamps: vec![0; func.value_types.len()],
             stable_loads: BTreeSet::new(),
             demoted: BTreeSet::new(),
         }
@@ -1001,20 +1039,19 @@ impl<'a> Analyzer<'a> {
 
     fn set_reg(&mut self, v: ValueId, val: AbsVal) {
         let slot = &mut self.regs[v.index()];
-        let next = match slot.take() {
-            None => {
-                self.changed = true;
-                val
-            }
+        let next = match slot {
+            None => val,
             Some(old) => {
-                let j = join(&old, &val, self.aggressive);
-                if j != old {
-                    self.changed = true;
+                let j = join(old, &val, self.aggressive);
+                if j == *old {
+                    return;
                 }
                 j
             }
         };
         *slot = Some(next);
+        self.changed = true;
+        self.stamps[v.index()] = self.clock;
     }
 
     /// Transfer one block: update cells/regs; when `sites` is given, record
@@ -1084,7 +1121,9 @@ impl<'a> Analyzer<'a> {
                             || elem.is_ptr());
                     let cell = (bid as u32, iid as u32);
                     if tracked {
-                        cells.entry(cell).or_insert(AbsVal::Unknown);
+                        cells
+                            .entry(cell)
+                            .or_insert_with(|| Rc::new(AbsVal::Unknown));
                     }
                     AbsVal::Ptr(PtrVal {
                         base: PtrBase::Cell {
@@ -1113,7 +1152,7 @@ impl<'a> Analyzer<'a> {
                             if self.demoted.contains(&cell) {
                                 AbsVal::Unknown
                             } else {
-                                cells.get(&cell).cloned().unwrap_or(AbsVal::Unknown)
+                                cells.get(&cell).map_or(AbsVal::Unknown, |v| (**v).clone())
                             }
                         }
                         _ if self.stable_loads.contains(&(bid, iid)) => AbsVal::UnknownUniform,
@@ -1141,14 +1180,15 @@ impl<'a> Analyzer<'a> {
                                 == Some(true);
                             cells.insert(
                                 (block, cinst),
-                                if zero_off { vv } else { AbsVal::Unknown },
+                                Rc::new(if zero_off { vv } else { AbsVal::Unknown }),
                             );
                         }
                         AbsVal::Unknown => {
                             // A store through an untraceable pointer could hit
                             // anything, including tracked cells.
+                            let unknown = Rc::new(AbsVal::Unknown);
                             for v in cells.values_mut() {
-                                *v = AbsVal::Unknown;
+                                *v = unknown.clone();
                             }
                         }
                         _ => {}
@@ -1192,7 +1232,7 @@ impl<'a> Analyzer<'a> {
                         }) = &av
                         {
                             // The callee may store through the cell.
-                            cells.insert((*block, *cinst), AbsVal::Unknown);
+                            cells.insert((*block, *cinst), Rc::new(AbsVal::Unknown));
                         }
                     }
                     if all_uniform {
@@ -1409,10 +1449,11 @@ fn join_cells(into: &mut Option<CellMap>, from: &CellMap, aggressive: bool) -> b
                         cur.insert(*k, v.clone());
                         changed = true;
                     }
+                    Some(old) if Rc::ptr_eq(old, v) || old == v => {}
                     Some(old) => {
                         let j = join(old, v, aggressive);
-                        if &j != old {
-                            cur.insert(*k, j);
+                        if j != **old {
+                            cur.insert(*k, Rc::new(j));
                             changed = true;
                         }
                     }
@@ -2044,8 +2085,26 @@ fn converge(an: &mut Analyzer<'_>) -> Vec<Site> {
     let func = an.func;
     let n = func.blocks.len();
     let succs = successors(func);
+    let reads: Vec<Vec<usize>> = func
+        .blocks
+        .iter()
+        .map(|b| {
+            b.insts
+                .iter()
+                .flat_map(|i| operands(&i.op))
+                .map(|v| v.index())
+                .collect()
+        })
+        .collect();
     let mut block_in: Vec<Option<CellMap>> = vec![None; n];
     block_in[0] = Some(CellMap::new());
+    // Per block, the transfer that last ran it and the one that last
+    // changed its input cells. A block whose input cells and operand
+    // registers did not move since it last ran would repeat that transfer
+    // exactly, so it is skipped: the fixpoint and the number of rounds
+    // stay the same, but a round costs only the blocks that changed.
+    let mut ran: Vec<Option<u64>> = vec![None; n];
+    let mut fed = vec![0u64; n];
     let soft_cap = 4 * n + 16;
     let hard_cap = 4 * soft_cap;
     let mut round = 0usize;
@@ -2053,21 +2112,30 @@ fn converge(an: &mut Analyzer<'_>) -> Vec<Site> {
         an.changed = false;
         let mut cells_changed = false;
         for b in 0..n {
-            let Some(cin) = block_in[b].clone() else {
+            let Some(cin) = &block_in[b] else {
                 continue;
             };
-            let mut cells = cin;
+            if ran[b].is_some_and(|t| fed[b] < t && reads[b].iter().all(|&v| an.stamps[v] < t)) {
+                continue;
+            }
+            an.clock += 1;
+            ran[b] = Some(an.clock);
+            let mut cells = cin.clone();
             an.transfer(b, &mut cells, None);
             for s in &succs[b] {
-                cells_changed |= join_cells(&mut block_in[s.index()], &cells, an.aggressive);
+                if join_cells(&mut block_in[s.index()], &cells, an.aggressive) {
+                    cells_changed = true;
+                    fed[s.index()] = an.clock;
+                }
             }
         }
         round += 1;
         if !(cells_changed || an.changed) || round >= hard_cap {
             break;
         }
-        if round >= soft_cap {
+        if round >= soft_cap && !an.aggressive {
             an.aggressive = true;
+            ran.fill(None);
         }
     }
     let mut sites: Vec<Site> = Vec::new();
@@ -2326,9 +2394,8 @@ pub(crate) fn divergent_regions(
     regions
 }
 
-/// [`divergent_regions`] of `func`, for the branches whose condition `an`
-/// cannot prove group-uniform.
-fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<Option<usize>> {
+/// `func`'s successor lists and [`immediate_postdominators`].
+fn postdominators(func: &Function) -> (Vec<Vec<usize>>, Vec<usize>) {
     let succs: Vec<Vec<usize>> = successors(func)
         .iter()
         .map(|ss| ss.iter().map(|s| s.index()).collect())
@@ -2339,6 +2406,13 @@ fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<Option<usize>> {
         .map(|b| !matches!(b.term, Some(Terminator::Br(_) | Terminator::CondBr { .. })))
         .collect();
     let ipdom = immediate_postdominators(&succs, &exits);
+    (succs, ipdom)
+}
+
+/// [`divergent_regions`] of `func`, for the branches whose condition `an`
+/// cannot prove group-uniform.
+fn divergent_blocks(func: &Function, an: &Analyzer<'_>) -> Vec<Option<usize>> {
+    let (succs, ipdom) = postdominators(func);
     divergent_regions(&succs, &ipdom, |d| match &func.blocks[d].term {
         Some(Terminator::CondBr {
             cond,
@@ -2702,6 +2776,84 @@ fn group_pair_disjoint(a: &Site, b: &Site, env: &LaunchEnv<'_>) -> bool {
     })
 }
 
+/// Pairs of sites, by index with the lower first (a site paired with
+/// itself included), whose accesses may meet for some launch: they share
+/// a barrier interval, one of them writes, their memory may alias, and
+/// they are not both call arguments or commuting atomics.
+fn contending(sites: &[Site]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    (0..sites.len())
+        .flat_map(move |x| (x..sites.len()).map(move |y| (x, y)))
+        .filter(move |&(x, y)| {
+            let (a, b) = (&sites[x], &sites[y]);
+            a.intervals & b.intervals != 0
+                && (a.kind.is_write() || b.kind.is_write())
+                && !(a.call.is_some() && b.call.is_some())
+                && may_alias(a, b)
+                && !commute(a.kind, b.kind)
+        })
+}
+
+/// One analysed function of a [`LockstepReport`].
+#[derive(Debug, Clone)]
+struct Part {
+    sites: Vec<Site>,
+    /// The function, kept for the launch-time evaluation when some pair
+    /// of its sites contends; `None` for a scheduling kernel's own code,
+    /// which only the symbolic check judges.
+    func: Option<Box<Function>>,
+}
+
+impl Part {
+    fn new(sites: Vec<Site>, func: Option<&Function>) -> Part {
+        let func = func
+            .filter(|_| contending(&sites).next().is_some())
+            .map(|f| Box::new(f.clone()));
+        Part { sites, func }
+    }
+
+    /// Why the part's items may not run in lockstep at `env`: the first
+    /// contending pair of sites that [`group_pair_disjoint`] cannot
+    /// settle and the launch-time evaluation ([`evaluate`]) does not
+    /// clear.
+    fn launch_refusal(&self, env: &LaunchEnv<'_>) -> Option<String> {
+        let sites = &self.sites;
+        let pairs: Vec<(usize, usize)> = contending(sites)
+            .filter(|&(x, y)| !group_pair_disjoint(&sites[x], &sites[y], env))
+            .collect();
+        let &first = pairs.first()?;
+        let outcome = match &self.func {
+            Some(func) => evaluate(func, sites, &pairs, env),
+            None => Err(Unsettled::GivesUp(
+                "it is a scheduling kernel's own code".into(),
+            )),
+        };
+        let Err(unsettled) = outcome else {
+            return None;
+        };
+        let ((x, y), why) = match unsettled {
+            Unsettled::Meet {
+                pair,
+                items: (i, j),
+                barriers,
+            } => (
+                pair,
+                format!("touch the same bytes from items {i} and {j} of a group after {barriers} barriers"),
+            ),
+            Unsettled::GivesUp(why) => (
+                first,
+                format!("may touch the same bytes from two items of a group, and the launch-time evaluation gives up: {why}"),
+            ),
+        };
+        let (a, b) = (&sites[x], &sites[y]);
+        Some(format!(
+            "barrier interval {}: {} and {} {why}",
+            (a.intervals & b.intervals).trailing_zeros(),
+            a.describe(),
+            b.describe()
+        ))
+    }
+}
+
 /// The within-group proof for one kernel: whether its work items may run
 /// in lockstep, dispatching each instruction once per group between
 /// barriers, with results identical to running them one after another.
@@ -2711,7 +2863,7 @@ pub struct LockstepReport {
     pub kernel: String,
     /// The sites of every analysed part, or why the kernel never runs in
     /// lockstep.
-    parts: Result<Vec<Vec<Site>>, String>,
+    parts: Result<Vec<Part>, String>,
 }
 
 impl LockstepReport {
@@ -2721,33 +2873,604 @@ impl LockstepReport {
         self.parts.as_ref().err().map(String::as_str)
     }
 
-    /// Launch-time check: within every barrier interval, no item of a
-    /// group writes bytes another item of the same group reads or writes
-    /// (commuting atomics with discarded results excepted), evaluated for
-    /// the concrete group shape and scalar arguments.
-    pub fn eligible_for_launch(&self, env: &LaunchEnv<'_>) -> bool {
+    /// Why the launch `env` may not run in lockstep, or `None` when it
+    /// may: within every barrier interval, no item of a group writes
+    /// bytes another item of the same group reads or writes (commuting
+    /// atomics with discarded results, and stores of one value, excepted).
+    /// Each contending pair of sites is settled symbolically for the
+    /// concrete group shape and scalar arguments, or else by the
+    /// launch-time evaluation of every interval instance (see the module
+    /// docs). A refusal names the barrier interval and the two sites.
+    pub fn launch_refusal(&self, env: &LaunchEnv<'_>) -> Option<String> {
         let items: usize = env.local.iter().product();
         if items <= 1 {
-            return true; // one item has nobody to race with
+            return None; // one item has nobody to race with
         }
-        let Ok(parts) = &self.parts else {
-            return false;
+        let parts = match &self.parts {
+            Ok(parts) => parts,
+            Err(why) => return Some(why.clone()),
         };
-        if items > GROUP_ENUM_LIMIT || !env.distinct_buffers {
+        if items > GROUP_ENUM_LIMIT {
+            return Some(format!(
+                "a group of {items} items is past the {GROUP_ENUM_LIMIT}-item limit"
+            ));
+        }
+        if !env.distinct_buffers {
+            return Some("two buffer arguments alias".into());
+        }
+        parts.iter().find_map(|p| p.launch_refusal(env))
+    }
+
+    /// Whether the launch `env` may run in lockstep:
+    /// [`Self::launch_refusal`] finds no reason against it.
+    pub fn eligible_for_launch(&self, env: &LaunchEnv<'_>) -> bool {
+        self.launch_refusal(env).is_none()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Launch-time evaluation
+// ---------------------------------------------------------------------------
+
+/// Work the launch-time evaluation may do for one launch, in units: one
+/// per instruction an item steps through (each access it records among
+/// them), the item's register count per fork, and one per pair of byte
+/// spans compared. It bounds items × interval instances × sites; past it
+/// the launch is refused.
+const GROUP_EVAL_LIMIT: usize = 1 << 20;
+
+/// The memory an evaluated pointer reaches: a parameter's buffer (or
+/// local region), or an alloca by its result's value index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Mem {
+    Param(usize),
+    Local(usize),
+    Private(usize),
+}
+
+/// One work item's value of a register or private scalar at launch.
+#[derive(Debug, Clone, Copy)]
+enum Ev {
+    /// Read from shared memory, or otherwise not fixed by the launch.
+    Unknown,
+    Val(Value),
+    /// A pointer, with its byte offset into the memory when known.
+    Ptr(Mem, Option<i64>),
+}
+
+impl Ev {
+    /// The value on either of two paths.
+    fn join(self, o: Ev) -> Ev {
+        match (self, o) {
+            (Ev::Val(a), Ev::Val(b)) if same_bits(a, b) => self,
+            (Ev::Ptr(m, a), Ev::Ptr(n, b)) if m == n => Ev::Ptr(m, a.filter(|_| a == b)),
+            _ => Ev::Unknown,
+        }
+    }
+}
+
+fn same_bits(a: Value, b: Value) -> bool {
+    match (a, b) {
+        (Value::F32(x), Value::F32(y)) => x.to_bits() == y.to_bits(),
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+/// An integer or boolean value's bits.
+fn int_bits(v: Ev) -> Option<i64> {
+    match v {
+        Ev::Val(Value::Bool(b)) => Some(b as i64),
+        Ev::Val(Value::I32(x)) => Some(x as i64),
+        Ev::Val(Value::I64(x)) => Some(x),
+        _ => None,
+    }
+}
+
+/// The work item an evaluation runs: its index in the group, its local
+/// ids and its group ids (`None` for one left unknown).
+#[derive(Clone, Copy)]
+struct Item {
+    index: u32,
+    lid: [usize; 3],
+    grp: [Option<usize>; 3],
+}
+
+/// One work item's slots: its registers by value index, then its private
+/// scalars by their alloca's value index, offset by the value count.
+struct ItemState {
+    vals: Vec<Ev>,
+    /// The barriers the item has passed.
+    barriers: u32,
+    /// While a branch the evaluation cannot decide is open, each slot
+    /// written since the innermost one opened, with its old value.
+    log: Vec<(usize, Ev)>,
+}
+
+impl ItemState {
+    fn set(&mut self, slot: usize, v: Ev, forked: bool) {
+        if forked {
+            self.log.push((slot, self.vals[slot]));
+        }
+        self.vals[slot] = v;
+    }
+}
+
+/// A branch whose condition the evaluation cannot decide: both sides run
+/// from `at` to `join`, its immediate postdominator, one after the other
+/// from the same state, and the slots either side wrote join there.
+struct Fork {
+    at: usize,
+    join: usize,
+    /// Where the side still to run starts.
+    other: Option<usize>,
+    /// The log of the enclosing fork, resumed at the join.
+    outer: Vec<(usize, Ev)>,
+    /// The slots the first side wrote: the value it left and the one
+    /// before the fork.
+    first: Vec<(usize, Ev, Ev)>,
+}
+
+/// One item's access through a recorded site in one interval instance.
+#[derive(Debug, Clone, Copy)]
+struct Touch {
+    /// Barriers the item passed before it: the interval instance.
+    barriers: u32,
+    mem: Mem,
+    start: i64,
+    end: i64,
+    item: u32,
+    site: u32,
+    /// The item's local ids on the site's value axes, flattened.
+    key: u32,
+    /// A plain store's value, when it is a known integer.
+    stored: Option<i64>,
+}
+
+/// Why a contending pair is not cleared.
+enum Unsettled {
+    /// Items `items` of a group touch the same bytes through `pair` after
+    /// `barriers` barriers, one of them writing.
+    Meet {
+        pair: (usize, usize),
+        items: (u32, u32),
+        barriers: u32,
+    },
+    /// The evaluation cannot tell.
+    GivesUp(String),
+}
+
+/// The launch-time evaluation of one function for one launch: runs every
+/// item of a group through the function, with the launch's group shape,
+/// group counts and integer scalars known, everything read from shared
+/// memory unknown, private scalars tracked, and both sides of a branch it
+/// cannot decide taken up to their reconvergence. It records each item's
+/// byte span through the sites of the contending `pairs` per interval
+/// instance (the barriers the item has passed), and fails when two items
+/// meet through such a pair in one instance. Group ids of dimensions with
+/// several groups are first left unknown, which covers every group at
+/// once; when that fails on something read from them, each group is
+/// evaluated in turn.
+fn evaluate(
+    func: &Function,
+    sites: &[Site],
+    pairs: &[(usize, usize)],
+    env: &LaunchEnv<'_>,
+) -> Result<(), Unsettled> {
+    let mut ev = Eval::new(func, sites, pairs, env);
+    match ev.group(std::array::from_fn(|d| (env.groups[d] <= 1).then_some(0))) {
+        Err(_) if ev.group_read => {}
+        outcome => return outcome,
+    }
+    for g in 0..env.groups.iter().product() {
+        ev.group(flat_gid(env.groups, g).map(Some))?;
+    }
+    Ok(())
+}
+
+struct Eval<'a> {
+    func: &'a Function,
+    env: &'a LaunchEnv<'a>,
+    sites: &'a [Site],
+    pairs: &'a [(usize, usize)],
+    /// The site an access records as, by `(block, inst)`: the sites of
+    /// `pairs`.
+    record: BTreeMap<(usize, usize), usize>,
+    ipdom: Vec<usize>,
+    /// Per value index of an alloca: its size in bytes, and whether it is
+    /// a private scalar the evaluation tracks.
+    allocas: Vec<Option<(i64, bool)>>,
+    /// The private scalars' value indices.
+    scalars: Vec<usize>,
+    budget: usize,
+    /// Whether a group id the evaluation did not know was read.
+    group_read: bool,
+    touches: Vec<Touch>,
+}
+
+impl<'a> Eval<'a> {
+    fn new(
+        func: &'a Function,
+        sites: &'a [Site],
+        pairs: &'a [(usize, usize)],
+        env: &'a LaunchEnv<'a>,
+    ) -> Self {
+        let record = pairs
+            .iter()
+            .flat_map(|&(x, y)| [x, y])
+            .map(|k| ((sites[k].block.index(), sites[k].inst), k))
+            .collect();
+        let mut allocas = vec![None; func.value_types.len()];
+        for inst in func.blocks.iter().flat_map(|b| &b.insts) {
+            if let (Op::Alloca { elem, count, space }, Some(r)) = (&inst.op, inst.result) {
+                let scalar = *space == AddressSpace::Private && *count == 1;
+                allocas[r.index()] = Some((interp_size(elem) as i64 * i64::from(*count), scalar));
+            }
+        }
+        let scalars = (0..allocas.len())
+            .filter(|&v| allocas[v].is_some_and(|(_, scalar)| scalar))
+            .collect();
+        Eval {
+            func,
+            env,
+            sites,
+            pairs,
+            record,
+            ipdom: postdominators(func).1,
+            allocas,
+            scalars,
+            budget: GROUP_EVAL_LIMIT,
+            group_read: false,
+            touches: Vec::new(),
+        }
+    }
+
+    fn charge(&mut self, units: usize) -> Result<(), String> {
+        self.budget = self.budget.checked_sub(units).ok_or_else(|| {
+            format!("the launch takes more than {GROUP_EVAL_LIMIT} steps to evaluate")
+        })?;
+        Ok(())
+    }
+
+    /// Evaluate every item of the group `grp` (`None` for an unknown id)
+    /// and compare their spans.
+    fn group(&mut self, grp: [Option<usize>; 3]) -> Result<(), Unsettled> {
+        self.touches.clear();
+        let mut barriers = None;
+        for i in 0..self.env.local.iter().product::<usize>() {
+            let it = Item {
+                index: i as u32,
+                lid: flat_gid(self.env.local, i),
+                grp,
+            };
+            let passed = self.item(it).map_err(Unsettled::GivesUp)?;
+            if *barriers.get_or_insert(passed) != passed {
+                let why = "the items of a group pass different numbers of barriers";
+                return Err(Unsettled::GivesUp(why.into()));
+            }
+        }
+        self.sweep()
+    }
+
+    /// Run one item from entry to return; the number of barriers it
+    /// passes.
+    fn item(&mut self, it: Item) -> Result<u32, String> {
+        let func = self.func;
+        let n = func.blocks.len();
+        let mut st = ItemState {
+            vals: vec![Ev::Unknown; 2 * func.value_types.len()],
+            barriers: 0,
+            log: Vec::new(),
+        };
+        for (i, p) in func.params.iter().enumerate() {
+            st.vals[i] = match (&p.ty, self.env.args.get(i).copied().flatten()) {
+                (ty, _) if ty.is_ptr() => Ev::Ptr(Mem::Param(i), Some(0)),
+                (Type::I32, Some(v)) => Ev::Val(Value::I32(v as i32)),
+                (Type::I64, Some(v)) => Ev::Val(Value::I64(v)),
+                _ => Ev::Unknown,
+            };
+        }
+        let mut forks: Vec<Fork> = Vec::new();
+        let mut b = 0usize;
+        loop {
+            while let Some(f) = forks.last_mut() {
+                if f.join != b {
+                    break;
+                }
+                if let Some(start) = f.other.take() {
+                    // Keep what the first side left, rewind to the fork.
+                    let log = std::mem::take(&mut st.log);
+                    let left: Vec<(usize, Ev)> =
+                        log.iter().map(|&(k, _)| (k, st.vals[k])).collect();
+                    for &(k, old) in log.iter().rev() {
+                        st.vals[k] = old;
+                    }
+                    f.first = left.into_iter().map(|(k, v)| (k, v, st.vals[k])).collect();
+                    b = start;
+                    continue;
+                }
+                let f = forks.pop().expect("an open fork");
+                let mut written: BTreeMap<usize, (Ev, Ev)> =
+                    f.first.iter().map(|&(k, v, old)| (k, (v, old))).collect();
+                for &(k, old) in &st.log {
+                    written.entry(k).or_insert((old, old));
+                }
+                st.log = f.outer;
+                for (k, (v, old)) in written {
+                    st.set(k, v.join(st.vals[k]), false);
+                    if !forks.is_empty() {
+                        st.log.push((k, old));
+                    }
+                }
+            }
+            if b == n {
+                if !forks.is_empty() {
+                    return Err("a path returns inside a branch it cannot decide".into());
+                }
+                return Ok(st.barriers);
+            }
+            if forks.iter().any(|f| f.at == b) {
+                return Err(format!(
+                    "the loop at bb{b} exits on a value read from memory"
+                ));
+            }
+            self.block(b, &mut st, it, !forks.is_empty())?;
+            b = match &func.blocks[b].term {
+                Some(Terminator::Br(t)) => t.index(),
+                Some(Terminator::CondBr {
+                    cond,
+                    then_bb,
+                    else_bb,
+                }) => match st.vals[cond.index()] {
+                    Ev::Val(Value::Bool(c)) => if c { then_bb } else { else_bb }.index(),
+                    _ => {
+                        forks.push(Fork {
+                            at: b,
+                            join: self.ipdom[b],
+                            other: Some(else_bb.index()),
+                            outer: std::mem::take(&mut st.log),
+                            first: Vec::new(),
+                        });
+                        then_bb.index()
+                    }
+                },
+                _ => n,
+            };
+        }
+    }
+
+    /// Run block `b`'s instructions for one item; `forked` when a branch
+    /// it could not decide is open.
+    fn block(
+        &mut self,
+        b: usize,
+        st: &mut ItemState,
+        it: Item,
+        forked: bool,
+    ) -> Result<(), String> {
+        let func = self.func;
+        let cell = |c: usize| func.value_types.len() + c;
+        let width = |p: &ValueId| func.value_type(*p).pointee().map_or(1, interp_size);
+        for (i, inst) in func.blocks[b].insts.iter().enumerate() {
+            self.charge(1)?;
+            let reg = |v: &ValueId| st.vals[v.index()];
+            let val = match &inst.op {
+                Op::Const(c) => Ev::Val(match *c {
+                    ConstVal::Bool(x) => Value::Bool(x),
+                    ConstVal::I32(x) => Value::I32(x),
+                    ConstVal::I64(x) => Value::I64(x),
+                    ConstVal::F32(x) => Value::F32(x),
+                    ConstVal::F64(x) => Value::F64(x),
+                }),
+                Op::Bin(op, x, y) => match (reg(x), reg(y)) {
+                    (Ev::Val(x), Ev::Val(y)) => eval_bin(*op, x, y).map_or(Ev::Unknown, Ev::Val),
+                    _ => Ev::Unknown,
+                },
+                Op::Un(op, x) => match reg(x) {
+                    Ev::Val(x) => eval_un(*op, x).map_or(Ev::Unknown, Ev::Val),
+                    _ => Ev::Unknown,
+                },
+                Op::Cmp(op, x, y) => {
+                    let cmp = match (reg(x), reg(y)) {
+                        (Ev::Val(x), Ev::Val(y)) => eval_cmp(*op, x, y).ok(),
+                        (Ev::Ptr(m, Some(x)), Ev::Ptr(n, Some(y))) if m == n => {
+                            eval_cmp(*op, Value::I64(x), Value::I64(y)).ok()
+                        }
+                        _ => None,
+                    };
+                    cmp.map_or(Ev::Unknown, |c| Ev::Val(Value::Bool(c)))
+                }
+                Op::Select(c, x, y) => match reg(c) {
+                    Ev::Val(Value::Bool(true)) => reg(x),
+                    Ev::Val(Value::Bool(false)) => reg(y),
+                    _ => reg(x).join(reg(y)),
+                },
+                Op::Cast(ty, x) => match reg(x) {
+                    Ev::Val(v) => eval_cast(ty, v).map_or(Ev::Unknown, Ev::Val),
+                    p @ Ev::Ptr(..) if ty.is_ptr() => p,
+                    _ => Ev::Unknown,
+                },
+                Op::Alloca { space, .. } => match (space, inst.result) {
+                    (AddressSpace::Local, Some(r)) => Ev::Ptr(Mem::Local(r.index()), Some(0)),
+                    (AddressSpace::Private, Some(r)) => {
+                        st.set(cell(r.index()), Ev::Unknown, forked);
+                        Ev::Ptr(Mem::Private(r.index()), Some(0))
+                    }
+                    _ => Ev::Unknown,
+                },
+                Op::Load(p) => {
+                    self.touch((b, i), reg(p), width(p), None, it, st.barriers)?;
+                    match (reg(p), inst.result) {
+                        (Ev::Ptr(Mem::Private(c), Some(0)), Some(r))
+                            if self.allocas[c].is_some_and(|(_, scalar)| scalar) =>
+                        {
+                            let v = st.vals[cell(c)];
+                            let ty = func.value_type(r);
+                            match v {
+                                Ev::Val(x) if eval_cast(ty, x).is_ok_and(|y| same_bits(x, y)) => v,
+                                Ev::Ptr(..) if ty.is_ptr() => v,
+                                _ => Ev::Unknown,
+                            }
+                        }
+                        _ => Ev::Unknown,
+                    }
+                }
+                Op::Store { ptr, value } => {
+                    let (p, v, w) = (reg(ptr), reg(value), width(ptr));
+                    self.touch((b, i), p, w, Some(v), it, st.barriers)?;
+                    let clobbered = match p {
+                        Ev::Ptr(Mem::Param(_) | Mem::Local(_), _) => false,
+                        Ev::Ptr(Mem::Private(c), Some(o)) => match self.allocas[c] {
+                            Some((size, true)) if o == 0 && w as i64 == size => {
+                                st.set(cell(c), v, forked);
+                                false
+                            }
+                            Some((size, false)) => o < 0 || o + w as i64 > size,
+                            _ => true,
+                        },
+                        _ => true,
+                    };
+                    if clobbered {
+                        // Any private scalar may have changed.
+                        for &c in &self.scalars {
+                            st.set(cell(c), Ev::Unknown, forked);
+                        }
+                    }
+                    Ev::Unknown
+                }
+                Op::Gep { ptr, index } => match (reg(ptr), reg(index)) {
+                    (Ev::Ptr(m, Some(o)), Ev::Val(x)) => Ev::Ptr(
+                        m,
+                        x.as_i64()
+                            .ok()
+                            .and_then(|x| gep_offset(o, x, width(ptr)).ok()),
+                    ),
+                    (Ev::Ptr(m, _), _) => Ev::Ptr(m, None),
+                    _ => Ev::Unknown,
+                },
+                Op::Call { callee, .. } => return Err(format!("it calls `{callee}`")),
+                Op::WorkItem { builtin, dim } => self.builtin(*builtin, *dim, it),
+                Op::AtomicRmw { ptr, .. } | Op::AtomicCmpXchg { ptr, .. } => {
+                    self.touch((b, i), reg(ptr), width(ptr), None, it, st.barriers)?;
+                    Ev::Unknown
+                }
+                Op::Barrier => {
+                    if forked {
+                        return Err("a barrier is under a branch it cannot decide".into());
+                    }
+                    st.barriers += 1;
+                    Ev::Unknown
+                }
+            };
+            if let Some(r) = inst.result {
+                st.set(r.index(), val, forked);
+            }
+        }
+        Ok(())
+    }
+
+    fn builtin(&mut self, builtin: WiBuiltin, dim: u8, it: Item) -> Ev {
+        let Item { lid, grp, .. } = it;
+        let d = dim as usize;
+        let v = match builtin {
+            WiBuiltin::WorkDim => Some(self.env.work_dim as usize),
+            _ if d >= 3 => return Ev::Unknown,
+            WiBuiltin::LocalId => Some(lid[d]),
+            WiBuiltin::GroupId => grp[d],
+            WiBuiltin::GlobalId => grp[d].map(|g| g * self.env.local[d] + lid[d]),
+            WiBuiltin::LocalSize => Some(self.env.local[d]),
+            WiBuiltin::NumGroups => Some(self.env.groups[d]),
+            WiBuiltin::GlobalSize => Some(self.env.local[d] * self.env.groups[d]),
+        };
+        self.group_read |= v.is_none();
+        v.map_or(Ev::Unknown, |v| Ev::Val(Value::I64(v as i64)))
+    }
+
+    /// Record an access at `at` through `ptr` if it is a recorded site.
+    /// Private memory is not shared; an address that does not evaluate
+    /// fails, and so does a span outside its `local` array.
+    fn touch(
+        &mut self,
+        at: (usize, usize),
+        ptr: Ev,
+        width: usize,
+        stored: Option<Ev>,
+        it: Item,
+        barriers: u32,
+    ) -> Result<(), String> {
+        let Some(&site) = self.record.get(&at) else {
+            return Ok(());
+        };
+        let s = &self.sites[site];
+        let (mem, start) = match ptr {
+            Ev::Ptr(Mem::Private(_), _) => return Ok(()),
+            Ev::Ptr(mem, Some(start)) => (mem, start),
+            _ => return Err(format!("the address of {} does not evaluate", s.describe())),
+        };
+        let end = start.saturating_add(width as i64);
+        if let Mem::Local(c) = mem {
+            if start < 0 || self.allocas[c].is_none_or(|(size, _)| end > size) {
+                return Err(format!("{} reaches past its local array", s.describe()));
+            }
+        }
+        let axes = s.value_axes.unwrap_or(0);
+        let on = |d: usize| if axes >> d & 1 != 0 { it.lid[d] } else { 0 };
+        let [l0, l1, _] = self.env.local;
+        self.touches.push(Touch {
+            barriers,
+            mem,
+            start,
+            end,
+            item: it.index,
+            site: site as u32,
+            key: (on(0) + l0 * (on(1) + l1 * on(2))) as u32,
+            stored: stored.and_then(int_bits),
+        });
+        Ok(())
+    }
+
+    /// Whether two items' overlapping spans conflict: their sites are a
+    /// contending pair, and they are not two stores of one value to the
+    /// same bytes (a known integer, or a value the site's value axes fix).
+    fn conflict(&self, x: &Touch, y: &Touch) -> bool {
+        let pair = (x.site.min(y.site) as usize, x.site.max(y.site) as usize);
+        if self.pairs.binary_search(&pair).is_err() {
             return false;
         }
-        parts.iter().all(|sites| {
-            sites.iter().enumerate().all(|(x, a)| {
-                sites[x..].iter().all(|b| {
-                    a.intervals & b.intervals == 0
-                        || !(a.kind.is_write() || b.kind.is_write())
-                        || (a.call.is_some() && b.call.is_some())
-                        || !may_alias(a, b)
-                        || commute(a.kind, b.kind)
-                        || group_pair_disjoint(a, b, env)
-                })
-            })
-        })
+        let site = &self.sites[x.site as usize];
+        let same_value = (x.start, x.end) == (y.start, y.end)
+            && ((x.stored.is_some() && x.stored == y.stored)
+                || (x.site == y.site
+                    && site.kind == AccessKind::Write
+                    && site.value_axes.is_some()
+                    && x.key == y.key));
+        !same_value
+    }
+
+    /// Compare the recorded spans within each interval instance and
+    /// memory: every overlapping pair from two items meets once, when the
+    /// later one opens.
+    fn sweep(&mut self) -> Result<(), Unsettled> {
+        let mut touches = std::mem::take(&mut self.touches);
+        touches.sort_unstable_by_key(|t| (t.barriers, t.mem, t.start));
+        let mut open: Vec<Touch> = Vec::new();
+        for t in &touches {
+            open.retain(|o| (o.barriers, o.mem) == (t.barriers, t.mem) && o.end > t.start);
+            self.charge(open.len()).map_err(Unsettled::GivesUp)?;
+            if let Some(o) = open
+                .iter()
+                .find(|o| o.item != t.item && self.conflict(o, t))
+            {
+                return Err(Unsettled::Meet {
+                    pair: (o.site.min(t.site) as usize, o.site.max(t.site) as usize),
+                    items: (o.item.min(t.item), o.item.max(t.item)),
+                    barriers: t.barriers,
+                });
+            }
+            open.push(*t);
+        }
+        self.touches = touches;
+        Ok(())
     }
 }
 
@@ -2788,16 +3511,15 @@ pub fn lockstep_report(module: &Module, name: &str) -> Option<LockstepReport> {
     if kernel.kind != FunctionKind::Kernel {
         return None;
     }
-    let original_part = |m: &Module| -> Result<Vec<Site>, String> {
+    let original_part = |m: &Module| -> Result<Part, String> {
         let m = inlined(m, name)?;
         let f = m.function(name).ok_or("kernel lost in inlining")?;
-        group_part(&m, f)
+        Ok(Part::new(group_part(&m, f)?, Some(f)))
     };
     let contract = module.dequeue.get(name).filter(|c| c.holds_in(kernel));
     let parts = match contract {
-        Some(c) => {
-            group_part(module, kernel).and_then(|own| Ok(vec![own, original_part(&c.original)?]))
-        }
+        Some(c) => group_part(module, kernel)
+            .and_then(|own| Ok(vec![Part::new(own, None), original_part(&c.original)?])),
         None => original_part(module).map(|p| vec![p]),
     };
     Some(LockstepReport {

@@ -433,8 +433,10 @@ fn unknown_callee_under_divergent_branch_is_a_divergent_barrier() {
 
 /// Whether `spec`'s JIT-transformed scheduling kernel runs in lockstep at
 /// its scale-1 dataset, dequeuing the virtual range over four workers as a
-/// `tenants` launch does.
-fn jit_lockstep_verdict(spec: &KernelSpec) -> (bool, Option<String>) {
+/// `tenants` launch does; the within-group proof's launch-independent
+/// refusal; and its refusal of the original kernel under the virtual
+/// range (the launch the gate checks).
+fn jit_lockstep_verdict(spec: &KernelSpec) -> (bool, Option<String>, Option<String>) {
     let module = minicl::compile(spec.source).expect("compile");
     let transformed = accelos::jit::transform_module(&module, accelos::chunk::Mode::Optimized)
         .expect("transform");
@@ -451,38 +453,55 @@ fn jit_lockstep_verdict(spec: &KernelSpec) -> (bool, Option<String>) {
         .expect("bind rt");
     let args = kernel.resolved_args().expect("args");
     let interp = Interpreter::with_facts(kernel.module(), kernel.facts());
-    let refusal = kernel
+    let proof = kernel
         .facts()
         .lockstep_report(kernel.module(), kernel.name())
-        .and_then(|r| r.refusal().map(str::to_string));
+        .expect("proof");
+    let scalars: Vec<Option<i64>> = args[..rt_index]
+        .iter()
+        .map(|a| match a {
+            ArgValue::Scalar(Value::I32(x)) => Some(i64::from(*x)),
+            ArgValue::Scalar(Value::I64(x)) => Some(*x),
+            _ => None,
+        })
+        .collect();
+    let env = kernel_ir::LaunchEnv {
+        local: p.ndrange.local,
+        groups: p.ndrange.num_groups(),
+        work_dim: p.ndrange.work_dim as u32,
+        args: &scalars,
+        distinct_buffers: true,
+    };
     let hw = v.hardware_range(4);
     (
         interp.lockstep_eligible_in(ctx.memory_mut(), kernel.name(), hw, &args),
-        refusal,
+        proof.refusal().map(str::to_string),
+        proof.launch_refusal(&env),
     )
 }
 
 /// Every Parboil kernel's lockstep verdict under its JIT-transformed
-/// tenant launch. The refusals: bfs and mri-gridding_reorder use the
-/// results of contended atomics; histo_prescan, scan_inter1, splitSort and
-/// splitRearrange read or write bytes another item of the group writes
-/// within the same barrier interval as far as the proof can tell.
+/// tenant launch. The refusals (reasons in [`LOCKSTEP_REFUSALS`]): bfs
+/// and mri-gridding_reorder use the results of contended atomics, and
+/// splitRearrange scatters through an index read from memory.
+/// histo_prescan, scan_inter1 and splitSort are admitted by the
+/// launch-time evaluation of their barrier intervals.
 const LOCKSTEP: [(&str, bool); 25] = [
     ("bfs", false),
     ("cutcp", true),
     ("histo_final", true),
     ("histo_intermediates", true),
     ("histo_main", true),
-    ("histo_prescan", false),
+    ("histo_prescan", true),
     ("lbm", true),
     ("mri-gridding_GPU", true),
     ("mri-gridding_binning", true),
     ("mri-gridding_reorder", false),
     ("mri-gridding_scan_L1", true),
-    ("mri-gridding_scan_inter1", false),
+    ("mri-gridding_scan_inter1", true),
     ("mri-gridding_scan_inter2", true),
     ("mri-gridding_splitRearrange", false),
-    ("mri-gridding_splitSort", false),
+    ("mri-gridding_splitSort", true),
     ("mri-gridding_uniformAdd", true),
     ("mri-q_ComputePhiMag", true),
     ("mri-q_ComputeQ", true),
@@ -501,11 +520,58 @@ fn parboil_lockstep_verdicts_are_pinned() {
     assert_eq!(specs.len(), LOCKSTEP.len());
     for (spec, (name, lockstep)) in specs.iter().zip(LOCKSTEP) {
         assert_eq!(spec.name, name);
-        let (verdict, refusal) = jit_lockstep_verdict(spec);
-        assert_eq!(verdict, lockstep, "`{name}`: {refusal:?}");
+        let (verdict, refusal, launch) = jit_lockstep_verdict(spec);
+        assert_eq!(verdict, lockstep, "`{name}`: {launch:?}");
+        assert_eq!(launch.is_none(), lockstep, "`{name}`: {launch:?}");
         // The scheduling body itself (master-only dequeue, broadcast
         // barrier, loop over the claimed groups) always passes.
         assert_eq!(refusal, None, "`{name}`");
+    }
+}
+
+/// Why the within-group proof refuses each kernel [`LOCKSTEP`] pins as
+/// refused, under its JIT tenant launch: the barrier interval and the two
+/// sites whose accesses may meet.
+const LOCKSTEP_REFUSALS: [(&str, &str); 3] = [
+    (
+        "bfs",
+        "barrier interval 0: read of `dist` at 13:22 (unknown index) and write of `dist` at \
+         14:27 (unknown index) may touch the same bytes from two items of a group, and the \
+         launch-time evaluation gives up: the address of read of `dist` at 13:22 (unknown \
+         index) does not evaluate",
+    ),
+    (
+        "mri-gridding_reorder",
+        "barrier interval 0: atomic_add (result used) of `cursor` at 8:56 (unknown index) and \
+         atomic_add (result used) of `cursor` at 8:56 (unknown index) may touch the same bytes \
+         from two items of a group, and the launch-time evaluation gives up: the address of \
+         atomic_add (result used) of `cursor` at 8:56 (unknown index) does not evaluate",
+    ),
+    (
+        "mri-gridding_splitRearrange",
+        "barrier interval 0: write of `out` at 6:28 (unknown index) and write of `out` at 6:28 \
+         (unknown index) may touch the same bytes from two items of a group, and the \
+         launch-time evaluation gives up: the address of write of `out` at 6:28 (unknown \
+         index) does not evaluate",
+    ),
+];
+
+#[test]
+fn parboil_lockstep_refusals_are_pinned() {
+    let refused: Vec<&str> = LOCKSTEP
+        .iter()
+        .filter(|(_, lockstep)| !lockstep)
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(
+        refused,
+        LOCKSTEP_REFUSALS.map(|(name, _)| name),
+        "every refusal is pinned"
+    );
+    for (name, reason) in LOCKSTEP_REFUSALS {
+        let spec = KernelSpec::by_name(name).expect("kernel");
+        let (_, _, launch) = jit_lockstep_verdict(spec);
+        assert_eq!(launch.as_deref(), Some(reason), "`{name}`");
     }
 }
 
@@ -516,8 +582,11 @@ fn parboil_lockstep_verdicts_are_pinned() {
 /// Every kernel of `module`: the cached gate report keeps the fresh
 /// report's verdict and the sites of the parameters it re-checks per
 /// launch, and gives the same eligibility answers over a grid of
-/// launches; the cached within-group proof prints the same as a fresh one.
-fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module) {
+/// launches; the cached within-group proof prints the same as a fresh one;
+/// and over the gate golden's launch grid (around the canonical launch
+/// `canon`), the memoised per-launch answers equal fresh ones, asked
+/// twice in two passes.
+fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module, canon: NdRange) {
     let facts = kernel_ir::ModuleFacts::new(module);
     for name in module.kernel_names() {
         let ctx = format!("`{what}`: `{name}`");
@@ -565,12 +634,42 @@ fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module) {
             }
         }
         let cached = facts.lockstep_report(module, name).expect("proof");
-        let fresh = kernel_ir::races::lockstep_report(module, name).expect("proof");
+        let fresh_proof = kernel_ir::races::lockstep_report(module, name).expect("proof");
         assert_eq!(
             format!("{cached:?}"),
-            format!("{fresh:?}"),
+            format!("{fresh_proof:?}"),
             "{ctx}: within-group proof"
         );
+        let wd = canon.work_dim;
+        let locals = shapes(&[[1, 1, 1], [4, 1, 1], [4, 4, 1], canon.local], wd);
+        let groups = shapes(&[[1, 1, 1], [3, 1, 1], [8, 2, 1], canon.num_groups()], wd);
+        for pass in 0..2 {
+            for local in &locals {
+                for grp in &groups {
+                    for (arg, distinct) in [(None, true), (Some(64), true), (Some(64), false)] {
+                        let args = vec![arg; 32];
+                        let env = kernel_ir::LaunchEnv {
+                            local: *local,
+                            groups: *grp,
+                            work_dim: wd as u32,
+                            args: &args,
+                            distinct_buffers: distinct,
+                        };
+                        let answers = [
+                            fresh.eligible_for_launch(&env),
+                            fresh_proof.eligible_for_launch(&env),
+                        ];
+                        for _ in 0..2 {
+                            let memo = [
+                                facts.sharding_for_launch(module, name, &env),
+                                facts.lockstep_for_launch(module, name, &env),
+                            ];
+                            assert_eq!(memo, answers, "{ctx}: pass {pass}: {env:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -579,7 +678,8 @@ fn module_facts_match_uncached_analyses() {
     assert_eq!(KernelSpec::all().len(), 25);
     for spec in KernelSpec::all() {
         let module = spec.compile().expect("compiles");
-        assert_facts_match_fresh(spec.name, &module);
+        let (_, canon, _) = prepare(spec);
+        assert_facts_match_fresh(spec.name, &module, canon);
         let transformed = accelos::jit::transform_module(&module, accelos::chunk::Mode::Optimized)
             .expect("transform");
         assert!(
@@ -587,7 +687,7 @@ fn module_facts_match_uncached_analyses() {
             "`{}` has a dequeue contract",
             spec.name
         );
-        assert_facts_match_fresh(spec.name, &transformed.module);
+        assert_facts_match_fresh(spec.name, &transformed.module, canon);
     }
 }
 

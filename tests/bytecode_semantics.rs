@@ -337,6 +337,124 @@ const CL_KERNELS: &[(&str, &str)] = &[
             a[get_global_id(0)] = t[ls - 1 - lid] + r;
         }",
     ),
+    // Barrier loops over uniform counters, settled by the launch-time
+    // evaluation of every interval instance: histo_prescan's tree
+    // reduction and splitSort's bitonic steps (with the data-dependent
+    // swap), then a variant of each where two items meet.
+    (
+        "tree_reduce_local",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int lo[64];
+            size_t lid = get_local_id(0);
+            lo[lid] = b[get_global_id(0)];
+            barrier(0);
+            int stride = (int)get_local_size(0) / 2;
+            while (stride > 0) {
+                if ((int)lid < stride) { lo[lid] = min(lo[lid], lo[lid + stride]) + n; }
+                barrier(0);
+                stride = stride / 2;
+            }
+            a[get_global_id(0)] = lo[0] + lo[lid];
+        }",
+    ),
+    (
+        "bitonic_local",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int tile[64];
+            size_t lid = get_local_id(0);
+            size_t ls = get_local_size(0);
+            tile[lid] = b[get_global_id(0)] + n;
+            barrier(0);
+            int k = 2;
+            while (k <= (int)ls) {
+                int j = k / 2;
+                while (j > 0) {
+                    int ixj = (int)lid ^ j;
+                    if (ixj > (int)lid) {
+                        int x = tile[lid];
+                        int y = tile[ixj];
+                        bool up = ((int)lid & k) == 0;
+                        if (up && x > y) { tile[lid] = y; tile[ixj] = x; }
+                        if (!up && x < y) { tile[lid] = y; tile[ixj] = x; }
+                    }
+                    barrier(0);
+                    j = j / 2;
+                }
+                k = k * 2;
+            }
+            a[get_global_id(0)] = tile[lid];
+        }",
+    ),
+    (
+        "tree_reduce_overlap",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int lo[64];
+            size_t lid = get_local_id(0);
+            lo[lid] = b[get_global_id(0)];
+            barrier(0);
+            int stride = (int)get_local_size(0) / 2;
+            while (stride > 0) {
+                if ((int)lid <= stride) { lo[lid] = min(lo[lid], lo[lid + stride]) + n; }
+                barrier(0);
+                stride = stride / 2;
+            }
+            a[get_global_id(0)] = lo[0] + lo[lid];
+        }",
+    ),
+    (
+        "bitonic_unguarded",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int tile[64];
+            size_t lid = get_local_id(0);
+            size_t ls = get_local_size(0);
+            tile[lid] = b[get_global_id(0)] + n;
+            barrier(0);
+            int k = 2;
+            while (k <= (int)ls) {
+                int j = k / 2;
+                while (j > 0) {
+                    int ixj = (int)lid ^ j;
+                    int x = tile[lid];
+                    int y = tile[ixj];
+                    bool up = ((int)lid & k) == 0;
+                    if (up && x > y) { tile[lid] = y; tile[ixj] = x; }
+                    if (!up && x < y) { tile[lid] = y; tile[ixj] = x; }
+                    barrier(0);
+                    j = j / 2;
+                }
+                k = k * 2;
+            }
+            a[get_global_id(0)] = tile[lid];
+        }",
+    ),
+    // At groups of eight, items 0 and 2 store to `t[0]` at the first
+    // stride and at no other.
+    (
+        "first_stride_overlap",
+        "kernel void k(global int* a, global int* b, int n) {
+            local int t[64];
+            size_t lid = get_local_id(0);
+            t[lid] = b[get_global_id(0)];
+            barrier(0);
+            int s = (int)get_local_size(0) / 2;
+            while (s > 0) {
+                if ((int)lid < s) { t[((int)lid * s) % 8] = t[lid] + n; }
+                barrier(0);
+                s = s / 2;
+            }
+            a[get_global_id(0)] = t[lid];
+        }",
+    ),
+    // `p` points at either buffer as the data say: an untraceable store.
+    (
+        "pointer_by_data",
+        "kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            global int* p = a;
+            if (b[i] > n) { p = b; }
+            p[i] = p[i] + n;
+        }",
+    ),
 ];
 
 /// Whether the within-group proof admits each kernel of [`CL_KERNELS`] at
@@ -347,8 +465,8 @@ const LOCKSTEP_VERDICTS: &[(&str, bool)] = &[
     ("helper", true),
     ("hist", true),
     ("fresh_slot", true),
-    // `p` may point at either buffer: an untraceable store.
-    ("pointer_slot", false),
+    // `p` points at `b` when `n > 3`, which the launch fixes.
+    ("pointer_slot", true),
     ("private_array", true),
     ("typed_slots", true),
     ("helper_barrier", true),
@@ -360,6 +478,12 @@ const LOCKSTEP_VERDICTS: &[(&str, bool)] = &[
     ("row_lengths", true),
     ("early_break", true),
     ("nested_ifs", true),
+    ("tree_reduce_local", true),
+    ("bitonic_local", true),
+    ("tree_reduce_overlap", false),
+    ("bitonic_unguarded", false),
+    ("first_stride_overlap", false),
+    ("pointer_by_data", false),
 ];
 
 proptest! {
@@ -1188,4 +1312,60 @@ fn calls_nest_at_most_max_call_depth_deep() {
             assert_eq!(got, Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH)));
         }
     }
+}
+
+#[test]
+fn helper_chain_builds_and_launches_on_both_tiers() {
+    // A chain of 257 helpers, each adding its index to its argument and
+    // calling the next. The runtime builds it (its within-group proof
+    // inlines the whole chain, at a cost quadratic in its length) and
+    // runs it in lockstep; the calls nest one level past
+    // `MAX_CALL_DEPTH`, and both tiers fail alike, directly and through
+    // ProxyCl.
+    use accelos::chunk::Mode;
+    use accelos::proxycl::ProxyCl;
+    use accelos::vrange::VirtualNdRange;
+    use clrt::{Arg, ClError, Platform};
+    use kernel_ir::interp::MAX_CALL_DEPTH;
+    let mut src = String::from("int f0(int d) { return d; }\n");
+    for k in 1..257 {
+        src += &format!(
+            "int f{k}(int d) {{ int x = d + {k}; return f{}(x); }}\n",
+            k - 1
+        );
+    }
+    src += "kernel void k(global int* out) { size_t i = get_global_id(0); out[i] = f256((int)i); }";
+    let mut os = ProxyCl::new(&Platform::nvidia(), Mode::Optimized);
+    let program = os.build_program(&src).expect("build");
+    let nd = NdRange::new_1d(16, 8);
+    let out = os.context_mut().create_buffer(4 * 16);
+    let mut kernel = program.create_kernel("k").unwrap();
+    kernel.set_arg(0, Arg::Buffer(out)).unwrap();
+
+    // The scheduling kernel, dequeuing the virtual range over two workers.
+    let v = VirtualNdRange::new(nd);
+    let rt = os.context_mut().create_buffer(8 * v.descriptor().len());
+    os.context_mut().write_i64(rt, &v.descriptor()).unwrap();
+    let mut launch = kernel.clone();
+    let rt_index = launch.arity() - 1;
+    launch.set_arg(rt_index, Arg::Buffer(rt)).unwrap();
+    let args = launch.resolved_args().unwrap();
+    let mem = os.context_mut().memory_mut().clone();
+    let interp = Interpreter::with_facts(launch.module(), launch.facts());
+    let hw = v.hardware_range(2);
+    assert!(interp.lockstep_eligible_in(&mem, launch.name(), hw, &args));
+    let tree = interp.run_kernel(&mut mem.clone(), launch.name(), hw, &args);
+    assert_eq!(tree, Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH)));
+    for threads in [1, 3] {
+        let vm = interp.run_kernel_bytecode(&mut mem.clone(), launch.name(), hw, &args, threads);
+        assert_eq!(vm, tree, "x{threads}");
+    }
+
+    let err = os.enqueue(&program, &kernel, nd);
+    let depth = InterpError::CallDepthExceeded(MAX_CALL_DEPTH).to_string();
+    assert!(
+        matches!(&err, Err(ClError::ExecutionFailure(m)) if *m == depth),
+        "{err:?}"
+    );
+    assert_eq!(os.context_mut().read_i32(out).unwrap(), vec![0; 16]);
 }
