@@ -13,6 +13,9 @@
 //!   JIT when cloning kernels and their callees; [`reaches`] — whether a
 //!   function or anything it calls has an instruction of some kind.
 
+use crate::bytecode::{CompiledLaunch, ShapeKey};
+use crate::error::InterpError;
+use crate::interp::PrivateFrames;
 use crate::ir::{Function, Inst, Module, Op, Terminator, ValueId};
 use crate::races::LaunchEnv;
 use crate::types::AddressSpace;
@@ -249,7 +252,10 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
 /// ([`crate::races::gate_report`]) and within-group proof
 /// ([`crate::races::lockstep_report`]), computed on the kernel's first
 /// query and kept for the life of the facts, and the two per-launch
-/// answers they give for the last [`LAUNCH_MEMO`] launch shapes.
+/// answers they give for the last [`LAUNCH_MEMO`] launch shapes. Beside
+/// them, the compiled form of a program: the module's private frame
+/// layout, and each kernel's bytecode for its last [`LAUNCH_MEMO`]
+/// compiled launch shapes (see the [bytecode module docs](crate::bytecode)).
 ///
 /// The interpreter gate, the `clrt` queue and `ProxyCl` all read the
 /// facts a program carries. [`ModuleFacts::new`] runs no analysis. A
@@ -263,10 +269,13 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
 pub struct ModuleFacts {
     /// Per kernel of the module, by name (most modules have one).
     kernels: Box<[(String, KernelFacts)]>,
+    /// The private frame layout of the module's functions, made on the
+    /// first launch.
+    private: OnceLock<Result<PrivateFrames, InterpError>>,
 }
 
-/// Launch shapes whose answers each kernel's facts keep; the oldest is
-/// evicted first.
+/// Launch shapes whose answers, and whose compiled programs, each
+/// kernel's facts keep; the oldest is evicted first.
 pub const LAUNCH_MEMO: usize = 8;
 
 /// One kernel's answers, each computed on its first query.
@@ -278,6 +287,9 @@ struct KernelFacts {
     lockstep: OnceLock<Option<crate::races::LockstepReport>>,
     /// The per-launch answers of the last launch shapes, oldest first.
     launches: Mutex<VecDeque<LaunchAnswers>>,
+    /// The programs compiled for the last launch shapes, oldest first.
+    /// A launch takes its program out while it runs.
+    programs: Mutex<VecDeque<(ShapeKey, CompiledLaunch)>>,
 }
 
 /// The sharding and lockstep answers for one launch, keyed by everything
@@ -313,7 +325,42 @@ impl ModuleFacts {
                 .into_iter()
                 .map(|name| (name.to_string(), KernelFacts::default()))
                 .collect(),
+            private: OnceLock::new(),
         }
+    }
+
+    /// The private frame layout of `module` (the module these facts were
+    /// computed from), made on first use; an error when a frame exceeds
+    /// [`crate::interp::MAX_PRIVATE_FRAME_BYTES`].
+    pub(crate) fn private_frames(&self, module: &Module) -> Result<&PrivateFrames, InterpError> {
+        self.private
+            .get_or_init(|| PrivateFrames::new(module))
+            .as_ref()
+            .map_err(Clone::clone)
+    }
+
+    /// The program compiled for kernel `name` at launch shape `key`, taken
+    /// out of the memo: the launch binds and runs it, then hands it back
+    /// with [`keep_program`](Self::keep_program). Two launches of one
+    /// shape at once compile it twice.
+    pub(crate) fn take_program(&self, name: &str, key: &ShapeKey) -> Option<CompiledLaunch> {
+        let mut memo = lock(&self.kernel(name)?.programs);
+        let i = memo.iter().position(|(k, _)| k == key)?;
+        memo.remove(i).map(|(_, program)| program)
+    }
+
+    /// Keep `program`, compiled for kernel `name` at launch shape `key`,
+    /// as the newest of the kernel's [`LAUNCH_MEMO`] programs.
+    pub(crate) fn keep_program(&self, name: &str, key: ShapeKey, program: CompiledLaunch) {
+        let Some(kernel) = self.kernel(name) else {
+            return;
+        };
+        let mut memo = lock(&kernel.programs);
+        memo.retain(|(k, _)| *k != key);
+        if memo.len() == LAUNCH_MEMO {
+            memo.pop_front();
+        }
+        memo.push_back((key, program));
     }
 
     /// The report gating cross-group parallel execution of kernel `name`
@@ -400,13 +447,7 @@ impl ModuleFacts {
         let Some(kernel) = self.kernel(name) else {
             return false;
         };
-        let lock = || {
-            kernel
-                .launches
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-        };
-        if let Some(answer) = lock()
+        if let Some(answer) = lock(&kernel.launches)
             .iter_mut()
             .find(|a| a.is_for(env))
             .and_then(|a| *slot(a))
@@ -414,7 +455,7 @@ impl ModuleFacts {
             return answer;
         }
         let answer = compute();
-        let mut memo = lock();
+        let mut memo = lock(&kernel.launches);
         let entry = match memo.iter().position(|a| a.is_for(env)) {
             Some(i) => &mut memo[i],
             None => {
@@ -440,6 +481,11 @@ impl ModuleFacts {
     fn kernel(&self, name: &str) -> Option<&KernelFacts> {
         self.kernels.iter().find(|(k, _)| k == name).map(|(_, f)| f)
     }
+}
+
+/// A memo's lock; a panic elsewhere leaves its entries whole.
+fn lock<T>(memo: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
@@ -640,6 +686,31 @@ mod tests {
         };
         assert!(!facts.sharding_for_launch(&m, "missing", &unknown));
         assert!(!facts.lockstep_for_launch(&m, "missing", &unknown));
+    }
+
+    #[test]
+    fn program_memo_keeps_its_bound_per_kernel() {
+        use crate::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
+        let (_, m) = simple_kernel();
+        let facts = ModuleFacts::new(&m);
+        let kept = || facts.kernel("k").unwrap().programs.lock().unwrap().len();
+        let interp = Interpreter::with_facts(&m, &facts);
+        let mut mem = DeviceMemory::new();
+        let out = mem.alloc(4 * 4 * LAUNCH_MEMO);
+        for round in 0..2 {
+            for items in 1..=3 * LAUNCH_MEMO {
+                let nd = NdRange::new_1d(items, 1);
+                let args = [ArgValue::Buffer(out)];
+                interp
+                    .run_kernel_bytecode(&mut mem, "k", nd, &args, 1)
+                    .unwrap_or_else(|e| panic!("round {round}, {items} items: {e}"));
+                assert!(kept() <= LAUNCH_MEMO);
+            }
+        }
+        assert_eq!(kept(), LAUNCH_MEMO);
+        // The private layout is made once, on the first launch.
+        let layout: *const _ = facts.private_frames(&m).unwrap();
+        assert!(std::ptr::eq(facts.private_frames(&m).unwrap(), layout));
     }
 
     #[test]

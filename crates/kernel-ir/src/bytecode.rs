@@ -1,7 +1,8 @@
 //! # Bytecode execution tier
 //!
 //! A compile-and-execute tier for the functional plane: kernel functions are
-//! lowered once per launch into a dense register bytecode (flat instruction
+//! lowered once per launch shape, and bound per launch, into a dense
+//! register bytecode (flat instruction
 //! array, resolved branch targets, pre-computed frame sizes), run through a
 //! launch-specialising optimizer, quickened into type-resolved
 //! instructions, and executed by a flat-dispatch VM. The VM shares the
@@ -22,7 +23,7 @@
 //!    pays on every execution. Every register's scalar kind is resolved
 //!    from the function's value types.
 //! 2. **Optimization** (`optimize`) — a
-//!    once-per-launch pipeline of constant folding over the concrete launch
+//!    once-per-shape pipeline of constant folding over the concrete launch
 //!    (scalar *and* pointer arguments are known values at launch time,
 //!    launch-uniform work-item builtins are constants of the NDRange),
 //!    dead-code elimination, no-op coalescing and slot promotion. Folded
@@ -69,8 +70,9 @@
 //! instructions name, so the VM reads registers through a frame pointer
 //! without bounds checks.
 //!
-//! Private memory is automatic storage, laid out once per launch
-//! (`interp::PrivateFrames`, shared with the tree-walker): every private
+//! Private memory is automatic storage, laid out once per module
+//! (`interp::PrivateFrames`, kept in the program's [`crate::ModuleFacts`]
+//! and shared with the tree-walker): every private
 //! alloca site has a fixed offset in its function's frame. An item's
 //! arena starts as the kernel's zeroed frame; a call appends the callee's
 //! zeroed frame and its return truncates the arena back. `alloca.priv`
@@ -78,13 +80,47 @@
 //! `alloca.slot` only zeroes its register. So an item's private memory is
 //! the sum of the frames on its call stack, however often a loop
 //! allocates, and a call nested deeper than
-//! [`crate::interp::MAX_CALL_DEPTH`] fails on every tier.
+//! [`crate::interp::MAX_CALL_DEPTH`] fails on every tier. A frame larger
+//! than [`crate::interp::MAX_PRIVATE_FRAME_BYTES`] fails every launch of
+//! its module on every tier, before anything is allocated for it.
 //!
 //! Measured on `perfbench` `tenants` (seed 1, three alternated traced
 //! passes per side, release build, 2-vCPU x86 host): the interpreter's cost per executed
 //! instruction (`interp.ns_per_insn`) fell from 12.0–12.7 ns (tagged
 //! `Option<Value>` registers, every variable in private memory) to
 //! 3.6–3.9 ns.
+//!
+//! ## Launch shapes, binding and the helper pool
+//!
+//! As in the paper's transparent runtime (§6.2), where a kernel is
+//! transformed once and each enqueue only binds arguments and starts the
+//! workers, a launch pays for compiling only the first time its *shape*
+//! runs. The shape (`ShapeKey`) is everything lowering, optimisation,
+//! quickening and the lockstep layout read: the NDRange, the bits of
+//! every scalar argument (floats included, since folding reads them), the
+//! element count of every `local` argument, which arguments pass the same
+//! buffer, whether the dequeue site takes tickets, and whether the groups
+//! run in lockstep. Each kernel's [`crate::ModuleFacts`] keeps the
+//! programs (`CompiledLaunch`) of its last
+//! [`LAUNCH_MEMO`](crate::analysis::LAUNCH_MEMO) shapes beside its gate
+//! answers; a launch takes its shape's programs out, binds them, runs them
+//! and puts them back, and a miss compiles as above.
+//!
+//! Buffer ids reach a compiled program only as the arena word of preamble
+//! registers: folding keeps a pointer's arena, pointers compare by
+//! offset, and no instruction holds a global pointer. Compiling records
+//! which preamble register points into which argument's buffer, read from
+//! the preamble's typed values (buffer 0's arena word is 0, as an
+//! integer's is), and binding rewrites just those registers, in the
+//! quickened program and in its lockstep layout. A memoised program bound
+//! to a launch equals a fresh compile of it, code and preamble.
+//!
+//! A sharded launch runs its groups on the submitting thread and on that
+//! thread's parked helpers (`interp::pool`), spawned the first time a
+//! launch needs them and kept until the thread exits, so a launch wakes
+//! its helpers instead of spawning threads. A helper's panic resumes on
+//! the submitter once every worker has stopped, and the helpers stay
+//! parked for the next launch.
 //!
 //! ## Lockstep execution
 //!
@@ -109,6 +145,12 @@
 //!
 //! - **Registers** are struct-of-arrays: a varying register holds one slot
 //!   per item, a group-uniform one a single slot (`lockstep::compile`).
+//!   A frame lays out the uniform registers first, then the varying ones
+//!   with a preamble value, then the rest, so a group start and a call
+//!   seed a fresh frame by copying only its preamble prefix: every other
+//!   varying register is written by each item before the item reads it
+//!   (the verifier's dominance rule), so its slots may keep what an
+//!   earlier group or frame left there.
 //!   A register is uniform when every write of it runs outside divergent
 //!   regions from uniform operands; a load through a uniform pointer into
 //!   shared memory qualifies, since all items read it at one instant and
@@ -1395,6 +1437,127 @@ pub(crate) struct VmProgram {
     calls: Vec<CallSite>,
 }
 
+/// Everything of a launch that lowering, optimisation, quickening and the
+/// lockstep layout read: the programs compiled for one shape serve every
+/// launch of it. Buffer ids are not part of it (see [`CompiledLaunch`]).
+#[derive(Debug, PartialEq)]
+pub(crate) struct ShapeKey {
+    ndrange: NdRange,
+    /// Per argument: a scalar's bits, a local argument's element count,
+    /// or for a buffer the first argument that passes the same buffer
+    /// (the launch's alias pattern).
+    args: Box<[ArgKey]>,
+    /// Whether the dequeue site takes tickets.
+    tickets: bool,
+    /// Whether the groups run in lockstep.
+    lockstep: bool,
+}
+
+#[derive(Debug, PartialEq)]
+enum ArgKey {
+    Scalar(u64),
+    Local(u32),
+    Buffer(u32),
+}
+
+impl ShapeKey {
+    pub(crate) fn new(ndrange: NdRange, args: &[ArgValue], tickets: bool, lockstep: bool) -> Self {
+        let keys = args
+            .iter()
+            .map(|a| match a {
+                ArgValue::Scalar(v) => ArgKey::Scalar(Slot::of(*v).bits),
+                ArgValue::Local { elems } => ArgKey::Local(*elems),
+                ArgValue::Buffer(b) => ArgKey::Buffer(
+                    args.iter()
+                        .position(|x| matches!(x, ArgValue::Buffer(y) if y == b))
+                        .unwrap_or_default() as u32,
+                ),
+            })
+            .collect();
+        ShapeKey {
+            ndrange,
+            args: keys,
+            tickets,
+            lockstep,
+        }
+    }
+}
+
+/// The programs one launch shape runs: the quickened program, its lockstep
+/// layout when the groups run in lockstep, and which registers of the
+/// kernel frame's preamble point into which buffer argument.
+///
+/// Buffer ids reach a compiled program only there: folding keeps a
+/// pointer's arena, pointers compare by offset, and no instruction holds a
+/// global pointer. So [`bind`](Self::bind) makes the programs of one
+/// launch serve another of the same [`ShapeKey`] by rewriting those
+/// registers' arena words.
+#[derive(Debug)]
+pub(crate) struct CompiledLaunch {
+    prog: VmProgram,
+    ls: Option<lockstep::LsProgram>,
+    /// `(register, argument)` pairs, recorded from the preamble's values
+    /// at compile time (buffer 0's arena word is 0, an integer's too).
+    buffers: Box<[(u32, u32)]>,
+}
+
+impl CompiledLaunch {
+    /// Lower, optimise and quicken the launch `setup` plans, and lay it out
+    /// for lockstep when `lockstep` holds.
+    pub(crate) fn compile(
+        module: &Module,
+        setup: &LaunchSetup<'_>,
+        ndrange: NdRange,
+        args: &[ArgValue],
+        lockstep: bool,
+    ) -> Self {
+        let mut bc = lower(module, setup);
+        optimize(&mut bc, ndrange);
+        let prog = quicken(&bc);
+        let ls = lockstep
+            .then(|| lockstep::compile(&bc, &prog, ndrange.wg_size()))
+            .flatten();
+        // Only the kernel's buffer arguments point into global memory, and
+        // folding keeps a pointer's arena, so every global pointer of the
+        // preamble comes from the first argument passing its buffer (under
+        // one alias pattern, any argument passing it binds the same).
+        let buffers = bc.funcs[0]
+            .template
+            .iter()
+            .enumerate()
+            .filter_map(|(r, v)| match v {
+                Some(Value::Ptr(PtrVal {
+                    arena: Arena::Global(b),
+                    ..
+                })) => args
+                    .iter()
+                    .position(|a| matches!(a, ArgValue::Buffer(x) if x == b))
+                    .map(|a| (r as u32, a as u32)),
+                _ => None,
+            })
+            .collect();
+        CompiledLaunch { prog, ls, buffers }
+    }
+
+    /// Point the preamble's buffer registers into `args`' buffers.
+    pub(crate) fn bind(&mut self, args: &[ArgValue]) {
+        for &(r, a) in self.buffers.iter() {
+            let ArgValue::Buffer(b) = args[a as usize] else {
+                unreachable!("argument {a} of this shape is a buffer");
+            };
+            let arena = Slot::of(Value::Ptr(PtrVal {
+                arena: Arena::Global(b),
+                byte_off: 0,
+            }))
+            .arena;
+            self.prog.funcs[0].template[r as usize].arena = arena;
+            if let Some(ls) = &mut self.ls {
+                ls.set_arena(r, arena);
+            }
+        }
+    }
+}
+
 /// Quicken an optimized module: resolve every operand kind, fuse
 /// compare+branch and gep+load/store pairs within a block, and lay the
 /// functions out in one array with absolute branch targets.
@@ -1479,6 +1642,9 @@ pub(crate) fn quicken(bc: &BcModule) -> VmProgram {
             block_pc: block_pc.into_boxed_slice(),
         });
     }
+    // Kept for the life of the program's facts (`CompiledLaunch`).
+    insns.shrink_to_fit();
+    calls.shrink_to_fit();
     VmProgram {
         insns,
         funcs,
@@ -2642,12 +2808,65 @@ impl<'m> Interpreter<'m> {
         ))
     }
 
+    /// Render the programs this launch runs on the bytecode tier (the
+    /// quickened program with its preamble, the lockstep layout when the
+    /// groups run in lockstep, and the preamble's buffer registers) as
+    /// `Debug` text, after a first line that says whether they came from
+    /// the facts' memo of compiled launch shapes (bound to these
+    /// arguments) or were compiled afresh (and kept there).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`InterpError`] when the launch does not plan.
+    pub fn compiled_listing(
+        &self,
+        mem: &DeviceMemory,
+        kernel: &str,
+        ndrange: NdRange,
+        args: &[ArgValue],
+    ) -> Result<String, InterpError> {
+        let mut setup = self.plan(mem, kernel, ndrange, args)?;
+        let gate = self.gate(Some(mem), kernel, ndrange, args);
+        setup.tickets = gate.sharding().1;
+        let (key, compiled, memoised) =
+            self.take_compiled(kernel, &setup, ndrange, args, gate.lockstep());
+        let text = format!("memoised: {memoised}\n{compiled:#?}");
+        self.facts().keep_program(kernel, key, compiled);
+        Ok(text)
+    }
+
+    /// The programs for this launch's shape, taken from the memo and bound
+    /// to `args` (and `true`), or compiled afresh; the caller keeps them
+    /// again under the returned key.
+    fn take_compiled(
+        &self,
+        kernel: &str,
+        setup: &LaunchSetup<'_>,
+        ndrange: NdRange,
+        args: &[ArgValue],
+        lockstep: bool,
+    ) -> (ShapeKey, CompiledLaunch, bool) {
+        let key = ShapeKey::new(ndrange, args, setup.tickets.is_some(), lockstep);
+        match self.facts().take_program(kernel, &key) {
+            Some(mut compiled) => {
+                compiled.bind(args);
+                (key, compiled, true)
+            }
+            None => {
+                let compiled = CompiledLaunch::compile(self.module, setup, ndrange, args, lockstep);
+                (key, compiled, false)
+            }
+        }
+    }
+
     /// Execute `kernel` like [`run_kernel`](Self::run_kernel) on the
     /// selected [`ExecTier`].
     ///
     /// The bytecode tier shards independent work groups across up to
-    /// `threads` OS threads when the `accelcheck` race analysis proves the
-    /// launch free of cross-group races — provably disjoint global writes,
+    /// `threads` OS threads (the calling thread and `threads - 1` helpers
+    /// it keeps parked between launches) when the `accelcheck` race
+    /// analysis proves the launch free of cross-group races — provably
+    /// disjoint global writes,
     /// deterministic atomic contention, or a disjointness proof
     /// re-validated against the concrete launch parameters (see
     /// [`parallel_eligible_in`](Self::parallel_eligible_in)) — and runs the
@@ -2701,20 +2920,14 @@ impl<'m> Interpreter<'m> {
         if self.tier == ExecTier::TreeWalk {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
-        let lockstep = gate.lockstep();
-        let mut bc = lower(self.module, &setup);
-        optimize(&mut bc, ndrange);
-        let prog = quicken(&bc);
-        let ls = lockstep
-            .then(|| lockstep::compile(&bc, &prog, ndrange.wg_size()))
-            .flatten();
+        let (key, compiled, _) = self.take_compiled(kernel, &setup, ndrange, args, gate.lockstep());
         let step_limit = self.config.step_limit;
         let local_bytes = setup.local_bytes;
         let gmem = GlobalMem::new(mem);
         let run = |gid: [usize; 3], scratch: &mut BcScratch, stats: &mut DynStats| {
             run_bc_group(
-                &prog,
-                ls.as_ref(),
+                &compiled.prog,
+                compiled.ls.as_ref(),
                 &gmem,
                 step_limit,
                 ndrange,
@@ -2725,11 +2938,13 @@ impl<'m> Interpreter<'m> {
                 stats,
             )
         };
-        if threads <= 1 || !eligible {
+        let result = if threads <= 1 || !eligible {
             run_groups_seq_sched(ndrange, run)
         } else {
             run_groups_stealing_sched(ndrange, threads, run)
-        }
+        };
+        self.facts().keep_program(kernel, key, compiled);
+        result
     }
 
     /// [`run_kernel_bytecode`](Self::run_kernel_bytecode) with the host's

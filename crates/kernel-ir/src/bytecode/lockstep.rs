@@ -20,6 +20,7 @@ const EXIT: u32 = u32::MAX;
 const UNIFORM: u32 = 1 << 31;
 
 /// A quickened program laid out for one group shape.
+#[derive(Debug)]
 pub(super) struct LsProgram {
     /// Items per group.
     n: usize,
@@ -30,11 +31,20 @@ pub(super) struct LsProgram {
 }
 
 /// One function's register layout: uniform registers first, one slot
-/// each, then every varying register's `n` item slots.
+/// each, then every varying register's `n` item slots, those with a
+/// preamble value first.
+#[derive(Debug)]
 struct LsFunc {
     /// Per register: its frame offset, `| UNIFORM` when held once.
     regs: Box<[u32]>,
-    /// A fresh frame: each register's preamble value in all its slots.
+    /// The frame's size in slots.
+    slots: usize,
+    /// The frame's preamble: each register's preamble value in all its
+    /// slots, up to the last register that has one. A fresh frame copies
+    /// only this prefix. The slots past it belong to varying registers
+    /// without a preamble value, which an item writes before it reads
+    /// them (the verifier's dominance rule), so they may keep whatever an
+    /// earlier frame or group left there.
     template: Box<[Slot]>,
 }
 
@@ -150,36 +160,69 @@ pub(super) fn compile(bc: &BcModule, prog: &VmProgram, n: usize) -> Option<LsPro
                 rpc[block_end as usize - 1] = vf.block_pc.get(ipdom[b]).copied().unwrap_or(EXIT);
             }
         }
-        let nregs = vf.template.len();
-        let mut regs = vec![0u32; nregs];
+        // Uniform registers, then varying ones with a preamble value (a
+        // kernel parameter when the kernel calls itself), then the rest.
+        let class = |r: usize| match uni[fi].get(r) {
+            Some(true) => 0,
+            _ if func.template.get(r).is_some_and(Option::is_some) => 1,
+            _ => 2,
+        };
+        let mut regs = vec![0u32; vf.template.len()];
         let mut next = 0usize;
-        for (r, slot) in regs.iter_mut().enumerate() {
-            if uni[fi].get(r).copied().unwrap_or(false) {
-                *slot = next as u32 | UNIFORM;
-                next += 1;
+        let mut prefix = 0usize;
+        for c in 0..3 {
+            for (r, slot) in regs.iter_mut().enumerate() {
+                if class(r) == c {
+                    *slot = next as u32 | if c == 0 { UNIFORM } else { 0 };
+                    next = next.checked_add(if c == 0 { 1 } else { n })?;
+                }
             }
-        }
-        for (r, slot) in regs.iter_mut().enumerate() {
-            if !uni[fi].get(r).copied().unwrap_or(false) {
-                *slot = next as u32;
-                next = next.checked_add(n)?;
+            if c == 1 {
+                prefix = next;
             }
         }
         if next >= UNIFORM as usize {
             return None;
         }
-        let mut template = vec![Slot::default(); next];
+        let mut template = vec![Slot::default(); prefix];
         for (r, &p) in regs.iter().enumerate() {
             let width = if p & UNIFORM != 0 { 1 } else { n };
             let at = (p & !UNIFORM) as usize;
-            template[at..at + width].fill(vf.template[r]);
+            if at < prefix {
+                template[at..at + width].fill(vf.template[r]);
+            }
         }
         funcs.push(LsFunc {
             regs: regs.into_boxed_slice(),
+            slots: next,
             template: template.into_boxed_slice(),
         });
     }
     Some(LsProgram { n, funcs, rpc })
+}
+
+impl LsProgram {
+    /// Set the arena word of the kernel frame's register `reg` in every
+    /// slot of its preamble (binding a buffer argument to a launch).
+    pub(super) fn set_arena(&mut self, reg: u32, arena: u64) {
+        let (n, kernel) = (self.n, &mut self.funcs[0]);
+        let p = kernel.regs[reg as usize];
+        let width = if p & UNIFORM != 0 { 1 } else { n };
+        let at = (p & !UNIFORM) as usize;
+        for slot in &mut kernel.template[at..at + width] {
+            slot.arena = arena;
+        }
+    }
+}
+
+/// Lay a fresh frame of `func` out at `base` of `regs`: grow `regs` to
+/// hold it and copy the function's preamble prefix.
+fn seed_frame(regs: &mut Vec<Slot>, func: &LsFunc, base: usize) {
+    let end = base + func.slots;
+    if regs.len() < end {
+        regs.resize(end, Slot::default());
+    }
+    regs[base..base + func.template.len()].copy_from_slice(&func.template);
 }
 
 /// A suspended set of items: resumes at `pc`, reconverges at `rpc`; its
@@ -257,8 +300,7 @@ pub(super) fn run_group(
         private,
         finished,
     } = scratch;
-    regs.clear();
-    regs.extend_from_slice(&ls.funcs[0].template);
+    seed_frame(regs, &ls.funcs[0], 0);
     frames.clear();
     frames.push(Frame {
         func: 0,
@@ -469,7 +511,6 @@ pub(super) fn run_group(
                             break 'run;
                         }
                         frames.pop();
-                        regs.truncate(frame.base as usize);
                         // Release the callee's private frame (a no-op for
                         // items that did not make the call).
                         for p in &mut private[..n] {
@@ -838,11 +879,11 @@ pub(super) fn run_group(
                 // The callers resume after the call once the callee's last
                 // items return.
                 push!(pc as u32, rpc, active);
-                let base = regs.len();
-                regs.extend_from_slice(&callee.template);
                 let caller = frames.last().expect("a frame");
+                let base = caller.base as usize + ls.funcs[caller.func as usize].slots;
+                seed_frame(regs, callee, base);
                 // SAFETY: both frames lie inside `regs` (re-derived after
-                // the extension may have moved it).
+                // seeding may have grown it).
                 fp = unsafe { regs.as_mut_ptr().add(caller.base as usize) };
                 let callee_fp = unsafe { regs.as_mut_ptr().add(base) };
                 for (k, a) in args.iter().enumerate() {

@@ -28,7 +28,9 @@ use crate::ir::{
 };
 use crate::races::{KernelRaceReport, LaunchEnv};
 use crate::types::{AddressSpace, Type};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock, PoisonError};
+
+mod pool;
 
 /// Identifier of a device global-memory buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -851,16 +853,27 @@ pub(crate) struct LaunchSetup<'m> {
     pub(crate) arg_plan: Vec<ArgPlan>,
     pub(crate) static_local: Vec<(BlockId, usize, usize)>,
     pub(crate) local_bytes: usize,
-    pub(crate) private: PrivateFrames,
+    pub(crate) private: &'m PrivateFrames,
     pub(crate) tickets: Option<Tickets>,
 }
+
+/// Most bytes one function's private frame may hold: the sum of its
+/// private `alloca` sites, each of which a call zeroes for every work
+/// item, whether or not the alloca runs. A module with a larger frame
+/// fails every launch with [`InterpError::Invalid`] on every tier,
+/// before any memory is allocated for it. The largest frame of the 25
+/// Parboil kernels, untransformed or JIT-transformed, holds 136 bytes
+/// (bfs's kernel).
+pub const MAX_PRIVATE_FRAME_BYTES: usize = 1 << 16;
 
 /// Private memory as automatic storage: every private `alloca` site of
 /// the module has a fixed byte offset in its function's private frame
 /// (sizes from `interp_size`). A call pushes the callee's zeroed frame
 /// onto the work item's private arena and its return truncates the arena
 /// back; an alloca re-zeroes its own bytes and points at them. One layout
-/// per launch, read by the tree-walker and by the bytecode lowering.
+/// per module, kept in its [`ModuleFacts`] and read by the tree-walker and
+/// by the bytecode lowering.
+#[derive(Debug)]
 pub(crate) struct PrivateFrames {
     /// Per function: `(block, ip, offset)` of each private alloca, in
     /// instruction order.
@@ -871,8 +884,8 @@ pub(crate) struct PrivateFrames {
 
 impl PrivateFrames {
     /// Lay out every function of `module`; an error when a frame would
-    /// not fit 32-bit offsets.
-    fn new(module: &Module) -> Result<PrivateFrames, InterpError> {
+    /// hold more than [`MAX_PRIVATE_FRAME_BYTES`].
+    pub(crate) fn new(module: &Module) -> Result<PrivateFrames, InterpError> {
         let mut sites = Vec::with_capacity(module.functions.len());
         let mut bytes = Vec::with_capacity(module.functions.len());
         for func in &module.functions {
@@ -888,13 +901,16 @@ impl PrivateFrames {
                     {
                         own.push((bid, ip, top));
                         let size = interp_size(elem) as u64 * *count as u64;
-                        top = u32::try_from(top as u64 + size).map_err(|_| {
-                            InterpError::Invalid(format!(
-                                "function `{}` needs more than {} bytes of private memory",
-                                func.name,
-                                u32::MAX
-                            ))
-                        })?;
+                        top = u32::try_from(top as u64 + size)
+                            .ok()
+                            .filter(|&t| t as usize <= MAX_PRIVATE_FRAME_BYTES)
+                            .ok_or_else(|| {
+                                InterpError::Invalid(format!(
+                                    "function `{}` needs more than {MAX_PRIVATE_FRAME_BYTES} \
+                                     bytes of private memory per call",
+                                    func.name
+                                ))
+                            })?;
                     }
                 }
             }
@@ -1167,7 +1183,7 @@ impl<'m> Interpreter<'m> {
     }
 
     /// The analysis cache the gates read.
-    fn facts(&self) -> &ModuleFacts {
+    pub(crate) fn facts(&self) -> &ModuleFacts {
         match self.given_facts {
             Some(facts) => facts,
             None => self.own_facts.get_or_init(|| ModuleFacts::new(self.module)),
@@ -1330,7 +1346,7 @@ impl<'m> Interpreter<'m> {
         kernel: &str,
         _ndrange: NdRange,
         args: &[ArgValue],
-    ) -> Result<LaunchSetup<'m>, InterpError> {
+    ) -> Result<LaunchSetup<'_>, InterpError> {
         let (func_idx, func) = self
             .module
             .functions
@@ -1441,7 +1457,7 @@ impl<'m> Interpreter<'m> {
             arg_plan,
             static_local,
             local_bytes,
-            private: PrivateFrames::new(self.module)?,
+            private: self.facts().private_frames(self.module)?,
             tickets: None,
         })
     }
@@ -2204,7 +2220,8 @@ where
 /// [`STEAL_RANGE`] toward single groups as the range space drains), so a
 /// thread that drew cheap groups keeps working while another grinds
 /// through expensive ones. Only called once the analysis has admitted the
-/// launch for cross-group parallelism.
+/// launch for cross-group parallelism. The calling thread is one of the
+/// `threads` workers and its parked helpers ([`pool`]) are the others.
 ///
 /// Bit-identity with [`run_groups_seq_sched`]: every claimed range
 /// `[lo, hi)` is owned by exactly one thread, which writes
@@ -2229,8 +2246,7 @@ where
     // disjoint raw-pointer writes into the pre-sized buffer are safe.
     let insns = SyncPtr(insns_per_wg.as_mut_ptr());
     let cursor = AtomicUsize::new(0);
-    let mut merged = DynStats::default();
-    let mut first_err: Option<(usize, InterpError)> = None;
+    let parts = Mutex::new(Vec::with_capacity(threads));
     let worker = || {
         let mut scratch = S::default();
         let mut part = DynStats::default();
@@ -2257,32 +2273,31 @@ where
             }
         }
     };
-    std::thread::scope(|scope| {
-        // The calling thread is one of the `threads` workers.
-        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
-        let own = worker();
-        let parts = std::iter::once(own).chain(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("interpreter worker panicked")),
-        );
-        for part in parts {
-            match part {
-                Ok(part) => {
-                    merged.mem_ops += part.mem_ops;
-                    merged.atomic_ops += part.atomic_ops;
-                    merged.barriers += part.barriers;
-                }
-                // Keep the error of the lowest-numbered failing group —
-                // the one the sequential interpreter would have stopped at.
-                Err((flat, e)) => {
-                    if first_err.as_ref().is_none_or(|(f, _)| flat < *f) {
-                        first_err = Some((flat, e));
-                    }
+    pool::run(threads - 1, &|| {
+        let part = worker();
+        parts
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(part);
+    });
+    let mut merged = DynStats::default();
+    let mut first_err: Option<(usize, InterpError)> = None;
+    for part in parts.into_inner().unwrap_or_else(PoisonError::into_inner) {
+        match part {
+            Ok(part) => {
+                merged.mem_ops += part.mem_ops;
+                merged.atomic_ops += part.atomic_ops;
+                merged.barriers += part.barriers;
+            }
+            // Keep the error of the lowest-numbered failing group — the
+            // one the sequential interpreter would have stopped at.
+            Err((flat, e)) => {
+                if first_err.as_ref().is_none_or(|(f, _)| flat < *f) {
+                    first_err = Some((flat, e));
                 }
             }
         }
-    });
+    }
     if let Some((_, e)) = first_err {
         return Err(e);
     }

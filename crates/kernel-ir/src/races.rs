@@ -3012,19 +3012,46 @@ struct Fork {
 }
 
 /// One item's access through a recorded site in one interval instance.
+/// The evaluation keeps one per access of every item of a group, so the
+/// fields are packed into 40 bytes.
 #[derive(Debug, Clone, Copy)]
 struct Touch {
+    start: i64,
+    /// A plain store's value, when it is a known integer (`stored_known`).
+    stored: i64,
     /// Barriers the item passed before it: the interval instance.
     barriers: u32,
-    mem: Mem,
-    start: i64,
-    end: i64,
+    /// The memory, ordered as [`Mem`] is ([`mem_key`]).
+    mem: u32,
     item: u32,
     site: u32,
     /// The item's local ids on the site's value axes, flattened.
     key: u32,
-    /// A plain store's value, when it is a known integer.
-    stored: Option<i64>,
+    /// Bytes accessed from `start` on.
+    width: u8,
+    stored_known: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Touch>() <= 40);
+
+impl Touch {
+    fn end(&self) -> i64 {
+        self.start.saturating_add(i64::from(self.width))
+    }
+}
+
+/// `mem` as one word that sorts as it does: the variant in the top two
+/// bits, its index below (`None` past 2^30 indices).
+fn mem_key(mem: Mem) -> Option<u32> {
+    let (tag, index) = match mem {
+        Mem::Param(i) => (0, i),
+        Mem::Local(i) => (1, i),
+        Mem::Private(i) => (2, i),
+    };
+    u32::try_from(index)
+        .ok()
+        .filter(|&i| i < 1 << 30)
+        .map(|i| tag << 30 | i)
 }
 
 /// Why a contending pair is not cleared.
@@ -3408,6 +3435,9 @@ impl<'a> Eval<'a> {
             _ => return Err(format!("the address of {} does not evaluate", s.describe())),
         };
         let end = start.saturating_add(width as i64);
+        let (Some(mem_word), Ok(width)) = (mem_key(mem), u8::try_from(width)) else {
+            return Err(format!("{} is too large to evaluate", s.describe()));
+        };
         if let Mem::Local(c) = mem {
             if start < 0 || self.allocas[c].is_none_or(|(size, _)| end > size) {
                 return Err(format!("{} reaches past its local array", s.describe()));
@@ -3416,15 +3446,17 @@ impl<'a> Eval<'a> {
         let axes = s.value_axes.unwrap_or(0);
         let on = |d: usize| if axes >> d & 1 != 0 { it.lid[d] } else { 0 };
         let [l0, l1, _] = self.env.local;
+        let stored = stored.and_then(int_bits);
         self.touches.push(Touch {
-            barriers,
-            mem,
             start,
-            end,
+            stored: stored.unwrap_or(0),
+            barriers,
+            mem: mem_word,
             item: it.index,
             site: site as u32,
             key: (on(0) + l0 * (on(1) + l1 * on(2))) as u32,
-            stored: stored.and_then(int_bits),
+            width,
+            stored_known: stored.is_some(),
         });
         Ok(())
     }
@@ -3438,8 +3470,8 @@ impl<'a> Eval<'a> {
             return false;
         }
         let site = &self.sites[x.site as usize];
-        let same_value = (x.start, x.end) == (y.start, y.end)
-            && ((x.stored.is_some() && x.stored == y.stored)
+        let same_value = (x.start, x.end()) == (y.start, y.end())
+            && ((x.stored_known && y.stored_known && x.stored == y.stored)
                 || (x.site == y.site
                     && site.kind == AccessKind::Write
                     && site.value_axes.is_some()
@@ -3455,7 +3487,7 @@ impl<'a> Eval<'a> {
         touches.sort_unstable_by_key(|t| (t.barriers, t.mem, t.start));
         let mut open: Vec<Touch> = Vec::new();
         for t in &touches {
-            open.retain(|o| (o.barriers, o.mem) == (t.barriers, t.mem) && o.end > t.start);
+            open.retain(|o| (o.barriers, o.mem) == (t.barriers, t.mem) && o.end() > t.start);
             self.charge(open.len()).map_err(Unsettled::GivesUp)?;
             if let Some(o) = open
                 .iter()

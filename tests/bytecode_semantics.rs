@@ -1369,3 +1369,258 @@ fn helper_chain_builds_and_launches_on_both_tiers() {
     );
     assert_eq!(os.context_mut().read_i32(out).unwrap(), vec![0; 16]);
 }
+
+// ---------------------------------------------------------------------------
+// Compiled launch shapes: memoised, bound per launch, frames seeded from
+// their preamble, groups sharded over parked helpers
+// ---------------------------------------------------------------------------
+
+/// The listing of a launch's programs without its first line (whether
+/// they came from the memo), and that line's answer.
+fn listing(
+    interp: &Interpreter,
+    mem: &DeviceMemory,
+    kernel: &str,
+    nd: NdRange,
+    args: &[ArgValue],
+) -> (bool, String) {
+    let text = interp
+        .compiled_listing(mem, kernel, nd, args)
+        .unwrap_or_else(|e| panic!("`{kernel}` does not plan: {e}"));
+    let (first, body) = text.split_once('\n').expect("a first line");
+    (first == "memoised: true", body.to_string())
+}
+
+#[test]
+fn memoised_programs_equal_fresh_compiles_on_parboil() {
+    // Every Parboil kernel, untransformed and JIT-transformed (the
+    // scheduling kernel, over two workers), at two launch shapes: each
+    // shape's programs, memoised and bound to a second launch's new
+    // buffers, equal a fresh compile of that launch, templates and code.
+    use accelos::chunk::Mode;
+    use accelos::jit::transform_module;
+    use accelos::vrange::VirtualNdRange;
+    use clrt::{Arg, Context, Platform, Program};
+    use parboil::datasets::prepare_launch;
+    use parboil::KernelSpec;
+    for spec in KernelSpec::all() {
+        let module = minicl::compile(spec.source).expect("compile");
+        let transformed = transform_module(&module, Mode::Optimized).expect("transform");
+        for jit in [false, true] {
+            let m = if jit { &transformed.module } else { &module };
+            let program = Program::from_module(m.clone(), spec.source).expect("wrap");
+            let mut ctx = Context::new(&Platform::nvidia());
+            let mut launch = |scale: usize| {
+                let p = prepare_launch(spec, &mut ctx, &program, scale, 7).expect("prepare");
+                let mut kernel = p.kernel;
+                let mut nd = p.ndrange;
+                if jit {
+                    let v = VirtualNdRange::new(nd);
+                    let rt = ctx.create_buffer(8 * v.descriptor().len());
+                    ctx.write_i64(rt, &v.descriptor()).expect("descriptor");
+                    let rt_index = kernel.arity() - 1;
+                    kernel.set_arg(rt_index, Arg::Buffer(rt)).expect("bind rt");
+                    nd = v.hardware_range(2);
+                }
+                (nd, kernel.resolved_args().expect("args"))
+            };
+            let launches: Vec<_> = [1, 2, 1, 2].into_iter().map(&mut launch).collect();
+            let mem = ctx.memory_mut().clone();
+            let shared = Interpreter::with_facts(program.module(), program.facts());
+            let what = format!("`{}` (JIT: {jit})", spec.name);
+            let firsts: Vec<_> = launches[..2]
+                .iter()
+                .map(|(nd, args)| listing(&shared, &mem, spec.entry, *nd, args).1)
+                .collect();
+            for (i, (nd, args)) in launches[2..].iter().enumerate() {
+                let (memoised, bound) = listing(&shared, &mem, spec.entry, *nd, args);
+                assert!(memoised, "{what}, shape {i}: not memoised");
+                let fresh = Interpreter::new(program.module());
+                let (again, compiled) = listing(&fresh, &mem, spec.entry, *nd, args);
+                assert!(!again, "{what}: a fresh interpreter has no memo");
+                assert_eq!(bound, compiled, "{what}, shape {i}: bound ≠ fresh");
+                assert_ne!(bound, firsts[i], "{what}, shape {i}: new buffers not bound");
+            }
+        }
+    }
+}
+
+#[test]
+fn relaunches_rebind_new_zero_and_aliased_buffers() {
+    // Constant-index accesses fold `b + 0`, `b + 1` and `a + 3` into the
+    // preamble, so each relaunch must point them at its own buffers:
+    // new ones, buffer 0 (whose arena word is 0, like an integer's) and
+    // one buffer passed twice.
+    let src = "kernel void k(global int* a, global int* b, int n) {
+        size_t i = get_global_id(0);
+        int head = b[0] + b[1];
+        a[i] = b[i] * n + head;
+        if (i == 0) { a[3] = head - n; }
+    }";
+    let module = minicl::compile(src).expect("compile");
+    let mut mem = DeviceMemory::new();
+    let bufs: Vec<_> = (0..5).map(|_| mem.alloc(4 * 32)).collect();
+    for (k, &b) in bufs.iter().enumerate() {
+        let fill: Vec<i32> = (0..32)
+            .map(|i| (i * 37 + 11 * k as i32) % 101 - 50)
+            .collect();
+        mem.write_i32(b, &fill);
+    }
+    assert_eq!(bufs[0], kernel_ir::BufferId(0));
+    let nd = NdRange::new_1d(32, 8);
+    let shared = Interpreter::new(&module);
+    // (a, b, whether the launch's shape was compiled before): each shape
+    // is first compiled with buffer 0 bound, then rebound away from it.
+    let launches = [
+        (0, 3, false),
+        (1, 2, true),
+        (3, 0, true),
+        (0, 0, false),
+        (2, 2, true),
+        (4, 4, true),
+        (1, 4, true),
+    ];
+    for (a, b, seen) in launches {
+        let what = format!("a = buffer {a}, b = buffer {b}");
+        let args = [
+            ArgValue::Buffer(bufs[a]),
+            ArgValue::Buffer(bufs[b]),
+            ArgValue::Scalar(Value::I32(3)),
+        ];
+        assert_eq!(listing(&shared, &mem, "k", nd, &args).0, seen, "{what}");
+        let mut tree_mem = mem.clone();
+        let tree = shared.run_kernel(&mut tree_mem, "k", nd, &args);
+        for threads in [1, 3] {
+            for interp in [&shared, &Interpreter::new(&module)] {
+                let mut vm_mem = mem.clone();
+                let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, &args, threads);
+                assert_eq!(vm, tree, "{what}, x{threads}");
+                assert_eq!(vm_mem, tree_mem, "{what}, x{threads}");
+            }
+        }
+        mem = tree_mem;
+    }
+}
+
+#[test]
+fn lockstep_frames_hold_no_stale_varying_slots() {
+    // Frames copy only their preamble prefix: the varying slots past it
+    // keep what the previous group, or a callee of another function laid
+    // out at the same base, left there. Items diverge into helpers of
+    // different frame sizes and call one helper again at the same base;
+    // across 64 groups every item must see only its own writes.
+    let src = "int wide(int x, int y) {
+            int p = x * 3;
+            int q = y ^ p;
+            int r = q + (x & 7);
+            return r * r - p;
+        }
+        int narrow(int x) { return x + 1; }
+        kernel void k(global int* a, global int* b, int n) {
+            size_t i = get_global_id(0);
+            int x = b[i];
+            int r = 0;
+            if ((x & 1) == 0) { r = wide(x, n); } else { r = narrow(x) * 2; }
+            int t = narrow(r);
+            int u = 0;
+            if (x > n) { u = wide(t, x); }
+            a[i] = t + u;
+        }";
+    let module = minicl::compile(src).expect("compile");
+    let (items, wg) = (512, 8);
+    for round in 0..3 {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * items);
+        let b = mem.alloc(4 * items);
+        let fill: Vec<i32> = (0..items as i32)
+            .map(|i| (i * 7919 + round * 31) % 97 - 30)
+            .collect();
+        mem.write_i32(b, &fill);
+        let args = [
+            ArgValue::Buffer(a),
+            ArgValue::Buffer(b),
+            ArgValue::Scalar(Value::I32(round)),
+        ];
+        let (got, _) = agreed_run(&module, &mem, NdRange::new_1d(items, wg), &args, true);
+        assert!(got.is_ok(), "round {round}: {got:?}");
+    }
+}
+
+#[test]
+fn concurrent_submitters_share_one_program() {
+    // Four threads launch one program through shared facts, each with
+    // its own memory, at two shapes and on three workers (the submitting
+    // thread and two of its parked helpers): every launch equals the
+    // tree-walker's.
+    let (_, src) = CL_KERNELS
+        .iter()
+        .find(|(name, _)| *name == "helper_barrier")
+        .expect("kernel");
+    let module = minicl::compile(src).expect("compile");
+    let facts = kernel_ir::ModuleFacts::new(&module);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (module, facts) = (&module, &facts);
+            scope.spawn(move || {
+                let interp = Interpreter::with_facts(module, facts);
+                for round in 0..12 {
+                    let wg = if round % 2 == 0 { 8 } else { 16 };
+                    let items = 64;
+                    let mut mem = DeviceMemory::new();
+                    let a = mem.alloc(4 * items);
+                    let b = mem.alloc(4 * items);
+                    let fill: Vec<i32> = (0..items as i32).map(|i| i * (t + 1) - round).collect();
+                    mem.write_i32(b, &fill);
+                    let args = [
+                        ArgValue::Buffer(a),
+                        ArgValue::Buffer(b),
+                        ArgValue::Scalar(Value::I32(t)),
+                    ];
+                    let nd = NdRange::new_1d(items, wg);
+                    let mut tree_mem = mem.clone();
+                    let tree = interp.run_kernel(&mut tree_mem, "k", nd, &args);
+                    let vm = interp.run_kernel_bytecode(&mut mem, "k", nd, &args, 3);
+                    assert_eq!(vm, tree, "thread {t}, round {round}");
+                    assert_eq!(mem, tree_mem, "thread {t}, round {round}");
+                }
+            });
+        }
+    });
+}
+
+#[test]
+fn private_frames_past_the_cap_fail_at_launch() {
+    // `int big[1 << 24]` asks 64 MiB of private memory per item. The launch
+    // fails before any of it is allocated, with the same error on both
+    // tiers. A frame of exactly `MAX_PRIVATE_FRAME_BYTES` still runs: the
+    // array plus the 16-byte cell minicl gives the pointer parameter.
+    use kernel_ir::interp::MAX_PRIVATE_FRAME_BYTES;
+    let kernel = |ints: usize| {
+        minicl::compile(&format!(
+            "kernel void k(global int* a) {{
+                int big[{ints}];
+                big[get_global_id(0)] = (int)get_global_id(0);
+                a[get_global_id(0)] = big[get_global_id(0)];
+            }}"
+        ))
+        .expect("compile")
+    };
+    let cap = (MAX_PRIVATE_FRAME_BYTES - 16) / 4;
+    for (ints, fits) in [(1 << 24, false), (cap + 1, false), (cap, true)] {
+        let module = kernel(ints);
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc(4 * 4);
+        let args = [ArgValue::Buffer(a)];
+        let (got, out) = agreed_run(&module, &mem, NdRange::new_1d(4, 2), &args, true);
+        if fits {
+            assert!(got.is_ok(), "{got:?}");
+            assert_eq!(out.read_i32(a), vec![0, 1, 2, 3]);
+        } else {
+            assert!(
+                matches!(&got, Err(InterpError::Invalid(m))
+                    if m.contains(&format!("more than {MAX_PRIVATE_FRAME_BYTES} bytes"))),
+                "{ints} ints: {got:?}"
+            );
+        }
+    }
+}
