@@ -17,11 +17,10 @@ use crate::bytecode::{CompiledLaunch, ShapeKey};
 use crate::error::InterpError;
 use crate::interp::PrivateFrames;
 use crate::ir::{Function, Inst, Module, Op, Terminator, ValueId};
-use crate::races::LaunchEnv;
 use crate::types::AddressSpace;
 use crate::verify::{operands, successors};
 use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Per-block liveness sets.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -251,11 +250,11 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
 /// The accelcheck cache: each kernel's gate report
 /// ([`crate::races::gate_report`]) and within-group proof
 /// ([`crate::races::lockstep_report`]), computed on the kernel's first
-/// query and kept for the life of the facts, and the two per-launch
-/// answers they give for the last [`LAUNCH_MEMO`] launch shapes. Beside
-/// them, the compiled form of a program: the module's private frame
-/// layout, and each kernel's bytecode for its last [`LAUNCH_MEMO`]
-/// compiled launch shapes (see the [bytecode module docs](crate::bytecode)).
+/// query and kept for the life of the facts, and one record per launch
+/// shape for the last [`LAUNCH_MEMO`] shapes: the two per-launch answers
+/// those give and the shape's compiled programs (see the
+/// [bytecode module docs](crate::bytecode)). Beside them, the module's
+/// private frame layout.
 ///
 /// The interpreter gate, the `clrt` queue and `ProxyCl` all read the
 /// facts a program carries. [`ModuleFacts::new`] runs no analysis. A
@@ -263,8 +262,9 @@ pub fn uses_atomics(func: &Function, module: &Module) -> bool {
 /// once because it shares the built program: `ProxyCl::build_program`
 /// keeps the last 64 programs it built, keyed by source text and JIT mode.
 /// The facts hold no copy of the module; each query passes it in. They are
-/// `Send + Sync`, so the scoped worker threads of the parallel interpreter
-/// share them.
+/// `Send + Sync`: a sharded launch's workers (the submitting thread and
+/// its parked `interp::pool` helpers) and the launches of several
+/// submitting threads share them.
 #[derive(Debug)]
 pub struct ModuleFacts {
     /// Per kernel of the module, by name (most modules have one).
@@ -274,8 +274,8 @@ pub struct ModuleFacts {
     private: OnceLock<Result<PrivateFrames, InterpError>>,
 }
 
-/// Launch shapes whose answers, and whose compiled programs, each
-/// kernel's facts keep; the oldest is evicted first.
+/// Launch shapes whose records each kernel's facts keep; the oldest is
+/// evicted first.
 pub const LAUNCH_MEMO: usize = 8;
 
 /// One kernel's answers, each computed on its first query.
@@ -285,34 +285,22 @@ struct KernelFacts {
     /// whether the kernel's dequeue contract holds.
     gate: OnceLock<Option<(crate::races::KernelRaceReport, bool)>>,
     lockstep: OnceLock<Option<crate::races::LockstepReport>>,
-    /// The per-launch answers of the last launch shapes, oldest first.
-    launches: Mutex<VecDeque<LaunchAnswers>>,
-    /// The programs compiled for the last launch shapes, oldest first.
-    /// A launch takes its program out while it runs.
-    programs: Mutex<VecDeque<(ShapeKey, CompiledLaunch)>>,
+    /// The records of the last launch shapes, oldest first.
+    launches: Mutex<VecDeque<Arc<LaunchRecord>>>,
 }
 
-/// The sharding and lockstep answers for one launch, keyed by everything
-/// both `eligible_for_launch`s read: the complete [`LaunchEnv`].
+/// One launch shape of a kernel and what is decided for it, each on the
+/// first launch that needs it and then shared, read-only, by every launch
+/// of the shape: whether its groups may shard, whether they run in
+/// lockstep, and its compiled programs. A launch takes the memo's lock
+/// only to find or insert its record; the answers and the compile run
+/// outside it, once per record.
 #[derive(Debug)]
-struct LaunchAnswers {
-    local: [usize; 3],
-    groups: [usize; 3],
-    work_dim: u32,
-    args: Box<[Option<i64>]>,
-    distinct_buffers: bool,
-    sharding: Option<bool>,
-    lockstep: Option<bool>,
-}
-
-impl LaunchAnswers {
-    fn is_for(&self, env: &LaunchEnv<'_>) -> bool {
-        self.local == env.local
-            && self.groups == env.groups
-            && self.work_dim == env.work_dim
-            && *self.args == *env.args
-            && self.distinct_buffers == env.distinct_buffers
-    }
+pub(crate) struct LaunchRecord {
+    key: ShapeKey,
+    pub(crate) sharding: OnceLock<bool>,
+    pub(crate) lockstep: OnceLock<bool>,
+    pub(crate) compiled: OnceLock<Arc<CompiledLaunch>>,
 }
 
 impl ModuleFacts {
@@ -339,28 +327,27 @@ impl ModuleFacts {
             .map_err(Clone::clone)
     }
 
-    /// The program compiled for kernel `name` at launch shape `key`, taken
-    /// out of the memo: the launch binds and runs it, then hands it back
-    /// with [`keep_program`](Self::keep_program). Two launches of one
-    /// shape at once compile it twice.
-    pub(crate) fn take_program(&self, name: &str, key: &ShapeKey) -> Option<CompiledLaunch> {
-        let mut memo = lock(&self.kernel(name)?.programs);
-        let i = memo.iter().position(|(k, _)| k == key)?;
-        memo.remove(i).map(|(_, program)| program)
-    }
-
-    /// Keep `program`, compiled for kernel `name` at launch shape `key`,
-    /// as the newest of the kernel's [`LAUNCH_MEMO`] programs.
-    pub(crate) fn keep_program(&self, name: &str, key: ShapeKey, program: CompiledLaunch) {
-        let Some(kernel) = self.kernel(name) else {
-            return;
-        };
-        let mut memo = lock(&kernel.programs);
-        memo.retain(|(k, _)| *k != key);
-        if memo.len() == LAUNCH_MEMO {
-            memo.pop_front();
+    /// The record of kernel `name`'s launch shape `key`: the kept one, or
+    /// a new empty one kept as the newest of the kernel's [`LAUNCH_MEMO`]
+    /// (kept nowhere for a kernel these facts do not know).
+    pub(crate) fn launch_record(&self, name: &str, key: ShapeKey) -> Arc<LaunchRecord> {
+        let mut memo = self.kernel(name).map(|k| lock(&k.launches));
+        if let Some(record) = memo.iter().flat_map(|m| m.iter()).find(|r| r.key == key) {
+            return Arc::clone(record);
         }
-        memo.push_back((key, program));
+        let record = Arc::new(LaunchRecord {
+            key,
+            sharding: OnceLock::new(),
+            lockstep: OnceLock::new(),
+            compiled: OnceLock::new(),
+        });
+        if let Some(memo) = &mut memo {
+            if memo.len() == LAUNCH_MEMO {
+                memo.pop_front();
+            }
+            memo.push_back(Arc::clone(&record));
+        }
+        record
     }
 
     /// The report gating cross-group parallel execution of kernel `name`
@@ -399,83 +386,6 @@ impl ModuleFacts {
             .lockstep
             .get_or_init(|| crate::races::lockstep_report(module, name))
             .as_ref()
-    }
-
-    /// Whether the launch `env` of kernel `name` may shard its groups
-    /// across threads: the gate report's
-    /// [`eligible_for_launch`](crate::races::KernelRaceReport::eligible_for_launch),
-    /// decided once per launch shape ([`LAUNCH_MEMO`]). False for an
-    /// unknown kernel.
-    pub fn sharding_for_launch(&self, module: &Module, name: &str, env: &LaunchEnv<'_>) -> bool {
-        self.launch_answer(
-            name,
-            env,
-            |a| &mut a.sharding,
-            || {
-                self.gate_report(module, name)
-                    .is_some_and(|(r, _)| r.eligible_for_launch(env))
-            },
-        )
-    }
-
-    /// Whether the launch `env` of kernel `name` may run each group's
-    /// items in lockstep: the within-group proof's
-    /// [`eligible_for_launch`](crate::races::LockstepReport::eligible_for_launch),
-    /// decided once per launch shape ([`LAUNCH_MEMO`]). False for an
-    /// unknown kernel.
-    pub fn lockstep_for_launch(&self, module: &Module, name: &str, env: &LaunchEnv<'_>) -> bool {
-        self.launch_answer(
-            name,
-            env,
-            |a| &mut a.lockstep,
-            || {
-                self.lockstep_report(module, name)
-                    .is_some_and(|r| r.eligible_for_launch(env))
-            },
-        )
-    }
-
-    /// The answer `slot` picks for `env`, from the memo or else computed
-    /// (outside the lock) and kept.
-    fn launch_answer(
-        &self,
-        name: &str,
-        env: &LaunchEnv<'_>,
-        slot: fn(&mut LaunchAnswers) -> &mut Option<bool>,
-        compute: impl FnOnce() -> bool,
-    ) -> bool {
-        let Some(kernel) = self.kernel(name) else {
-            return false;
-        };
-        if let Some(answer) = lock(&kernel.launches)
-            .iter_mut()
-            .find(|a| a.is_for(env))
-            .and_then(|a| *slot(a))
-        {
-            return answer;
-        }
-        let answer = compute();
-        let mut memo = lock(&kernel.launches);
-        let entry = match memo.iter().position(|a| a.is_for(env)) {
-            Some(i) => &mut memo[i],
-            None => {
-                if memo.len() == LAUNCH_MEMO {
-                    memo.pop_front();
-                }
-                memo.push_back(LaunchAnswers {
-                    local: env.local,
-                    groups: env.groups,
-                    work_dim: env.work_dim,
-                    args: env.args.into(),
-                    distinct_buffers: env.distinct_buffers,
-                    sharding: None,
-                    lockstep: None,
-                });
-                memo.back_mut().expect("just pushed")
-            }
-        };
-        *slot(entry) = Some(answer);
-        answer
     }
 
     fn kernel(&self, name: &str) -> Option<&KernelFacts> {
@@ -636,81 +546,113 @@ mod tests {
         }
         assert!(facts.gate_report(&m, "missing").is_none());
         assert!(facts.lockstep_report(&m, "missing").is_none());
-        // The cache must be shareable across scoped worker threads.
+        // The cache must be shareable across a launch's workers and
+        // across submitting threads.
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ModuleFacts>();
     }
 
     #[test]
     fn launch_memo_keeps_its_bound_per_kernel() {
+        // Shapes churn past the memo's bound, twice: every launch's answers
+        // equal fresh analyses, the memo never holds more than its bound,
+        // each kept record holds both answers and its programs, and the
+        // private layout is made once.
+        use crate::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
         let (_, m) = simple_kernel();
         let facts = ModuleFacts::new(&m);
-        let kept = |f: &ModuleFacts| f.kernel("k").unwrap().launches.lock().unwrap().len();
-        let (report, _) = facts.gate_report(&m, "k").unwrap();
-        let proof = facts.lockstep_report(&m, "k").unwrap();
+        let kept = || lock(&facts.kernel("k").unwrap().launches).len();
+        let interp = Interpreter::with_facts(&m, &facts);
+        let (report, _) = crate::races::gate_report(&m, "k").unwrap();
+        let proof = crate::races::lockstep_report(&m, "k").unwrap();
+        let mut mem = DeviceMemory::new();
+        let out = mem.alloc(4 * 4 * 3 * LAUNCH_MEMO);
+        let args = [ArgValue::Buffer(out)];
         for round in 0..2 {
             for groups in 1..=3 * LAUNCH_MEMO {
-                let env = LaunchEnv {
+                let nd = NdRange::new_1d(4 * groups, 4);
+                let env = crate::races::LaunchEnv {
                     local: [4, 1, 1],
                     groups: [groups, 1, 1],
                     work_dim: 1,
                     args: &[None],
-                    distinct_buffers: groups % 2 == 0,
+                    distinct_buffers: true,
                 };
+                let what = format!("round {round}: {env:?}");
                 assert_eq!(
-                    facts.sharding_for_launch(&m, "k", &env),
+                    interp.parallel_eligible_in(&mem, "k", nd, &args),
                     report.eligible_for_launch(&env),
-                    "round {round}: {env:?}"
+                    "{what}"
                 );
                 assert_eq!(
-                    facts.lockstep_for_launch(&m, "k", &env),
+                    interp.lockstep_eligible_in(&mem, "k", nd, &args),
                     proof.eligible_for_launch(&env),
-                    "round {round}: {env:?}"
+                    "{what}"
                 );
-                assert!(kept(&facts) <= LAUNCH_MEMO);
-            }
-        }
-        assert_eq!(kept(&facts), LAUNCH_MEMO);
-        // Both answers of one launch share its entry.
-        let memo = facts.kernel("k").unwrap().launches.lock().unwrap();
-        assert!(memo
-            .iter()
-            .all(|a| a.sharding.is_some() && a.lockstep.is_some()));
-        drop(memo);
-        let unknown = LaunchEnv {
-            local: [4, 1, 1],
-            groups: [1, 1, 1],
-            work_dim: 1,
-            args: &[],
-            distinct_buffers: true,
-        };
-        assert!(!facts.sharding_for_launch(&m, "missing", &unknown));
-        assert!(!facts.lockstep_for_launch(&m, "missing", &unknown));
-    }
-
-    #[test]
-    fn program_memo_keeps_its_bound_per_kernel() {
-        use crate::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
-        let (_, m) = simple_kernel();
-        let facts = ModuleFacts::new(&m);
-        let kept = || facts.kernel("k").unwrap().programs.lock().unwrap().len();
-        let interp = Interpreter::with_facts(&m, &facts);
-        let mut mem = DeviceMemory::new();
-        let out = mem.alloc(4 * 4 * LAUNCH_MEMO);
-        for round in 0..2 {
-            for items in 1..=3 * LAUNCH_MEMO {
-                let nd = NdRange::new_1d(items, 1);
-                let args = [ArgValue::Buffer(out)];
                 interp
                     .run_kernel_bytecode(&mut mem, "k", nd, &args, 1)
-                    .unwrap_or_else(|e| panic!("round {round}, {items} items: {e}"));
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
                 assert!(kept() <= LAUNCH_MEMO);
             }
         }
         assert_eq!(kept(), LAUNCH_MEMO);
+        let answered = |r: &Arc<LaunchRecord>| {
+            r.sharding.get().is_some() && r.lockstep.get().is_some() && r.compiled.get().is_some()
+        };
+        assert!(lock(&facts.kernel("k").unwrap().launches)
+            .iter()
+            .all(answered));
         // The private layout is made once, on the first launch.
         let layout: *const _ = facts.private_frames(&m).unwrap();
         assert!(std::ptr::eq(facts.private_frames(&m).unwrap(), layout));
+        // An unknown kernel keeps no record and has no answers.
+        let nd = NdRange::new_1d(4, 4);
+        assert!(!interp.parallel_eligible_in(&mem, "missing", nd, &args));
+        assert!(!interp.lockstep_eligible_in(&mem, "missing", nd, &args));
+    }
+
+    #[test]
+    fn two_threads_launching_one_shape_compile_it_once() {
+        // Two threads, released together, launch one shape through shared
+        // facts, each on its own memory: the shape is compiled once, both
+        // launches run the same program, and the kernel's memo holds one
+        // record.
+        use crate::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
+        let (_, m) = simple_kernel();
+        let facts = ModuleFacts::new(&m);
+        let start = std::sync::Barrier::new(2);
+        let nd = NdRange::new_1d(16, 4);
+        let runs: Vec<(Arc<CompiledLaunch>, bool)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..2)
+                .map(|t| {
+                    let (m, facts, start) = (&m, &facts, &start);
+                    scope.spawn(move || {
+                        let interp = Interpreter::with_facts(m, facts);
+                        let mut mem = DeviceMemory::new();
+                        let out = mem.alloc(4 * 16);
+                        let x = t as f32 + 1.0;
+                        mem.write_f32(out, &[x; 16]);
+                        let args = [ArgValue::Buffer(out)];
+                        start.wait();
+                        let mut setup = interp.plan(&mem, "k", &args).unwrap();
+                        let gate = interp.gate(Some(&mem), "k", nd, &args);
+                        setup.tickets = gate.sharding().1;
+                        let (launch, memoised) = interp.bind_launch(&gate, &setup, nd, &args);
+                        interp
+                            .run_kernel_bytecode(&mut mem, "k", nd, &args, 2)
+                            .unwrap();
+                        assert_eq!(mem.read_f32(out), [2.0 * x; 16], "thread {t}");
+                        (launch.compiled, memoised)
+                    })
+                })
+                .collect();
+            threads.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&runs[0].0, &runs[1].0), "one shared program");
+        assert_eq!(runs.iter().filter(|(_, memoised)| !memoised).count(), 1);
+        let memo = lock(&facts.kernel("k").unwrap().launches);
+        assert_eq!(memo.len(), 1);
+        assert!(Arc::ptr_eq(memo[0].compiled.get().unwrap(), &runs[0].0));
     }
 
     #[test]

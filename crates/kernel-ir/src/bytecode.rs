@@ -95,25 +95,32 @@
 //! As in the paper's transparent runtime (§6.2), where a kernel is
 //! transformed once and each enqueue only binds arguments and starts the
 //! workers, a launch pays for compiling only the first time its *shape*
-//! runs. The shape (`ShapeKey`) is everything lowering, optimisation,
-//! quickening and the lockstep layout read: the NDRange, the bits of
-//! every scalar argument (floats included, since folding reads them), the
-//! element count of every `local` argument, which arguments pass the same
-//! buffer, whether the dequeue site takes tickets, and whether the groups
-//! run in lockstep. Each kernel's [`crate::ModuleFacts`] keeps the
-//! programs (`CompiledLaunch`) of its last
-//! [`LAUNCH_MEMO`](crate::analysis::LAUNCH_MEMO) shapes beside its gate
-//! answers; a launch takes its shape's programs out, binds them, runs them
-//! and puts them back, and a miss compiles as above.
+//! runs. The shape (`ShapeKey`) is the NDRange, per argument a scalar's
+//! kind and bits (floats included, since folding reads them), a `local`
+//! argument's element count or the first argument passing the same
+//! buffer, and for a scheduling kernel under a holding dequeue contract
+//! the virtual group counts its descriptor names. Each kernel's
+//! [`crate::ModuleFacts`] keeps one record per shape for its last
+//! [`LAUNCH_MEMO`](crate::analysis::LAUNCH_MEMO) shapes, under one lock:
+//! the shape's two gate answers (whether its groups shard, whether they
+//! run in lockstep) and its compiled programs (`CompiledLaunch`), each
+//! decided by the first launch that needs it, outside the lock, and
+//! never changed after. The shape determines everything those read, so
+//! launches of one shape share the record, at the same time too, and one
+//! of them compiles it.
 //!
-//! Buffer ids reach a compiled program only as the arena word of preamble
-//! registers: folding keeps a pointer's arena, pointers compare by
-//! offset, and no instruction holds a global pointer. Compiling records
-//! which preamble register points into which argument's buffer, read from
-//! the preamble's typed values (buffer 0's arena word is 0, as an
-//! integer's is), and binding rewrites just those registers, in the
-//! quickened program and in its lockstep layout. A memoised program bound
-//! to a launch equals a fresh compile of it, code and preamble.
+//! Buffer ids reach a compiled program only as the arena word of the
+//! kernel frame's preamble registers: folding keeps a pointer's arena,
+//! pointers compare by offset, and no instruction holds a global pointer.
+//! Compiling records which preamble register points into which
+//! argument's buffer, read from the preamble's typed values (buffer 0's
+//! arena word is 0, as an integer's is), and leaves those registers
+//! unbound (buffer 0), so the program depends on its shape alone. A
+//! launch copies the kernel frame's preamble, in the quickened program
+//! and in its lockstep layout, and points those registers of the copies
+//! into its own buffers (`BoundLaunch`); kernels are never callees, so
+//! only a group start seeds a frame from the copies. A memoised program
+//! bound to a launch equals a fresh compile of it, code and preamble.
 //!
 //! A sharded launch runs its groups on the submitting thread and on that
 //! thread's parked helpers (`interp::pool`), spawned the first time a
@@ -187,8 +194,8 @@
 //! The proof costs a few analysis passes, so each kernel's proof is kept
 //! in its program's accelcheck cache ([`crate::ModuleFacts`]), which
 //! `ProxyCl::build_program` shares among every build of the same source,
-//! and so is its answer for each of the last few launch shapes
-//! ([`crate::analysis::LAUNCH_MEMO`]): the per-launch check, the
+//! and its answer is kept in the record of each of the last few launch
+//! shapes ([`crate::analysis::LAUNCH_MEMO`]): the per-launch check, the
 //! evaluation included, runs once per shape. Measured on `perfbench` `tenants`
 //! (seed 1, three alternated traced passes per side, release build, 2-vCPU
 //! x86 host): `interp.ns_per_insn` fell from 2.0–2.3 ns (items one at a
@@ -243,13 +250,14 @@ use crate::interp::{
     apply_atomic, bin_f32, bin_f64, bin_i32, bin_i64, bounds, default_interp_threads, eval_bin,
     eval_cast, eval_cmp, eval_un, flat_index, gep_offset, interp_size, run_groups_seq_sched,
     run_groups_stealing_sched, Arena, ArgValue, BufferId, DeviceMemory, DynStats, GlobalMem,
-    Interpreter, LaunchSetup, NdRange, PtrVal, TicketCursor, Tickets, Value, WiCtx, WiStatus,
-    MAX_CALL_DEPTH,
+    Interpreter, LaunchGate, LaunchSetup, NdRange, PtrVal, TicketCursor, Tickets, Value, WiCtx,
+    WiStatus, MAX_CALL_DEPTH,
 };
 use crate::ir::{
     AtomicOp, BinOp, BlockId, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin,
 };
 use crate::types::{AddressSpace, Type};
+use std::sync::Arc;
 
 mod lockstep;
 
@@ -1437,35 +1445,54 @@ pub(crate) struct VmProgram {
     calls: Vec<CallSite>,
 }
 
-/// Everything of a launch that lowering, optimisation, quickening and the
-/// lockstep layout read: the programs compiled for one shape serve every
-/// launch of it. Buffer ids are not part of it (see [`CompiledLaunch`]).
+/// A launch shape: everything of a launch that its gate answers and its
+/// compiled programs depend on, so that one
+/// [`LaunchRecord`](crate::analysis::LaunchRecord) serves every launch of
+/// it. Buffer ids are not part of it (see [`CompiledLaunch`]).
+///
+/// It determines the gates' [`LaunchEnv`](crate::races::LaunchEnv):
+/// `local` and `work_dim` are the NDRange's, and `groups` its group
+/// counts or, under a holding dequeue contract, the virtual counts;
+/// `args` holds the `i32` and `i64` scalars as `i64`, which each
+/// scalar's kind and bits give; and `distinct_buffers` holds when every
+/// buffer argument is the first to pass its buffer.
+///
+/// It also determines everything lowering, optimisation, quickening and
+/// the lockstep layout read: the NDRange, the bits of every scalar
+/// (floats included, since folding reads them), the element count of
+/// every `local` argument, the alias pattern, and two of the record's
+/// answers: whether the dequeue site takes tickets (sharding admitted
+/// under a holding contract) and whether the groups run in lockstep.
 #[derive(Debug, PartialEq)]
 pub(crate) struct ShapeKey {
     ndrange: NdRange,
-    /// Per argument: a scalar's bits, a local argument's element count,
-    /// or for a buffer the first argument that passes the same buffer
-    /// (the launch's alias pattern).
+    /// Per argument: a scalar's kind and bits, a local argument's element
+    /// count, or for a buffer the first argument that passes the same
+    /// buffer (the launch's alias pattern).
     args: Box<[ArgKey]>,
-    /// Whether the dequeue site takes tickets.
-    tickets: bool,
-    /// Whether the groups run in lockstep.
-    lockstep: bool,
+    /// For a kernel under a holding dequeue contract, the virtual group
+    /// counts read from its descriptor; `None` for other kernels, and
+    /// when the descriptor does not read.
+    virtual_groups: Option<[usize; 3]>,
 }
 
 #[derive(Debug, PartialEq)]
 enum ArgKey {
-    Scalar(u64),
+    Scalar(std::mem::Discriminant<Value>, u64),
     Local(u32),
     Buffer(u32),
 }
 
 impl ShapeKey {
-    pub(crate) fn new(ndrange: NdRange, args: &[ArgValue], tickets: bool, lockstep: bool) -> Self {
+    pub(crate) fn new(
+        ndrange: NdRange,
+        args: &[ArgValue],
+        virtual_groups: Option<[usize; 3]>,
+    ) -> Self {
         let keys = args
             .iter()
             .map(|a| match a {
-                ArgValue::Scalar(v) => ArgKey::Scalar(Slot::of(*v).bits),
+                ArgValue::Scalar(v) => ArgKey::Scalar(std::mem::discriminant(v), Slot::of(*v).bits),
                 ArgValue::Local { elems } => ArgKey::Local(*elems),
                 ArgValue::Buffer(b) => ArgKey::Buffer(
                     args.iter()
@@ -1477,21 +1504,22 @@ impl ShapeKey {
         ShapeKey {
             ndrange,
             args: keys,
-            tickets,
-            lockstep,
+            virtual_groups,
         }
     }
 }
 
 /// The programs one launch shape runs: the quickened program, its lockstep
 /// layout when the groups run in lockstep, and which registers of the
-/// kernel frame's preamble point into which buffer argument.
+/// kernel frame's preamble point into which buffer argument. Compiled once
+/// into its shape's record and never changed after, it serves every launch
+/// of the shape, at the same time too.
 ///
-/// Buffer ids reach a compiled program only there: folding keeps a
-/// pointer's arena, pointers compare by offset, and no instruction holds a
-/// global pointer. So [`bind`](Self::bind) makes the programs of one
-/// launch serve another of the same [`ShapeKey`] by rewriting those
-/// registers' arena words.
+/// Buffer ids reach a compiled program only through those registers:
+/// folding keeps a pointer's arena, pointers compare by offset, and no
+/// instruction holds a global pointer. The program keeps them unbound
+/// (buffer 0's arena word, 0), so it depends on its shape alone; each
+/// launch binds a copy of the kernel frame's preamble ([`BoundLaunch`]).
 #[derive(Debug)]
 pub(crate) struct CompiledLaunch {
     prog: VmProgram,
@@ -1513,47 +1541,84 @@ impl CompiledLaunch {
     ) -> Self {
         let mut bc = lower(module, setup);
         optimize(&mut bc, ndrange);
-        let prog = quicken(&bc);
-        let ls = lockstep
-            .then(|| lockstep::compile(&bc, &prog, ndrange.wg_size()))
-            .flatten();
         // Only the kernel's buffer arguments point into global memory, and
         // folding keeps a pointer's arena, so every global pointer of the
         // preamble comes from the first argument passing its buffer (under
         // one alias pattern, any argument passing it binds the same).
-        let buffers = bc.funcs[0]
-            .template
+        let mut buffers = Vec::new();
+        for (r, v) in bc.funcs[0].template.iter_mut().enumerate() {
+            let Some(Value::Ptr(PtrVal {
+                arena: Arena::Global(b),
+                ..
+            })) = v
+            else {
+                continue;
+            };
+            if let Some(a) = args
+                .iter()
+                .position(|a| matches!(a, ArgValue::Buffer(x) if *x == *b))
+            {
+                buffers.push((r as u32, a as u32));
+                *b = BufferId(0);
+            }
+        }
+        let prog = quicken(&bc);
+        let ls = lockstep
+            .then(|| lockstep::compile(&bc, &prog, ndrange.wg_size()))
+            .flatten();
+        CompiledLaunch {
+            prog,
+            ls,
+            buffers: buffers.into_boxed_slice(),
+        }
+    }
+}
+
+/// A launch shape's programs bound to one launch: the shared programs,
+/// and this launch's copies of the kernel frame's preamble in the
+/// item-by-item and the lockstep layout, their buffer registers pointing
+/// into the launch's buffers. Kernels are never callees, so only a group
+/// start seeds a frame from these copies.
+#[derive(Debug)]
+pub(crate) struct BoundLaunch {
+    pub(crate) compiled: Arc<CompiledLaunch>,
+    /// The kernel's `VmFunc::template`, bound.
+    template: Box<[Slot]>,
+    /// The kernel's lockstep `LsFunc::template`, bound (empty without
+    /// lockstep).
+    ls_template: Box<[Slot]>,
+}
+
+impl BoundLaunch {
+    /// Bind `compiled` to `args`: copy the kernel frame's preamble and
+    /// point its buffer registers into `args`' buffers.
+    pub(crate) fn new(compiled: Arc<CompiledLaunch>, args: &[ArgValue]) -> Self {
+        let arenas: Vec<(u32, u64)> = compiled
+            .buffers
             .iter()
-            .enumerate()
-            .filter_map(|(r, v)| match v {
-                Some(Value::Ptr(PtrVal {
+            .map(|&(r, a)| {
+                let ArgValue::Buffer(b) = args[a as usize] else {
+                    unreachable!("argument {a} of this shape is a buffer");
+                };
+                let ptr = PtrVal {
                     arena: Arena::Global(b),
-                    ..
-                })) => args
-                    .iter()
-                    .position(|a| matches!(a, ArgValue::Buffer(x) if x == b))
-                    .map(|a| (r as u32, a as u32)),
-                _ => None,
+                    byte_off: 0,
+                };
+                (r, Slot::of(Value::Ptr(ptr)).arena)
             })
             .collect();
-        CompiledLaunch { prog, ls, buffers }
-    }
-
-    /// Point the preamble's buffer registers into `args`' buffers.
-    pub(crate) fn bind(&mut self, args: &[ArgValue]) {
-        for &(r, a) in self.buffers.iter() {
-            let ArgValue::Buffer(b) = args[a as usize] else {
-                unreachable!("argument {a} of this shape is a buffer");
-            };
-            let arena = Slot::of(Value::Ptr(PtrVal {
-                arena: Arena::Global(b),
-                byte_off: 0,
-            }))
-            .arena;
-            self.prog.funcs[0].template[r as usize].arena = arena;
-            if let Some(ls) = &mut self.ls {
-                ls.set_arena(r, arena);
-            }
+        let mut template = compiled.prog.funcs[0].template.clone();
+        for &(r, arena) in &arenas {
+            template[r as usize].arena = arena;
+        }
+        let ls_template = compiled
+            .ls
+            .as_ref()
+            .map_or_else(Box::default, |ls| ls.kernel_template(&arenas));
+        BoundLaunch {
+            compiled,
+            template,
+            ls_template,
         }
     }
 }
@@ -1992,14 +2057,13 @@ fn gep(p: Slot, index: Slot, stride: u32) -> Result<Slot, InterpError> {
     })
 }
 
-/// Run one work group of the program: in lockstep when `lockstep` lays
-/// the program out for it, otherwise item by item (mirroring the
-/// tree-walker's `run_work_group`: same item order, same barrier
-/// round-robin, same divergence error).
+/// Run one work group of the launch: in lockstep when its programs have
+/// a lockstep layout, otherwise item by item (mirroring the tree-walker's
+/// `run_work_group`: same item order, same barrier round-robin, same
+/// divergence error).
 #[allow(clippy::too_many_arguments)]
 fn run_bc_group(
-    prog: &VmProgram,
-    lockstep: Option<&lockstep::LsProgram>,
+    launch: &BoundLaunch,
     gmem: &GlobalMem<'_>,
     step_limit: u64,
     ndrange: NdRange,
@@ -2018,10 +2082,12 @@ fn run_bc_group(
     let mut cursor = tickets.map(|t| t.worker(flat_index(ndrange.num_groups(), group_id)));
     local.clear();
     local.resize(local_bytes, 0);
-    if let Some(ls) = lockstep {
+    let prog = &launch.compiled.prog;
+    if let Some(ls) = &launch.compiled.ls {
         return lockstep::run_group(
             ls,
             prog,
+            &launch.ls_template,
             gmem,
             step_limit,
             ndrange,
@@ -2071,7 +2137,7 @@ fn run_bc_group(
                 item.private.resize(entry.private_bytes, 0);
                 item.frames.clear();
                 item.root.clear();
-                item.root.extend_from_slice(&entry.template);
+                item.root.extend_from_slice(&launch.template);
                 item.pc = entry.entry_pc;
                 item.base = 0;
                 item.private_base = 0;
@@ -2771,15 +2837,15 @@ impl<'m> Interpreter<'m> {
     /// execute this launch on the bytecode tier. Lowering is total (see the
     /// [module docs](crate::bytecode) for the trap rules), so this is
     /// whether the launch plans: a known kernel, matching arguments and
-    /// local memory within capacity.
+    /// local memory within capacity, at any range.
     pub fn bytecode_supported(
         &self,
         mem: &DeviceMemory,
         kernel: &str,
-        ndrange: NdRange,
+        _ndrange: NdRange,
         args: &[ArgValue],
     ) -> bool {
-        self.plan(mem, kernel, ndrange, args).is_ok()
+        self.plan(mem, kernel, args).is_ok()
     }
 
     /// Render the lowered and optimized bytecode of `kernel` for this
@@ -2797,7 +2863,7 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> Result<String, InterpError> {
-        let setup = self.plan(mem, kernel, ndrange, args)?;
+        let setup = self.plan(mem, kernel, args)?;
         let raw = lower(self.module, &setup);
         let mut opt = raw.clone();
         optimize(&mut opt, ndrange);
@@ -2810,10 +2876,11 @@ impl<'m> Interpreter<'m> {
 
     /// Render the programs this launch runs on the bytecode tier (the
     /// quickened program with its preamble, the lockstep layout when the
-    /// groups run in lockstep, and the preamble's buffer registers) as
-    /// `Debug` text, after a first line that says whether they came from
-    /// the facts' memo of compiled launch shapes (bound to these
-    /// arguments) or were compiled afresh (and kept there).
+    /// groups run in lockstep, the preamble's buffer registers, and the
+    /// launch's bound copies of the kernel frame's preamble) as `Debug`
+    /// text, after a first line that says whether they came from the
+    /// facts' record of this launch shape or were compiled afresh (into
+    /// it).
     ///
     /// # Errors
     ///
@@ -2825,38 +2892,31 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> Result<String, InterpError> {
-        let mut setup = self.plan(mem, kernel, ndrange, args)?;
+        let mut setup = self.plan(mem, kernel, args)?;
         let gate = self.gate(Some(mem), kernel, ndrange, args);
         setup.tickets = gate.sharding().1;
-        let (key, compiled, memoised) =
-            self.take_compiled(kernel, &setup, ndrange, args, gate.lockstep());
-        let text = format!("memoised: {memoised}\n{compiled:#?}");
-        self.facts().keep_program(kernel, key, compiled);
-        Ok(text)
+        let (launch, memoised) = self.bind_launch(&gate, &setup, ndrange, args);
+        Ok(format!("memoised: {memoised}\n{launch:#?}"))
     }
 
-    /// The programs for this launch's shape, taken from the memo and bound
-    /// to `args` (and `true`), or compiled afresh; the caller keeps them
-    /// again under the returned key.
-    fn take_compiled(
+    /// This launch's shape's programs, from its record (and `true`) or
+    /// compiled into it, bound to `args`. Launches of one shape at once
+    /// compile it once: the others wait for it.
+    pub(crate) fn bind_launch(
         &self,
-        kernel: &str,
+        gate: &LaunchGate<'_>,
         setup: &LaunchSetup<'_>,
         ndrange: NdRange,
         args: &[ArgValue],
-        lockstep: bool,
-    ) -> (ShapeKey, CompiledLaunch, bool) {
-        let key = ShapeKey::new(ndrange, args, setup.tickets.is_some(), lockstep);
-        match self.facts().take_program(kernel, &key) {
-            Some(mut compiled) => {
-                compiled.bind(args);
-                (key, compiled, true)
-            }
-            None => {
-                let compiled = CompiledLaunch::compile(self.module, setup, ndrange, args, lockstep);
-                (key, compiled, false)
-            }
-        }
+    ) -> (BoundLaunch, bool) {
+        let mut memoised = true;
+        let compiled = gate.record.compiled.get_or_init(|| {
+            memoised = false;
+            let compiled =
+                CompiledLaunch::compile(self.module, setup, ndrange, args, gate.lockstep());
+            Arc::new(compiled)
+        });
+        (BoundLaunch::new(Arc::clone(compiled), args), memoised)
     }
 
     /// Execute `kernel` like [`run_kernel`](Self::run_kernel) on the
@@ -2911,7 +2971,7 @@ impl<'m> Interpreter<'m> {
         args: &[ArgValue],
         threads: usize,
     ) -> Result<DynStats, InterpError> {
-        let mut setup = self.plan(mem, kernel, ndrange, args)?;
+        let mut setup = self.plan(mem, kernel, args)?;
         let total = ndrange.total_groups();
         let threads = threads.min(total).max(1);
         let gate = self.gate(Some(mem), kernel, ndrange, args);
@@ -2920,14 +2980,13 @@ impl<'m> Interpreter<'m> {
         if self.tier == ExecTier::TreeWalk {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
-        let (key, compiled, _) = self.take_compiled(kernel, &setup, ndrange, args, gate.lockstep());
+        let (launch, _) = self.bind_launch(&gate, &setup, ndrange, args);
         let step_limit = self.config.step_limit;
         let local_bytes = setup.local_bytes;
         let gmem = GlobalMem::new(mem);
         let run = |gid: [usize; 3], scratch: &mut BcScratch, stats: &mut DynStats| {
             run_bc_group(
-                &compiled.prog,
-                compiled.ls.as_ref(),
+                &launch,
                 &gmem,
                 step_limit,
                 ndrange,
@@ -2938,13 +2997,11 @@ impl<'m> Interpreter<'m> {
                 stats,
             )
         };
-        let result = if threads <= 1 || !eligible {
+        if threads <= 1 || !eligible {
             run_groups_seq_sched(ndrange, run)
         } else {
             run_groups_stealing_sched(ndrange, threads, run)
-        };
-        self.facts().keep_program(kernel, key, compiled);
-        result
+        }
     }
 
     /// [`run_kernel_bytecode`](Self::run_kernel_bytecode) with the host's
@@ -3074,7 +3131,7 @@ mod tests {
             ArgValue::Scalar(Value::I32(1)),
         ];
         let interp = Interpreter::new(&m);
-        let setup = interp.plan(&mem, "saxpy_n", nd, &args).unwrap();
+        let setup = interp.plan(&mem, "saxpy_n", &args).unwrap();
         let mut bc = lower(&m, &setup);
         let before: usize = bc.funcs[0]
             .blocks
@@ -3401,27 +3458,15 @@ mod tests {
             let interp = Interpreter::new(&m);
             let mut tree_mem = mem.clone();
             let tree = interp.run_kernel(&mut tree_mem, "k", nd, &args);
-            let setup = interp.plan(&mem, "k", nd, &args).unwrap();
-            let mut bc = lower(&m, &setup);
-            optimize(&mut bc, nd);
-            let prog = quicken(&bc);
-            let ls = lockstep::compile(&bc, &prog, nd.wg_size()).unwrap();
+            let setup = interp.plan(&mem, "k", &args).unwrap();
+            let compiled = CompiledLaunch::compile(&m, &setup, nd, &args, true);
+            assert!(compiled.ls.is_some(), "laid out for lockstep");
+            let launch = BoundLaunch::new(Arc::new(compiled), &args);
             let mut ls_mem = mem.clone();
             let gmem = GlobalMem::new(&mut ls_mem);
             let (limit, local) = (interp.config.step_limit, setup.local_bytes);
             let got = run_groups_seq_sched(nd, |gid, scratch: &mut BcScratch, stats| {
-                run_bc_group(
-                    &prog,
-                    Some(&ls),
-                    &gmem,
-                    limit,
-                    nd,
-                    local,
-                    None,
-                    gid,
-                    scratch,
-                    stats,
-                )
+                run_bc_group(&launch, &gmem, limit, nd, local, None, gid, scratch, stats)
             });
             assert_eq!(got, tree, "d = {d}");
             if d == deepest {

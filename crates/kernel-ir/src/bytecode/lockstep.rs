@@ -202,27 +202,33 @@ pub(super) fn compile(bc: &BcModule, prog: &VmProgram, n: usize) -> Option<LsPro
 }
 
 impl LsProgram {
-    /// Set the arena word of the kernel frame's register `reg` in every
-    /// slot of its preamble (binding a buffer argument to a launch).
-    pub(super) fn set_arena(&mut self, reg: u32, arena: u64) {
-        let (n, kernel) = (self.n, &mut self.funcs[0]);
-        let p = kernel.regs[reg as usize];
-        let width = if p & UNIFORM != 0 { 1 } else { n };
-        let at = (p & !UNIFORM) as usize;
-        for slot in &mut kernel.template[at..at + width] {
-            slot.arena = arena;
+    /// A copy of the kernel frame's preamble with each `(register, arena
+    /// word)` pair's word in every slot of its register (a launch's
+    /// binding of its buffer arguments).
+    pub(super) fn kernel_template(&self, arenas: &[(u32, u64)]) -> Box<[Slot]> {
+        let kernel = &self.funcs[0];
+        let mut template = kernel.template.clone();
+        for &(reg, arena) in arenas {
+            let p = kernel.regs[reg as usize];
+            let width = if p & UNIFORM != 0 { 1 } else { self.n };
+            let at = (p & !UNIFORM) as usize;
+            for slot in &mut template[at..at + width] {
+                slot.arena = arena;
+            }
         }
+        template
     }
 }
 
 /// Lay a fresh frame of `func` out at `base` of `regs`: grow `regs` to
-/// hold it and copy the function's preamble prefix.
-fn seed_frame(regs: &mut Vec<Slot>, func: &LsFunc, base: usize) {
+/// hold it and copy the preamble prefix `template` (the function's own,
+/// or for the kernel frame the launch's bound copy).
+fn seed_frame(regs: &mut Vec<Slot>, func: &LsFunc, template: &[Slot], base: usize) {
     let end = base + func.slots;
     if regs.len() < end {
         regs.resize(end, Slot::default());
     }
-    regs[base..base + func.template.len()].copy_from_slice(&func.template);
+    regs[base..base + template.len()].copy_from_slice(template);
 }
 
 /// A suspended set of items: resumes at `pc`, reconverges at `rpc`; its
@@ -272,11 +278,13 @@ pub(super) struct LsScratch {
 
 /// Run one work group in lockstep (the counterpart of `run_bc_group`'s
 /// item loop; same steps, statistics, memory and errors for a launch the
-/// within-group proof admits).
+/// within-group proof admits), seeding the kernel frame from
+/// `kernel_template`, the launch's bound copy of its preamble.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn run_group(
     ls: &LsProgram,
     prog: &VmProgram,
+    kernel_template: &[Slot],
     gmem: &GlobalMem<'_>,
     step_limit: u64,
     ndrange: NdRange,
@@ -300,7 +308,7 @@ pub(super) fn run_group(
         private,
         finished,
     } = scratch;
-    seed_frame(regs, &ls.funcs[0], 0);
+    seed_frame(regs, &ls.funcs[0], kernel_template, 0);
     frames.clear();
     frames.push(Frame {
         func: 0,
@@ -881,7 +889,7 @@ pub(super) fn run_group(
                 push!(pc as u32, rpc, active);
                 let caller = frames.last().expect("a frame");
                 let base = caller.base as usize + ls.funcs[caller.func as usize].slots;
-                seed_frame(regs, callee, base);
+                seed_frame(regs, callee, &callee.template, base);
                 // SAFETY: both frames lie inside `regs` (re-derived after
                 // seeding may have grown it).
                 fp = unsafe { regs.as_mut_ptr().add(caller.base as usize) };

@@ -20,7 +20,8 @@
 //! run on the bytecode VM ([`crate::bytecode`]), the only executor that
 //! shards work groups across threads.
 
-use crate::analysis::ModuleFacts;
+use crate::analysis::{LaunchRecord, ModuleFacts};
+use crate::bytecode::ShapeKey;
 use crate::error::InterpError;
 use crate::ir::{
     AtomicOp, BinOp, BlockId, CmpOp, ConstVal, DequeueContract, Function, FunctionKind, Module, Op,
@@ -28,7 +29,7 @@ use crate::ir::{
 };
 use crate::races::{KernelRaceReport, LaunchEnv};
 use crate::types::{AddressSpace, Type};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 mod pool;
 
@@ -1030,11 +1031,12 @@ fn virtual_range(
 }
 
 /// One launch as the accelcheck gates see it, read once: the kernel's
-/// gate report and holding dequeue contract, and the group counts and
-/// scalar arguments both proofs are checked against — the launch's own,
-/// or for a scheduling kernel under a contract the virtual range its
-/// workers dequeue from, read from the descriptor. Sharding, the dequeue
-/// tickets and lockstep all answer from it.
+/// gate report and holding dequeue contract, the group counts and scalar
+/// arguments both proofs are checked against — the launch's own, or for a
+/// scheduling kernel under a contract the virtual range its workers
+/// dequeue from, read from the descriptor — and the record of the
+/// launch's shape, which keeps the answers. Sharding, the dequeue tickets,
+/// lockstep and the compiled programs all answer from it.
 pub(crate) struct LaunchGate<'a> {
     facts: &'a ModuleFacts,
     module: &'a Module,
@@ -1047,6 +1049,8 @@ pub(crate) struct LaunchGate<'a> {
     range: Option<(i64, [usize; 3], Vec<Option<i64>>)>,
     ndrange: NdRange,
     distinct_buffers: bool,
+    /// The record of the launch's shape.
+    pub(crate) record: Arc<LaunchRecord>,
 }
 
 impl LaunchGate<'_> {
@@ -1066,14 +1070,15 @@ impl LaunchGate<'_> {
     /// follow at every thread count, one included. Launches the gate
     /// rejects take neither.
     pub(crate) fn sharding(&self) -> (bool, Option<Tickets>) {
-        let (Some((_, contract)), Some(env), Some((base, ..))) =
+        let (Some((report, contract)), Some(env), Some((base, ..))) =
             (self.report, self.env(), &self.range)
         else {
             return (false, None);
         };
-        if !self
-            .facts
-            .sharding_for_launch(self.module, self.kernel, &env)
+        if !*self
+            .record
+            .sharding
+            .get_or_init(|| report.eligible_for_launch(&env))
         {
             return (false, None);
         }
@@ -1090,9 +1095,12 @@ impl LaunchGate<'_> {
     /// Whether the within-group proof lets each group's items run in
     /// lockstep.
     pub(crate) fn lockstep(&self) -> bool {
-        self.env().is_some_and(|env| {
-            self.facts
-                .lockstep_for_launch(self.module, self.kernel, &env)
+        *self.record.lockstep.get_or_init(|| {
+            self.env().is_some_and(|env| {
+                self.facts
+                    .lockstep_report(self.module, self.kernel)
+                    .is_some_and(|proof| proof.eligible_for_launch(&env))
+            })
         })
     }
 }
@@ -1209,7 +1217,7 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> Result<DynStats, InterpError> {
-        let setup = self.plan(mem, kernel, ndrange, args)?;
+        let setup = self.plan(mem, kernel, args)?;
         self.run_groups_seq(mem, &setup, ndrange, None)
     }
 
@@ -1233,7 +1241,7 @@ impl<'m> Interpreter<'m> {
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> Result<(DynStats, OracleReport), InterpError> {
-        let setup = self.plan(mem, kernel, ndrange, args)?;
+        let setup = self.plan(mem, kernel, args)?;
         let mut oracle = OracleState::new(mem);
         let stats = self.run_groups_seq(mem, &setup, ndrange, Some(&mut oracle))?;
         Ok((stats, oracle.report))
@@ -1269,12 +1277,11 @@ impl<'m> Interpreter<'m> {
     /// [`parallel_eligible_in`](Self::parallel_eligible_in) gives their
     /// exact answer.
     pub fn parallel_eligible(&self, kernel: &str, ndrange: NdRange, args: &[ArgValue]) -> bool {
-        let gate = self.gate(None, kernel, ndrange, args);
-        match gate.report {
+        match self.facts().gate_report(self.module, kernel) {
             Some((report, Some(_))) => {
-                report.eligible_for_any_groups(ndrange.work_dim as u32, gate.distinct_buffers)
+                report.eligible_for_any_groups(ndrange.work_dim as u32, distinct_buffers(args))
             }
-            _ => gate.sharding().0,
+            _ => self.gate(None, kernel, ndrange, args).sharding().0,
         }
     }
 
@@ -1312,9 +1319,10 @@ impl<'m> Interpreter<'m> {
         self.gate(Some(mem), kernel, ndrange, args).lockstep()
     }
 
-    /// The per-launch gate: the kernel's analyses and, for a scheduling
-    /// kernel whose dequeue contract holds, the virtual range read once
-    /// from its descriptor in `mem` (none without memory).
+    /// The per-launch gate: the kernel's analyses, for a scheduling
+    /// kernel whose dequeue contract holds the virtual range read once
+    /// from its descriptor in `mem` (none without memory), and the record
+    /// of the launch's shape, found or made in one memo lookup.
     pub(crate) fn gate<'a>(
         &'a self,
         mem: Option<&DeviceMemory>,
@@ -1324,10 +1332,13 @@ impl<'m> Interpreter<'m> {
     ) -> LaunchGate<'a> {
         let facts = self.facts();
         let report = facts.gate_report(self.module, kernel);
-        let range = match report.and_then(|(_, c)| c) {
+        let contract = report.and_then(|(_, c)| c);
+        let range = match contract {
             Some(c) => mem.and_then(|mem| virtual_range(mem, c, ndrange, args)),
             None => Some((0, ndrange.num_groups(), launch_scalars(args))),
         };
+        let virtual_groups = contract.and(range.as_ref()).map(|(_, groups, _)| *groups);
+        let key = ShapeKey::new(ndrange, args, virtual_groups);
         LaunchGate {
             facts,
             module: self.module,
@@ -1336,6 +1347,7 @@ impl<'m> Interpreter<'m> {
             range,
             ndrange,
             distinct_buffers: distinct_buffers(args),
+            record: facts.launch_record(kernel, key),
         }
     }
 
@@ -1344,7 +1356,6 @@ impl<'m> Interpreter<'m> {
         &self,
         mem: &DeviceMemory,
         kernel: &str,
-        _ndrange: NdRange,
         args: &[ArgValue],
     ) -> Result<LaunchSetup<'_>, InterpError> {
         let (func_idx, func) = self

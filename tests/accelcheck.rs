@@ -579,14 +579,51 @@ fn parboil_lockstep_refusals_are_pinned() {
 // The facts cache
 // ---------------------------------------------------------------------------
 
+/// The scalar arguments as the gates read them: the `i32` and `i64`
+/// scalars as `i64`.
+fn gate_scalars(args: &[ArgValue]) -> Vec<Option<i64>> {
+    args.iter()
+        .map(|a| match a {
+            ArgValue::Scalar(Value::I32(x)) => Some(i64::from(*x)),
+            ArgValue::Scalar(Value::I64(x)) => Some(*x),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Whether no two arguments pass one buffer.
+fn distinct_buffers(args: &[ArgValue]) -> bool {
+    let buffers: Vec<_> = args
+        .iter()
+        .filter_map(|a| match a {
+            ArgValue::Buffer(b) => Some(*b),
+            _ => None,
+        })
+        .collect();
+    buffers
+        .iter()
+        .enumerate()
+        .all(|(i, b)| !buffers[..i].contains(b))
+}
+
 /// Every kernel of `module`: the cached gate report keeps the fresh
 /// report's verdict and the sites of the parameters it re-checks per
-/// launch, and gives the same eligibility answers over a grid of
-/// launches; the cached within-group proof prints the same as a fresh one;
-/// and over the gate golden's launch grid (around the canonical launch
-/// `canon`), the memoised per-launch answers equal fresh ones, asked
-/// twice in two passes.
-fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module, canon: NdRange) {
+/// launch; the cached report and within-group proof equal fresh ones and
+/// give the same answers over a grid of launch environments (around the
+/// canonical launch `canon`). Then `launches` of kernel `launched` over
+/// `mem` (each with the group counts the gates check it against: the
+/// virtual counts its descriptor names, or its own) through an
+/// interpreter on cold facts: each launch's answers, asked cold and then
+/// memoised, in two passes, equal the fresh analyses' answers on its
+/// environment.
+fn assert_facts_match_fresh(
+    what: &str,
+    module: &kernel_ir::Module,
+    canon: NdRange,
+    launched: &str,
+    mem: &DeviceMemory,
+    launches: &[(NdRange, Vec<ArgValue>, [usize; 3])],
+) {
     let facts = kernel_ir::ModuleFacts::new(module);
     for name in module.kernel_names() {
         let ctx = format!("`{what}`: `{name}`");
@@ -614,60 +651,73 @@ fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module, canon: NdRan
                 );
             }
         }
-        for local in [1, 4, 16] {
-            for groups in [[1, 1, 1], [3, 1, 1], [8, 2, 1]] {
-                for arg in [None, Some(1), Some(64)] {
-                    let args = vec![arg; 32];
-                    let env = kernel_ir::LaunchEnv {
-                        local: [local, 1, 1],
-                        groups,
-                        work_dim: 2,
-                        args: &args,
-                        distinct_buffers: true,
-                    };
-                    assert_eq!(
-                        cached.eligible_for_launch(&env),
-                        fresh.eligible_for_launch(&env),
-                        "{ctx}: {env:?}"
-                    );
-                }
-            }
-        }
-        let cached = facts.lockstep_report(module, name).expect("proof");
+        let cached_proof = facts.lockstep_report(module, name).expect("proof");
         let fresh_proof = kernel_ir::races::lockstep_report(module, name).expect("proof");
         assert_eq!(
-            format!("{cached:?}"),
+            format!("{cached_proof:?}"),
             format!("{fresh_proof:?}"),
             "{ctx}: within-group proof"
         );
         let wd = canon.work_dim;
         let locals = shapes(&[[1, 1, 1], [4, 1, 1], [4, 4, 1], canon.local], wd);
         let groups = shapes(&[[1, 1, 1], [3, 1, 1], [8, 2, 1], canon.num_groups()], wd);
-        for pass in 0..2 {
-            for local in &locals {
-                for grp in &groups {
-                    for (arg, distinct) in [(None, true), (Some(64), true), (Some(64), false)] {
-                        let args = vec![arg; 32];
-                        let env = kernel_ir::LaunchEnv {
-                            local: *local,
-                            groups: *grp,
-                            work_dim: wd as u32,
-                            args: &args,
-                            distinct_buffers: distinct,
-                        };
-                        let answers = [
+        for local in &locals {
+            for grp in &groups {
+                for (arg, distinct) in [(None, true), (Some(64), true), (Some(64), false)] {
+                    let args = vec![arg; 32];
+                    let env = kernel_ir::LaunchEnv {
+                        local: *local,
+                        groups: *grp,
+                        work_dim: wd as u32,
+                        args: &args,
+                        distinct_buffers: distinct,
+                    };
+                    assert_eq!(
+                        [
+                            cached.eligible_for_launch(&env),
+                            cached_proof.eligible_for_launch(&env)
+                        ],
+                        [
                             fresh.eligible_for_launch(&env),
-                            fresh_proof.eligible_for_launch(&env),
-                        ];
-                        for _ in 0..2 {
-                            let memo = [
-                                facts.sharding_for_launch(module, name, &env),
-                                facts.lockstep_for_launch(module, name, &env),
-                            ];
-                            assert_eq!(memo, answers, "{ctx}: pass {pass}: {env:?}");
-                        }
-                    }
+                            fresh_proof.eligible_for_launch(&env)
+                        ],
+                        "{ctx}: {env:?}"
+                    );
                 }
+            }
+        }
+    }
+    let ctx = format!("`{what}`: `{launched}`");
+    let (_, contract) = facts.gate_report(module, launched).expect("gate report");
+    let (fresh, _) = kernel_ir::races::gate_report(module, launched).expect("report");
+    let fresh_proof = kernel_ir::races::lockstep_report(module, launched).expect("proof");
+    let interp = Interpreter::with_facts(module, &facts);
+    for pass in 0..2 {
+        for (nd, args, groups) in launches {
+            // Under a holding contract the gates check the original
+            // kernel: its virtual groups and its own scalar arguments.
+            let (groups, own) = match contract {
+                Some(c) => (*groups, &args[..c.descriptor]),
+                None => (nd.num_groups(), &args[..]),
+            };
+            let scalars = gate_scalars(own);
+            let env = kernel_ir::LaunchEnv {
+                local: nd.local,
+                groups,
+                work_dim: nd.work_dim as u32,
+                args: &scalars,
+                distinct_buffers: distinct_buffers(args),
+            };
+            let answers = [
+                fresh.eligible_for_launch(&env),
+                fresh_proof.eligible_for_launch(&env),
+            ];
+            for _ in 0..2 {
+                let memo = [
+                    interp.parallel_eligible_in(mem, launched, *nd, args),
+                    interp.lockstep_eligible_in(mem, launched, *nd, args),
+                ];
+                assert_eq!(memo, answers, "{ctx}: pass {pass}: {env:?}");
             }
         }
     }
@@ -677,17 +727,63 @@ fn assert_facts_match_fresh(what: &str, module: &kernel_ir::Module, canon: NdRan
 fn module_facts_match_uncached_analyses() {
     assert_eq!(KernelSpec::all().len(), 25);
     for spec in KernelSpec::all() {
-        let module = spec.compile().expect("compiles");
-        let (_, canon, _) = prepare(spec);
-        assert_facts_match_fresh(spec.name, &module, canon);
-        let transformed = accelos::jit::transform_module(&module, accelos::chunk::Mode::Optimized)
-            .expect("transform");
+        // Untransformed, over the gate golden's grid of group shapes,
+        // group counts and buffer aliasing.
+        let (mut ctx, canon, kernel) = prepare(spec);
+        let args = kernel.resolved_args().expect("args resolved");
+        let wd = canon.work_dim;
+        let mut launches = Vec::new();
+        for local in shapes(&[[1, 1, 1], [4, 1, 1], [4, 4, 1], canon.local], wd) {
+            for grp in shapes(&[[1, 1, 1], [3, 1, 1], [8, 2, 1], canon.num_groups()], wd) {
+                let nd = NdRange {
+                    work_dim: wd,
+                    global: std::array::from_fn(|d| local[d] * grp[d]),
+                    local,
+                };
+                for a in [args.clone(), aliased(&args, None)] {
+                    launches.push((nd, a, grp));
+                }
+            }
+        }
+        let (module, name) = (kernel.module(), kernel.name());
+        assert_facts_match_fresh(spec.name, module, canon, name, ctx.memory_mut(), &launches);
+
+        // JIT-transformed tenant launches, each virtual range in its own
+        // descriptor, over one and four workers.
+        let transformed =
+            accelos::jit::transform_module(module, Mode::Optimized).expect("transform");
         assert!(
             !transformed.module.dequeue.is_empty(),
             "`{}` has a dequeue contract",
             spec.name
         );
-        assert_facts_match_fresh(spec.name, &transformed.module, canon);
+        let program = Program::from_module(transformed.module, spec.source).expect("wrap");
+        let mut ctx = Context::new(&Platform::nvidia());
+        let p = prepare_launch(spec, &mut ctx, &program, 1, 7).expect("prepare");
+        let mut kernel = p.kernel;
+        let rt_index = kernel.arity() - 1;
+        let wd = p.ndrange.work_dim;
+        let mut launches = Vec::new();
+        for grp in shapes(&[[1, 1, 1], [5, 2, 1], p.ndrange.num_groups()], wd) {
+            let v = accelos::vrange::VirtualNdRange::new(NdRange {
+                work_dim: wd,
+                global: std::array::from_fn(|d| p.ndrange.local[d] * grp[d]),
+                local: p.ndrange.local,
+            });
+            let rt = ctx.create_buffer(8 * v.descriptor().len());
+            ctx.write_i64(rt, &v.descriptor()).expect("descriptor");
+            kernel
+                .set_arg(rt_index, clrt::Arg::Buffer(rt))
+                .expect("bind rt");
+            let args = kernel.resolved_args().expect("args");
+            for workers in [1, 4] {
+                for a in [args.clone(), aliased(&args, Some(rt_index))] {
+                    launches.push((v.hardware_range(workers), a, grp));
+                }
+            }
+        }
+        let (module, name) = (kernel.module(), kernel.name());
+        assert_facts_match_fresh(spec.name, module, canon, name, ctx.memory_mut(), &launches);
     }
 }
 

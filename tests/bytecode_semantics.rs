@@ -1450,55 +1450,78 @@ fn relaunches_rebind_new_zero_and_aliased_buffers() {
     // Constant-index accesses fold `b + 0`, `b + 1` and `a + 3` into the
     // preamble, so each relaunch must point them at its own buffers:
     // new ones, buffer 0 (whose arena word is 0, like an integer's) and
-    // one buffer passed twice.
-    let src = "kernel void k(global int* a, global int* b, int n) {
-        size_t i = get_global_id(0);
-        int head = b[0] + b[1];
-        a[i] = b[i] * n + head;
-        if (i == 0) { a[3] = head - n; }
-    }";
-    let module = minicl::compile(src).expect("compile");
-    let mut mem = DeviceMemory::new();
-    let bufs: Vec<_> = (0..5).map(|_| mem.alloc(4 * 32)).collect();
-    for (k, &b) in bufs.iter().enumerate() {
-        let fill: Vec<i32> = (0..32)
-            .map(|i| (i * 37 + 11 * k as i32) % 101 - 50)
-            .collect();
-        mem.write_i32(b, &fill);
-    }
-    assert_eq!(bufs[0], kernel_ir::BufferId(0));
-    let nd = NdRange::new_1d(32, 8);
-    let shared = Interpreter::new(&module);
-    // (a, b, whether the launch's shape was compiled before): each shape
-    // is first compiled with buffer 0 bound, then rebound away from it.
-    let launches = [
-        (0, 3, false),
-        (1, 2, true),
-        (3, 0, true),
-        (0, 0, false),
-        (2, 2, true),
-        (4, 4, true),
-        (1, 4, true),
+    // one buffer passed twice. The first kernel runs its items in order
+    // (items 0 and 3 both write `a[3]`); the second runs in lockstep
+    // whenever its buffers are distinct, so its lockstep layout's copy of
+    // the preamble must be bound too.
+    let sources = [
+        (
+            "kernel void k(global int* a, global int* b, int n) {
+                size_t i = get_global_id(0);
+                int head = b[0] + b[1];
+                a[i] = b[i] * n + head;
+                if (i == 0) { a[3] = head - n; }
+            }",
+            false,
+        ),
+        (
+            "kernel void k(global int* a, global int* b, int n) {
+                size_t i = get_global_id(0);
+                a[i] = b[i] * n + b[0] - b[1];
+            }",
+            true,
+        ),
     ];
-    for (a, b, seen) in launches {
-        let what = format!("a = buffer {a}, b = buffer {b}");
-        let args = [
-            ArgValue::Buffer(bufs[a]),
-            ArgValue::Buffer(bufs[b]),
-            ArgValue::Scalar(Value::I32(3)),
-        ];
-        assert_eq!(listing(&shared, &mem, "k", nd, &args).0, seen, "{what}");
-        let mut tree_mem = mem.clone();
-        let tree = shared.run_kernel(&mut tree_mem, "k", nd, &args);
-        for threads in [1, 3] {
-            for interp in [&shared, &Interpreter::new(&module)] {
-                let mut vm_mem = mem.clone();
-                let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, &args, threads);
-                assert_eq!(vm, tree, "{what}, x{threads}");
-                assert_eq!(vm_mem, tree_mem, "{what}, x{threads}");
-            }
+    for (src, lockstep) in sources {
+        let module = minicl::compile(src).expect("compile");
+        let mut mem = DeviceMemory::new();
+        let bufs: Vec<_> = (0..5).map(|_| mem.alloc(4 * 32)).collect();
+        for (k, &b) in bufs.iter().enumerate() {
+            let fill: Vec<i32> = (0..32)
+                .map(|i| (i * 37 + 11 * k as i32) % 101 - 50)
+                .collect();
+            mem.write_i32(b, &fill);
         }
-        mem = tree_mem;
+        assert_eq!(bufs[0], kernel_ir::BufferId(0));
+        let nd = NdRange::new_1d(32, 8);
+        let shared = Interpreter::new(&module);
+        // (a, b, whether the launch's shape was compiled before): each
+        // shape is first compiled with buffer 0 bound, then rebound away
+        // from it.
+        let launches = [
+            (0, 3, false),
+            (1, 2, true),
+            (3, 0, true),
+            (0, 0, false),
+            (2, 2, true),
+            (4, 4, true),
+            (1, 4, true),
+        ];
+        for (a, b, seen) in launches {
+            let what = format!("lockstep kernel: {lockstep}, a = buffer {a}, b = buffer {b}");
+            let args = [
+                ArgValue::Buffer(bufs[a]),
+                ArgValue::Buffer(bufs[b]),
+                ArgValue::Scalar(Value::I32(3)),
+            ];
+            assert_eq!(listing(&shared, &mem, "k", nd, &args).0, seen, "{what}");
+            assert_eq!(
+                shared.lockstep_eligible_in(&mem, "k", nd, &args),
+                lockstep && a != b,
+                "{what}"
+            );
+            let mut tree_mem = mem.clone();
+            let tree = shared.run_kernel(&mut tree_mem, "k", nd, &args);
+            for threads in [1, 3] {
+                for interp in [&shared, &Interpreter::new(&module)] {
+                    let mut vm_mem = mem.clone();
+                    let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, &args, threads);
+                    assert_eq!(vm, tree, "{what}, x{threads}");
+                    assert_eq!(vm_mem, tree_mem, "{what}, x{threads}");
+                }
+            }
+            mem = tree_mem;
+        }
     }
 }
 
@@ -1586,6 +1609,79 @@ fn concurrent_submitters_share_one_program() {
             });
         }
     });
+}
+
+#[test]
+fn launch_records_key_the_virtual_range() {
+    // One JIT-transformed kernel, launched with one hardware range, one
+    // set of arguments and one alias pattern; only its descriptor
+    // changes, naming one virtual group and then four. Every group writes
+    // the same bytes, so only the first may shard. Each descriptor gets
+    // a record of its own (its first launch compiles, and relaunching
+    // either hits), and each record's answers equal fresh analyses on its
+    // `LaunchEnv`.
+    use accelos::chunk::Mode;
+    use accelos::jit::transform_module;
+    use accelos::vrange::VirtualNdRange;
+    let src = "kernel void k(global int* a, int n) { a[get_local_id(0)] = n; }";
+    let module = minicl::compile(src).expect("compile");
+    let jit = transform_module(&module, Mode::Optimized)
+        .expect("transform")
+        .module;
+    let (report, contract) = kernel_ir::races::gate_report(&jit, "k").expect("report");
+    assert!(contract.is_some(), "the dequeue contract holds");
+    let proof = kernel_ir::races::lockstep_report(&jit, "k").expect("proof");
+    let interp = Interpreter::new(&jit);
+    let mut mem = DeviceMemory::new();
+    let a = mem.alloc(4 * 8);
+    let rt = mem.alloc(8 * 5);
+    let args = [
+        ArgValue::Buffer(a),
+        ArgValue::Scalar(Value::I32(7)),
+        ArgValue::Buffer(rt),
+    ];
+    let virtual_range = |groups: usize| VirtualNdRange::new(NdRange::new_1d(8 * groups, 8));
+    let hw = virtual_range(1).hardware_range(2);
+    let mut sharded = Vec::new();
+    for groups in [1, 4] {
+        let v = virtual_range(groups);
+        assert_eq!(v.hardware_range(2), hw);
+        mem.write_i64(rt, &v.descriptor());
+        assert!(
+            !listing(&interp, &mem, "k", hw, &args).0,
+            "{groups} virtual groups: a new record"
+        );
+        let env = kernel_ir::LaunchEnv {
+            local: hw.local,
+            groups: [groups, 1, 1],
+            work_dim: 1,
+            args: &[None, Some(7)],
+            distinct_buffers: true,
+        };
+        let answers = [
+            interp.parallel_eligible_in(&mem, "k", hw, &args),
+            interp.lockstep_eligible_in(&mem, "k", hw, &args),
+        ];
+        let fresh = [
+            report.eligible_for_launch(&env),
+            proof.eligible_for_launch(&env),
+        ];
+        assert_eq!(answers, fresh, "{groups} virtual groups");
+        sharded.push(answers[0]);
+        let mut tree_mem = mem.clone();
+        let tree = interp.run_kernel(&mut tree_mem, "k", hw, &args);
+        let vm = interp.run_kernel_bytecode(&mut mem, "k", hw, &args, 2);
+        assert_eq!(vm, tree, "{groups} virtual groups");
+        assert_eq!(mem, tree_mem, "{groups} virtual groups");
+    }
+    assert_eq!(sharded, [true, false], "the virtual range decides sharding");
+    for groups in [1, 4] {
+        mem.write_i64(rt, &virtual_range(groups).descriptor());
+        assert!(
+            listing(&interp, &mem, "k", hw, &args).0,
+            "{groups} virtual groups: the record is kept"
+        );
+    }
 }
 
 #[test]
