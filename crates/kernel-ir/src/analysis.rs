@@ -556,8 +556,7 @@ mod tests {
     fn launch_memo_keeps_its_bound_per_kernel() {
         // Shapes churn past the memo's bound, twice: every launch's answers
         // equal fresh analyses, the memo never holds more than its bound,
-        // each kept record holds both answers and its programs, and the
-        // private layout is made once.
+        // and each kept record holds both answers and its programs.
         use crate::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
         let (_, m) = simple_kernel();
         let facts = ModuleFacts::new(&m);
@@ -602,13 +601,52 @@ mod tests {
         assert!(lock(&facts.kernel("k").unwrap().launches)
             .iter()
             .all(answered));
-        // The private layout is made once, on the first launch.
-        let layout: *const _ = facts.private_frames(&m).unwrap();
-        assert!(std::ptr::eq(facts.private_frames(&m).unwrap(), layout));
         // An unknown kernel keeps no record and has no answers.
         let nd = NdRange::new_1d(4, 4);
         assert!(!interp.parallel_eligible_in(&mem, "missing", nd, &args));
         assert!(!interp.lockstep_eligible_in(&mem, "missing", nd, &args));
+    }
+
+    #[test]
+    fn program_memo_keeps_its_bound_per_kernel() {
+        // Launch sizes churn past the memo's bound, twice: the kernel never
+        // keeps more than its bound of compiled programs, a kept shape's
+        // relaunch reuses its program, and the private layout is made once.
+        use crate::interp::{ArgValue, DeviceMemory, Interpreter, NdRange};
+        let (_, m) = simple_kernel();
+        let facts = ModuleFacts::new(&m);
+        let programs = || {
+            lock(&facts.kernel("k").unwrap().launches)
+                .iter()
+                .filter_map(|r| r.compiled.get().cloned())
+                .collect::<Vec<_>>()
+        };
+        let interp = Interpreter::with_facts(&m, &facts);
+        let mut mem = DeviceMemory::new();
+        let out = mem.alloc(4 * 3 * LAUNCH_MEMO);
+        let args = [ArgValue::Buffer(out)];
+        for round in 0..2 {
+            for items in 1..=3 * LAUNCH_MEMO {
+                let nd = NdRange::new_1d(items, 1);
+                interp
+                    .run_kernel_bytecode(&mut mem, "k", nd, &args, 1)
+                    .unwrap_or_else(|e| panic!("round {round}, {items} items: {e}"));
+                assert!(programs().len() <= LAUNCH_MEMO);
+            }
+        }
+        let kept = programs();
+        assert_eq!(kept.len(), LAUNCH_MEMO);
+        // The newest shape is kept: its relaunch binds the kept program.
+        let nd = NdRange::new_1d(3 * LAUNCH_MEMO, 1);
+        let setup = interp.plan(&mem, "k", &args).unwrap();
+        let gate = interp.gate(Some(&mem), "k", nd, &args);
+        let (launch, memoised) = interp.bind_launch(&gate, &setup, nd, &args);
+        assert!(memoised);
+        assert!(kept.iter().any(|p| Arc::ptr_eq(p, &launch.compiled)));
+        assert_eq!(programs().len(), LAUNCH_MEMO);
+        // The private layout is made once, on the first launch.
+        let layout: *const _ = facts.private_frames(&m).unwrap();
+        assert!(std::ptr::eq(facts.private_frames(&m).unwrap(), layout));
     }
 
     #[test]
