@@ -274,8 +274,8 @@ pub struct ModuleFacts {
     private: OnceLock<Result<PrivateFrames, InterpError>>,
 }
 
-/// Launch shapes whose records each kernel's facts keep; the oldest is
-/// evicted first.
+/// Launch shapes whose records each kernel's facts keep; the least
+/// recently launched is evicted first.
 pub const LAUNCH_MEMO: usize = 8;
 
 /// One kernel's answers, each computed on its first query.
@@ -285,7 +285,8 @@ struct KernelFacts {
     /// whether the kernel's dequeue contract holds.
     gate: OnceLock<Option<(crate::races::KernelRaceReport, bool)>>,
     lockstep: OnceLock<Option<crate::races::LockstepReport>>,
-    /// The records of the last launch shapes, oldest first.
+    /// The records of the last launch shapes, least recently launched
+    /// first.
     launches: Mutex<VecDeque<Arc<LaunchRecord>>>,
 }
 
@@ -327,13 +328,18 @@ impl ModuleFacts {
             .map_err(Clone::clone)
     }
 
-    /// The record of kernel `name`'s launch shape `key`: the kept one, or
-    /// a new empty one kept as the newest of the kernel's [`LAUNCH_MEMO`]
-    /// (kept nowhere for a kernel these facts do not know).
+    /// The record of kernel `name`'s launch shape `key`, made the most
+    /// recently launched of the kernel's [`LAUNCH_MEMO`]: the kept one, or
+    /// a new empty one (kept nowhere for a kernel these facts do not
+    /// know).
     pub(crate) fn launch_record(&self, name: &str, key: ShapeKey) -> Arc<LaunchRecord> {
         let mut memo = self.kernel(name).map(|k| lock(&k.launches));
-        if let Some(record) = memo.iter().flat_map(|m| m.iter()).find(|r| r.key == key) {
-            return Arc::clone(record);
+        if let Some(memo) = &mut memo {
+            if let Some(i) = memo.iter().position(|r| r.key == key) {
+                let record = memo.remove(i).expect("found");
+                memo.push_back(Arc::clone(&record));
+                return record;
+            }
         }
         let record = Arc::new(LaunchRecord {
             key,
@@ -637,13 +643,25 @@ mod tests {
         let kept = programs();
         assert_eq!(kept.len(), LAUNCH_MEMO);
         // The newest shape is kept: its relaunch binds the kept program.
-        let nd = NdRange::new_1d(3 * LAUNCH_MEMO, 1);
-        let setup = interp.plan(&mem, "k", &args).unwrap();
-        let gate = interp.gate(Some(&mem), "k", nd, &args);
-        let (launch, memoised) = interp.bind_launch(&gate, &setup, nd, &args);
+        let relaunch = |items: usize| {
+            let nd = NdRange::new_1d(items, 1);
+            let mut setup = interp.plan(&mem, "k", &args).unwrap();
+            let gate = interp.gate(Some(&mem), "k", nd, &args);
+            interp.bind_launch(&gate, &mut setup, nd, &args)
+        };
+        let (launch, memoised) = relaunch(3 * LAUNCH_MEMO);
         assert!(memoised);
         assert!(kept.iter().any(|p| Arc::ptr_eq(p, &launch.compiled)));
         assert_eq!(programs().len(), LAUNCH_MEMO);
+        // The least recently launched shape is evicted first: the oldest
+        // kept shape, relaunched, outlives the next one past a new shape.
+        let (oldest, memoised) = relaunch(2 * LAUNCH_MEMO + 1);
+        assert!(memoised);
+        interp
+            .run_kernel_bytecode(&mut mem.clone(), "k", NdRange::new_1d(1, 1), &args, 1)
+            .unwrap();
+        assert!(programs().iter().any(|p| Arc::ptr_eq(p, &oldest.compiled)));
+        assert!(!relaunch(2 * LAUNCH_MEMO + 2).1);
         // The private layout is made once, on the first launch.
         let layout: *const _ = facts.private_frames(&m).unwrap();
         assert!(std::ptr::eq(facts.private_frames(&m).unwrap(), layout));
@@ -674,8 +692,7 @@ mod tests {
                         start.wait();
                         let mut setup = interp.plan(&mem, "k", &args).unwrap();
                         let gate = interp.gate(Some(&mem), "k", nd, &args);
-                        setup.tickets = gate.sharding().1;
-                        let (launch, memoised) = interp.bind_launch(&gate, &setup, nd, &args);
+                        let (launch, memoised) = interp.bind_launch(&gate, &mut setup, nd, &args);
                         interp
                             .run_kernel_bytecode(&mut mem, "k", nd, &args, 2)
                             .unwrap();

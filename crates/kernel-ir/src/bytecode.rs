@@ -118,8 +118,9 @@
 //! unbound (buffer 0), so the program depends on its shape alone. A
 //! launch copies the kernel frame's preamble, in the quickened program
 //! and in its lockstep layout, and points those registers of the copies
-//! into its own buffers (`BoundLaunch`); kernels are never callees, so
-//! only a group start seeds a frame from the copies. A memoised program
+//! into its own buffers (`BoundLaunch`); a call of the launched kernel
+//! traps on both tiers (see "Trap rules"), so only a group start seeds a
+//! frame from the copies. A memoised program
 //! bound to a launch equals a fresh compile of it, code and preamble.
 //!
 //! A sharded launch runs its groups on the submitting thread and on that
@@ -210,17 +211,20 @@
 //!
 //! ## Trap rules
 //!
-//! Lowering is total. Six constructs have no ordinary instruction, and
-//! the verifier rejects all of them: a call of an unknown function, an
-//! alloca in `global` or `constant` space, a `local` alloca outside the
-//! kernel entry function, a load without a result, a block without a
-//! terminator, and a gep through a non-pointer. Each lowers to a
-//! `BcInsn::Trap` at the point where it occurs, so an unverified module
-//! fails only if (and when) a work item reaches it:
+//! Lowering is total. Seven constructs have no ordinary instruction, and
+//! the verifier rejects all of them: a call of an unknown function, a
+//! call of the launched kernel, an alloca in `global` or `constant`
+//! space, a `local` alloca outside the kernel entry function, a load
+//! without a result, a block without a terminator, and a gep through a
+//! non-pointer. Each lowers to a `BcInsn::Trap` at the point where it
+//! occurs, so an unverified module fails only if (and when) a work item
+//! reaches it:
 //!
 //! - an unknown callee raises [`InterpError::UnknownFunction`], and the
-//!   alloca, load and terminator cases raise the tree-walker's
-//!   [`InterpError::Invalid`] text;
+//!   launched-kernel call, alloca, load and terminator cases raise the
+//!   tree-walker's [`InterpError::Invalid`] text (the tree-walker fails
+//!   a call of the launched kernel too, since only function 0's preamble
+//!   holds the launch's arguments);
 //! - the gep raises [`InterpError::Invalid`]; the tree-walker fails it
 //!   with a value-dependent `Invalid` text.
 //!
@@ -248,10 +252,10 @@
 use crate::error::InterpError;
 use crate::interp::{
     apply_atomic, bin_f32, bin_f64, bin_i32, bin_i64, bounds, default_interp_threads, eval_bin,
-    eval_cast, eval_cmp, eval_un, flat_index, gep_offset, interp_size, run_groups_seq_sched,
-    run_groups_stealing_sched, Arena, ArgValue, BufferId, DeviceMemory, DynStats, GlobalMem,
-    Interpreter, LaunchGate, LaunchSetup, NdRange, PtrVal, TicketCursor, Tickets, Value, WiCtx,
-    WiStatus, MAX_CALL_DEPTH,
+    eval_cast, eval_cmp, eval_un, flat_index, gep_offset, interp_size, launched_kernel_call,
+    run_groups_seq_sched, run_groups_stealing_sched, Arena, ArgValue, BufferId, DeviceMemory,
+    DynStats, GlobalMem, Interpreter, LaunchGate, LaunchSetup, NdRange, PtrVal, TicketCursor,
+    Tickets, Value, WiCtx, WiStatus, MAX_CALL_DEPTH,
 };
 use crate::ir::{
     AtomicOp, BinOp, BlockId, CmpOp, ConstVal, Module, Op, Terminator, UnOp, WiBuiltin,
@@ -675,6 +679,7 @@ pub(crate) fn lower(module: &Module, setup: &LaunchSetup<'_>) -> BcModule {
                         None => trap(InterpError::Invalid("gep on non-pointer".into())),
                     },
                     Op::Call { callee, args } => match find(callee) {
+                        Some(idx) if idx == setup.func_idx => trap(launched_kernel_call(callee)),
                         Some(idx) => BcInsn::Call {
                             dst,
                             func: bc_index_of[idx],
@@ -1577,8 +1582,8 @@ impl CompiledLaunch {
 /// A launch shape's programs bound to one launch: the shared programs,
 /// and this launch's copies of the kernel frame's preamble in the
 /// item-by-item and the lockstep layout, their buffer registers pointing
-/// into the launch's buffers. Kernels are never callees, so only a group
-/// start seeds a frame from these copies.
+/// into the launch's buffers. A call of the launched kernel traps, so only
+/// a group start seeds a frame from these copies.
 #[derive(Debug)]
 pub(crate) struct BoundLaunch {
     pub(crate) compiled: Arc<CompiledLaunch>,
@@ -2894,21 +2899,23 @@ impl<'m> Interpreter<'m> {
     ) -> Result<String, InterpError> {
         let mut setup = self.plan(mem, kernel, args)?;
         let gate = self.gate(Some(mem), kernel, ndrange, args);
-        setup.tickets = gate.sharding().1;
-        let (launch, memoised) = self.bind_launch(&gate, &setup, ndrange, args);
+        let (launch, memoised) = self.bind_launch(&gate, &mut setup, ndrange, args);
         Ok(format!("memoised: {memoised}\n{launch:#?}"))
     }
 
     /// This launch's shape's programs, from its record (and `true`) or
     /// compiled into it, bound to `args`. Launches of one shape at once
-    /// compile it once: the others wait for it.
+    /// compile it once: the others wait for it. `setup` takes the gate's
+    /// dequeue tickets first, so a stored program depends on its record
+    /// alone.
     pub(crate) fn bind_launch(
         &self,
         gate: &LaunchGate<'_>,
-        setup: &LaunchSetup<'_>,
+        setup: &mut LaunchSetup<'_>,
         ndrange: NdRange,
         args: &[ArgValue],
     ) -> (BoundLaunch, bool) {
+        setup.tickets = gate.sharding().1;
         let mut memoised = true;
         let compiled = gate.record.compiled.get_or_init(|| {
             memoised = false;
@@ -2980,7 +2987,7 @@ impl<'m> Interpreter<'m> {
         if self.tier == ExecTier::TreeWalk {
             return self.run_groups_seq(mem, &setup, ndrange, None);
         }
-        let (launch, _) = self.bind_launch(&gate, &setup, ndrange, args);
+        let (launch, _) = self.bind_launch(&gate, &mut setup, ndrange, args);
         let step_limit = self.config.step_limit;
         let local_bytes = setup.local_bytes;
         let gmem = GlobalMem::new(mem);
@@ -3475,6 +3482,72 @@ mod tests {
             } else {
                 assert_eq!(tree, Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH)));
             }
+        }
+    }
+
+    #[test]
+    fn a_call_of_the_launched_kernel_traps_on_both_tiers() {
+        // `k(a, flag) { p = a + 1; if (*flag == 0) { *flag = 1; k(p, flag); }
+        // else { *p = 7; } }`, unverified. Its preamble folds `a + 1` and
+        // a launch binds only the kernel frame's copy, so a second frame
+        // of `k` would write through the program's unbound buffer 0. The
+        // call fails at once on both tiers, item by item and in
+        // lockstep, after the flag is set and before `*p` is written, for
+        // launches on buffer 0 and on other buffers.
+        let mut k = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+        let ty = Type::ptr(AddressSpace::Global, Type::I32);
+        let a = k.add_param("a", ty.clone());
+        let flag = k.add_param("flag", ty);
+        let one = k.const_i64(1);
+        let p = k.gep(a, one);
+        let f = k.load(flag);
+        let zero = k.const_i32(0);
+        let first = k.cmp(CmpOp::Eq, f, zero);
+        let (recurse, write) = (k.new_block(), k.new_block());
+        k.cond_br(first, recurse, write);
+        k.switch_to(recurse);
+        let set = k.const_i32(1);
+        k.store(flag, set);
+        k.call("k", vec![p, flag], Type::Void);
+        k.ret(None);
+        k.switch_to(write);
+        let seven = k.const_i32(7);
+        k.store(p, seven);
+        k.ret(None);
+        let mut m = Module::new();
+        m.insert_function(k.finish());
+        assert!(crate::verify::verify_module(&m).is_err());
+
+        let nd = NdRange::new_1d(1, 1);
+        let mut mem = DeviceMemory::new();
+        let bufs: Vec<_> = (0..3).map(|_| mem.alloc(16)).collect();
+        let shared = Interpreter::new(&m);
+        for (a, flag) in [(0, 1), (1, 2), (2, 0)] {
+            let args = [ArgValue::Buffer(bufs[a]), ArgValue::Buffer(bufs[flag])];
+            let mut tree_mem = mem.clone();
+            let tree = shared.run_kernel(&mut tree_mem, "k", nd, &args);
+            assert_eq!(tree, Err(launched_kernel_call("k")), "a = buffer {a}");
+            let mut want = mem.clone();
+            want.write_i32(bufs[flag], &[1, 0, 0, 0]);
+            assert_eq!(tree_mem, want, "a = buffer {a}");
+            for interp in [&shared, &Interpreter::new(&m)] {
+                let mut vm_mem = mem.clone();
+                let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, &args, 1);
+                assert_eq!(vm, tree, "a = buffer {a}");
+                assert_eq!(vm_mem, tree_mem, "a = buffer {a}");
+            }
+            let setup = shared.plan(&mem, "k", &args).unwrap();
+            let compiled = CompiledLaunch::compile(&m, &setup, nd, &args, true);
+            assert!(compiled.ls.is_some(), "laid out for lockstep");
+            let launch = BoundLaunch::new(Arc::new(compiled), &args);
+            let mut ls_mem = mem.clone();
+            let gmem = GlobalMem::new(&mut ls_mem);
+            let (limit, local) = (shared.config.step_limit, setup.local_bytes);
+            let got = run_groups_seq_sched(nd, |gid, scratch: &mut BcScratch, stats| {
+                run_bc_group(&launch, &gmem, limit, nd, local, None, gid, scratch, stats)
+            });
+            assert_eq!(got, tree, "lockstep, a = buffer {a}");
+            assert_eq!(ls_mem, tree_mem, "lockstep, a = buffer {a}");
         }
     }
 

@@ -160,8 +160,8 @@ pub(super) fn compile(bc: &BcModule, prog: &VmProgram, n: usize) -> Option<LsPro
                 rpc[block_end as usize - 1] = vf.block_pc.get(ipdom[b]).copied().unwrap_or(EXIT);
             }
         }
-        // Uniform registers, then varying ones with a preamble value (a
-        // kernel parameter when the kernel calls itself), then the rest.
+        // Uniform registers, then varying ones with a preamble value,
+        // then the rest.
         let class = |r: usize| match uni[fi].get(r) {
             Some(true) => 0,
             _ if func.template.get(r).is_some_and(Option::is_some) => 1,

@@ -255,6 +255,14 @@ pub const MAX_GROUPS: usize = 1 << 20;
 /// kernel cannot stack frames until the step limit.
 pub const MAX_CALL_DEPTH: usize = 256;
 
+/// The error of a call of the launched kernel, which the verifier rejects.
+/// Both tiers raise it at the call: the bytecode tier folds the kernel's
+/// arguments into its frame's preamble, so a second frame of the kernel
+/// would see the launch's arguments instead of the call's.
+pub(crate) fn launched_kernel_call(callee: &str) -> InterpError {
+    InterpError::Invalid(format!("call of the launched kernel `{callee}`"))
+}
+
 /// Kernel launch geometry (OpenCL NDRange).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NdRange {
@@ -1831,6 +1839,9 @@ impl<'m> Interpreter<'m> {
                         .enumerate()
                         .find(|(_, f)| f.name == *callee)
                         .ok_or_else(|| InterpError::UnknownFunction(callee.clone()))?;
+                    if callee_idx == setup.func_idx {
+                        return Err(launched_kernel_call(callee));
+                    }
                     // The kernel's frame is not a call.
                     if item.frames.len() > MAX_CALL_DEPTH {
                         return Err(InterpError::CallDepthExceeded(MAX_CALL_DEPTH));

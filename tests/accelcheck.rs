@@ -608,9 +608,10 @@ fn distinct_buffers(args: &[ArgValue]) -> bool {
 
 /// Every kernel of `module`: the cached gate report keeps the fresh
 /// report's verdict and the sites of the parameters it re-checks per
-/// launch; the cached report and within-group proof equal fresh ones and
-/// give the same answers over a grid of launch environments (around the
-/// canonical launch `canon`). Then `launches` of kernel `launched` over
+/// launch, and gives the same eligibility answers over a forced 2-D grid
+/// of group shapes, group counts and scalars; the cached report and
+/// within-group proof equal fresh ones and give the same answers over a
+/// grid of launch environments (around the canonical launch `canon`). Then `launches` of kernel `launched` over
 /// `mem` (each with the group counts the gates check it against: the
 /// virtual counts its descriptor names, or its own) through an
 /// interpreter on cold facts: each launch's answers, asked cold and then
@@ -649,6 +650,25 @@ fn assert_facts_match_fresh(
                     fresh.eligible_for_any_groups(work_dim, distinct),
                     "{ctx}"
                 );
+            }
+        }
+        for local in [1, 4, 16] {
+            for groups in [[1, 1, 1], [3, 1, 1], [8, 2, 1]] {
+                for arg in [None, Some(1), Some(64)] {
+                    let args = vec![arg; 32];
+                    let env = kernel_ir::LaunchEnv {
+                        local: [local, 1, 1],
+                        groups,
+                        work_dim: 2,
+                        args: &args,
+                        distinct_buffers: true,
+                    };
+                    assert_eq!(
+                        cached.eligible_for_launch(&env),
+                        fresh.eligible_for_launch(&env),
+                        "{ctx}: {env:?}"
+                    );
+                }
             }
         }
         let cached_proof = facts.lockstep_report(module, name).expect("proof");
