@@ -26,28 +26,47 @@
 //!    once-per-shape pipeline of constant folding over the concrete launch
 //!    (scalar *and* pointer arguments are known values at launch time,
 //!    launch-uniform work-item builtins are constants of the NDRange),
-//!    dead-code elimination, no-op coalescing and slot promotion. Folded
-//!    and dead instructions are not deleted: they become weight-carrying
-//!    `BcInsn::Nop`s, kept in place and merged only within their block, so
+//!    dead-code elimination, slot promotion, slot forwarding and no-op
+//!    coalescing. Folded, dead and forwarded instructions are not deleted:
+//!    they become weight-carrying `BcInsn::Nop`s, kept in place and merged
+//!    only within their block and never across another instruction, so
 //!    the executed-instruction accounting (`DynStats::insns_per_wg`, the
 //!    input to the paper's §3 fair-sharing equations and the timing
-//!    simulator) stays **bit-identical** to the tree-walker. Folded results
-//!    are hoisted into a per-launch *preamble*: a template register file the
+//!    simulator) stays **bit-identical** to the tree-walker, and the step
+//!    limit fires at the same instruction. A no-op also carries how many
+//!    of its instructions were memory operations (forwarded slot copies,
+//!    `nop x3 (mem 2)` in the disassembly), which the VM adds to
+//!    `DynStats::mem_ops` (once per active item in lockstep): the timing
+//!    plane's memory intensity reads that counter. Folded results are
+//!    hoisted into a per-launch *preamble*: a template register file the
 //!    VM seeds each frame from with one copy.
-//! 3. **Slot promotion** (`promote_slots`, the last optimization pass) —
+//! 3. **Slot promotion** (`promote_slots`) —
 //!    minicl gives every source variable a private `alloca` cell reached
 //!    by `load`/`store`. A one-element cell whose pointer is only ever the
 //!    address of loads and stores of one kind and of the cell's exact size
 //!    becomes `alloca.slot`: its value lives in the alloca's own register,
 //!    `load.slot`/`store.slot` copy it, and each execution of the alloca
 //!    re-zeroes it (fresh zeroed memory on every execution, loops
-//!    included). The cell keeps its offset in the frame layout, so every
-//!    other allocation's offset and every `OutOfBounds` size is
+//!    included). The register takes the value's kind, and for a pointer
+//!    variable the shared flag of the pointers it holds, so an instruction
+//!    reading it directly quickens and stays group-uniform as it did
+//!    through a copy. The cell keeps its offset in the frame layout, so
+//!    every other allocation's offset and every `OutOfBounds` size is
 //!    unchanged, and slot accesses still count `mem_ops` and weight 1. A
 //!    program that does pointer arithmetic on (or casts) a private
 //!    pointer anywhere promotes nothing: such a pointer could stray into
 //!    a cell's bytes.
-//! 4. **Quickening** (`quicken`) — the optimized blocks become one
+//! 4. **Slot forwarding** (`forward_slots`) — since minicl reads every
+//!    variable through its own `load`, most slot accesses are copies.
+//!    Within one block, a `load.slot d, s` whose `d` is read only later
+//!    in the block, before any write of `s`, goes: its readers read `s`.
+//!    A `store.slot s, v` whose `v` is read only by it goes when `v`'s
+//!    definition is earlier in the block, writes nothing else, and no
+//!    instruction in between reads or writes `s`: the definition writes
+//!    `s`. Each removed copy becomes a weight-1 no-op carrying one memory
+//!    operation. spmv's inner loop keeps 10 of its 22 weighted
+//!    instructions, plus its 3 branches and jumps and 7 no-ops.
+//! 5. **Quickening** (`quicken`) — the optimized blocks become one
 //!    program-wide array of `VmInsn`s (24 bytes each): arithmetic,
 //!    comparisons and casts are specialised by operand kind, loads and
 //!    stores carry a scalar kind instead of a type, and two pairs whose
@@ -175,12 +194,21 @@
 //!   active, so the running items are `0..n` in order. Each instruction
 //!   then runs as one plain loop over the items, with its operation
 //!   resolved once before the loop: the binary operator, the load or store
-//!   kind, the cast and the unary operand kind each select one
-//!   monomorphic loop (the `hoist!` macro in `lockstep.rs`). Operations
-//!   that can fail (integer division and remainder, an overflowing gep,
-//!   every bounds check) keep their per-item check in item order, so the
-//!   lowest failing item still stops the higher ones. A split group runs
-//!   the same instructions over its active list.
+//!   kind, the cast and the unary operator and operand kind each select
+//!   one monomorphic loop (the `hoist!` macro in `lockstep.rs`), and
+//!   `get_local_id`/`get_global_id` count the ids up instead of dividing.
+//!   A fused gep and load or store through a group-uniform base finds
+//!   its storage once per group: every item's address keeps the base's
+//!   arena, so a global buffer's span or the local arena is looked up
+//!   once and each item pays only its bounds check (the private arena,
+//!   one per item, and a dangling buffer take the per-item path).
+//!   Operations that can fail (integer division and remainder, an
+//!   overflowing gep, every bounds check) keep their per-item check in
+//!   item order, with the per-item path's error, so the lowest failing
+//!   item still stops the higher ones. A branch on a varying register
+//!   first counts the items that take it, and lists the two sides only
+//!   when the group splits. A split group runs the same instructions over
+//!   its active list.
 //! - **Steps and statistics** stay per item: a group clock minus a per-item
 //!   offset is each item's step count, so the step limit fires for the
 //!   item and at the instruction where it would in item order, and every
@@ -207,7 +235,13 @@
 //! Measured the same way (six alternated pairs of traced passes), the
 //! full-mask loops took `interp.ns_per_insn` from 1.23–2.08 ns (median
 //! 1.82) to 0.93–1.63 ns (median 1.35), lower in every pair, over the
-//! same instructions.
+//! same instructions. Slot forwarding, the one storage lookup per
+//! group-uniform access and the smaller full-mask changes took it from
+//! 1.20–1.68 ns (median 1.31) to 1.11–1.27 ns (median 1.17) over the same
+//! 104,957,853 instructions (three alternated traced passes per side,
+//! whose launches also compile), and the untraced `tenants` `ops_per_s`
+//! from a median of 2,733 to 3,543 (ten alternated 35 s pairs, higher in
+//! every pair).
 //!
 //! ## Trap rules
 //!
@@ -347,6 +381,9 @@ pub(crate) enum BcInsn {
     Nop {
         /// How many source instructions this stands for.
         weight: u64,
+        /// How many of them were memory operations (forwarded slot
+        /// copies), still counted in `DynStats::mem_ops`.
+        mem: u64,
     },
     /// `dst = val`.
     Const { dst: u32, val: Value },
@@ -439,53 +476,67 @@ fn trap(err: InterpError) -> BcInsn {
     BcInsn::Trap(Box::new(err))
 }
 
+/// Call `$f` on every register `$insn` reads ([`NO_REG`] included), by
+/// shared or mutable reference as `$insn` is.
+macro_rules! visit_uses {
+    ($insn:expr, $f:expr) => {{
+        #[allow(unused_mut)]
+        let mut f = $f;
+        match $insn {
+            BcInsn::Nop { .. }
+            | BcInsn::Const { .. }
+            | BcInsn::AllocaPriv { .. }
+            | BcInsn::AllocaSlot { .. }
+            | BcInsn::AllocaLocal { .. }
+            | BcInsn::WorkItem { .. }
+            | BcInsn::Barrier
+            | BcInsn::Jump { .. }
+            | BcInsn::Trap(_) => {}
+            BcInsn::Bin { a, b, .. } | BcInsn::Cmp { a, b, .. } => {
+                f(a);
+                f(b);
+            }
+            BcInsn::Un { a, .. } | BcInsn::Cast { a, .. } => f(a),
+            BcInsn::Select { cond, a, b, .. } => {
+                f(cond);
+                f(a);
+                f(b);
+            }
+            BcInsn::Load { ptr, .. } | BcInsn::LoadSlot { slot: ptr, .. } => f(ptr),
+            BcInsn::Store { ptr, value }
+            | BcInsn::StoreSlot { slot: ptr, value }
+            | BcInsn::AtomicRmw { ptr, value, .. } => {
+                f(ptr);
+                f(value);
+            }
+            BcInsn::Gep { ptr, index, .. } => {
+                f(ptr);
+                f(index);
+            }
+            BcInsn::Call { args, .. } => {
+                for a in args {
+                    f(a);
+                }
+            }
+            BcInsn::AtomicCmpXchg {
+                ptr,
+                expected,
+                desired,
+                ..
+            } => {
+                f(ptr);
+                f(expected);
+                f(desired);
+            }
+            BcInsn::Branch { cond, .. } => f(cond),
+            BcInsn::Ret { val } => f(val),
+        }
+    }};
+}
+
 /// Call `f` on every register `insn` reads ([`NO_REG`] included).
 fn for_each_use(insn: &BcInsn, mut f: impl FnMut(u32)) {
-    match insn {
-        BcInsn::Nop { .. }
-        | BcInsn::Const { .. }
-        | BcInsn::AllocaPriv { .. }
-        | BcInsn::AllocaSlot { .. }
-        | BcInsn::AllocaLocal { .. }
-        | BcInsn::WorkItem { .. }
-        | BcInsn::Barrier
-        | BcInsn::Jump { .. }
-        | BcInsn::Trap(_) => {}
-        BcInsn::Bin { a, b, .. } | BcInsn::Cmp { a, b, .. } => {
-            f(*a);
-            f(*b);
-        }
-        BcInsn::Un { a, .. } | BcInsn::Cast { a, .. } => f(*a),
-        BcInsn::Select { cond, a, b, .. } => {
-            f(*cond);
-            f(*a);
-            f(*b);
-        }
-        BcInsn::Load { ptr, .. } | BcInsn::LoadSlot { slot: ptr, .. } => f(*ptr),
-        BcInsn::Store { ptr, value }
-        | BcInsn::StoreSlot { slot: ptr, value }
-        | BcInsn::AtomicRmw { ptr, value, .. } => {
-            f(*ptr);
-            f(*value);
-        }
-        BcInsn::Gep { ptr, index, .. } => {
-            f(*ptr);
-            f(*index);
-        }
-        BcInsn::Call { args, .. } => args.iter().for_each(|a| f(*a)),
-        BcInsn::AtomicCmpXchg {
-            ptr,
-            expected,
-            desired,
-            ..
-        } => {
-            f(*ptr);
-            f(*expected);
-            f(*desired);
-        }
-        BcInsn::Branch { cond, .. } => f(*cond),
-        BcInsn::Ret { val } => f(*val),
-    }
+    visit_uses!(insn, |r: &u32| f(*r))
 }
 
 /// The register `insn` writes ([`NO_REG`] = none).
@@ -777,18 +828,20 @@ fn const_value(c: &ConstVal) -> Value {
 
 /// The once-per-launch optimization pipeline: constant folding against the
 /// concrete launch (arguments, NDRange-uniform builtins, static local
-/// offsets), dead-code elimination, no-op coalescing and slot promotion.
-/// All of it is weight-preserving: per-block instruction-weight totals —
-/// and therefore `DynStats::insns_per_wg`, the step limit and the timing
-/// simulator's inputs — are unchanged.
+/// offsets), dead-code elimination, slot promotion, slot forwarding and
+/// no-op coalescing. All of it is weight-preserving: per-block
+/// instruction-weight and memory-operation totals — and therefore
+/// `DynStats`, the step limit and the timing simulator's inputs — are
+/// unchanged.
 pub(crate) fn optimize(bc: &mut BcModule, ndrange: NdRange) {
     for func in &mut bc.funcs {
         fold_function(func, ndrange);
         dce_function(func);
-        coalesce_nops(func);
         if !bc.private_ptr_arith {
             promote_slots(func);
+            forward_slots(func);
         }
+        coalesce_nops(func);
     }
 }
 
@@ -884,7 +937,7 @@ fn fold_function(func: &mut BcFuncBody, ndrange: NdRange) {
                         known[dst as usize] = Some(val);
                         func.template[dst as usize] = Some(val);
                     }
-                    *insn = BcInsn::Nop { weight: 1 };
+                    *insn = BcInsn::Nop { weight: 1, mem: 0 };
                     changed = true;
                 }
             }
@@ -935,7 +988,7 @@ fn dce_function(func: &mut BcFuncBody) {
                 };
                 match dead_dst {
                     Some(dst) if dst == NO_REG || !used[dst as usize] => {
-                        *insn = BcInsn::Nop { weight: 1 };
+                        *insn = BcInsn::Nop { weight: 1, mem: 0 };
                         changed = true;
                     }
                     _ => {}
@@ -948,17 +1001,24 @@ fn dce_function(func: &mut BcFuncBody) {
     }
 }
 
-/// Merge adjacent no-ops within each block into one weight-summed no-op.
+/// Merge adjacent no-ops within each block into one no-op summing their
+/// weights and memory operations.
 /// Never merges across a non-nop instruction (barriers pause mid-block)
 /// or across block boundaries (targets must stay addressable).
 fn coalesce_nops(func: &mut BcFuncBody) {
     for block in &mut func.blocks {
         let mut out: Vec<BcInsn> = Vec::with_capacity(block.len());
         for insn in block.drain(..) {
-            if let (BcInsn::Nop { weight }, Some(BcInsn::Nop { weight: prev })) =
-                (&insn, out.last_mut())
+            if let (
+                BcInsn::Nop { weight, mem },
+                Some(BcInsn::Nop {
+                    weight: prev,
+                    mem: prev_mem,
+                }),
+            ) = (&insn, out.last_mut())
             {
                 *prev += weight;
+                *prev_mem += mem;
                 continue;
             }
             out.push(insn);
@@ -1003,19 +1063,35 @@ fn promote_slots(func: &mut BcFuncBody) {
             other => for_each_use(other, |r| note(r, Access::Escaped)),
         }
     }
-    let mut promoted = vec![false; func.frame_regs];
-    for insn in func.blocks.iter_mut().flatten() {
+    // A promoted register holds its variable's value: it takes the value's
+    // kind, and is shared when every value it holds points into shared
+    // memory (so readers that slot forwarding points at it keep their
+    // kinds and their uniformity).
+    let BcFuncBody {
+        blocks,
+        kinds,
+        shared,
+        ..
+    } = func;
+    let mut promoted = vec![false; kinds.len()];
+    for insn in blocks.iter_mut().flatten() {
         if let BcInsn::AllocaPriv { dst, bytes, .. } = *insn {
-            if matches!(access.get(dst as usize), Some(Access::Addr(k)) if k.size() == bytes) {
-                promoted[dst as usize] = true;
-                *insn = BcInsn::AllocaSlot { dst, bytes };
+            let r = dst as usize;
+            if let Some(&Access::Addr(k)) = access.get(r) {
+                if k.size() == bytes {
+                    promoted[r] = true;
+                    kinds[r] = k;
+                    shared[r] = k == Kind::Ptr;
+                    *insn = BcInsn::AllocaSlot { dst, bytes };
+                }
             }
         }
     }
     let is_slot = |r: u32| promoted.get(r as usize).copied().unwrap_or(false);
-    for insn in func.blocks.iter_mut().flatten() {
+    for insn in blocks.iter_mut().flatten() {
         match insn {
             BcInsn::Load { dst, ptr, ty, .. } if is_slot(*ptr) => {
+                shared[*ptr as usize] &= ty.space().is_some_and(|s| s != AddressSpace::Private);
                 *insn = BcInsn::LoadSlot {
                     dst: *dst,
                     slot: *ptr,
@@ -1023,6 +1099,8 @@ fn promote_slots(func: &mut BcFuncBody) {
                 };
             }
             BcInsn::Store { ptr, value } if is_slot(*ptr) => {
+                let value_shared = shared.get(*value as usize).copied().unwrap_or(false);
+                shared[*ptr as usize] &= value_shared;
                 *insn = BcInsn::StoreSlot {
                     slot: *ptr,
                     value: *value,
@@ -1030,6 +1108,120 @@ fn promote_slots(func: &mut BcFuncBody) {
             }
             _ => {}
         }
+    }
+}
+
+/// Forward promoted slots within each block, so that most slot copies no
+/// longer run (see the module docs):
+///
+/// - a `load.slot d, s` goes when `d` is read only later in its block and
+///   `s` is not written before `d`'s last read: the readers read `s`;
+/// - a `store.slot s, v` goes when `v` is read only by it and defined
+///   earlier in its block by an instruction that writes nothing but `v`,
+///   with no read or write of `s` in between: that instruction writes `s`.
+///
+/// An instruction reads its operands before it writes, so the last reader
+/// may write `s` itself. Each removed copy becomes a weight-1 no-op that
+/// still counts its memory operation.
+fn forward_slots(func: &mut BcFuncBody) {
+    let regs = func.kinds.len();
+    let (mut is_slot, mut reads, mut defs) =
+        (vec![false; regs], vec![0u32; regs], vec![0u32; regs]);
+    for insn in func.blocks.iter().flatten() {
+        if let BcInsn::AllocaSlot { dst, .. } = insn {
+            is_slot[*dst as usize] = true;
+        }
+        for_each_use(insn, |r| {
+            if let Some(n) = reads.get_mut(r as usize) {
+                *n += 1;
+            }
+        });
+        if let Some(n) = defs.get_mut(def_of(insn) as usize) {
+            *n += 1;
+        }
+    }
+    // A register written once, by an instruction (not a slot).
+    let single = |r: u32| (r as usize) < regs && !is_slot[r as usize] && defs[r as usize] == 1;
+    let writes = |insn: &BcInsn, s: u32| {
+        def_of(insn) == s || matches!(insn, BcInsn::StoreSlot { slot, .. } if *slot == s)
+    };
+    let copy = || BcInsn::Nop { weight: 1, mem: 1 };
+    for block in &mut func.blocks {
+        for i in 0..block.len() {
+            let BcInsn::LoadSlot {
+                dst: d, slot: s, ..
+            } = block[i]
+            else {
+                continue;
+            };
+            if !single(d) {
+                continue;
+            }
+            // Find `d`'s reads after the load, until a write of `s`.
+            let mut left = reads[d as usize];
+            let mut end = i + 1;
+            while left > 0 && end < block.len() {
+                let insn = &block[end];
+                for_each_use(insn, |r| left -= u32::from(r == d));
+                end += 1;
+                if left > 0 && writes(insn, s) {
+                    break;
+                }
+            }
+            if left > 0 {
+                continue;
+            }
+            for insn in &mut block[i + 1..end] {
+                visit_uses!(insn, |r: &mut u32| {
+                    if *r == d {
+                        *r = s;
+                    }
+                });
+            }
+            block[i] = copy();
+        }
+        for k in 0..block.len() {
+            let BcInsn::StoreSlot { slot: s, value: v } = block[k] else {
+                continue;
+            };
+            if !single(v) || reads[v as usize] != 1 {
+                continue;
+            }
+            // The last instruction before the store that defines `v` or
+            // touches `s` must be `v`'s definition (which may read `s`).
+            let touches = |insn: &BcInsn| {
+                let mut read = false;
+                for_each_use(insn, |r| read |= r == s);
+                read || writes(insn, s)
+            };
+            let Some(j) = (0..k)
+                .rev()
+                .find(|&j| def_of(&block[j]) == v || touches(&block[j]))
+            else {
+                continue;
+            };
+            if let Some(dst) = pure_dst(&mut block[j]).filter(|dst| **dst == v) {
+                *dst = s;
+                block[k] = copy();
+            }
+        }
+    }
+}
+
+/// The destination of an instruction that writes nothing but it.
+fn pure_dst(insn: &mut BcInsn) -> Option<&mut u32> {
+    match insn {
+        BcInsn::Const { dst, .. }
+        | BcInsn::Bin { dst, .. }
+        | BcInsn::Un { dst, .. }
+        | BcInsn::Cmp { dst, .. }
+        | BcInsn::Select { dst, .. }
+        | BcInsn::Cast { dst, .. }
+        | BcInsn::Load { dst, .. }
+        | BcInsn::LoadSlot { dst, .. }
+        | BcInsn::Gep { dst, .. }
+        | BcInsn::WorkItem { dst, .. } => Some(dst),
+        _ => None,
     }
 }
 
@@ -1246,9 +1438,11 @@ impl Conv {
 /// (a missing destination writes the frame's sink register).
 #[derive(Debug)]
 enum VmInsn {
-    /// `weight` folded/eliminated source instructions.
+    /// `weight` folded/eliminated source instructions, `mem` of them
+    /// memory operations.
     Nop {
         weight: u64,
+        mem: u64,
     },
     Const {
         dst: u32,
@@ -1815,7 +2009,10 @@ fn quicken_one(
 ) -> VmInsn {
     let ill_typed = |what: &str| VmInsn::Trap(Box::new(InterpError::Invalid(what.into())));
     match insn {
-        BcInsn::Nop { weight } => VmInsn::Nop { weight: *weight },
+        BcInsn::Nop { weight, mem } => VmInsn::Nop {
+            weight: *weight,
+            mem: *mem,
+        },
         BcInsn::Const { dst, val } => VmInsn::Const {
             dst: reg(*dst),
             val: Slot::of(*val),
@@ -2281,12 +2478,13 @@ fn run_bc_item(
         let insn = &code[pc];
         pc += 1;
         match insn {
-            VmInsn::Nop { weight } => {
+            VmInsn::Nop { weight, mem } => {
                 // Stands for `weight` source instructions: the dispatch
                 // above already counted one step.
                 steps += weight - 1;
                 check_steps!();
                 insns += weight;
+                mem_ops += mem;
             }
             VmInsn::Jump { target } => pc = *target as usize,
             VmInsn::Branch {
@@ -2702,7 +2900,8 @@ pub(crate) fn disassemble(bc: &BcModule) -> String {
         for (block, &start) in func.blocks.iter().zip(&block_pc[fi]) {
             for (i, insn) in block.iter().enumerate() {
                 let text = match insn {
-                    BcInsn::Nop { weight } => format!("nop x{weight}"),
+                    BcInsn::Nop { weight, mem: 0 } => format!("nop x{weight}"),
+                    BcInsn::Nop { weight, mem } => format!("nop x{weight} (mem {mem})"),
                     BcInsn::Const { dst, val } => {
                         format!("{} = const {}", fmt_reg(*dst), fmt_value(*val))
                     }
@@ -3165,7 +3364,7 @@ mod tests {
             .iter()
             .flatten()
             .map(|i| match i {
-                BcInsn::Nop { weight } => *weight,
+                BcInsn::Nop { weight, .. } => *weight,
                 BcInsn::Jump { .. } | BcInsn::Branch { .. } | BcInsn::Ret { .. } => 0,
                 _ => 1,
             })

@@ -4,14 +4,14 @@
 
 use super::{
     bc_bytes, bc_bytes_mut, cmp_float, cmp_int, def_of, gep, BcFuncBody, BcInsn, BcModule,
-    CallSite, Conv, Kind, Slot, VmInsn, VmProgram, ARENA_PRIVATE, NO_REG,
+    CallSite, Conv, Kind, Slot, VmInsn, VmProgram, ARENA_LOCAL, ARENA_PRIVATE, NO_REG,
 };
 use crate::error::InterpError;
 use crate::interp::{
-    apply_atomic, bin_f32, bin_f64, bin_i32, bin_i64, eval_un, DynStats, GlobalMem, NdRange,
-    TicketCursor, MAX_CALL_DEPTH,
+    apply_atomic, bin_f32, bin_f64, bin_i32, bin_i64, bounds, eval_un, DynStats, GlobalMem,
+    NdRange, TicketCursor, MAX_CALL_DEPTH,
 };
-use crate::ir::{BinOp, WiBuiltin};
+use crate::ir::{BinOp, UnOp, WiBuiltin};
 use crate::races::{divergent_regions, immediate_postdominators};
 
 /// The pc of a function's virtual exit, where `ret` sends its items.
@@ -441,6 +441,24 @@ pub(super) fn run_group(
             }
         }};
     }
+    // How many running items `$test` holds for (a plain loop under a full
+    // mask).
+    macro_rules! count {
+        ($l:ident => $test:expr) => {{
+            let mut t = 0usize;
+            if active.len() == n {
+                for $l in 0..n {
+                    t += usize::from($test);
+                }
+            } else {
+                for &l in active.iter() {
+                    let $l = l as usize;
+                    t += usize::from($test);
+                }
+            }
+            t
+        }};
+    }
     // `$d = a <op> b` through `$eval`, one `each!` per operator.
     macro_rules! bin {
         ($eval:ident, $op:expr, $d:expr, $a:expr, $b:expr) => {{
@@ -469,6 +487,44 @@ pub(super) fn run_group(
                 .map(|bytes| reg!(v, l).encode(kind, bytes));
                 kind in Kind::Bool | Kind::I32 | Kind::I64 | Kind::F32 | Kind::F64 | Kind::Ptr);
         }};
+    }
+    // Under a full mask, with the base `$p` group-uniform, every item's
+    // address `$g` lies in the base's storage (a gep keeps its arena):
+    // look a global buffer or the local arena up once, then run `$body`
+    // per item on its `$bytes` with only the bounds check, which
+    // `interp::bounds` makes as the per-item path does. Falls through to
+    // that path for the private arena (one per item) and a dangling
+    // buffer.
+    macro_rules! span_each {
+        ($p:expr, $g:expr, $kind:ident, $l:ident, $bytes:ident => $body:expr) => {
+            if $p.1 == 0 && active.len() == n {
+                let p = reg!($p, 0);
+                let storage = match (p.buffer(), p.arena) {
+                    (Some(b), _) => gmem.span(b).ok().map(|(at, len)| (at, len, "global buffer")),
+                    (None, ARENA_LOCAL) => Some((local.as_mut_ptr(), local.len(), "local memory")),
+                    _ => None,
+                };
+                if let Some((at, len, what)) = storage {
+                    hoist!($kind in Kind::Bool | Kind::I32 | Kind::I64 | Kind::F32 | Kind::F64
+                        | Kind::Ptr, {
+                        let size = $kind.size();
+                        for $l in 0..n {
+                            let off = reg!($g, $l).bits as i64;
+                            if let Err(e) = bounds(len, off, size, what) {
+                                fail!($l, e);
+                                break;
+                            }
+                            // SAFETY: in bounds (checked above); concurrent
+                            // groups touch disjoint bytes (`GlobalMem`).
+                            let $bytes =
+                                unsafe { std::slice::from_raw_parts_mut(at.add(off as usize), size) };
+                            $body;
+                        }
+                    });
+                    continue;
+                }
+            }
+        };
     }
     macro_rules! park {
         ($lanes:expr) => {
@@ -561,24 +617,26 @@ pub(super) fn run_group(
                 }
             }};
         }
-        // Branch on `$test` per running item: all agree, or the items split
-        // and the two sides reconverge at the branch's postdominator.
+        // Branch on the varying register `$c`, which holds for `$t` of the
+        // running items: all agree, or the items split and the two sides
+        // reconverge at the branch's postdominator.
         macro_rules! branch {
-            ($then:expr, $else:expr, $l:ident => $test:expr) => {{
-                taken.clear();
-                split.clear();
-                for &$l in active.iter() {
-                    if $test {
-                        taken.push($l)
-                    } else {
-                        split.push($l)
-                    }
-                }
-                if split.is_empty() {
+            ($then:expr, $else:expr, $c:expr, $t:expr) => {{
+                let (c, t) = ($c, $t);
+                if t == active.len() {
                     goto!($then)
-                } else if taken.is_empty() {
+                } else if t == 0 {
                     goto!($else)
                 } else {
+                    taken.clear();
+                    split.clear();
+                    for &l in active.iter() {
+                        if reg!(c, l as usize).bits != 0 {
+                            taken.push(l)
+                        } else {
+                            split.push(l)
+                        }
+                    }
                     let r = ls.rpc[pc - 1];
                     park!(split);
                     if rpc != r {
@@ -600,9 +658,10 @@ pub(super) fn run_group(
         let insn = &code[pc];
         pc += 1;
         match insn {
-            VmInsn::Nop { weight } => {
+            VmInsn::Nop { weight, mem } => {
                 tick!(*weight);
                 wg_insns += weight * lanes;
+                stats.mem_ops += mem * lanes;
             }
             VmInsn::Jump { target } => {
                 tick!(1);
@@ -622,7 +681,8 @@ pub(super) fn run_group(
                         *else_t
                     });
                 } else {
-                    branch!(*then_t, *else_t, l => reg!(c, l as usize).bits != 0);
+                    let t = count!(l => reg!(c, l).bits != 0);
+                    branch!(*then_t, *else_t, c, t);
                 }
             }
             VmInsn::CmpBrInt {
@@ -642,12 +702,12 @@ pub(super) fn run_group(
                     reg!(d, 0) = Slot::int(c as i64);
                     goto!(if c { *then_t } else { *else_t });
                 } else {
-                    branch!(*then_t, *else_t, l => {
-                        let l = l as usize;
+                    let t = count!(l => {
                         let c = cmp_int(*mask, reg!(a, l), reg!(b, l));
                         reg!(d, l) = Slot::int(c as i64);
                         c
                     });
+                    branch!(*then_t, *else_t, d, t);
                 }
             }
             VmInsn::CmpBrFloat {
@@ -668,12 +728,12 @@ pub(super) fn run_group(
                     reg!(d, 0) = Slot::int(c as i64);
                     goto!(if c { *then_t } else { *else_t });
                 } else {
-                    branch!(*then_t, *else_t, l => {
-                        let l = l as usize;
+                    let t = count!(l => {
                         let c = cmp_float(*wide, *mask, reg!(a, l), reg!(b, l));
                         reg!(d, l) = Slot::int(c as i64);
                         c
                     });
+                    branch!(*then_t, *else_t, d, t);
                 }
             }
             VmInsn::Ret { val } => {
@@ -733,10 +793,28 @@ pub(super) fn run_group(
             VmInsn::Un { op, kind, dst, a } => {
                 tick!(1);
                 wg_insns += lanes;
-                let (kind, d, a) = (*kind, loc!(*dst), loc!(*a));
-                each!(d.1 == 0, l => eval_un(*op, reg!(a, l).value(kind))
-                    .map(|v| reg!(d, l) = Slot::of(v));
-                    kind in Kind::Bool | Kind::I32 | Kind::I64 | Kind::F32 | Kind::F64 | Kind::Ptr);
+                let (op, kind, d, a) = (*op, *kind, loc!(*dst), loc!(*a));
+                // The operand's width resolves here, and under a full mask
+                // the operator too; `eval_un` keeps the pairs it fails (and
+                // a bool's `not`).
+                macro_rules! un {
+                    ($t:ty) => {
+                        each_ok!(d.1 == 0, l => reg!(d, l) =
+                            <$t>::un(op, <$t>::read(reg!(a, l))).slot();
+                            op in UnOp::Neg | UnOp::Not | UnOp::Sqrt | UnOp::Abs | UnOp::Exp
+                                | UnOp::Log | UnOp::Sin | UnOp::Cos | UnOp::Floor | UnOp::Ceil)
+                    };
+                }
+                match kind {
+                    _ if !unary_resolves(op, kind) => {
+                        each!(d.1 == 0, l => eval_un(op, reg!(a, l).value(kind))
+                            .map(|v| reg!(d, l) = Slot::of(v)));
+                    }
+                    Kind::F32 => un!(f32),
+                    Kind::F64 => un!(f64),
+                    Kind::I32 => un!(i32),
+                    _ => un!(i64),
+                }
             }
             VmInsn::CmpInt { mask, dst, a, b } => {
                 tick!(1);
@@ -853,7 +931,11 @@ pub(super) fn run_group(
                 tick!(1);
                 wg_insns += 2 * lanes;
                 stats.mem_ops += lanes;
-                load!(once, *kind, d, g);
+                let kind = *kind;
+                if !once {
+                    span_each!(p, g, kind, l, bytes => reg!(d, l) = Slot::decode(kind, bytes));
+                }
+                load!(once, kind, d, g);
             }
             VmInsn::GepStore {
                 kind,
@@ -872,7 +954,9 @@ pub(super) fn run_group(
                 tick!(1);
                 wg_insns += 2 * lanes;
                 stats.mem_ops += lanes;
-                store!(*kind, g, v);
+                let kind = *kind;
+                span_each!(p, g, kind, l, bytes => reg!(v, l).encode(kind, bytes));
+                store!(kind, g, v);
             }
             VmInsn::Call { dst, site } => {
                 tick!(1);
@@ -937,6 +1021,21 @@ pub(super) fn run_group(
                             WiBuiltin::GlobalId => group_id[k] * size,
                             _ => 0,
                         };
+                        if d.1 != 0 && active.len() == n {
+                            // Items run in local-id order, x fastest: each
+                            // id of dimension `k` repeats for `run` items.
+                            let run: usize = ndrange.local[..k].iter().product();
+                            let (mut id, mut left) = (0, run);
+                            for l in 0..n {
+                                reg!(d, l) = Slot::int((base + id) as i64);
+                                left -= 1;
+                                if left == 0 {
+                                    left = run;
+                                    id = if id + 1 == size { 0 } else { id + 1 };
+                                }
+                            }
+                            continue;
+                        }
                         // Dimension `k` of the item's local id only.
                         each_ok!(d.1 == 0, l => {
                             let lid = match k {
@@ -1055,6 +1154,61 @@ operand!(i32: s => s.bits as i32, v => Slot::int(v as i64));
 operand!(i64: s => s.bits as i64, v => Slot::int(v));
 operand!(f32: s => f32::from_bits(s.bits as u32), v => Slot::int(v.to_bits() as i64));
 operand!(f64: s => f64::from_bits(s.bits), v => Slot::int(v.to_bits() as i64));
+
+/// A unary operation on one operand width, with `eval_un`'s semantics
+/// for the pairs [`unary_resolves`] admits.
+trait Unary: Operand {
+    fn un(op: UnOp, x: Self) -> Self;
+}
+
+macro_rules! unary {
+    (float $t:ty) => {
+        impl Unary for $t {
+            #[inline(always)]
+            fn un(op: UnOp, x: $t) -> $t {
+                match op {
+                    UnOp::Neg => -x,
+                    UnOp::Sqrt => x.sqrt(),
+                    UnOp::Abs => x.abs(),
+                    UnOp::Exp => x.exp(),
+                    UnOp::Log => x.ln(),
+                    UnOp::Sin => x.sin(),
+                    UnOp::Cos => x.cos(),
+                    UnOp::Floor => x.floor(),
+                    UnOp::Ceil => x.ceil(),
+                    UnOp::Not => x,
+                }
+            }
+        }
+    };
+    (int $t:ty) => {
+        impl Unary for $t {
+            #[inline(always)]
+            fn un(op: UnOp, x: $t) -> $t {
+                match op {
+                    UnOp::Neg => x.wrapping_neg(),
+                    UnOp::Abs => x.wrapping_abs(),
+                    _ => x,
+                }
+            }
+        }
+    };
+}
+
+unary!(float f32);
+unary!(float f64);
+unary!(int i32);
+unary!(int i64);
+
+/// Whether `eval_un` succeeds on `op` over `kind` with a result of the
+/// same kind, which [`Unary::un`] computes.
+fn unary_resolves(op: UnOp, kind: Kind) -> bool {
+    match kind {
+        Kind::F32 | Kind::F64 => op != UnOp::Not,
+        Kind::I32 | Kind::I64 => matches!(op, UnOp::Neg | UnOp::Abs),
+        Kind::Bool | Kind::Ptr => false,
+    }
+}
 
 /// One item's atomic read-modify-write (the item VM's semantics); the old
 /// value.

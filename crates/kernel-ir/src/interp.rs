@@ -2101,8 +2101,11 @@ impl<'a> GlobalMem<'a> {
         }
     }
 
+    /// Buffer `b`'s base pointer and length, for a caller that checks
+    /// many offsets against one buffer with [`bounds`] (lockstep's
+    /// group-uniform accesses) and keeps to this type's contract.
     #[inline]
-    fn span(&self, b: BufferId) -> Result<(*mut u8, usize), InterpError> {
+    pub(crate) fn span(&self, b: BufferId) -> Result<(*mut u8, usize), InterpError> {
         self.spans
             .get(b.0 as usize)
             .copied()

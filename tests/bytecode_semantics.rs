@@ -19,9 +19,11 @@
 //! tiers and through `ProxyCl`; lockstep groups running with every
 //! item active (a failing division at a middle item, the step limit in
 //! straight-line code, a full group again after a split reconverges);
-//! and private memory as automatic storage (one slot per alloca site in
+//! private memory as automatic storage (one slot per alloca site in
 //! its function's frame, frames released on return, a fresh zero on
-//! every execution) with the call-depth cap.
+//! every execution) with the call-depth cap; and slot forwarding (values,
+//! steps and `mem_ops` kept) and the one storage lookup of a full group's
+//! access through a uniform base (only its last item out of bounds).
 
 use kernel_ir::interp::{ArgValue, DeviceMemory, DynStats, Interpreter, NdRange, Value};
 use kernel_ir::testgen::{build_kernel, PATTERNS};
@@ -1111,7 +1113,19 @@ fn agreed_run(
     args: &[ArgValue],
     lockstep: bool,
 ) -> Run {
-    let interp = Interpreter::new(module);
+    agreed_run_with(module, mem, nd, args, lockstep, Default::default())
+}
+
+/// [`agreed_run`] under `config`.
+fn agreed_run_with(
+    module: &kernel_ir::ir::Module,
+    mem: &DeviceMemory,
+    nd: NdRange,
+    args: &[ArgValue],
+    lockstep: bool,
+    config: kernel_ir::interp::InterpConfig,
+) -> Run {
+    let interp = Interpreter::with_config(module, config);
     assert_eq!(interp.lockstep_eligible_in(mem, "k", nd, args), lockstep);
     let mut tree_mem = mem.clone();
     let tree = interp.run_kernel(&mut tree_mem, "k", nd, args);
@@ -1717,6 +1731,250 @@ fn private_frames_past_the_cap_fail_at_launch() {
                     if m.contains(&format!("more than {MAX_PRIVATE_FRAME_BYTES} bytes"))),
                 "{ints} ints: {got:?}"
             );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Slot forwarding and group-uniform storage
+// ---------------------------------------------------------------------------
+
+/// `kernel k(global int* in, global int* out)` built as IR, with one
+/// promoted variable `x`. Per item `i`, with `v = in[i]`: `t = x` is read
+/// after `x = 5`; `w = v + i` is stored to `x` after a read of `x`
+/// (`old`); and `y = v + 1000` is stored to `x` and read again. So
+/// `out[2i] = t·1000 + old = 1000·i + 5` and
+/// `out[2i+1] = w·10000 + y + x = 10000·w + 2y`. With `race`, every item
+/// also stores its id to `out[0]`, which keeps the launch out of lockstep.
+fn forwarding_kernel(race: bool) -> kernel_ir::ir::Module {
+    use kernel_ir::builder::FunctionBuilder;
+    use kernel_ir::ir::{BinOp, FunctionKind, WiBuiltin};
+    use kernel_ir::types::{AddressSpace, Type};
+    let mut b = FunctionBuilder::new("k", FunctionKind::Kernel, Type::Void);
+    let input = b.add_param("in", Type::ptr(AddressSpace::Global, Type::I32));
+    let out = b.add_param("out", Type::ptr(AddressSpace::Global, Type::I32));
+    let x = b.alloca(Type::I32, 1, AddressSpace::Private);
+    let gid = b.work_item(WiBuiltin::GlobalId, 0);
+    let id = b.cast(Type::I32, gid);
+    b.store(x, id);
+    // `t` is read after `x` is written: its load stays.
+    let t = b.load(x);
+    let five = b.const_i32(5);
+    b.store(x, five);
+    let at_in = b.gep(input, gid);
+    let v = b.load(at_in);
+    // `x` is read between `w`'s definition and its store: the store stays.
+    let w = b.bin(BinOp::Add, v, id);
+    let old = b.load(x);
+    b.store(x, w);
+    let xw = b.load(x);
+    // `y` is read by its store to `x` and once more: the store stays.
+    let thousand = b.const_i32(1000);
+    let y = b.bin(BinOp::Add, v, thousand);
+    b.store(x, y);
+    let xy = b.load(x);
+    let t1000 = b.bin(BinOp::Mul, t, thousand);
+    let first = b.bin(BinOp::Add, t1000, old);
+    let two = b.const_i64(2);
+    let at = b.bin(BinOp::Mul, gid, two);
+    let at_first = b.gep(out, at);
+    b.store(at_first, first);
+    let ten_thousand = b.const_i32(10_000);
+    let w_part = b.bin(BinOp::Mul, xw, ten_thousand);
+    let y_part = b.bin(BinOp::Add, y, xy);
+    let second = b.bin(BinOp::Add, w_part, y_part);
+    let one = b.const_i64(1);
+    let next = b.bin(BinOp::Add, at, one);
+    let at_second = b.gep(out, next);
+    b.store(at_second, second);
+    if race {
+        let zero = b.const_i64(0);
+        let at_zero = b.gep(out, zero);
+        b.store(at_zero, id);
+    }
+    b.ret(None);
+    let mut m = kernel_ir::ir::Module::new();
+    m.insert_function(b.finish());
+    m
+}
+
+#[test]
+fn slot_forwarding_keeps_values_steps_and_mem_ops() {
+    // Slot forwarding removes most `load.slot`/`store.slot` copies (see
+    // `kernel_ir::bytecode`). The IR kernel reads `t` after `x` is written
+    // and `y` twice; the minicl kernel forwards a float slot `g`, which
+    // the arithmetic must read as `f32`, and a loop's counter and sum.
+    // Tree-walker and VM agree on the result, on every counter
+    // (`mem_ops` included) and on memory, in lockstep and in item order,
+    // and under every step limit up to one past the run: each forwarded
+    // copy, and the instruction after it, has the limit fire on it.
+    let cl = |race: &str| {
+        minicl::compile(&format!(
+            "kernel void k(global int* in, global int* out, global float* f, int n) {{
+                size_t i = get_global_id(0);
+                int x = in[i];
+                int t = x;
+                x = 5;
+                float g = f[i];
+                g = g * 0.5f + 0.25f;
+                int s = 0;
+                for (int j = 0; j < n; ++j) {{ s = s + j * x; x = x + t; }}
+                out[2 * i] = t * 1000 + x;
+                out[2 * i + 1] = s;
+                f[i] = g;
+                {race}
+            }}"
+        ))
+        .expect("compile")
+    };
+    let nd = NdRange::new_1d(8, 4);
+    for lockstep in [true, false] {
+        let race = if lockstep { "" } else { "out[0] = (int)i;" };
+        for (name, module) in [("ir", forwarding_kernel(!lockstep)), ("cl", cl(race))] {
+            let mut mem = DeviceMemory::new();
+            let input = mem.alloc(4 * 8);
+            let out = mem.alloc(4 * 16);
+            let f = mem.alloc(4 * 8);
+            mem.write_i32(input, &(0..8).map(|i| 3 * i + 1).collect::<Vec<_>>());
+            mem.write_f32(f, &(0..8).map(|i| i as f32 * 1.5 - 2.0).collect::<Vec<_>>());
+            let mut args = vec![ArgValue::Buffer(input), ArgValue::Buffer(out)];
+            if name == "cl" {
+                args.extend([ArgValue::Buffer(f), ArgValue::Scalar(Value::I32(3))]);
+            }
+            let what = format!("{name}, lockstep {lockstep}");
+            let text = Interpreter::new(&module)
+                .disassemble_kernel(&mem, "k", nd, &args)
+                .expect("disassembles");
+            let optimized = &text[text.find("== optimized ==").unwrap()..];
+            assert!(
+                optimized.contains("(mem "),
+                "{what}: nothing forwarded\n{optimized}"
+            );
+            let (run, after) = agreed_run(&module, &mem, nd, &args, lockstep);
+            let stats = run.unwrap_or_else(|e| panic!("{what}: {e}"));
+            let words = after.read_i32(out);
+            if name == "ir" {
+                for i in 0..8 {
+                    let (v, first) = (3 * i + 1, i * 1000 + 5);
+                    let second = (v + i) * 10_000 + 2 * (v + 1000);
+                    // Item 0's first word is the race's in item order.
+                    if lockstep || i > 0 {
+                        assert_eq!(words[2 * i as usize], first, "{what}");
+                    }
+                    assert_eq!(words[2 * i as usize + 1], second, "{what}");
+                }
+            } else {
+                let g: Vec<f32> = (0..8)
+                    .map(|i| (i as f32 * 1.5 - 2.0) * 0.5 + 0.25)
+                    .collect();
+                assert_eq!(after.read_f32(f), g, "{what}");
+            }
+            // Every step limit from the first instruction to one past the
+            // last item's run.
+            let per_item = stats.total_insns / 8;
+            for step_limit in 1..per_item + 2 {
+                let config = kernel_ir::interp::InterpConfig {
+                    step_limit,
+                    ..Default::default()
+                };
+                let (got, _) = agreed_run_with(&module, &mem, nd, &args, lockstep, config);
+                assert!(
+                    matches!(got, Err(InterpError::StepLimitExceeded(l)) if l == step_limit)
+                        || (got.is_ok() && step_limit >= per_item),
+                    "{what}, step limit {step_limit}: {got:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn out_of_bounds_on_the_last_item_of_a_full_group() {
+    // A full group reaches one load or store through a group-uniform base
+    // (a buffer argument, or a local array), and only the last item of
+    // the last group strays past the end. Lockstep looks the storage up
+    // once for the group; the last item still fails with the per-item
+    // error, the items before it load or store, and the group before it
+    // completes, as in item order, at 1 and 3 threads.
+    // (what, kernel body, `out[i]` after the launch with `n` = 1)
+    type Case = (&'static str, &'static str, fn(i32) -> i32);
+    let cases: [Case; 4] = [
+        ("global load", "out[i] = a[i + n];", |i| {
+            if i < 15 {
+                (i + 1) * 7 + 1
+            } else {
+                0
+            }
+        }),
+        ("global store", "out[i + n] = a[i];", |i| {
+            if i > 0 {
+                (i - 1) * 7 + 1
+            } else {
+                0
+            }
+        }),
+        (
+            "local load",
+            "tile[lid] = a[i]; barrier(0); out[i] = tile[lid + n * get_group_id(0)];",
+            |i| match i {
+                0..=7 => i * 7 + 1,
+                8..=14 => (i + 1) * 7 + 1,
+                _ => 0,
+            },
+        ),
+        (
+            "local store",
+            "tile[lid + n * get_group_id(0)] = a[i]; barrier(0); out[i] = tile[lid];",
+            |i| if i < 8 { i * 7 + 1 } else { 0 },
+        ),
+    ];
+    let nd = NdRange::new_1d(16, 8);
+    for (what, body, want) in cases {
+        let module = minicl::compile(&format!(
+            "kernel void k(global int* a, global int* out, int n) {{
+                local int tile[8];
+                size_t i = get_global_id(0);
+                size_t lid = get_local_id(0);
+                {body}
+            }}"
+        ))
+        .expect("compile");
+        for n in [0, 1] {
+            let mut mem = DeviceMemory::new();
+            let a = mem.alloc(4 * 16);
+            let out = mem.alloc(4 * 16);
+            mem.write_i32(a, &(0..16).map(|i| i * 7 + 1).collect::<Vec<_>>());
+            let args = [
+                ArgValue::Buffer(a),
+                ArgValue::Buffer(out),
+                ArgValue::Scalar(Value::I32(n)),
+            ];
+            let interp = Interpreter::new(&module);
+            assert!(interp.lockstep_eligible_in(&mem, "k", nd, &args), "{what}");
+            let mut tree_mem = mem.clone();
+            let tree = interp.run_kernel(&mut tree_mem, "k", nd, &args);
+            for threads in [1, 3] {
+                let mut vm_mem = mem.clone();
+                let vm = interp.run_kernel_bytecode(&mut vm_mem, "k", nd, &args, threads);
+                assert_eq!(vm, tree, "{what}, n = {n}, x{threads}");
+                assert_eq!(vm_mem, tree_mem, "{what}, n = {n}, x{threads}");
+            }
+            if n == 0 {
+                assert!(tree.is_ok(), "{what}: {tree:?}");
+                continue;
+            }
+            let (arena, size) = if what.starts_with("global") {
+                ("global buffer", 64)
+            } else {
+                ("local memory", 32)
+            };
+            assert!(
+                matches!(&tree, Err(InterpError::OutOfBounds { what: w, size: s, .. })
+                    if w == arena && *s == size),
+                "{what}: {tree:?}"
+            );
+            let words: Vec<i32> = (0..16).map(want).collect();
+            assert_eq!(tree_mem.read_i32(out), words, "{what}");
         }
     }
 }
